@@ -352,46 +352,41 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
 
 
 def refine_mesh(m: Mesh) -> Mesh:
-    """Uniform 4-split; boundary midpoints are projected to the exact boundary."""
-    nodes = list(map(tuple, m.nodes))
-    midpoint: dict = {}
+    """Uniform 4-split; boundary midpoints are projected to the exact boundary.
 
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        i = midpoint.get(key)
-        if i is None:
-            i = len(nodes)
-            pa, pb = nodes[a], nodes[b]
-            nodes.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-            midpoint[key] = i
-        return i
+    New nodes are numbered from num_nodes in the order their edges are first
+    met walking edges ab, bc, ca of each triangle in turn.  Boundary edges
+    must be triangle edges, as validate_mesh guarantees.
+    """
+    V = m.num_nodes
+    t = m.triangles.astype(np.int64)
+    e = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    codes, first, inv = np.unique(e[:, 0] * V + e[:, 1], return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(codes), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(codes))
+    ab, bc, ca = (V + rank[inv.reshape(-1)]).reshape(-1, 3).T
+    a, b, c = t.T
+    tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    edges = e[np.sort(first)]
+    nodes = np.concatenate([m.nodes, (m.nodes[edges[:, 0]] + m.nodes[edges[:, 1]]) / 2.0])
 
-    tris = []
-    for a, b, c in m.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-
-    bedges, bcurve, bt = [], [], []
+    be = m.boundary_edges.astype(np.int64)
+    bkey = np.sort(be, axis=1)
+    bmid = V + rank[np.searchsorted(codes, bkey[:, 0] * V + bkey[:, 1])]
     has_curves = m.domain is not None and m.boundary_curve is not None
-    for k, (a, b) in enumerate(m.boundary_edges):
-        i = mid(int(a), int(b))
-        if has_curves:
-            cid = int(m.boundary_curve[k])
-            ta, tb = m.boundary_t[k]
-            tm = 0.5 * (ta + tb)
-            nodes[i] = tuple(np.asarray(m.domain.boundary_point(cid, tm), dtype=float))
-            bt.extend([(ta, tm), (tm, tb)])
-            bcurve.extend([cid, cid])
-        bedges.extend([(int(a), i), (i, int(b))])
+    bcurve = bt = None
+    if has_curves:
+        tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
+        for k in range(len(be)):
+            nodes[bmid[k]] = m.domain.boundary_point(int(m.boundary_curve[k]), tm[k])
+        bt = np.stack([m.boundary_t[:, 0], tm, tm, m.boundary_t[:, 1]], axis=1).reshape(-1, 2)
+        bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
+    bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)
 
-    nodes = np.array(nodes)
-    tris = np.array(tris, dtype=np.int64)
-    out = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-               boundary_edges=np.array(bedges, dtype=np.int64), h=m.h / 2.0,
-               domain=m.domain,
-               boundary_curve=np.array(bcurve, dtype=np.int64) if has_curves else None,
-               boundary_t=np.array(bt) if has_curves else None)
-    return out
+    return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
+                boundary_edges=bedges, h=m.h / 2.0, domain=m.domain,
+                boundary_curve=bcurve, boundary_t=bt)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from robinsym.domains import build_domain
 from robinsym.fem import (
     ScalarField,
+    SolverError,
     SourceError,
     SourceSpec,
+    SparseSystem,
     assemble_robin_system,
     boundary_integral,
     boundary_mass_matrix,
@@ -17,6 +20,7 @@ from robinsym.fem import (
     integrate_field,
     load_vector,
     principal_robin_eigenpair,
+    solve_poisson,
     solve_robin_poisson,
     stiffness_matrix,
 )
@@ -105,6 +109,36 @@ def test_compatibility_identity():
     assert lhs == pytest.approx(rhs, rel=1e-8)
     # and against the exact continuum integral of f, at discretization accuracy
     assert lhs == pytest.approx(d.measure, rel=2e-3)
+
+
+def test_stadium_65k_solve_meets_residual_contract():
+    # 65,829 nodes: restarted Jacobi-CG stalled here at relative residual
+    # 1.7e-10, just above the 1e-10 contract
+    m = refine_mesh(generate_mesh(build_domain("stadium", l=1.0, r=0.5), 0.025))
+    assert m.num_nodes == 65829
+    system = assemble_robin_system(m, constant_source(1.0), 1.0)
+    u = solve_poisson(system)
+    A, b = system.matrix, system.rhs
+    assert np.linalg.norm(b - A @ u.values) / np.linalg.norm(b) <= 1e-10
+    assert 1.0 * boundary_integral(u) == pytest.approx(float(b.sum()), rel=1e-8)
+
+
+def test_exactly_singular_matrix_raises_solver_error():
+    m = generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25)
+    zero = sparse.csr_matrix((m.num_nodes, m.num_nodes))
+    system = SparseSystem(zero, load_vector(m, constant_source()), m, 1.0)
+    with pytest.raises(SolverError, match=f"{m.num_nodes} nodes"):
+        solve_poisson(system)
+
+
+def test_pure_neumann_matrix_fails_residual_check():
+    # without the Robin term the stiffness matrix is singular up to rounding:
+    # the factorization goes through, the residual check catches it
+    m = generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25)
+    system = SparseSystem(stiffness_matrix(m), load_vector(m, constant_source()), m, 1.0)
+    with pytest.raises(SolverError) as info:
+        solve_poisson(system)
+    assert info.value.residual_history[-1] > 1e-10
 
 
 def test_lp_integrals():

@@ -63,6 +63,33 @@ def test_refine_counts_and_composition():
     assert r2a.num_nodes == len(np.unique(r2a.triangles))
 
 
+def test_refine_midpoint_numbering_and_positions():
+    d = build_domain("ellipse", a=1.5, b=0.6)
+    m = generate_mesh(d, 0.2)
+    r = refine_mesh(m)
+    V, T, B = m.num_nodes, len(m.triangles), len(m.boundary_edges)
+    parent_edges = np.unique(np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
+                             axis=0)
+    assert r.num_nodes == V + len(parent_edges)
+    assert len(r.triangles) == 4 * T
+    assert len(r.boundary_edges) == 2 * B
+    # a new node is joined to exactly the two old endpoints of its parent edge
+    e = np.sort(r.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    e = np.unique(e[(e[:, 0] < V) & (e[:, 1] >= V)], axis=0)
+    order = np.argsort(e[:, 1], kind="stable")
+    new, old = e[order, 1].reshape(-1, 2), e[order, 0].reshape(-1, 2)
+    assert np.array_equal(new[:, 0], np.arange(V, r.num_nodes))
+    assert np.array_equal(new[:, 1], new[:, 0])
+    assert np.array_equal(np.unique(old, axis=0), parent_edges)  # one new node per edge
+    on_boundary = np.isin(new[:, 0], r.boundary_edges)
+    exact_mid = (m.nodes[old[:, 0]] + m.nodes[old[:, 1]]) / 2.0
+    assert np.array_equal(r.nodes[V:][~on_boundary], exact_mid[~on_boundary])
+    assert on_boundary.sum() == B
+    x, y = r.nodes[V:][on_boundary].T
+    assert np.max(np.abs((x / 1.5) ** 2 + (y / 0.6) ** 2 - 1.0)) < 1e-12
+    assert sorted(old[0]) == sorted(m.triangles[0, :2])  # node V halves edge 0 of triangle 0
+
+
 def test_refine_disc_area_error_ratio():
     d = build_domain("disc", r=1.0)
     m = generate_mesh(d, 0.2)
@@ -109,3 +136,48 @@ def test_every_family_validates():
         validate_mesh(m)
         areas = m.triangle_areas()
         assert areas.min() > 0
+
+
+def _refine_loop_reference(m):
+    """Per-triangle dict walk that numbers each midpoint on first visit."""
+    nodes = list(map(tuple, m.nodes))
+    midpoint = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            midpoint[key] = len(nodes)
+            nodes.append(((nodes[a][0] + nodes[b][0]) / 2.0, (nodes[a][1] + nodes[b][1]) / 2.0))
+        return midpoint[key]
+
+    tris = []
+    for a, b, c in m.triangles.tolist():
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    bedges, bt = [], []
+    for k, (a, b) in enumerate(m.boundary_edges.tolist()):
+        i = mid(a, b)
+        if m.boundary_curve is not None:
+            ta, tb = m.boundary_t[k]
+            tm = 0.5 * (ta + tb)
+            nodes[i] = tuple(m.domain.boundary_point(int(m.boundary_curve[k]), tm))
+            bt.extend([(ta, tm), (tm, tb)])
+        bedges.extend([(a, i), (i, b)])
+    return np.array(nodes), np.array(tris), np.array(bedges), np.array(bt)
+
+
+@pytest.mark.parametrize("spec", ["ellipse a=1.5 b=0.6", "stadium l=1 r=0.5", "rect w=2 h=0.5",
+                                  "polygon 0,0 1,0 1.2,0.8 0.5,1.3 -0.2,0.7"])
+def test_refine_matches_loop_reference_bit_exact(spec):
+    m = generate_mesh(parse_domain_spec(spec), 0.15)
+    for mesh in (m, refine_mesh(m), import_mesh_text(export_mesh_text(m))):
+        r = refine_mesh(mesh)
+        nodes, tris, bedges, bt = _refine_loop_reference(mesh)
+        assert np.array_equal(r.nodes, nodes)
+        assert np.array_equal(r.triangles, tris)
+        assert np.array_equal(r.boundary_edges, bedges)
+        if mesh.boundary_curve is None:
+            assert r.boundary_t is None and r.boundary_curve is None
+        else:
+            assert np.array_equal(r.boundary_t, bt)
+            assert np.array_equal(r.boundary_curve, np.repeat(mesh.boundary_curve, 2))

@@ -61,9 +61,9 @@ def cmd_solve(args) -> int:
 
 def cmd_asymmetry(args) -> int:
     d = parse_domain_spec(args.domain)
-    a = fraenkel_asymmetry(d, resolution=args.resolution)
+    a = fraenkel_asymmetry(d)
     print(f"asymmetry={a.value:.10g} center=({a.center[0]:.10g}, {a.center[1]:.10g}) "
-          f"radius={a.radius:.10g} error={a.error:.3g}")
+          f"radius={a.radius:.10g} error={a.error:.3g} evaluations={a.evaluations}")
     return 0
 
 
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymmetry", help="Fraenkel asymmetry of one domain")
     p.add_argument("--domain", required=True)
-    p.add_argument("--resolution", type=int, default=512)
     p.set_defaults(fn=cmd_asymmetry)
 
     p = sub.add_parser("oracle", help="disc closed forms and the Bessel eigenvalue")

@@ -1,9 +1,13 @@
 """Planar domains: exact measure/perimeter, rasterization, and Fraenkel asymmetry.
 
-Shapes are parametric (disc, ellipse, rectangle, stadium) or simple polygons.
-Area fractions of raster cells are computed in closed form for every shape,
-which makes symmetric differences against balls accurate to a few cells'
-worth of subcell error rather than O(h * perimeter).
+Shapes are parametric (disc, ellipse, rectangle, stadium) or simple polygons;
+each boundary is a chain of segments and elliptic arcs (`boundary_pieces`).
+The Fraenkel asymmetry of a shape comes from an exact boundary integral for
+the area of its intersection with a ball.  Area fractions of raster cells
+are computed in closed form for every shape, which makes symmetric
+differences against balls accurate to a few cells' worth of subcell error
+rather than O(h * perimeter); the raster serves masks and is an independent
+check of the boundary integral.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ TWO_PI = 2.0 * math.pi
 
 # default raster resolution: cell size == diameter / RASTER_CELLS
 RASTER_CELLS = 512
-SEARCH_CELLS = 256
 
 
 class GeometryError(ValueError):
@@ -186,6 +189,22 @@ def _polygon_is_simple(v):
     return True
 
 
+def _polygon_is_convex(v):
+    m = len(v)
+    sign = 0
+    for i in range(m):
+        a, b, c = v[i], v[(i + 1) % m], v[(i + 2) % m]
+        cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if abs(cr) < 1e-14:
+            continue
+        s = 1 if cr > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
+
+
 def _polygon_contains(v, px, py):
     """Crossing-number point-in-polygon test, vectorized over points."""
     inside = np.zeros_like(px, dtype=bool)
@@ -286,51 +305,46 @@ class Domain:
             return in_rect | (in_caps & (np.abs(x) > l / 2))
         return _polygon_contains(self.vertices, px, py)
 
-    # -- boundary parametrization (used by mesh refinement) ----------------
+    # -- boundary parametrization (mesh refinement and the asymmetry) --------
 
-    def boundary_curve_count(self) -> int:
+    def boundary_pieces(self):
+        """The counterclockwise boundary, one piece per boundary curve.
+
+        A piece is ("segment", a, b), the point a + t (b - a) for t in [0, 1],
+        or ("arc", (cx, cy), (A, B), (s0, s1)), the point
+        (cx + A cos s, cy + B sin s) for s in [s0, s1].
+        """
         if self.kind in ("disc", "ellipse"):
-            return 1
-        if self.kind == "rect":
-            return 4
-        if self.kind == "stadium":
-            return 4
-        return len(self._vertices) // 2
-
-    def boundary_point(self, curve_id: int, t):
-        """Point on boundary curve `curve_id` at parameter t."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "disc":
-            r, cx, cy = self.params
-            return np.stack([cx + r * np.cos(t), cy + r * np.sin(t)], axis=-1)
-        if self.kind == "ellipse":
-            a, b, cx, cy = self.params
-            return np.stack([cx + a * np.cos(t), cy + b * np.sin(t)], axis=-1)
+            *axes, cx, cy = self.params
+            return [("arc", (cx, cy), (axes[0], axes[-1]), (0.0, TWO_PI))]
         if self.kind == "rect":
             w, h, cx, cy = self.params
             corners = [(cx - w / 2, cy - h / 2), (cx + w / 2, cy - h / 2),
                        (cx + w / 2, cy + h / 2), (cx - w / 2, cy + h / 2)]
-            a = np.array(corners[curve_id])
-            b = np.array(corners[(curve_id + 1) % 4])
-            return a + np.multiply.outer(t, b - a)
+            return [("segment", np.array(corners[i]), np.array(corners[(i + 1) % 4]))
+                    for i in range(4)]
         if self.kind == "stadium":
             l, r, cx, cy = self.params
-            if curve_id == 0:  # bottom, left to right
-                a = np.array([cx - l / 2, cy - r])
-                b = np.array([cx + l / 2, cy - r])
-                return a + np.multiply.outer(t, b - a)
-            if curve_id == 1:  # right cap, angle in (-pi/2, pi/2)
-                return np.stack([cx + l / 2 + r * np.cos(t), cy + r * np.sin(t)], axis=-1)
-            if curve_id == 2:  # top, right to left
-                a = np.array([cx + l / 2, cy + r])
-                b = np.array([cx - l / 2, cy + r])
-                return a + np.multiply.outer(t, b - a)
-            # left cap, angle in (pi/2, 3*pi/2)
-            return np.stack([cx - l / 2 + r * np.cos(t), cy + r * np.sin(t)], axis=-1)
+            half_pi = 0.5 * math.pi
+            return [("segment", np.array([cx - l / 2, cy - r]), np.array([cx + l / 2, cy - r])),
+                    ("arc", (cx + l / 2, cy), (r, r), (-half_pi, half_pi)),
+                    ("segment", np.array([cx + l / 2, cy + r]), np.array([cx - l / 2, cy + r])),
+                    ("arc", (cx - l / 2, cy), (r, r), (half_pi, 3.0 * half_pi))]
         v = self.vertices
-        a = v[curve_id]
-        b = v[(curve_id + 1) % len(v)]
-        return a + np.multiply.outer(t, b - a)
+        return [("segment", v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+
+    def boundary_curve_count(self) -> int:
+        return len(self.boundary_pieces())
+
+    def boundary_point(self, curve_id: int, t):
+        """Point on boundary curve `curve_id` at parameter t."""
+        t = np.asarray(t, dtype=float)
+        kind, *piece = self.boundary_pieces()[curve_id]
+        if kind == "segment":
+            a, b = piece
+            return a + np.multiply.outer(t, b - a)
+        (cx, cy), (A, B), _ = piece
+        return np.stack([cx + A * np.cos(t), cy + B * np.sin(t)], axis=-1)
 
     # -- raster fractions ---------------------------------------------------
 
@@ -369,35 +383,15 @@ def _cell_fractions(domain: Domain, grid: Grid):
 
 
 def _cell_fractions_uncached(domain: Domain, grid: Grid):
+    if domain.kind == "polygon":
+        return _polygon_fractions(domain.vertices, grid)
     h = grid.h
     ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
     x0, x1, y0, y1 = grid.cell_boxes(ii, jj)
-    kind = domain.kind
-    if kind == "disc":
+    if domain.kind == "disc":
         r, cx, cy = domain.params
         return _disc_fractions(x0, x1, y0, y1, cx, cy, r, h)
-    if kind == "ellipse":
-        a, b, cx, cy = domain.params
-        s = a / b
-        f = circle_box_area(x0 - cx, x1 - cx, (y0 - cy) * s, (y1 - cy) * s, 0.0, 0.0, a)
-        return f / (s * h * h)
-    if kind == "rect":
-        w, hh, cx, cy = domain.params
-        lx = np.maximum(np.minimum(x1, cx + w / 2) - np.maximum(x0, cx - w / 2), 0.0)
-        ly = np.maximum(np.minimum(y1, cy + hh / 2) - np.maximum(y0, cy - hh / 2), 0.0)
-        return lx * ly / (h * h)
-    if kind == "stadium":
-        l, r, cx, cy = domain.params
-        lx = np.maximum(np.minimum(x1, cx + l / 2) - np.maximum(x0, cx - l / 2), 0.0)
-        ly = np.maximum(np.minimum(y1, cy + r) - np.maximum(y0, cy - r), 0.0)
-        rect = lx * ly
-        # caps are the half-discs cut by the vertical lines x = cx -+ l/2
-        left = circle_box_area(x0, np.minimum(x1, cx - l / 2), y0, y1, cx - l / 2, cy, r)
-        left = np.where(x0 < cx - l / 2, left, 0.0)
-        right = circle_box_area(np.maximum(x0, cx + l / 2), x1, y0, y1, cx + l / 2, cy, r)
-        right = np.where(x1 > cx + l / 2, right, 0.0)
-        return (rect + left + right) / (h * h)
-    return _polygon_fractions(domain.vertices, grid)
+    return _domain_box_fractions(domain, x0, x1, y0, y1, h)
 
 
 def _disc_fractions(x0, x1, y0, y1, cx, cy, r, h):
@@ -597,7 +591,7 @@ def _subcell_sym(domain, grid: Grid, ii, jj, cx, cy, r, sub):
 
 
 def _domain_box_fractions(domain: Domain, x0, x1, y0, y1, h):
-    """Exact fractions of arbitrary boxes (used by the subcell pass)."""
+    """Exact fractions of arbitrary boxes (grid cells and the subcell pass)."""
     kind = domain.kind
     if kind == "disc":
         r, cx, cy = domain.params
@@ -616,6 +610,7 @@ def _domain_box_fractions(domain: Domain, x0, x1, y0, y1, h):
         lx = np.maximum(np.minimum(x1, cx + l / 2) - np.maximum(x0, cx - l / 2), 0.0)
         ly = np.maximum(np.minimum(y1, cy + r) - np.maximum(y0, cy - r), 0.0)
         rect = lx * ly
+        # caps are the half-discs cut by the vertical lines x = cx -+ l/2
         left = circle_box_area(x0, np.minimum(x1, cx - l / 2), y0, y1, cx - l / 2, cy, r)
         left = np.where(x0 < cx - l / 2, left, 0.0)
         right = circle_box_area(np.maximum(x0, cx + l / 2), x1, y0, y1, cx + l / 2, cy, r)
@@ -665,6 +660,7 @@ class AsymmetryResult:
     center: tuple
     radius: float
     error: float
+    evaluations: int = 0
 
 
 def _asymmetry_seeds(bbox, center):
@@ -686,59 +682,139 @@ def _minimize_center(objective, seeds, fatol, xatol=1e-8):
     return best
 
 
-def fraenkel_asymmetry(domain: Domain, resolution: int = RASTER_CELLS) -> AsymmetryResult:
+_GAUSS = np.polynomial.legendre.leggauss(16)
+ARC_SAMPLES = 33
+
+
+def _gauss_rule(lo, hi, halve=False):
+    """Gauss-Legendre nodes and weights on the panels [lo, hi] (last axis);
+    with halve, on both halves of every panel."""
+    if halve:
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid], axis=-1), np.concatenate([mid, hi], axis=-1)
+    xi, w = _GAUSS
+    half = 0.5 * (hi - lo)[..., None]
+    return lo[..., None] + half * (xi + 1.0), half * w
+
+
+def _arc_panel_ends(g, dg, s0, s1):
+    """Panel ends on [s0, s1]: every 8th of ARC_SAMPLES samples, plus the roots
+    of g, found as sign changes between samples and refined by Newton
+    safeguarded with the bracket.
+
+    The fixed ends keep panels at a quarter of a full arc: one 16-point panel
+    over a whole ellipse integrates a distant ball to only about 1e-7.
+    """
+    s = np.linspace(s0, s1, ARC_SAMPLES)
+    inside = g(s) < 0.0
+    k = np.nonzero(inside[:-1] != inside[1:])[0]
+    lo, hi, lo_inside = s[k], s[k + 1], inside[k]
+    t = 0.5 * (lo + hi)
+    for _ in range(64):
+        gt = g(t)
+        below = (gt < 0.0) == lo_inside
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - gt / dg(t)
+        # a converged step lands on the bracket end just moved to t: a strict
+        # test would throw it away for the midpoint
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - t) <= 1e-15 * (1.0 + np.abs(t)))
+        t = step
+        if done:
+            break
+    return np.sort(np.concatenate([s[::8], t]))
+
+
+def _ball_overlap(domain: Domain, x, r, halve=False):
+    """|Omega cap B_r(x)| = 1/2 closed integral of min(|p - x|, r)^2 dtheta_x(p).
+
+    This is the divergence theorem for F(q) = min(|q - x|, r)^2 (q - x) /
+    (2 |q - x|^2), whose divergence is the indicator of B_r(x); it holds for
+    any center and any simple boundary traversed counterclockwise.  The
+    integrand is smooth except where |p - x| = r, so the Gauss panels of every
+    boundary piece are split there.
+    """
+    pieces = domain.boundary_pieces()
+    segments = np.array([p[1:] for p in pieces if p[0] == "segment"]).reshape(-1, 2, 2)
+    # a repeated polygon vertex gives an empty edge, which bounds nothing
+    segments = segments[np.any(segments[:, 0] != segments[:, 1], axis=1)]
+    arcs = [p[1:] for p in pieces if p[0] == "arc"]
+    x = np.asarray(x, dtype=float)
+    r2 = r * r
+    total = 0.0
+    if len(segments):
+        a = segments[:, 0] - x
+        e = segments[:, 1] - segments[:, 0]
+        qa = np.einsum("ij,ij->i", e, e)
+        qb = np.einsum("ij,ij->i", a, e)
+        qc = np.einsum("ij,ij->i", a, a) - r2
+        root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+        # panels [0, t-], [t-, t+], [t+, 1] end at the crossings clipped to
+        # the segment, so a segment that crosses fewer times has empty ones
+        cut = np.clip((-qb[:, None] + root[:, None] * [-1.0, 1.0]) / qa[:, None], 0.0, 1.0)
+        ends = np.column_stack([np.zeros(len(a)), cut, np.ones(len(a))])
+        t, w = _gauss_rule(ends[:, :-1], ends[:, 1:], halve)
+        px = a[:, 0, None, None] + t * e[:, 0, None, None]
+        py = a[:, 1, None, None] + t * e[:, 1, None, None]
+        cross = (a[:, 0] * e[:, 1] - a[:, 1] * e[:, 0])[:, None, None]
+        total += np.sum(w * cross * r2 / np.maximum(px * px + py * py, r2))
+    for (cx, cy), (A, B), (s0, s1) in arcs:
+        ox, oy = cx - x[0], cy - x[1]
+
+        def g(s):
+            return (ox + A * np.cos(s)) ** 2 + (oy + B * np.sin(s)) ** 2 - r2
+
+        def dg(s):
+            c, sn = np.cos(s), np.sin(s)
+            return 2.0 * ((oy + B * sn) * B * c - (ox + A * c) * A * sn)
+
+        ends = _arc_panel_ends(g, dg, s0, s1)
+        s, w = _gauss_rule(ends[:-1], ends[1:], halve)
+        c, sn = np.cos(s), np.sin(s)
+        px, py = ox + A * c, oy + B * sn
+        total += np.sum(w * (px * B * c + py * A * sn) * r2 / np.maximum(px * px + py * py, r2))
+    return 0.5 * total
+
+
+def fraenkel_asymmetry(domain: Domain) -> AsymmetryResult:
     """min_x |Omega Delta B_r(x)| / |B_r| over centers, |B_r| = |Omega|.
 
-    Multi-start Nelder-Mead (centroid + 8 bounding-box offsets) on the
-    coarse SEARCH_CELLS raster finds the basin; one Nelder-Mead polish from
-    the best search point then minimizes the subcell-refined (sub=4)
-    objective at `resolution`, the objective whose value is reported.  The
-    value is taken at 2x resolution at the polished center, and `error` is
-    the Richardson difference of the two resolutions at that center.
+    The objective is exact up to quadrature: |Omega Delta B| = 2 (|Omega| -
+    |Omega cap B|), and the overlap is a boundary integral (`_ball_overlap`)
+    taken with 16-point Gauss-Legendre panels split where the boundary
+    crosses the circle.  For a convex domain the square root of the overlap
+    is concave in the center on its support (Brunn-Minkowski), so one
+    Nelder-Mead run from the centroid finds the global minimum; a nonconvex
+    polygon is searched from the centroid and 8 bounding-box offsets.
+    `error` is the change of the value when every panel is halved, and
+    `evaluations` counts the overlap integrals taken.
     """
     r = equal_measure_radius(domain.measure)
     area = domain.measure
-    bbox = domain.bounding_box()
-    diam = domain.diameter()
-    hs = diam / SEARCH_CELLS
-    sgrid = make_grid(bbox, hs, pad=2 * hs)
-    sfrac = domain.cell_fractions(sgrid)
+    evaluations = 0
 
-    def objective(x):
-        return _sym_diff_area(domain, sfrac, sgrid, x, r, area) / area
+    def objective(x, halve=False):
+        nonlocal evaluations
+        evaluations += 1
+        return 2.0 * (1.0 - _ball_overlap(domain, x, r, halve) / area)
 
-    # the coarse search only has to find the basin; the polish below places
-    # the center on the objective whose value is reported
-    best = _minimize_center(objective, _asymmetry_seeds(bbox, domain.center),
-                            fatol=1e-8, xatol=0.1 * hs)
-
-    def fine_objective(res):
-        hh = diam / res
-        grid = make_grid(bbox, hh, pad=2 * hh)
-        frac = domain.cell_fractions(grid)
-        return lambda x: _sym_diff_area(domain, frac, grid, x, r, area, sub=4) / area
-
-    # a fine evaluation costs ~10x a coarse one, so the polish simplex starts
-    # at a quarter search cell and stops at a twentieth of a fine cell
-    h = diam / resolution
-    x0 = np.array(best[1:])
-    simplex = np.array([x0, x0 + (0.25 * hs, 0.0), x0 + (0.0, 0.25 * hs)])
-    polish = minimize(fine_objective(resolution), x0, method="Nelder-Mead",
-                      options=dict(initial_simplex=simplex, xatol=0.05 * h, fatol=1e-7,
-                                   maxfev=150))
-    center = polish.x
-    value = fine_objective(2 * resolution)(center)
-    return AsymmetryResult(value=value, center=(float(center[0]), float(center[1])), radius=r,
-                           error=abs(float(polish.fun) - value))
+    seeds = [domain.center]
+    if domain.kind == "polygon" and not _polygon_is_convex(domain.vertices):
+        seeds = _asymmetry_seeds(domain.bounding_box(), domain.center)
+    value, cx, cy = _minimize_center(objective, seeds, fatol=1e-13, xatol=1e-9)
+    fine = float(objective((cx, cy), halve=True))
+    return AsymmetryResult(value=max(fine, 0.0), center=(cx, cy), radius=r,
+                           error=abs(value - fine), evaluations=evaluations)
 
 
 _ASYMMETRY_CACHE: dict = {}
 
 
-def cached_asymmetry(domain: Domain, resolution: int = RASTER_CELLS) -> AsymmetryResult:
-    key = (domain.key(), resolution)
+def cached_asymmetry(domain: Domain) -> AsymmetryResult:
+    key = domain.key()
     if key not in _ASYMMETRY_CACHE:
-        _ASYMMETRY_CACHE[key] = fraenkel_asymmetry(domain, resolution)
+        _ASYMMETRY_CACHE[key] = fraenkel_asymmetry(domain)
     return _ASYMMETRY_CACHE[key]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Domain, GeometryError
+from .domains import Domain, GeometryError, _polygon_is_convex
 
 
 class MeshError(ValueError):
@@ -287,22 +287,6 @@ def _mesh_stadium(domain: Domain, h: float) -> Mesh:
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
                 boundary_edges=np.array(bedges, dtype=np.int64), h=h, domain=domain,
                 boundary_curve=np.array(bcurve, dtype=np.int64), boundary_t=np.array(bt))
-
-
-def _polygon_is_convex(v):
-    m = len(v)
-    sign = 0
-    for i in range(m):
-        a, b, c = v[i], v[(i + 1) % m], v[(i + 2) % m]
-        cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(cr) < 1e-14:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
 
 
 def _mesh_polygon(domain: Domain, h: float) -> Mesh:

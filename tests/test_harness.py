@@ -126,12 +126,10 @@ def test_cli_oracle_and_asymmetry(capsys):
     assert cli_main(["oracle", "--kind", "eigen"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("lambda=1.57")
-    assert cli_main(["asymmetry", "--domain", "rect w=1 h=1",
-                     "--resolution", "256"]) == 0
+    assert cli_main(["asymmetry", "--domain", "rect w=1 h=1"]) == 0
     out = capsys.readouterr().out
     assert "asymmetry=0.18" in out
-    assert cli_main(["asymmetry", "--domain", "polygon 0,0 1,0 1,1 0,1",
-                     "--resolution", "256"]) == 0
+    assert cli_main(["asymmetry", "--domain", "polygon 0,0 1,0 1,1 0,1"]) == 0
     out = capsys.readouterr().out
     assert "asymmetry=0.18" in out
 

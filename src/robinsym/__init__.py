@@ -57,6 +57,7 @@ from .levelset import (
 )
 from .verify import (
     ConstantsBundle,
+    Ladder,
     TheoremReport,
     check_bossel_daners,
     check_isoperimetric,

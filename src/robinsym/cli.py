@@ -92,8 +92,6 @@ def cmd_verify(args) -> int:
         cfg.h = args.h
     if args.gamma2:
         cfg.gamma2 = args.gamma2
-    if args.seed is not None:
-        cfg.seed = args.seed
     rows = run_experiments(cfg)
     files = emit_reports(rows, cfg.outdir)
     ok = all_passed(rows)
@@ -141,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--h", type=float)
     p.add_argument("--gamma2", type=float)
-    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_verify)
     return ap
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 from .verify import KRangeError, k_range_lorentz_2k2, k_range_lorentz_k1
 
@@ -13,11 +14,14 @@ KNOWN_THEOREMS = ("lorentz_k1", "lorentz_2k2", "pointwise", "saint_venant",
 KNOWN_SOURCES = ("const", "radial", "bump")
 
 _KEYS = {
-    "run": {"domains", "betas", "ks", "sources", "theorems", "h", "refinements",
-            "tgrid", "seed", "workers"},
+    "run": {"domains", "betas", "ks", "sources", "theorems", "h", "refinements"},
     "gamma": {"gamma2", "provenance"},
     "output": {"dir"},
 }
+
+# [run] keys that once existed and no longer do anything; old configs that
+# still set them parse, with a warning
+_RETIRED_RUN_KEYS = ("tgrid", "seed", "workers")
 
 
 class ConfigError(ValueError):
@@ -33,9 +37,6 @@ class RunConfig:
     theorems: list
     h: float = 0.1
     refinements: int = 1
-    tgrid: int = 512
-    seed: int = 0
-    workers: int = 1
     gamma2: float = math.nan
     gamma_provenance: str = ""
     outdir: str = "reports"
@@ -51,10 +52,12 @@ def _split_list(value: str, sep: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; unknown keys, duplicate keys, a missing gamma
-    provenance, and out-of-range k all raise with the offending line."""
+    provenance, and out-of-range k all raise with the offending line; a
+    retired key warns and is ignored."""
     section = None
     seen: set = set()
     values: dict = {}
+    retired = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -69,12 +72,18 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, val = (part.strip() for part in line.split("=", 1))
+        if section == "run" and key in _RETIRED_RUN_KEYS:
+            retired.append(f"{key!r} (line {lineno})")
+            continue
         if key not in _KEYS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         if (section, key) in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         seen.add((section, key))
         values[(section, key)] = val
+    if retired:
+        warnings.warn(f"ignoring retired [run] keys {', '.join(retired)}: they have "
+                      "no effect", stacklevel=2)
 
     def get(section, key, default=None):
         return values.get((section, key), default)
@@ -96,9 +105,6 @@ def parse_config(text: str) -> RunConfig:
         theorems=_split_list(get("run", "theorems", ", ".join(KNOWN_THEOREMS)), ","),
         h=float(get("run", "h", "0.1")),
         refinements=int(get("run", "refinements", "1")),
-        tgrid=int(get("run", "tgrid", "512")),
-        seed=int(get("run", "seed", "0")),
-        workers=int(get("run", "workers", "1")),
         gamma2=float(get("gamma", "gamma2")),
         gamma_provenance=get("gamma", "provenance"),
         outdir=get("output", "dir", "reports"),
@@ -111,7 +117,7 @@ def parse_config(text: str) -> RunConfig:
     for src in cfg.sources:
         if src not in KNOWN_SOURCES:
             raise ConfigError(f"unknown source {src!r}; choose from {KNOWN_SOURCES}")
-    if cfg.h <= 0 or cfg.refinements < 0 or cfg.tgrid <= 0 or cfg.workers < 1:
+    if cfg.h <= 0 or cfg.refinements < 0:
         raise ConfigError("numeric run parameters must be positive")
     if not cfg.gamma2 > 0:
         raise ConfigError("gamma2 must be positive")
@@ -144,9 +150,6 @@ sources = const
 theorems = lorentz_k1, lorentz_2k2, pointwise, saint_venant, bossel_daners
 h = 0.1
 refinements = 1
-tgrid = 512
-seed = 1234
-workers = 1
 
 [gamma]
 gamma2 = 16.0

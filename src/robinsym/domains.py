@@ -490,7 +490,10 @@ def build_domain(kind: str, **kw) -> Domain:
             area = -area
         if area <= 0:
             raise GeometryError("degenerate polygon")
-        per = float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
+        edges = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+        if not np.all(edges > 0):
+            raise GeometryError("polygon has a zero-length edge (a repeated vertex)")
+        per = float(np.sum(edges))
         dom = Domain("polygon", (), area, per, tuple(v.ravel()))
     else:
         raise GeometryError(f"unknown shape kind {kind!r}")

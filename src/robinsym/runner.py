@@ -1,20 +1,19 @@
-"""Experiment orchestration: enumerate checker jobs, run them in a bounded
-pool, and persist deterministic reports."""
+"""Experiment orchestration: enumerate checker jobs, run each (domain, beta)
+group of them on one shared `Ladder`, and persist deterministic reports."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
 from .domains import parse_domain_spec
 from .fem import SourceSpec, constant_source
-from .verify import CHECKERS, TheoremReport
+from .verify import CHECKERS, Ladder, TheoremReport
 
 _COLUMNS = ("job", "status", "theorem", "domain", "f", "beta", "k", "alpha", "gap",
             "rhs", "margin", "disc_error", "passed")
@@ -109,32 +108,36 @@ def enumerate_jobs(cfg: RunConfig) -> list:
     return jobs
 
 
-def _run_job(job: Job, cfg: RunConfig) -> ResultRow:
-    try:
-        domain = parse_domain_spec(job.domain_spec)
-        checker = CHECKERS[job.theorem]
-        if job.theorem in ("lorentz_k1", "lorentz_2k2"):
-            f = source_from_name(job.source, domain)
-            rep = checker(domain, f, job.beta, job.k, cfg.gamma2, cfg.h,
-                          refinements=cfg.refinements)
-        else:
-            rep = checker(domain, job.beta, cfg.gamma2, cfg.h,
-                          refinements=cfg.refinements)
-        return ResultRow(job=job, status="ok", report=rep,
-                         config_hash=cfg.config_hash())
-    except Exception as exc:  # isolate per-job failures
-        return ResultRow(job=job, status="failed", report=None,
-                         error=f"{type(exc).__name__}: {exc}",
-                         config_hash=cfg.config_hash())
+def _check(job: Job, ladder: Ladder, cfg: RunConfig) -> TheoremReport:
+    checker = CHECKERS[job.theorem]
+    if job.theorem in ("lorentz_k1", "lorentz_2k2"):
+        f = source_from_name(job.source, ladder.domain)
+        return checker(ladder, f, job.k, cfg.gamma2)
+    return checker(ladder, cfg.gamma2)
 
 
 def run_experiments(cfg: RunConfig) -> list:
-    """Run every job; failures become failed rows and never abort the batch."""
-    jobs = enumerate_jobs(cfg)
-    if cfg.workers == 1:
-        return [_run_job(job, cfg) for job in jobs]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(lambda j: _run_job(j, cfg), jobs))
+    """Run every job, each (domain, beta) group on one Ladder that is dropped
+    before the next group starts; rows come back in job order.  Failures,
+    including a domain spec that does not parse, become failed rows and never
+    abort the batch."""
+    groups: dict = {}
+    for job in enumerate_jobs(cfg):
+        groups.setdefault((job.domain_spec, job.beta), []).append(job)
+    rows = []
+    for (spec, beta), jobs in groups.items():
+        ladder = None
+        for job in jobs:
+            try:  # isolate per-job failures
+                if ladder is None:
+                    ladder = Ladder(parse_domain_spec(spec), beta, cfg.h, cfg.refinements)
+                rows.append(ResultRow(job=job, status="ok", report=_check(job, ladder, cfg),
+                                      config_hash=cfg.config_hash()))
+            except Exception as exc:
+                rows.append(ResultRow(job=job, status="failed", report=None,
+                                      error=f"{type(exc).__name__}: {exc}",
+                                      config_hash=cfg.config_hash()))
+    return sorted(rows, key=lambda row: row.job.index)
 
 
 def _fmt(v) -> str:
@@ -147,7 +150,7 @@ def _fmt(v) -> str:
 
 def emit_reports(rows: list, outdir: str) -> list:
     """Aggregate table, one JSON per job, and plot-data files; byte-stable
-    for a fixed config and seed."""
+    for a fixed config."""
     if not rows:
         raise ValueError("no result rows to emit")
     os.makedirs(outdir, exist_ok=True)

@@ -1,6 +1,10 @@
 """Checkers for the quantitative comparison inequalities.
 
-Each checker computes both sides of one inequality: the gap between the
+All five theorems read one pair of functions: the Robin-Poisson solution u
+on the domain and the symmetrized solution v on the equal-measure disc.  A
+`Ladder` holds them for one (domain, beta) on a mesh ladder, computing each
+piece once, and each checker is a short functional of a ladder.  A checker
+computes both sides of one inequality: the gap between the
 symmetrized-problem functional and the actual-solution functional on the
 left, and constant * asymmetry^power on the right.  Discretization error is
 estimated by one uniform refinement (Richardson step), and a check passes
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +146,7 @@ class TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces
+# shared pipeline: one Ladder per (domain, beta)
 
 
 def _stretch_profile(prof: DecreasingProfile, total: float) -> DecreasingProfile:
@@ -164,11 +169,61 @@ def _f_l1(domain: Domain, mesh, f: SourceSpec) -> float:
     return field_integral(nodal_source_field(mesh, f))
 
 
-def _mesh_ladder(domain: Domain, h: float, refinements: int = 1):
-    meshes = [generate_mesh(domain, h)]
-    for _ in range(refinements):
-        meshes.append(refine_mesh(meshes[-1]))
-    return meshes
+class Ladder:
+    """The Robin-Poisson problem of one (domain, beta) on the mesh ladder
+    h, h/2, ... (`refinements` uniform refinements) that every theorem
+    checker reads.
+
+    Each piece is computed on first use and kept: the meshes, the solutions
+    u of each source, the rungs (u, mu, v) of each source, and the principal
+    eigenvalue on each mesh (no eigenvector is kept).  Sources are told apart
+    by `f.label`, so two sources on one ladder need distinct labels.  The
+    asymmetry comes from `cached_asymmetry`, whose cache runs its search once
+    per domain.
+    """
+
+    def __init__(self, domain: Domain, beta: float, h: float, refinements: int = 1):
+        self.domain = domain
+        self.beta = beta
+        self.h = h
+        self.refinements = refinements
+        self._solutions: dict = {}
+        self._rungs: dict = {}
+
+    @cached_property
+    def meshes(self) -> list:
+        meshes = [generate_mesh(self.domain, self.h)]
+        for _ in range(self.refinements):
+            meshes.append(refine_mesh(meshes[-1]))
+        return meshes
+
+    @property
+    def alpha(self):
+        """Fraenkel asymmetry of the domain."""
+        return cached_asymmetry(self.domain)
+
+    def solutions(self, f: SourceSpec) -> list:
+        """u on every mesh of the ladder."""
+        if f.label not in self._solutions:
+            self._solutions[f.label] = [solve_robin_poisson(mesh, f, self.beta)
+                                        for mesh in self.meshes]
+        return self._solutions[f.label]
+
+    def rungs(self, f: SourceSpec) -> list:
+        """(u, mu, v) on every mesh of the ladder: the solution, its
+        distribution function, and the symmetrized solution built from the
+        rearranged source f* on that mesh."""
+        if f.label not in self._rungs:
+            self._rungs[f.label] = [
+                (u, distribution_function(u),
+                 symmetrized_solution(self.domain.measure, 2, self.beta,
+                                      _fstar_for(self.domain, u.mesh, f)))
+                for u in self.solutions(f)]
+        return self._rungs[f.label]
+
+    @cached_property
+    def eigenvalues(self) -> list:
+        return [principal_robin_eigenpair(mesh, self.beta)[0] for mesh in self.meshes]
 
 
 def _mu_le_phi_margin(dist, rs) -> float:
@@ -177,8 +232,8 @@ def _mu_le_phi_margin(dist, rs) -> float:
     return float(np.max(dist.mu(ts) - rs.phi(ts)))
 
 
-def _report(theorem, domain, f_label, beta, k, gamma_n, h, gaps, alpha, constant,
-            power, extras=None):
+def _report(theorem, ladder: Ladder, f_label, k, gamma_n, gaps, alpha, constant, power,
+            extras=None):
     """Assemble a TheoremReport from the Richardson gap ladder."""
     gap = gaps[-1]
     disc = abs(gaps[0] - gaps[-1]) if len(gaps) > 1 else abs(gaps[0]) * 1e-2
@@ -187,129 +242,103 @@ def _report(theorem, domain, f_label, beta, k, gamma_n, h, gaps, alpha, constant
     rhs = constant * alpha.value ** power
     margin = gap - rhs
     return TheoremReport(
-        theorem=theorem, domain_spec=domain_spec_string(domain), f_label=f_label,
-        beta=beta, k=k, gamma_n=gamma_n, h=h, lhs_gap=gap, asymmetry=alpha.value,
-        asymmetry_error=alpha.error, constant=constant, alpha_power=power, rhs=rhs,
-        margin=margin, disc_error=err, passed=bool(margin + err >= 0.0),
-        extras=extras or {})
+        theorem=theorem, domain_spec=domain_spec_string(ladder.domain), f_label=f_label,
+        beta=ladder.beta, k=k, gamma_n=gamma_n, h=ladder.h, lhs_gap=gap,
+        asymmetry=alpha.value, asymmetry_error=alpha.error, constant=constant,
+        alpha_power=power, rhs=rhs, margin=margin, disc_error=err,
+        passed=bool(margin + err >= 0.0), extras=extras or {})
 
 
 # ---------------------------------------------------------------------------
 # theorem checkers
 
 
-def check_lorentz_k1(domain: Domain, f: SourceSpec, beta: float, k: float,
-                     gamma_n: float, h: float, refinements: int = 1) -> TheoremReport:
+def check_lorentz_k1(ladder: Ladder, f: SourceSpec, k: float,
+                     gamma_n: float) -> TheoremReport:
     """L^(k,1) comparison: ||v|| - ||u|| >= C1 alpha^2 (functional form
     integral mu^(1/k) dt at q = 1)."""
     _guard_k(k, k_range_lorentz_k1(2, f.kind == "const"), "lorentz_k1", 2, "2n-2")
-    alpha = cached_asymmetry(domain)
-    gaps = []
-    extras = {}
-    for mesh in _mesh_ladder(domain, h, refinements):
-        u = solve_robin_poisson(mesh, f, beta)
-        dist = distribution_function(u)
-        fstar = _fstar_for(domain, mesh, f)
-        rs = symmetrized_solution(domain.measure, 2, beta, fstar)
-        norm_u = lorentz_power_integral(dist, k, 1.0)
-        norm_v = rs.lorentz_power_integral(k, 1.0)
-        gaps.append(norm_v - norm_u)
-        extras["mu_le_phi_margin"] = _mu_le_phi_margin(dist, rs)
-        extras["u_min_le_v_min"] = bool(u.u_min <= rs.v_m + 1e-6 * rs.v_m)
-    constant = compute_constants(2, domain.measure, _f_l1(domain, mesh, f), beta, k,
+    alpha = ladder.alpha
+    rungs = ladder.rungs(f)
+    gaps = [rs.lorentz_power_integral(k, 1.0) - lorentz_power_integral(dist, k, 1.0)
+            for _, dist, rs in rungs]
+    u, dist, rs = rungs[-1]
+    extras = {"mu_le_phi_margin": _mu_le_phi_margin(dist, rs),
+              "u_min_le_v_min": bool(u.u_min <= rs.v_m + 1e-6 * rs.v_m)}
+    d = ladder.domain
+    constant = compute_constants(2, d.measure, _f_l1(d, u.mesh, f), ladder.beta, k,
                                  gamma_n).c1
-    return _report("lorentz_k1", domain, f.label, beta, k, gamma_n, h, gaps, alpha,
-                   constant, 2, extras)
+    return _report("lorentz_k1", ladder, f.label, k, gamma_n, gaps, alpha, constant, 2,
+                   extras)
 
 
-def check_lorentz_2k2(domain: Domain, f: SourceSpec, beta: float, k: float,
-                      gamma_n: float, h: float, refinements: int = 1) -> TheoremReport:
+def check_lorentz_2k2(ladder: Ladder, f: SourceSpec, k: float,
+                      gamma_n: float) -> TheoremReport:
     """L^(2k,2) comparison of squared norms: ||v||^2 - ||u||^2 >= C2 alpha^2
     (functional form integral t mu^(1/k) dt)."""
     _guard_k(k, k_range_lorentz_2k2(2, f.kind == "const"), "lorentz_2k2", 2, "3n-4")
-    alpha = cached_asymmetry(domain)
-    gaps = []
-    extras = {}
-    for mesh in _mesh_ladder(domain, h, refinements):
-        u = solve_robin_poisson(mesh, f, beta)
-        dist = distribution_function(u)
-        fstar = _fstar_for(domain, mesh, f)
-        rs = symmetrized_solution(domain.measure, 2, beta, fstar)
-        sq_u = lorentz_power_integral(dist, 2.0 * k, 2.0)
-        sq_v = rs.lorentz_power_integral(2.0 * k, 2.0)
-        gaps.append(sq_v - sq_u)
-        extras["mu_le_phi_margin"] = _mu_le_phi_margin(dist, rs)
-    constant = compute_constants(2, domain.measure, _f_l1(domain, mesh, f), beta, k,
+    alpha = ladder.alpha
+    rungs = ladder.rungs(f)
+    gaps = [rs.lorentz_power_integral(2.0 * k, 2.0)
+            - lorentz_power_integral(dist, 2.0 * k, 2.0) for _, dist, rs in rungs]
+    u, dist, rs = rungs[-1]
+    extras = {"mu_le_phi_margin": _mu_le_phi_margin(dist, rs)}
+    d = ladder.domain
+    constant = compute_constants(2, d.measure, _f_l1(d, u.mesh, f), ladder.beta, k,
                                  gamma_n).c2
-    return _report("lorentz_2k2", domain, f.label, beta, k, gamma_n, h, gaps, alpha,
-                   constant, 2, extras)
+    return _report("lorentz_2k2", ladder, f.label, k, gamma_n, gaps, alpha, constant, 2,
+                   extras)
 
 
-def check_pointwise(domain: Domain, beta: float, gamma_n: float, h: float,
-                    refinements: int = 1) -> TheoremReport:
+def check_pointwise(ladder: Ladder, gamma_n: float) -> TheoremReport:
     """Pointwise comparison at n=2, f=1: sup (v - u_sharp) >= C3 alpha^3,
     with v >= u_sharp - tolerance on the whole s-grid."""
     f = constant_source(1.0)
-    alpha = cached_asymmetry(domain)
-    total = domain.measure
+    alpha = ladder.alpha
+    total = ladder.domain.measure
     sgrid = total * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 2048)))
     gaps = []
-    extras = {}
-    for mesh in _mesh_ladder(domain, h, refinements):
-        u = solve_robin_poisson(mesh, f, beta)
-        dist = distribution_function(u)
-        rs = symmetrized_solution(total, 2, beta, constant_profile(1.0, total))
+    for _, dist, rs in ladder.rungs(f):
         # u* lives on [0, mesh area]; compare on the common measure scale
         scale = dist.total_measure / total
         usharp = dist.ustar(np.minimum(sgrid * scale, dist.total_measure))
         diff = rs.value(sgrid) - usharp
         gaps.append(float(np.max(diff)))
-        extras["min_pointwise_diff"] = float(np.min(diff))
-    constant = compute_constants(2, total, total, beta, 1.0, gamma_n).c3
-    extras["pointwise_domination"] = bool(extras["min_pointwise_diff"]
-                                          >= -abs(gaps[0] - gaps[-1]) - 1e-9)
-    return _report("pointwise", domain, f.label, beta, None, gamma_n, h, gaps, alpha,
-                   constant, 3, extras)
+    min_diff = float(np.min(diff))
+    constant = compute_constants(2, total, total, ladder.beta, 1.0, gamma_n).c3
+    extras = {"min_pointwise_diff": min_diff,
+              "pointwise_domination": bool(min_diff >= -abs(gaps[0] - gaps[-1]) - 1e-9)}
+    return _report("pointwise", ladder, f.label, None, gamma_n, gaps, alpha, constant, 3,
+                   extras)
 
 
-def check_saint_venant(domain: Domain, beta: float, gamma_n: float, h: float,
-                       refinements: int = 1) -> TheoremReport:
+def check_saint_venant(ladder: Ladder, gamma_n: float) -> TheoremReport:
     """Torsion comparison: T(ball) - T(Omega) >= C4 alpha^2 with
     C4 = C1(k=1, f=1)."""
     f = constant_source(1.0)
-    alpha = cached_asymmetry(domain)
-    R = equal_measure_radius(domain.measure)
-    t_ball = ball_torsion(R, beta)
-    gaps = []
-    for mesh in _mesh_ladder(domain, h, refinements):
-        u = solve_robin_poisson(mesh, f, beta)
-        gaps.append(t_ball - field_integral(u))
-    constant = compute_constants(2, domain.measure, domain.measure, beta, 1.0,
-                                 gamma_n).c4
+    alpha = ladder.alpha
+    measure = ladder.domain.measure
+    t_ball = ball_torsion(equal_measure_radius(measure), ladder.beta)
+    gaps = [t_ball - field_integral(u) for u in ladder.solutions(f)]
+    constant = compute_constants(2, measure, measure, ladder.beta, 1.0, gamma_n).c4
     extras = {"torsion_ball": t_ball, "torsion_domain": t_ball - gaps[-1]}
-    return _report("saint_venant", domain, f.label, beta, None, gamma_n, h, gaps,
-                   alpha, constant, 2, extras)
+    return _report("saint_venant", ladder, f.label, None, gamma_n, gaps, alpha, constant,
+                   2, extras)
 
 
-def check_bossel_daners(domain: Domain, beta: float, gamma_n: float, h: float,
-                        refinements: int = 1) -> TheoremReport:
+def check_bossel_daners(ladder: Ladder, gamma_n: float) -> TheoremReport:
     """Principal eigenvalue comparison: lambda(Omega) - lambda(ball) >= C5
     alpha^2; runs with alpha > 0.5 are flagged as outside the proof's
     small-asymmetry regime (reported, not failed)."""
-    alpha = cached_asymmetry(domain)
-    R = equal_measure_radius(domain.measure)
-    lam_ball = bessel_eigen_oracle(R, beta)
-    gaps = []
-    lam = math.nan
-    for mesh in _mesh_ladder(domain, h, refinements):
-        lam, _ = principal_robin_eigenpair(mesh, beta)
-        gaps.append(lam - lam_ball)
-    constant = compute_constants(2, domain.measure, domain.measure, beta, 1.0,
-                                 gamma_n).c5
-    extras = {"lambda_domain": lam, "lambda_ball": lam_ball,
+    alpha = ladder.alpha
+    measure = ladder.domain.measure
+    lam_ball = bessel_eigen_oracle(equal_measure_radius(measure), ladder.beta)
+    gaps = [lam - lam_ball for lam in ladder.eigenvalues]
+    constant = compute_constants(2, measure, measure, ladder.beta, 1.0, gamma_n).c5
+    extras = {"lambda_domain": ladder.eigenvalues[-1], "lambda_ball": lam_ball,
               "in_proof_regime": bool(alpha.value <= 0.5)}
-    return _report("bossel_daners", domain, "const 1", beta, None, gamma_n, h, gaps,
-                   alpha, constant, 2, extras)
+    return _report("bossel_daners", ladder, "const 1", None, gamma_n, gaps, alpha, constant,
+                   2, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from robinsym.rearrange import DecreasingProfile, cavalieri_pnorm_power, constan
     decreasing_rearrangement, distribution_function, hardy_littlewood_gap
 from robinsym.runner import source_from_name
 from robinsym.verify import (
+    Ladder,
     boundary_layer_subset,
     check_bossel_daners,
     check_lorentz_2k2,
@@ -110,13 +111,13 @@ def test_criterion_04_radial_ode_and_boundary_identity():
 def test_criterion_05_disc_equality_regression():
     d = build_domain("disc", r=1.0)
     f = constant_source(1.0)
-    h = 0.1
+    ladder = Ladder(d, 1.0, 0.1)
     reports = [
-        check_lorentz_k1(d, f, 1.0, 1.0, GAMMA2, h),
-        check_lorentz_2k2(d, f, 1.0, 1.0, GAMMA2, h),
-        check_pointwise(d, 1.0, GAMMA2, h),
-        check_saint_venant(d, 1.0, GAMMA2, h),
-        check_bossel_daners(d, 1.0, GAMMA2, h),
+        check_lorentz_k1(ladder, f, 1.0, GAMMA2),
+        check_lorentz_2k2(ladder, f, 1.0, GAMMA2),
+        check_pointwise(ladder, GAMMA2),
+        check_saint_venant(ladder, GAMMA2),
+        check_bossel_daners(ladder, GAMMA2),
     ]
     alpha = cached_asymmetry(d).value
     bad = [r.theorem for r in reports if abs(r.lhs_gap) > r.disc_error or not r.passed]
@@ -130,10 +131,11 @@ def _family_reports(checker, beta=1.0, h=0.12, ks=(1.0, 0.5), sources=("const", 
     reports = []
     for spec in FAMILY:
         d = parse_domain_spec(spec)
+        ladder = Ladder(d, beta, h)
         for k in ks:
             for src in sources:
                 f = source_from_name(src, d)
-                reports.append(checker(d, f, beta, k, GAMMA2, h))
+                reports.append(checker(ladder, f, k, GAMMA2))
     return reports
 
 
@@ -159,7 +161,7 @@ def test_criterion_07_lorentz_2k2_suite():
 def test_criterion_08_pointwise_suite():
     reports = []
     for spec in FAMILY:
-        reports.append(check_pointwise(parse_domain_spec(spec), 1.0, GAMMA2, 0.12))
+        reports.append(check_pointwise(Ladder(parse_domain_spec(spec), 1.0, 0.12), GAMMA2))
     dom = all(r.extras["min_pointwise_diff"] >= -r.disc_error for r in reports)
     ok = all(r.margin > 0 and r.passed for r in reports) and dom
     _verdict(8, "pointwise comparison suite", ok,
@@ -168,8 +170,9 @@ def test_criterion_08_pointwise_suite():
 
 
 def test_criterion_09_corollaries():
-    sv = [check_saint_venant(parse_domain_spec(s), 1.0, GAMMA2, 0.12) for s in FAMILY]
-    bd = [check_bossel_daners(parse_domain_spec(s), 1.0, GAMMA2, 0.12) for s in FAMILY]
+    sv = [check_saint_venant(Ladder(parse_domain_spec(s), 1.0, 0.12), GAMMA2) for s in FAMILY]
+    bd = [check_bossel_daners(Ladder(parse_domain_spec(s), 1.0, 0.12), GAMMA2)
+          for s in FAMILY]
     m = refine_mesh(generate_mesh(build_domain("disc", r=1.0), 0.1))
     lam, _ = principal_robin_eigenpair(m, 1.0)
     oracle = bessel_eigen_oracle(1.0, 1.0)

@@ -81,6 +81,15 @@ def test_polygon_rejects_self_intersection():
         build_domain("polygon", vertices=[(0, 0), (1, 1), (1, 0), (0, 1)])
 
 
+@pytest.mark.parametrize("spec", ["polygon 0,0 1,0 1,0 1,1 0,1",
+                                  "polygon 0,0 1,0 1,1 0,1 0,0"])
+def test_polygon_rejects_zero_length_edge(spec):
+    # a repeated vertex, inside the chain or closing it, would only fail
+    # later, in the mesher, on a zero-area fan triangle
+    with pytest.raises(GeometryError, match="zero-length edge"):
+        parse_domain_spec(spec)
+
+
 def test_nonpositive_parameters_rejected():
     with pytest.raises(GeometryError):
         build_domain("disc", r=-1.0)

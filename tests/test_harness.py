@@ -1,13 +1,17 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from robinsym.cli import main as cli_main
-from robinsym.config import ConfigError, default_config_text, parse_config
-from robinsym.runner import all_passed, emit_reports, enumerate_jobs, run_experiments
+from robinsym.config import KNOWN_THEOREMS, ConfigError, default_config_text, parse_config
+from robinsym.domains import parse_domain_spec
+from robinsym.runner import all_passed, emit_reports, enumerate_jobs, run_experiments, \
+    source_from_name
+from robinsym.verify import CHECKERS, Ladder
 
 MINIMAL = """\
 [run]
@@ -151,17 +155,53 @@ def test_cli_mesh_and_solve_roundtrip(tmp_path, capsys):
     assert text[0].startswith("nodes ")
 
 
-def test_parallel_workers_match_sequential():
-    text = MINIMAL.replace("domains = disc r=1",
-                           "domains = disc r=1; rect w=2 h=0.5")
-    seq = run_experiments(parse_config(text))
-    par = run_experiments(parse_config(text.replace("refinements = 1",
-                                                    "refinements = 1\nworkers = 3")))
-    assert len(seq) == len(par)
-    for a, b in zip(seq, par):
-        assert a.job.index == b.job.index
-        assert a.report.lhs_gap == b.report.lhs_gap
-        assert a.report.margin == b.report.margin
+def test_shared_ladder_matches_fresh_ladders():
+    # the grouped run shares one Ladder per (domain, beta); every row must
+    # equal, bit for bit, the checker run on a ladder of its own
+    text = MINIMAL.replace("domains = disc r=1", "domains = disc r=1; rect w=2 h=0.5")
+    text = text.replace("sources = const", "sources = const; radial")
+    text = text.replace("theorems = saint_venant", "theorems = " + ", ".join(KNOWN_THEOREMS))
+    cfg = parse_config(text)
+    rows = run_experiments(cfg)
+    assert [row.job for row in rows] == enumerate_jobs(cfg)
+    assert {row.job.theorem for row in rows} == set(KNOWN_THEOREMS)
+    for row in rows:
+        job = row.job
+        domain = parse_domain_spec(job.domain_spec)
+        fresh = Ladder(domain, job.beta, cfg.h, cfg.refinements)
+        if job.k is None:
+            rep = CHECKERS[job.theorem](fresh, cfg.gamma2)
+        else:
+            rep = CHECKERS[job.theorem](fresh, source_from_name(job.source, domain), job.k,
+                                        cfg.gamma2)
+        assert row.status == "ok"
+        assert row.report.lhs_gap == rep.lhs_gap
+        assert row.report.margin == rep.margin
+        assert row.report.disc_error == rep.disc_error
+        assert row.report.extras == rep.extras
+
+
+def test_unparsable_domain_fails_every_job_of_its_group():
+    text = MINIMAL.replace("domains = disc r=1", "domains = disc r=-1; disc r=1")
+    text = text.replace("theorems = saint_venant", "theorems = saint_venant, pointwise")
+    rows = run_experiments(parse_config(text))
+    assert [row.job.index for row in rows] == [0, 1, 2, 3]
+    bad = [row for row in rows if row.job.domain_spec == "disc r=-1"]
+    good = [row for row in rows if row.job.domain_spec == "disc r=1"]
+    assert len(bad) == len(good) == 2
+    assert all(row.status == "failed" and row.report is None for row in bad)
+    assert bad[0].error == bad[1].error
+    assert bad[0].error.startswith("GeometryError: ")
+    assert all(row.status == "ok" and row.report.passed for row in good)
+
+
+def test_retired_run_keys_warn_once_and_are_ignored():
+    text = MINIMAL.replace("refinements = 1",
+                           "refinements = 1\ntgrid = 512\nseed = 1234\nworkers = 2")
+    with pytest.warns(UserWarning, match="'tgrid'.*'seed'.*'workers'") as record:
+        cfg = parse_config(text)
+    assert len(record) == 1
+    assert replace(cfg, raw_text="") == replace(parse_config(MINIMAL), raw_text="")
 
 
 def test_cli_verify_exit_code(tmp_path):

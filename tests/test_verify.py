@@ -7,6 +7,7 @@ from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.fem import SourceSpec, constant_source
 from robinsym.verify import (
     KRangeError,
+    Ladder,
     boundary_layer_subset,
     check_bossel_daners,
     check_isoperimetric,
@@ -64,9 +65,9 @@ def test_k_range_guards():
     generic = SourceSpec(kind="radial", fn=lambda r: 2.0 - r, centroid=(0.0, 0.0),
                          label="radial")
     with pytest.raises(KRangeError, match="2n-2"):
-        check_lorentz_k1(d, generic, 1.0, 2.0, GAMMA2, 0.2)
+        check_lorentz_k1(Ladder(d, 1.0, 0.2), generic, 2.0, GAMMA2)
     with pytest.raises(KRangeError, match="3n-4"):
-        check_lorentz_2k2(d, generic, 1.0, 1.5, GAMMA2, 0.2)
+        check_lorentz_2k2(Ladder(d, 1.0, 0.2), generic, 1.5, GAMMA2)
     assert k_range_lorentz_k1(2, False) == 1.0
     assert k_range_lorentz_2k2(2, False) == 1.0
     assert math.isinf(k_range_lorentz_k1(2, True))
@@ -76,12 +77,13 @@ def test_k_range_guards():
 def test_disc_equality_cases_all_checkers():
     d = build_domain("disc", r=1.0)
     f = constant_source(1.0)
+    ladder = Ladder(d, 1.0, 0.12)
     reports = [
-        check_lorentz_k1(d, f, 1.0, 1.0, GAMMA2, 0.12),
-        check_lorentz_2k2(d, f, 1.0, 1.0, GAMMA2, 0.12),
-        check_pointwise(d, 1.0, GAMMA2, 0.12),
-        check_saint_venant(d, 1.0, GAMMA2, 0.12),
-        check_bossel_daners(d, 1.0, GAMMA2, 0.12),
+        check_lorentz_k1(ladder, f, 1.0, GAMMA2),
+        check_lorentz_2k2(ladder, f, 1.0, GAMMA2),
+        check_pointwise(ladder, GAMMA2),
+        check_saint_venant(ladder, GAMMA2),
+        check_bossel_daners(ladder, GAMMA2),
     ]
     for rep in reports:
         assert rep.asymmetry <= 1e-2
@@ -92,8 +94,9 @@ def test_disc_equality_cases_all_checkers():
 def test_ellipse_positive_margins():
     d = parse_domain_spec(ELLIPSE_15)
     f = constant_source(1.0)
-    r1 = check_lorentz_k1(d, f, 1.0, 1.0, GAMMA2, 0.12)
-    r2 = check_lorentz_2k2(d, f, 1.0, 0.5, GAMMA2, 0.12)
+    ladder = Ladder(d, 1.0, 0.12)
+    r1 = check_lorentz_k1(ladder, f, 1.0, GAMMA2)
+    r2 = check_lorentz_2k2(ladder, f, 0.5, GAMMA2)
     for rep in (r1, r2):
         assert rep.lhs_gap > 0 and rep.margin > 0 and rep.passed
         assert rep.extras["mu_le_phi_margin"] <= 10.0 * rep.disc_error + 1e-6
@@ -103,14 +106,14 @@ def test_nonsymmetric_source_pass():
     d = build_domain("rect", w=2.0, h=0.5)
     f = SourceSpec(kind="radial", fn=lambda r: 2.0 - r, centroid=(0.0, 0.0),
                    label="radial 2-r")
-    rep = check_lorentz_k1(d, f, 1.0, 1.0, GAMMA2, 0.1)
+    rep = check_lorentz_k1(Ladder(d, 1.0, 0.1), f, 1.0, GAMMA2)
     assert rep.lhs_gap > 0 and rep.passed
 
 
 def test_bump_source_pass():
     from robinsym.runner import source_from_name
     d = parse_domain_spec(ELLIPSE_15)
-    rep = check_lorentz_2k2(d, source_from_name("bump", d), 1.0, 0.5, GAMMA2, 0.12)
+    rep = check_lorentz_2k2(Ladder(d, 1.0, 0.12), source_from_name("bump", d), 0.5, GAMMA2)
     assert rep.lhs_gap > 0 and rep.passed
 
 
@@ -119,25 +122,49 @@ def test_convex_polygon_through_checker():
     # polygon raster fractions, and the torsion pipeline together
     d = build_domain("polygon", vertices=[(0, 0), (1.4, -0.1), (1.9, 0.8),
                                           (0.9, 1.5), (-0.3, 0.9)])
-    rep = check_saint_venant(d, 1.0, GAMMA2, 0.1)
+    rep = check_saint_venant(Ladder(d, 1.0, 0.1), GAMMA2)
     assert rep.lhs_gap > 0 and rep.margin > 0 and rep.passed
 
 
 def test_pointwise_stadium_domination():
     d = build_domain("stadium", l=1.0, r=0.5)
-    rep = check_pointwise(d, 1.0, GAMMA2, 0.08)
+    rep = check_pointwise(Ladder(d, 1.0, 0.08), GAMMA2)
     assert rep.passed
     assert rep.extras["min_pointwise_diff"] >= -rep.disc_error
 
 
 def test_bossel_daners_beta_variation():
     d = parse_domain_spec(ELLIPSE_15)
-    r1 = check_bossel_daners(d, 1.0, GAMMA2, 0.15)
-    r10 = check_bossel_daners(d, 10.0, GAMMA2, 0.15)
+    r1 = check_bossel_daners(Ladder(d, 1.0, 0.15), GAMMA2)
+    r10 = check_bossel_daners(Ladder(d, 10.0, 0.15), GAMMA2)
     assert r1.passed and r10.passed
     assert r1.lhs_gap > 0 and r10.lhs_gap > 0
     assert r1.constant != r10.constant
     assert r1.extras["in_proof_regime"]
+
+
+def test_ladder_solves_once_per_rung_and_eigensolves_on_demand(monkeypatch):
+    from robinsym import verify
+
+    solves, eigens = [], []
+    solve, eigen = verify.solve_robin_poisson, verify.principal_robin_eigenpair
+    monkeypatch.setattr(verify, "solve_robin_poisson",
+                        lambda *args: solves.append(args[0]) or solve(*args))
+    monkeypatch.setattr(verify, "principal_robin_eigenpair",
+                        lambda *args: eigens.append(args[0]) or eigen(*args))
+    ladder = Ladder(build_domain("disc", r=1.0), 1.0, 0.2)
+    f = constant_source(1.0)
+    check_lorentz_k1(ladder, f, 1.0, GAMMA2)
+    check_pointwise(ladder, GAMMA2)
+    check_saint_venant(ladder, GAMMA2)
+    rungs = [id(mesh) for mesh in ladder.meshes]
+    assert len(rungs) == 2
+    assert [id(mesh) for mesh in solves] == rungs
+    assert eigens == []
+    check_bossel_daners(ladder, GAMMA2)
+    check_bossel_daners(ladder, GAMMA2)
+    assert [id(mesh) for mesh in eigens] == rungs
+    assert [id(mesh) for mesh in solves] == rungs
 
 
 def test_isoperimetric_reports():
@@ -186,7 +213,7 @@ def test_monotone_asymmetry_trend_across_ellipses():
     for ratio in (1.1, 1.2, 1.5, 2.0):
         a = _m.sqrt(ratio)
         d = build_domain("ellipse", a=a, b=1.0 / a)
-        reports.append(check_saint_venant(d, 1.0, GAMMA2, 0.15))
+        reports.append(check_saint_venant(Ladder(d, 1.0, 0.15), GAMMA2))
     alphas = [r.asymmetry for r in reports]
     rhss = [r.rhs for r in reports]
     assert all(x < y for x, y in zip(alphas, alphas[1:]))

@@ -7,14 +7,11 @@ symmetrized counterpart on the equal-measure disc.
 """
 
 from .domains import (
-    BallSpec,
     Domain,
     GeometryError,
-    RasterMask,
     build_domain,
     fraenkel_asymmetry,
     parse_domain_spec,
-    symmetric_difference_with_ball,
     unit_ball_measure,
 )
 from .meshing import Mesh, export_mesh_text, generate_mesh, import_mesh_text, refine_mesh

@@ -1,13 +1,12 @@
-"""Planar domains: exact measure/perimeter, rasterization, and Fraenkel asymmetry.
+"""Planar domains: exact measure/perimeter and Fraenkel asymmetry.
 
 Shapes are parametric (disc, ellipse, rectangle, stadium) or simple polygons;
 each boundary is a chain of segments and elliptic arcs (`boundary_pieces`).
-The Fraenkel asymmetry of a shape comes from an exact boundary integral for
-the area of its intersection with a ball.  Area fractions of raster cells
-are computed in closed form for every shape, which makes symmetric
-differences against balls accurate to a few cells' worth of subcell error
-rather than O(h * perimeter); the raster serves masks and is an independent
-check of the boundary integral.
+The Fraenkel asymmetry comes from an exact boundary integral for the area of
+the intersection with a ball (`_ball_overlap`), minimized over the center by
+Nelder-Mead (`_asymmetry_search`).  Both take oriented segments and arcs, not
+a Domain, so the superlevel sets of a P1 field (`levelset.superlevel_asymmetry`)
+go through the same search as the shapes.
 """
 
 from __future__ import annotations
@@ -22,16 +21,10 @@ from scipy.special import gamma as _gamma_fn
 
 TWO_PI = 2.0 * math.pi
 
-# default raster resolution: cell size == diameter / RASTER_CELLS
-RASTER_CELLS = 512
-
 
 class GeometryError(ValueError):
     """Invalid geometric input."""
 
-
-class MeasureMismatchError(GeometryError):
-    """Ball measure does not match the domain measure."""
 
 
 def unit_ball_measure(n: int) -> float:
@@ -40,127 +33,6 @@ def unit_ball_measure(n: int) -> float:
         raise GeometryError("dimension must be >= 1")
     return math.pi ** (n / 2.0) / _gamma_fn(n / 2.0 + 1.0)
 
-
-@dataclass(frozen=True)
-class BallSpec:
-    """A disc prescribed by center and radius."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise GeometryError("ball radius must be positive")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.radius ** 2
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Axis-aligned raster lattice of square cells."""
-
-    x0: float
-    y0: float
-    h: float
-    nx: int
-    ny: int
-
-    def cell_centers(self):
-        cx = self.x0 + (np.arange(self.nx) + 0.5) * self.h
-        cy = self.y0 + (np.arange(self.ny) + 0.5) * self.h
-        return np.meshgrid(cx, cy, indexing="ij")
-
-    def cell_boxes(self, ii, jj):
-        """Box corners (x0, x1, y0, y1) of the cells with indices (ii, jj)."""
-        x0 = self.x0 + ii * self.h
-        y0 = self.y0 + jj * self.h
-        return x0, x0 + self.h, y0, y0 + self.h
-
-
-@dataclass
-class RasterMask:
-    """Boolean occupancy grid; cells count h^2 toward the measure."""
-
-    grid: Grid
-    mask: np.ndarray
-
-    @property
-    def area(self) -> float:
-        return float(np.count_nonzero(self.mask)) * self.grid.h ** 2
-
-    def centroid(self):
-        xx, yy = self.grid.cell_centers()
-        m = self.mask
-        w = np.count_nonzero(m)
-        if w == 0:
-            raise GeometryError("empty raster mask")
-        return np.array([xx[m].mean(), yy[m].mean()])
-
-
-# ---------------------------------------------------------------------------
-# closed-form cell fractions
-
-
-def _circle_corner_area(x, y, r):
-    """Area of {u <= x, v <= y} within the disc of radius r at the origin."""
-    x = np.minimum(np.maximum(x, -r), r)
-    yc = np.minimum(np.maximum(y, -r), r)
-    uy = np.sqrt(np.maximum(r * r - yc * yc, 0.0))
-
-    def G(u):
-        u = np.minimum(np.maximum(u, -r), r)
-        root = np.sqrt(np.maximum(r * r - u * u, 0.0))
-        return 0.5 * (u * root + r * r * np.arcsin(np.clip(u / r, -1.0, 1.0)))
-
-    g_mr = -0.25 * math.pi * r * r  # G(-r)
-    a = np.minimum(x, -uy)
-    b = np.clip(x, -uy, uy)
-    c = np.maximum(x, uy)
-    pos = yc >= 0.0
-    out = np.where(pos, 2.0 * (G(a) - g_mr), 0.0)
-    out = out + yc * (b + uy) + G(b) - G(-uy)
-    out = out + np.where(pos, 2.0 * (G(c) - G(uy)), 0.0)
-    return out
-
-
-def circle_box_area(x0, x1, y0, y1, cx, cy, r):
-    """Exact area of [x0,x1]x[y0,y1] intersected with the disc (cx, cy, r)."""
-    a = _circle_corner_area(x1 - cx, y1 - cy, r)
-    b = _circle_corner_area(x0 - cx, y1 - cy, r)
-    c = _circle_corner_area(x1 - cx, y0 - cy, r)
-    d = _circle_corner_area(x0 - cx, y0 - cy, r)
-    return np.maximum(a - b - c + d, 0.0)
-
-
-def _clip_polygon_box(poly, x0, x1, y0, y1):
-    """Sutherland-Hodgman clip of a polygon against an axis-aligned box."""
-    def clip_axis(pts, axis, bound, keep_leq):
-        out = []
-        m = len(pts)
-        for i in range(m):
-            p, q = pts[i], pts[(i + 1) % m]
-            pin = (p[axis] <= bound) if keep_leq else (p[axis] >= bound)
-            qin = (q[axis] <= bound) if keep_leq else (q[axis] >= bound)
-            if pin:
-                out.append(p)
-            if pin != qin:
-                t = (bound - p[axis]) / (q[axis] - p[axis])
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        return out
-
-    pts = [tuple(v) for v in poly]
-    for axis, bound, keep in ((0, x1, True), (0, x0, False), (1, y1, True), (1, y0, False)):
-        pts = clip_axis(pts, axis, bound, keep)
-        if len(pts) < 3:
-            return 0.0
-    area = 0.0
-    for i in range(len(pts)):
-        xa, ya = pts[i]
-        xb, yb = pts[(i + 1) % len(pts)]
-        area += xa * yb - xb * ya
-    return 0.5 * abs(area)
 
 
 def _polygon_signed_area(v):
@@ -261,9 +133,6 @@ class Domain:
             return _polygon_centroid(self.vertices)
         return np.array(self.params[-2:])
 
-    def centroid(self):
-        return self.center
-
     def bounding_box(self):
         if self.kind == "disc":
             r, cx, cy = self.params
@@ -345,94 +214,6 @@ class Domain:
             return a + np.multiply.outer(t, b - a)
         (cx, cy), (A, B), _ = piece
         return np.stack([cx + A * np.cos(t), cy + B * np.sin(t)], axis=-1)
-
-    # -- raster fractions ---------------------------------------------------
-
-    def cell_fractions(self, grid: Grid):
-        """Exact area fraction of every grid cell covered by the domain."""
-        return _cell_fractions(self, grid)
-
-    def raster_mask(self, resolution: int = RASTER_CELLS) -> RasterMask:
-        grid = make_grid(self.bounding_box(), self.diameter() / resolution, pad=0.0)
-        frac = self.cell_fractions(grid)
-        return RasterMask(grid=grid, mask=frac >= 0.5)
-
-
-def make_grid(bbox, h, pad=0.0) -> Grid:
-    x0, x1, y0, y1 = bbox
-    x0 -= pad
-    y0 -= pad
-    nx = int(math.ceil((x1 + pad - x0) / h)) + 1
-    ny = int(math.ceil((y1 + pad - y0) / h)) + 1
-    return Grid(x0=x0, y0=y0, h=h, nx=nx, ny=ny)
-
-
-_FRACTION_CACHE: dict = {}
-
-
-def _cell_fractions(domain: Domain, grid: Grid):
-    key = (domain.key(), grid)
-    hit = _FRACTION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    frac = _cell_fractions_uncached(domain, grid)
-    if len(_FRACTION_CACHE) > 64:
-        _FRACTION_CACHE.clear()
-    _FRACTION_CACHE[key] = frac
-    return frac
-
-
-def _cell_fractions_uncached(domain: Domain, grid: Grid):
-    if domain.kind == "polygon":
-        return _polygon_fractions(domain.vertices, grid)
-    h = grid.h
-    ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
-    x0, x1, y0, y1 = grid.cell_boxes(ii, jj)
-    if domain.kind == "disc":
-        r, cx, cy = domain.params
-        return _disc_fractions(x0, x1, y0, y1, cx, cy, r, h)
-    return _domain_box_fractions(domain, x0, x1, y0, y1, h)
-
-
-def _disc_fractions(x0, x1, y0, y1, cx, cy, r, h):
-    mx = 0.5 * (x0 + x1) - cx
-    my = 0.5 * (y0 + y1) - cy
-    d = np.hypot(mx, my)
-    half_diag = h * math.sqrt(0.5)
-    frac = np.where(d + half_diag <= r, 1.0, 0.0)
-    ring = (d + half_diag > r) & (d - half_diag < r)
-    if np.any(ring):
-        f = circle_box_area(x0[ring], x1[ring], y0[ring], y1[ring], cx, cy, r)
-        frac[ring] = f / (h * h)
-    return frac
-
-
-def _polygon_fractions(verts, grid: Grid):
-    h = grid.h
-    frac = np.zeros((grid.nx, grid.ny))
-    boundary = np.zeros((grid.nx, grid.ny), dtype=bool)
-    m = len(verts)
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        steps = max(2, int(math.ceil(4.0 * np.hypot(*(b - a)) / h)))
-        ts = np.linspace(0.0, 1.0, steps)
-        px = a[0] + ts * (b[0] - a[0])
-        py = a[1] + ts * (b[1] - a[1])
-        ci = np.clip(((px - grid.x0) / h).astype(int), 0, grid.nx - 1)
-        cj = np.clip(((py - grid.y0) / h).astype(int), 0, grid.ny - 1)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                boundary[np.clip(ci + di, 0, grid.nx - 1), np.clip(cj + dj, 0, grid.ny - 1)] = True
-    xx, yy = grid.cell_centers()
-    interior = _polygon_contains(verts, xx, yy)
-    frac[~boundary] = interior[~boundary].astype(float)
-    bi, bj = np.nonzero(boundary)
-    x0, x1, y0, y1 = grid.cell_boxes(bi, bj)
-    vals = np.empty(len(bi))
-    for k in range(len(bi)):
-        vals[k] = _clip_polygon_box(verts, x0[k], x1[k], y0[k], y1[k]) / (h * h)
-    frac[bi, bj] = vals
-    return frac
 
 
 # ---------------------------------------------------------------------------
@@ -542,121 +323,6 @@ def equal_measure_radius(measure: float, n: int = 2) -> float:
     return (measure / unit_ball_measure(n)) ** (1.0 / n)
 
 
-# ---------------------------------------------------------------------------
-# symmetric difference and asymmetry
-
-
-def _ball_fraction_sums(frac, grid: Grid, cx, cy, r, sub=0, domain=None):
-    """Pieces of sum |F - F_ball| h^2 over the grid plus ball mass in-grid.
-
-    Returns (sym_sum, ball_in_grid), both in area units.  With sub > 0,
-    cells crossed by both boundaries are recomputed on a sub x sub subgrid
-    (this is the subcell refinement pass; `frac` alone cannot resolve a
-    crossing inside one cell).
-    """
-    h = grid.h
-    xc = grid.x0 + (np.arange(grid.nx) + 0.5) * h
-    yc = grid.y0 + (np.arange(grid.ny) + 0.5) * h
-    dx = (xc - cx)[:, None]
-    dy = (yc - cy)[None, :]
-    d = np.hypot(dx, dy)
-    half_diag = h * math.sqrt(0.5)
-    full = d + half_diag <= r
-    ring = ~full & (d - half_diag < r)
-    fb = full.astype(float)
-    if np.any(ring):
-        ii, jj = np.nonzero(ring)
-        x0, x1, y0, y1 = grid.cell_boxes(ii, jj)
-        fb[ii, jj] = circle_box_area(x0, x1, y0, y1, cx, cy, r) / (h * h)
-    sym = np.abs(frac - fb)
-    if sub > 0 and domain is not None:
-        both = ring & (frac > 0.0) & (frac < 1.0)
-        if np.any(both):
-            ii, jj = np.nonzero(both)
-            sym[ii, jj] = _subcell_sym(domain, grid, ii, jj, cx, cy, r, sub)
-    return float(sym.sum()) * h * h, float(fb.sum()) * h * h
-
-
-def _subcell_sym(domain, grid: Grid, ii, jj, cx, cy, r, sub):
-    """Recompute |F - F_ball| on cells split sub x sub; exact on both sides."""
-    h = grid.h
-    hs = h / sub
-    off = np.arange(sub) * hs
-    x0c = grid.x0 + ii * h
-    y0c = grid.y0 + jj * h
-    sx0 = x0c[:, None, None] + off[None, :, None]
-    sy0 = y0c[:, None, None] + off[None, None, :]
-    sx1 = sx0 + hs
-    sy1 = sy0 + hs
-    fb = circle_box_area(sx0, sx1, sy0, sy1, cx, cy, r) / (hs * hs)
-    fo = _domain_box_fractions(domain, sx0, sx1, sy0, sy1, hs)
-    return np.abs(fo - fb).mean(axis=(1, 2))
-
-
-def _domain_box_fractions(domain: Domain, x0, x1, y0, y1, h):
-    """Exact fractions of arbitrary boxes (grid cells and the subcell pass)."""
-    kind = domain.kind
-    if kind == "disc":
-        r, cx, cy = domain.params
-        return circle_box_area(x0, x1, y0, y1, cx, cy, r) / (h * h)
-    if kind == "ellipse":
-        a, b, cx, cy = domain.params
-        s = a / b
-        return circle_box_area(x0 - cx, x1 - cx, (y0 - cy) * s, (y1 - cy) * s, 0.0, 0.0, a) / (s * h * h)
-    if kind == "rect":
-        w, hh, cx, cy = domain.params
-        lx = np.maximum(np.minimum(x1, cx + w / 2) - np.maximum(x0, cx - w / 2), 0.0)
-        ly = np.maximum(np.minimum(y1, cy + hh / 2) - np.maximum(y0, cy - hh / 2), 0.0)
-        return lx * ly / (h * h)
-    if kind == "stadium":
-        l, r, cx, cy = domain.params
-        lx = np.maximum(np.minimum(x1, cx + l / 2) - np.maximum(x0, cx - l / 2), 0.0)
-        ly = np.maximum(np.minimum(y1, cy + r) - np.maximum(y0, cy - r), 0.0)
-        rect = lx * ly
-        # caps are the half-discs cut by the vertical lines x = cx -+ l/2
-        left = circle_box_area(x0, np.minimum(x1, cx - l / 2), y0, y1, cx - l / 2, cy, r)
-        left = np.where(x0 < cx - l / 2, left, 0.0)
-        right = circle_box_area(np.maximum(x0, cx + l / 2), x1, y0, y1, cx + l / 2, cy, r)
-        right = np.where(x1 > cx + l / 2, right, 0.0)
-        return (rect + left + right) / (h * h)
-    # polygon: clip each box; callers may pass corner arrays that only
-    # broadcast against each other (the subcell pass does)
-    x0, x1, y0, y1 = np.broadcast_arrays(x0, x1, y0, y1)
-    verts = domain.vertices
-    out = [_clip_polygon_box(verts, *box)
-           for box in zip(x0.ravel(), x1.ravel(), y0.ravel(), y1.ravel())]
-    return np.reshape(out, x0.shape) / (h * h)
-
-
-def _sym_diff_area(domain: Domain, frac, grid: Grid, center, radius, ball_area, sub=0):
-    """|Omega Delta ball| from cell fractions; ball mass outside the grid counts fully."""
-    sym_in, ball_in = _ball_fraction_sums(frac, grid, center[0], center[1], radius,
-                                          sub=sub, domain=domain)
-    return max(sym_in + (ball_area - ball_in), 0.0)
-
-
-def symmetric_difference_with_ball(domain: Domain, ball: BallSpec, h: float | None = None):
-    """Area of Omega Delta B with a Richardson error estimate.
-
-    The ball must have the same measure as the domain (relative 1e-9); h
-    defaults to diameter/512.  Returns (area, error_estimate).
-    """
-    if abs(ball.area - domain.measure) > 1e-9 * domain.measure:
-        raise MeasureMismatchError(
-            f"ball area {ball.area} does not match domain measure {domain.measure}")
-    if h is None:
-        h = domain.diameter() / RASTER_CELLS
-    if h <= 0:
-        raise GeometryError("cell size must be positive")
-    vals = []
-    for hh in (h, 0.5 * h):
-        grid = make_grid(domain.bounding_box(), hh, pad=2 * hh)
-        frac = domain.cell_fractions(grid)
-        vals.append(_sym_diff_area(domain, frac, grid, ball.center, ball.radius,
-                                   ball.area, sub=4))
-    return vals[1], abs(vals[0] - vals[1])
-
-
 @dataclass(frozen=True)
 class AsymmetryResult:
     value: float
@@ -672,17 +338,6 @@ def _asymmetry_seeds(bbox, center):
     offs = [(0.0, 0.0), (w6, 0.0), (-w6, 0.0), (0.0, h6), (0.0, -h6),
             (w6, h6), (w6, -h6), (-w6, h6), (-w6, -h6)]
     return [np.array([center[0] + dx, center[1] + dy]) for dx, dy in offs]
-
-
-def _minimize_center(objective, seeds, fatol, xatol=1e-8):
-    best = None
-    for s in seeds:
-        res = minimize(objective, s, method="Nelder-Mead",
-                       options=dict(xatol=xatol, fatol=fatol, maxiter=400, maxfev=600))
-        cand = (float(res.fun), float(res.x[0]), float(res.x[1]))
-        if best is None or cand < best:
-            best = cand
-    return best
 
 
 _GAUSS = np.polynomial.legendre.leggauss(16)
@@ -729,20 +384,25 @@ def _arc_panel_ends(g, dg, s0, s1):
     return np.sort(np.concatenate([s[::8], t]))
 
 
-def _ball_overlap(domain: Domain, x, r, halve=False):
-    """|Omega cap B_r(x)| = 1/2 closed integral of min(|p - x|, r)^2 dtheta_x(p).
+def _oriented_boundary(domain: Domain):
+    """(segments, arcs) of the counterclockwise boundary: the segments as an
+    (S, 2, 2) array of start and end points, the arcs as in `boundary_pieces`."""
+    pieces = domain.boundary_pieces()
+    segments = np.array([p[1:] for p in pieces if p[0] == "segment"]).reshape(-1, 2, 2)
+    return segments, [p[1:] for p in pieces if p[0] == "arc"]
+
+
+def _ball_overlap(segments, arcs, x, r, halve=False):
+    """|U cap B_r(x)| = 1/2 closed integral of min(|p - x|, r)^2 dtheta_x(p)
+    for the set U bounded by oriented `segments` and `arcs`, U on the left.
 
     This is the divergence theorem for F(q) = min(|q - x|, r)^2 (q - x) /
     (2 |q - x|^2), whose divergence is the indicator of B_r(x); it holds for
-    any center and any simple boundary traversed counterclockwise.  The
-    integrand is smooth except where |p - x| = r, so the Gauss panels of every
-    boundary piece are split there.
+    any center and any boundary traversed with U on its left, in any order
+    of its pieces.  The integrand is smooth except where |p - x| = r, so the
+    Gauss panels of every piece are split there.  Segments must have
+    positive length.
     """
-    pieces = domain.boundary_pieces()
-    segments = np.array([p[1:] for p in pieces if p[0] == "segment"]).reshape(-1, 2, 2)
-    # a repeated polygon vertex gives an empty edge, which bounds nothing
-    segments = segments[np.any(segments[:, 0] != segments[:, 1], axis=1)]
-    arcs = [p[1:] for p in pieces if p[0] == "arc"]
     x = np.asarray(x, dtype=float)
     r2 = r * r
     total = 0.0
@@ -780,35 +440,51 @@ def _ball_overlap(domain: Domain, x, r, halve=False):
     return 0.5 * total
 
 
-def fraenkel_asymmetry(domain: Domain) -> AsymmetryResult:
-    """min_x |Omega Delta B_r(x)| / |B_r| over centers, |B_r| = |Omega|.
+def _asymmetry_search(segments, arcs, area, seeds) -> AsymmetryResult:
+    """min_x |U Delta B_r(x)| / |U| over centers, |B_r| = |U| = area, for the
+    set U bounded by `segments` and `arcs` (see `_ball_overlap`).
 
-    The objective is exact up to quadrature: |Omega Delta B| = 2 (|Omega| -
-    |Omega cap B|), and the overlap is a boundary integral (`_ball_overlap`)
-    taken with 16-point Gauss-Legendre panels split where the boundary
-    crosses the circle.  For a convex domain the square root of the overlap
-    is concave in the center on its support (Brunn-Minkowski), so one
-    Nelder-Mead run from the centroid finds the global minimum; a nonconvex
-    polygon is searched from the centroid and 8 bounding-box offsets.
-    `error` is the change of the value when every panel is halved, and
-    `evaluations` counts the overlap integrals taken.
+    The objective is exact up to quadrature: |U Delta B| = 2 (|U| - |U cap
+    B|).  One Nelder-Mead run starts from each seed and the best end point
+    wins.  `error` is the change of the value when every panel is halved,
+    and `evaluations` counts the overlap integrals taken.
     """
-    r = equal_measure_radius(domain.measure)
-    area = domain.measure
+    # an empty segment (a level line through a node) bounds nothing
+    segments = segments[np.any(segments[:, 0] != segments[:, 1], axis=1)]
+    r = equal_measure_radius(area)
     evaluations = 0
 
     def objective(x, halve=False):
         nonlocal evaluations
         evaluations += 1
-        return 2.0 * (1.0 - _ball_overlap(domain, x, r, halve) / area)
+        return 2.0 * (1.0 - _ball_overlap(segments, arcs, x, r, halve) / area)
 
-    seeds = [domain.center]
-    if domain.kind == "polygon" and not _polygon_is_convex(domain.vertices):
-        seeds = _asymmetry_seeds(domain.bounding_box(), domain.center)
-    value, cx, cy = _minimize_center(objective, seeds, fatol=1e-13, xatol=1e-9)
+    ends = []
+    for s in seeds:
+        res = minimize(objective, s, method="Nelder-Mead",
+                       options=dict(xatol=1e-9, fatol=1e-13, maxiter=400, maxfev=600))
+        ends.append((float(res.fun), float(res.x[0]), float(res.x[1])))
+    value, cx, cy = min(ends)
     fine = float(objective((cx, cy), halve=True))
     return AsymmetryResult(value=max(fine, 0.0), center=(cx, cy), radius=r,
                            error=abs(value - fine), evaluations=evaluations)
+
+
+def fraenkel_asymmetry(domain: Domain) -> AsymmetryResult:
+    """min_x |Omega Delta B_r(x)| / |B_r| over centers, |B_r| = |Omega|.
+
+    The overlap |Omega cap B| is a boundary integral (`_ball_overlap`) taken
+    with 16-point Gauss-Legendre panels split where the boundary crosses the
+    circle.  For a convex domain the square root of the overlap is concave
+    in the center on its support (Brunn-Minkowski), so one Nelder-Mead run
+    from the centroid finds the global minimum; a nonconvex polygon is
+    searched from the centroid and 8 bounding-box offsets
+    (`_asymmetry_search`).
+    """
+    seeds = [domain.center]
+    if domain.kind == "polygon" and not _polygon_is_convex(domain.vertices):
+        seeds = _asymmetry_seeds(domain.bounding_box(), domain.center)
+    return _asymmetry_search(*_oriented_boundary(domain), domain.measure, seeds)
 
 
 _ASYMMETRY_CACHE: dict = {}
@@ -819,29 +495,6 @@ def cached_asymmetry(domain: Domain) -> AsymmetryResult:
     if key not in _ASYMMETRY_CACHE:
         _ASYMMETRY_CACHE[key] = fraenkel_asymmetry(domain)
     return _ASYMMETRY_CACHE[key]
-
-
-def fraenkel_asymmetry_of_mask(rm: RasterMask) -> AsymmetryResult:
-    """Asymmetry of a rasterized set (used for superlevel sets and subsets)."""
-    area = rm.area
-    if area <= 0:
-        raise GeometryError("mask has zero area")
-    r = equal_measure_radius(area)
-    grid = rm.grid
-    frac = rm.mask.astype(float)
-    c0 = rm.centroid()
-    bbox = (grid.x0, grid.x0 + grid.nx * grid.h, grid.y0, grid.y0 + grid.ny * grid.h)
-
-    def objective(x):
-        s, b = _ball_fraction_sums(frac, grid, x[0], x[1], r)
-        return (s + (area - b)) / area
-
-    best = _minimize_center(objective, _asymmetry_seeds(bbox, c0), fatol=1e-13)
-    # boundary-cell count gives the O(h * perimeter) accuracy of a 0/1 mask
-    per_cells = np.count_nonzero(rm.mask != np.roll(rm.mask, 1, axis=0)) + \
-        np.count_nonzero(rm.mask != np.roll(rm.mask, 1, axis=1))
-    err = per_cells * grid.h ** 2 / area
-    return AsymmetryResult(value=best[0], center=(best[1], best[2]), radius=r, error=err)
 
 
 def isoperimetric_deficit(domain: Domain, n: int = 2):

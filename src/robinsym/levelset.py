@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import _asymmetry_search, _asymmetry_seeds
 from .fem import ScalarField
 
 
@@ -179,8 +180,10 @@ def build_mu_segments(u: ScalarField) -> MuSegments:
 # level-curve lengths and boundary integrals
 
 
-def interior_level_perimeter(u: ScalarField, t: float) -> float:
-    """Total length of the level line {interpolant = t} inside triangles."""
+def _level_segments(u: ScalarField, t: float):
+    """(cut, a, b, top) per triangle: whether the level t cuts it (v1 < t <
+    v3 for its sorted nodal values), the ends a and b of its level segment,
+    on the edges p1-p2 or p2-p3 and p1-p3, and its top node p3."""
     tv, order = _sorted_triangle_values(u)
     pts = u.mesh.nodes[u.mesh.triangles]
     pts = np.take_along_axis(pts, order[:, :, None], axis=1)
@@ -194,8 +197,50 @@ def interior_level_perimeter(u: ScalarField, t: float) -> float:
     a = np.where(lower[:, None], p1 + w12[:, None] * (p2 - p1),
                  p2 + w23[:, None] * (p3 - p2))
     b = p1 + w13[:, None] * (p3 - p1)
+    return lower | upper, a, b, p3
+
+
+def interior_level_perimeter(u: ScalarField, t: float) -> float:
+    """Total length of the level line {interpolant = t} inside triangles."""
+    cut, a, b, _ = _level_segments(u, t)
     seg = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-    return float(np.where(lower | upper, seg, 0.0).sum())
+    return float(np.where(cut, seg, 0.0).sum())
+
+
+def _outer_edges(mesh):
+    """Boundary edges directed with the mesh on their left: the edges of the
+    positively oriented triangles that belong to one triangle only."""
+    tris = mesh.triangles
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    key = np.min(edges, axis=1) * mesh.num_nodes + np.max(edges, axis=1)
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return edges[counts[inverse] == 1]
+
+
+def superlevel_boundary(u: ScalarField, t: float) -> np.ndarray:
+    """Oriented boundary of U_t = {interpolant > t} as an (S, 2, 2) array of
+    segment start and end points, with U_t on the left of every segment.
+
+    Two kinds of segment bound U_t: the level segment of every triangle the
+    level cuts, turned so that the triangle's top node lies on its left, and
+    the part of every mesh boundary edge where u > t.
+    """
+    cut, a, b, top = _level_segments(u, t)
+    a, b, top = a[cut], b[cut], top[cut]
+    turn = ((b[:, 0] - a[:, 0]) * (top[:, 1] - a[:, 1])
+            - (b[:, 1] - a[:, 1]) * (top[:, 0] - a[:, 0])) < 0.0
+    level = np.stack([np.where(turn[:, None], b, a), np.where(turn[:, None], a, b)], axis=1)
+
+    edges = _outer_edges(u.mesh)
+    p, q = u.mesh.nodes[edges[:, 0]], u.mesh.nodes[edges[:, 1]]
+    up, uq = u.values[edges[:, 0]], u.values[edges[:, 1]]
+    keep = (up > t) | (uq > t)
+    p, q, up, uq = p[keep], q[keep], up[keep], uq[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = p + ((up - t) / (up - uq))[:, None] * (q - p)
+    outer = np.stack([np.where((up > t)[:, None], p, crossing),
+                      np.where((uq > t)[:, None], q, crossing)], axis=1)
+    return np.concatenate([level, outer])
 
 
 def exterior_boundary_integral_inv_u(u: ScalarField, t: float) -> float:
@@ -355,66 +400,29 @@ def ode_residuals(source, fstar, beta: float, grid: LevelGrid) -> OdeResidualRep
                              exterior_integral=exterior, lhs=lhs, rhs=rhs)
 
 
-def rasterize_field(u: ScalarField, resolution: int = 256):
-    """Sample the P1 interpolant on a raster grid over the mesh.
+def superlevel_asymmetry(u: ScalarField, t: float):
+    """Fraenkel asymmetry of U_t = {interpolant > t}, or None when U_t is empty.
 
-    Returns (grid, values, inside): cells outside the mesh carry -inf and
-    inside=False.  Used to hand superlevel sets to the asymmetry machinery.
+    The boundary of U_t (`superlevel_boundary`) goes through the same
+    boundary-integral search as a domain.  U_t need not be convex, so the
+    search starts from its centroid and 8 offsets in its bounding box.
     """
-    from .domains import Grid
-
-    nodes = u.mesh.nodes
-    x0, y0 = nodes.min(axis=0)
-    x1, y1 = nodes.max(axis=0)
-    h = max(x1 - x0, y1 - y0) / resolution
-    grid = Grid(x0=x0 - h, y0=y0 - h, h=h,
-                nx=int(math.ceil((x1 - x0) / h)) + 2,
-                ny=int(math.ceil((y1 - y0) / h)) + 2)
-    values = np.full((grid.nx, grid.ny), -np.inf)
-    inside = np.zeros((grid.nx, grid.ny), dtype=bool)
-    xc = grid.x0 + (np.arange(grid.nx) + 0.5) * h
-    yc = grid.y0 + (np.arange(grid.ny) + 0.5) * h
-    tv = u.values[u.mesh.triangles]
-    pts = nodes[u.mesh.triangles]
-    for k in range(len(u.mesh.triangles)):
-        p = pts[k]
-        i0 = max(0, int((p[:, 0].min() - grid.x0) / h) - 1)
-        i1 = min(grid.nx, int((p[:, 0].max() - grid.x0) / h) + 2)
-        j0 = max(0, int((p[:, 1].min() - grid.y0) / h) - 1)
-        j1 = min(grid.ny, int((p[:, 1].max() - grid.y0) / h) + 2)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        gx = xc[i0:i1][:, None] - p[0, 0]
-        gy = yc[j0:j1][None, :] - p[0, 1]
-        d = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
-        a = ((p[2, 1] - p[0, 1]) * gx - (p[2, 0] - p[0, 0]) * gy) / d
-        b = (-(p[1, 1] - p[0, 1]) * gx + (p[1, 0] - p[0, 0]) * gy) / d
-        hit = (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1 + 1e-12)
-        vals = tv[k, 0] + a * (tv[k, 1] - tv[k, 0]) + b * (tv[k, 2] - tv[k, 0])
-        block = values[i0:i1, j0:j1]
-        np.copyto(block, vals, where=hit)
-        inside[i0:i1, j0:j1] |= hit
-    return grid, values, inside
-
-
-def superlevel_asymmetry(u: ScalarField, t: float, resolution: int = 256):
-    """Fraenkel asymmetry of the rasterized superlevel set {u > t}.
-
-    Tiny sets (measure below 1e-3 of the mesh) are raster-unreliable and
-    return None.
-    """
-    from .domains import RasterMask, fraenkel_asymmetry_of_mask
-
-    grid, values, inside = rasterize_field(u, resolution)
-    mask = inside & (values > t)
-    area = float(np.count_nonzero(mask)) * grid.h ** 2
-    if area < 1e-3 * u.mesh.area():
+    segments = superlevel_boundary(u, t)
+    # area and centroid by the shoelace formulas, about a nearby origin
+    origin = segments[0, 0] if len(segments) else 0.0
+    a, b = segments[:, 0] - origin, segments[:, 1] - origin
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    area = 0.5 * float(cross.sum())
+    if not area > 0.0:
         return None
-    return fraenkel_asymmetry_of_mask(RasterMask(grid=grid, mask=mask))
+    centroid = origin + ((a + b) * cross[:, None]).sum(axis=0) / (6.0 * area)
+    lo, hi = segments.reshape(-1, 2).min(axis=0), segments.reshape(-1, 2).max(axis=0)
+    seeds = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
+    return _asymmetry_search(segments, [], area, seeds)
 
 
 def quantitative_ode_margins(u: ScalarField, fstar, beta: float, gamma_n: float,
-                             levels, resolution: int = 256):
+                             levels):
     """Margins of the asymmetry-strengthened level-set inequality
     4 pi mu (1 + alpha(U_t)^2 / gamma_n) <= RHS at the given levels."""
     from .rearrange import distribution_function
@@ -423,7 +431,7 @@ def quantitative_ode_margins(u: ScalarField, fstar, beta: float, gamma_n: float,
     out = []
     for t in np.asarray(levels, dtype=float):
         mu = float(dist.mu(t))
-        a = superlevel_asymmetry(u, t, resolution)
+        a = superlevel_asymmetry(u, t)
         if a is None:
             continue
         ext = exterior_boundary_integral_inv_u(u, t)

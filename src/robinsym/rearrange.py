@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ScalarField, field_integral_pow
+from .fem import ScalarField
 from .levelset import MuSegments, build_mu_segments
 from .domains import unit_ball_measure
 
@@ -423,10 +423,3 @@ def hardy_littlewood_gap(h: ScalarField, g: ScalarField) -> float:
         acc += half * float(wg @ (dh.ustar(sg) * dg.ustar(sg)))
     return acc - exact
 
-
-def lp_norm_from_distribution(dist, p: float) -> float:
-    return cavalieri_pnorm_power(dist, p) ** (1.0 / p)
-
-
-def lp_norm_of_field(u: ScalarField, p: float) -> float:
-    return field_integral_pow(u, p) ** (1.0 / p)

@@ -24,7 +24,7 @@ def source_from_name(name: str, domain) -> SourceSpec:
     non-symmetric off-center bump."""
     if name == "const":
         return constant_source(1.0)
-    c = domain.centroid()
+    c = domain.center
     if name == "radial":
         return SourceSpec(kind="radial", fn=lambda r: 2.0 - r, centroid=(c[0], c[1]),
                           label="radial 2-r")

@@ -20,9 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .domains import Domain, cached_asymmetry, domain_spec_string, equal_measure_radius, \
-    fraenkel_asymmetry_of_mask, isoperimetric_deficit, RasterMask, unit_ball_measure
-from .fem import SourceSpec, constant_source, field_integral, nodal_source_field, \
-    principal_robin_eigenpair, solve_robin_poisson
+    isoperimetric_deficit, unit_ball_measure
+from .fem import ScalarField, SourceSpec, constant_source, field_integral, \
+    nodal_source_field, principal_robin_eigenpair, solve_robin_poisson
+from .levelset import superlevel_asymmetry
 from .meshing import generate_mesh, refine_mesh
 from .radial import ball_torsion, bessel_eigen_oracle, symmetrized_solution
 from .rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
@@ -377,35 +378,6 @@ def check_isoperimetric(domain: Domain, gamma_n: float) -> IsoperimetricReport:
         classical_pass=bool(deficit >= -1e-12), quantitative_pass=bool(quant))
 
 
-def boundary_layer_subset(domain: Domain, fraction: float,
-                          resolution: int = 256) -> RasterMask:
-    """Raster mask of the domain shrunk about its centroid so that roughly
-    `fraction` of the measure is removed (a thin boundary layer for convex
-    shapes); the caller checks the actual removed fraction."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
-    s = math.sqrt(1.0 - fraction)
-    c = domain.centroid()
-    from .domains import build_domain
-
-    if domain.kind == "disc":
-        r, cx, cy = domain.params
-        small = build_domain("disc", r=r * s, cx=cx, cy=cy)
-    elif domain.kind == "ellipse":
-        a, b, cx, cy = domain.params
-        small = build_domain("ellipse", a=a * s, b=b * s, cx=cx, cy=cy)
-    elif domain.kind == "rect":
-        w, h, cx, cy = domain.params
-        small = build_domain("rect", w=w * s, h=h * s, cx=cx, cy=cy)
-    elif domain.kind == "stadium":
-        l, r, cx, cy = domain.params
-        small = build_domain("stadium", l=l * s, r=r * s, cx=cx, cy=cy)
-    else:
-        v = (domain.vertices - c) * s + c
-        small = build_domain("polygon", vertices=v)
-    return small.raster_mask(resolution)
-
-
 @dataclass
 class PropagationReport:
     domain_spec: str
@@ -417,20 +389,22 @@ class PropagationReport:
     passed: bool | None
 
 
-def check_propagation(domain: Domain, subset: RasterMask,
+def check_propagation(domain: Domain, u: ScalarField, t: float,
                       tol: float = 5e-3) -> PropagationReport:
-    """Asymmetry propagation: if |Omega \\ U| / |Omega| <= alpha(Omega)/4 then
-    alpha(U) >= alpha(Omega)/2.  When the hypothesis fails the report says
+    """Asymmetry propagation to the superlevel set U_t = {u > t} of a field
+    on a mesh of the domain: if |Omega \\ U_t| / |Omega| <= alpha(Omega)/4
+    then alpha(U_t) >= alpha(Omega)/2, with the removed fraction measured on
+    the mesh, 1 - mu(t) / |mesh|.  When the hypothesis fails the report says
     'not applicable' and asserts nothing."""
     alpha = cached_asymmetry(domain)
-    removed = (domain.measure - subset.area) / domain.measure
+    removed = 1.0 - float(distribution_function(u).mu(t)) / u.mesh.area()
     hypothesis = removed <= alpha.value / 4.0 + 1e-12
     if not hypothesis:
         return PropagationReport(domain_spec=domain_spec_string(domain),
                                  alpha_domain=alpha.value, alpha_subset=None,
                                  removed_fraction=removed, hypothesis_met=False,
                                  applicable=False, passed=None)
-    a_sub = fraenkel_asymmetry_of_mask(subset)
+    a_sub = superlevel_asymmetry(u, t)
     ok = a_sub.value >= alpha.value / 2.0 - a_sub.error - tol
     return PropagationReport(domain_spec=domain_spec_string(domain),
                              alpha_domain=alpha.value, alpha_subset=a_sub.value,

@@ -27,7 +27,6 @@ from robinsym.rearrange import DecreasingProfile, cavalieri_pnorm_power, constan
 from robinsym.runner import source_from_name
 from robinsym.verify import (
     Ladder,
-    boundary_layer_subset,
     check_bossel_daners,
     check_lorentz_2k2,
     check_lorentz_k1,
@@ -242,8 +241,8 @@ def test_criterion_10_property_suites():
         iso_ok &= d.perimeter >= 2.0 * math.sqrt(math.pi * d.measure) - 1e-12
     details.append(f"isoperimetric {iso_ok}")
 
-    # asymmetry propagation on 20 (domain, subset) pairs satisfying the
-    # removed-measure hypothesis
+    # asymmetry propagation on 20 (domain, superlevel set of the torsion
+    # function) pairs satisfying the removed-measure hypothesis
     prop_ok = True
     count = 0
     for spec in ("ellipse a=1.224744871391589 b=0.81649658092772615",
@@ -251,9 +250,11 @@ def test_criterion_10_property_suites():
                  "rect w=2 h=0.5", "stadium l=1 r=0.5"):
         d = parse_domain_spec(spec)
         alpha = cached_asymmetry(d).value
+        u = solve_robin_poisson(generate_mesh(d, 0.1), constant_source(1.0), 1.0)
+        dist = distribution_function(u)
         for frac in (1 / 16.0, 1 / 8.0, 3 / 16.0, 0.21, 0.24):
-            subset = boundary_layer_subset(d, alpha * frac, resolution=224)
-            rep = check_propagation(d, subset)
+            t = dist.ustar(u.mesh.area() * (1.0 - alpha * frac))
+            rep = check_propagation(d, u, t)
             prop_ok &= rep.applicable and bool(rep.passed)
             count += 1
     details.append(f"propagation {prop_ok} ({count} pairs)")
@@ -275,7 +276,6 @@ sources = const
 theorems = lorentz_k1, lorentz_2k2, pointwise, saint_venant, bossel_daners
 h = 0.15
 refinements = 1
-seed = 1234
 
 [gamma]
 gamma2 = 16.0

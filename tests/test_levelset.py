@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from robinsym.domains import build_domain
+from robinsym.domains import build_domain, fraenkel_asymmetry, parse_domain_spec
 from robinsym.fem import ScalarField, constant_source, solve_robin_poisson
 from robinsym.levelset import (
     LevelGrid,
@@ -16,11 +17,14 @@ from robinsym.levelset import (
     make_level_grid,
     ode_residuals,
     perimeter_decomposition,
+    superlevel_asymmetry,
+    superlevel_boundary,
     superlevel_measure_exact,
 )
 from robinsym.meshing import Mesh, generate_mesh
 from robinsym.radial import symmetrized_constant_source
 from robinsym.rearrange import constant_profile, decreasing_rearrangement, distribution_function
+from robinsym.runner import source_from_name
 
 
 def single_triangle(values):
@@ -179,3 +183,77 @@ def test_report_export_columns():
     assert lines[0].startswith("# t mu dmu")
     assert len(lines) == len(grid.values) + 1
     assert all(len(line.split()) == 8 for line in lines[1:])
+
+
+# the convex heptagon of the benchmark's shape family
+HEPTAGON = ("polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 0.5474,-0.9483 "
+            "1.0583,-0.1542 0.725,0.8098 -0.1133,1.0612")
+ELLIPSE_2 = "ellipse a=1.4142135623730951 b=0.7071067811865476"
+
+
+def _torsion(spec, h=0.1):
+    return solve_robin_poisson(generate_mesh(parse_domain_spec(spec), h),
+                               constant_source(1.0), 1.0)
+
+
+def _l_shape_field():
+    # the L-shape 0,0 2,0 2,1 1,1 1,2 0,2: a square mesh without its upper
+    # right quarter; its boundary_edges still list the square's, which the
+    # superlevel boundary must not read
+    m = generate_mesh(build_domain("rect", w=2.0, h=2.0, cx=1.0, cy=1.0), 0.1)
+    c = m.nodes[m.triangles].mean(axis=1)
+    keep = ~((c[:, 0] > 1.0) & (c[:, 1] > 1.0))
+    return ScalarField(replace(m, triangles=m.triangles[keep]), np.ones(m.num_nodes))
+
+
+def _signed_area(segments):
+    a, b = segments[:, 0], segments[:, 1]
+    return 0.5 * float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+
+
+@pytest.mark.parametrize("spec", ["rect w=2 h=0.5", HEPTAGON])
+def test_superlevel_asymmetry_below_min_is_domain_asymmetry(spec):
+    # below min u the superlevel set is the whole mesh, which covers a
+    # straight-sided domain exactly
+    u = _torsion(spec)
+    a = superlevel_asymmetry(u, 0.5 * u.u_min)
+    assert a.value == pytest.approx(fraenkel_asymmetry(parse_domain_spec(spec)).value,
+                                    abs=1e-12)
+
+
+def test_superlevel_asymmetry_of_nonconvex_mesh():
+    a = superlevel_asymmetry(_l_shape_field(), 0.5)
+    exact = fraenkel_asymmetry(parse_domain_spec("polygon 0,0 2,0 2,1 1,1 1,2 0,2"))
+    assert a.value == pytest.approx(exact.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["rect w=2 h=0.5", ELLIPSE_2])
+def test_superlevel_boundary_area_is_mu(spec):
+    u = _torsion(spec)
+    dist = distribution_function(u)
+    for t in np.linspace(u.u_min, u.u_max, 7)[1:-1]:
+        area = _signed_area(superlevel_boundary(u, t))
+        assert area == pytest.approx(superlevel_measure_exact(u, t), rel=1e-12)
+        # build_mu_segments rounds the nodal values to multiples of
+        # 1e-12 max|u|, which moves mu by up to that times |mu'|
+        assert area == pytest.approx(dist.mu(t),
+                                     rel=1e-12, abs=1e-12 * u.u_max * abs(dist.dmu(t)))
+
+
+def test_superlevel_asymmetry_translation_invariant():
+    # a bump source makes the level sets lopsided
+    d = parse_domain_spec(ELLIPSE_2)
+    u = solve_robin_poisson(generate_mesh(d, 0.1), source_from_name("bump", d), 1.0)
+    moved = ScalarField(replace(u.mesh, nodes=u.mesh.nodes + [0.7, -0.3]), u.values)
+    for t in np.linspace(u.u_min, u.u_max, 5)[1:-1]:
+        assert superlevel_asymmetry(moved, t).value == pytest.approx(
+            superlevel_asymmetry(u, t).value, abs=1e-9)
+
+
+def test_superlevel_asymmetry_none_only_when_empty():
+    u = _torsion("stadium l=1 r=0.5")
+    assert superlevel_asymmetry(u, u.u_max) is None
+    assert superlevel_asymmetry(u, 2.0 * u.u_max) is None
+    for t in (u.u_max * (1.0 - 1e-6), u.u_min, 0.0):
+        a = superlevel_asymmetry(u, t)
+        assert a is not None and 0.0 <= a.value < 2.0

@@ -8,7 +8,6 @@ from robinsym.fem import SourceSpec, constant_source
 from robinsym.verify import (
     KRangeError,
     Ladder,
-    boundary_layer_subset,
     check_bossel_daners,
     check_isoperimetric,
     check_lorentz_2k2,
@@ -119,7 +118,7 @@ def test_bump_source_pass():
 
 def test_convex_polygon_through_checker():
     # a mildly irregular convex pentagon exercises the fan mesher, the
-    # polygon raster fractions, and the torsion pipeline together
+    # polygon asymmetry, and the torsion pipeline together
     d = build_domain("polygon", vertices=[(0, 0), (1.4, -0.1), (1.9, 0.8),
                                           (0.9, 1.5), (-0.3, 0.9)])
     rep = check_saint_venant(Ladder(d, 1.0, 0.1), GAMMA2)
@@ -181,9 +180,19 @@ def test_isoperimetric_reports():
                                    square.gamma_star * 0.5).quantitative_pass
 
 
+def _torsion_level(d, removed, h=0.1):
+    """The torsion function u on a mesh of d and the level t at which the
+    superlevel set {u > t} leaves out `removed` of the mesh area."""
+    from robinsym.fem import solve_robin_poisson
+    from robinsym.meshing import generate_mesh
+    from robinsym.rearrange import distribution_function
+    u = solve_robin_poisson(generate_mesh(d, h), constant_source(1.0), 1.0)
+    return u, distribution_function(u).ustar(u.mesh.area() * (1.0 - removed))
+
+
 def test_propagation_full_subset():
     d = build_domain("rect", w=2.0, h=0.5)
-    rep = check_propagation(d, d.raster_mask(256))
+    rep = check_propagation(d, *_torsion_level(d, 0.0))
     assert rep.applicable and rep.passed
     assert rep.alpha_subset == pytest.approx(rep.alpha_domain, abs=2e-2)
 
@@ -192,16 +201,14 @@ def test_propagation_boundary_layer():
     d = parse_domain_spec("ellipse a=1.4142135623730951 b=0.7071067811865476")
     from robinsym.domains import cached_asymmetry
     alpha = cached_asymmetry(d).value
-    subset = boundary_layer_subset(d, alpha / 8.0, resolution=256)
-    rep = check_propagation(d, subset)
+    rep = check_propagation(d, *_torsion_level(d, alpha / 8.0))
     assert rep.hypothesis_met and rep.applicable
     assert rep.passed
 
 
 def test_propagation_violated_hypothesis():
     d = parse_domain_spec("ellipse a=1.4142135623730951 b=0.7071067811865476")
-    subset = boundary_layer_subset(d, 0.5, resolution=192)
-    rep = check_propagation(d, subset)
+    rep = check_propagation(d, *_torsion_level(d, 0.5))
     assert not rep.applicable and rep.passed is None
 
 

@@ -27,7 +27,6 @@ from .fem import (
 )
 from .rearrange import (
     DecreasingProfile,
-    DistributionFunction,
     LorentzParams,
     decreasing_rearrangement,
     distribution_function,
@@ -39,10 +38,10 @@ from .radial import (
     RadialSolution,
     ball_closed_forms,
     bessel_eigen_oracle,
-    phi_distribution,
     symmetrized_solution,
 )
 from .levelset import (
+    DistributionFunction,
     LevelGrid,
     OdeResidualReport,
     exterior_boundary_integral_inv_u,

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .config import default_config_text, parse_config
+from .config import check_config, default_config_text, parse_config
 from .domains import fraenkel_asymmetry, parse_domain_spec
 from .fem import boundary_integral, field_integral, solve_robin_poisson
 from .meshing import export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
@@ -88,10 +88,11 @@ def cmd_verify(args) -> int:
     cfg = parse_config(text)
     if args.out:
         cfg.outdir = args.out
-    if args.h:
+    if args.h is not None:
         cfg.h = args.h
-    if args.gamma2:
+    if args.gamma2 is not None:
         cfg.gamma2 = args.gamma2
+    check_config(cfg)
     rows = run_experiments(cfg)
     files = emit_reports(rows, cfg.outdir)
     ok = all_passed(rows)

@@ -53,7 +53,7 @@ def _split_list(value: str, sep: str):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; unknown keys, duplicate keys, a missing gamma
     provenance, and out-of-range k all raise with the offending line; a
-    retired key warns and is ignored."""
+    retired key warns and is ignored; values are checked by `check_config`."""
     section = None
     seen: set = set()
     values: dict = {}
@@ -110,6 +110,17 @@ def parse_config(text: str) -> RunConfig:
         outdir=get("output", "dir", "reports"),
         raw_text=text,
     )
+    check_config(cfg)
+    return cfg
+
+
+def check_config(cfg: RunConfig) -> None:
+    """Raise ConfigError unless every run value is admissible: no empty
+    list, known theorems and sources, positive h, gamma2, betas and k, and k
+    inside the range of each Lorentz theorem."""
+    for key in ("domains", "betas", "ks", "sources", "theorems"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"[run] {key} must list at least one value")
 
     for th in cfg.theorems:
         if th not in KNOWN_THEOREMS:
@@ -117,11 +128,13 @@ def parse_config(text: str) -> RunConfig:
     for src in cfg.sources:
         if src not in KNOWN_SOURCES:
             raise ConfigError(f"unknown source {src!r}; choose from {KNOWN_SOURCES}")
-    if cfg.h <= 0 or cfg.refinements < 0:
-        raise ConfigError("numeric run parameters must be positive")
+    if not cfg.h > 0:
+        raise ConfigError("h must be positive")
+    if cfg.refinements < 0:
+        raise ConfigError("refinements must be nonnegative")
     if not cfg.gamma2 > 0:
         raise ConfigError("gamma2 must be positive")
-    if min(cfg.betas, default=1.0) <= 0:
+    if min(cfg.betas) <= 0:
         raise ConfigError("betas must be positive")
 
     generic_f = any(s != "const" for s in cfg.sources)
@@ -136,7 +149,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"k={k:g} rejected for lorentz_2k2 with a generic source: "
                 f"the admissible range is 0 < k <= n/(3n-4) = 1 at n=2")
-    return cfg
 
 
 def default_config_text() -> str:

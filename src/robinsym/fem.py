@@ -114,49 +114,37 @@ def _p1_geometry(mesh: Mesh):
     return p, b, c, area
 
 
+def _assemble(n: int, elements: np.ndarray, local) -> sparse.csr_matrix:
+    """Sum element matrices into an n x n CSR matrix: for every local pair
+    (i, j), row-major, local(i, j) holds one value per element at
+    (elements[:, i], elements[:, j])."""
+    d = elements.shape[1]
+    pairs = [(i, j) for i in range(d) for j in range(d)]
+    # the int64 index arrays die once coo_matrix has its own int32 copies,
+    # before the CSR conversion allocates
+    coo = sparse.coo_matrix((np.concatenate([local(i, j) for i, j in pairs]),
+                             (np.concatenate([elements[:, i] for i, _ in pairs]),
+                              np.concatenate([elements[:, j] for _, j in pairs]))),
+                            shape=(n, n))
+    return coo.tocsr()
+
+
 def stiffness_matrix(mesh: Mesh) -> sparse.csr_matrix:
     _, b, c, area = _p1_geometry(mesh)
-    t = mesh.triangles
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
-    n = mesh.num_nodes
-    A = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-    return A.tocsr()
+    return _assemble(mesh.num_nodes, mesh.triangles,
+                     lambda i, j: (b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
 
 
 def boundary_mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    e = mesh.boundary_edges
     length = mesh.boundary_lengths()
-    rows, cols, vals = [], [], []
-    for i in range(2):
-        for j in range(2):
-            rows.append(e[:, i])
-            cols.append(e[:, j])
-            vals.append(length * (2.0 if i == j else 1.0) / 6.0)
-    n = mesh.num_nodes
-    B = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-    return B.tocsr()
+    return _assemble(mesh.num_nodes, mesh.boundary_edges,
+                     lambda i, j: length * (2.0 if i == j else 1.0) / 6.0)
 
 
 def mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
     _, _, _, area = _p1_geometry(mesh)
-    t = mesh.triangles
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(area * (2.0 if i == j else 1.0) / 12.0)
-    n = mesh.num_nodes
-    M = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-    return M.tocsr()
+    return _assemble(mesh.num_nodes, mesh.triangles,
+                     lambda i, j: area * (2.0 if i == j else 1.0) / 12.0)
 
 
 def load_vector(mesh: Mesh, f: SourceSpec) -> np.ndarray:
@@ -186,7 +174,7 @@ def assemble_robin_system(mesh: Mesh, f: SourceSpec, beta: float) -> SparseSyste
         raise ValueError("beta must be positive")
     A = stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)
     rhs = load_vector(mesh, f)
-    return SparseSystem(matrix=A.tocsr(), rhs=rhs, mesh=mesh, beta=beta)
+    return SparseSystem(matrix=A, rhs=rhs, mesh=mesh, beta=beta)
 
 
 def _jacobi(A):
@@ -224,31 +212,37 @@ def solve_robin_poisson(mesh: Mesh, f: SourceSpec, beta: float) -> ScalarField:
     return solve_poisson(assemble_robin_system(mesh, f, beta))
 
 
-def principal_robin_eigenpair(mesh: Mesh, beta: float, tol=1e-10, maxiter=200):
+# inverse iteration stops when lambda changes by at most _EIGEN_TOL relative,
+# and fails after _EIGEN_MAXITER steps
+_EIGEN_TOL = 1e-10
+_EIGEN_MAXITER = 200
+
+
+def principal_robin_eigenpair(mesh: Mesh, beta: float):
     """Smallest eigenvalue of (K + beta B) w = lambda M w by inverse power
     iteration with Jacobi-CG inner solves; eigenfunction has unit L2 norm,
     positive.  Reusing one LU factor for every step is about 8x faster but
     raises peak memory by about a third at 52k nodes, so CG stays."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    A = (stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)).tocsr()
+    A = stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)
     M = mass_matrix(mesh)
     w = np.ones(mesh.num_nodes)
     w /= math.sqrt(w @ (M @ w))
     lam = float(w @ (A @ w))
-    for _ in range(maxiter):
+    for _ in range(_EIGEN_MAXITER):
         z = _cg_solve(A, M @ w, rtol=1e-13)
         nz = math.sqrt(z @ (M @ z))
         if nz == 0:
             raise SolverError("inverse iteration produced the zero vector")
         w = z / nz
         lam_new = float(w @ (A @ w)) / float(w @ (M @ w))
-        if abs(lam_new - lam) <= tol * abs(lam_new):
+        if abs(lam_new - lam) <= _EIGEN_TOL * abs(lam_new):
             lam = lam_new
             break
         lam = lam_new
     else:
-        raise SolverError(f"eigen iteration cap {maxiter} exceeded")
+        raise SolverError(f"eigen iteration cap {_EIGEN_MAXITER} exceeded")
     if w.sum() < 0:
         w = -w
     w /= math.sqrt(w @ (M @ w))

@@ -1,16 +1,20 @@
-"""Exact level-set geometry of piecewise-linear fields.
+"""Exact level-set geometry of piecewise-linear fields, and the one
+distribution-function class.
 
-The superlevel measure of a P1 field is piecewise quadratic in the level t
-with breakpoints at nodal values.  The segment coefficients are accumulated
-in a basis centered at each segment's midpoint: every contribution is then
-bounded by the triangle area, so near-duplicate nodal values (ubiquitous on
-symmetric meshes) cannot blow up the expansion.
+The superlevel measure mu(t) = |{u > t}| of a P1 field is piecewise
+quadratic in the level t with breakpoints at nodal values; that of a
+piecewise-linear decreasing profile is piecewise linear.  Both are a
+`DistributionFunction`, which also inverts mu (`ustar`).  The segment
+coefficients are kept in a basis centered at each segment's midpoint: every
+contribution is then bounded by the triangle area, so near-duplicate nodal
+values (ubiquitous on symmetric meshes) cannot blow up the expansion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,18 +57,52 @@ def superlevel_measure_exact(u: ScalarField, t: float) -> float:
 
 
 @dataclass
-class MuSegments:
-    """mu(t) = a + b (t - m) + c (t - m)^2 on [breaks[j], breaks[j+1])."""
+class DistributionFunction:
+    """Nonincreasing right-continuous t -> mu(t) = |{u > t}|, piecewise
+    quadratic: mu(t) = a + b (t - m) + c (t - m)^2 on [breaks[j], breaks[j+1])
+    with m = centers[j] and (a, b, c) = coeffs[j].  P1 fields give quadratic
+    segments (`build_mu_segments`), decreasing profiles linear ones
+    (`from_profile`)."""
 
     breaks: np.ndarray    # K+1 ascending, breaks[0] = 0
     centers: np.ndarray   # K midpoints
     coeffs: np.ndarray    # (K, 3) local (a, b, c)
-    total: float
-    u_min: float
+    total_measure: float
+    ess_inf: float
+
+    @classmethod
+    def from_profile(cls, s, values) -> "DistributionFunction":
+        """mu of a nonnegative, nonincreasing, piecewise-linear profile with
+        nodes (s, values), s ascending from 0: linear in t on every strictly
+        decreasing piece, a jump at every plateau."""
+        s, y = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
+        total, ymin = float(s[-1]), float(y[-1])
+        breaks = np.unique(np.concatenate([[0.0], y[y > 0.0]]))
+        if len(breaks) == 1:  # the zero profile: one stub segment
+            breaks = np.array([0.0, 1e-300])
+        centers = 0.5 * (breaks[:-1] + breaks[1:])
+        coeffs = np.zeros((len(centers), 3))
+        coeffs[:, 0] = total
+        # strictly decreasing pieces [y[i+1], y[i]], ascending in t; they
+        # tile [ymin, ymax], and each midpoint above ymin lies on the first
+        # piece that ends above it
+        i = np.nonzero(y[:-1] > y[1:])[0][::-1]
+        if len(i):
+            hi, slope = y[i], (s[i + 1] - s[i]) / (y[i + 1] - y[i])
+            on = centers >= ymin
+            p = np.minimum(np.searchsorted(hi, centers[on], side="right"), len(i) - 1)
+            coeffs[on, 0] = s[i[p]] + (centers[on] - hi[p]) * slope[p]
+            coeffs[on, 1] = slope[p]
+        return cls(breaks=breaks, centers=centers, coeffs=coeffs, total_measure=total,
+                   ess_inf=ymin)
 
     @property
     def num_segments(self) -> int:
         return len(self.centers)
+
+    @property
+    def ess_sup(self) -> float:
+        return float(self.breaks[-1])
 
     def locate(self, t):
         return np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0,
@@ -73,13 +111,13 @@ class MuSegments:
     def eval_in_segment(self, j, t):
         x = t - self.centers[j]
         a, b, c = self.coeffs[j, 0], self.coeffs[j, 1], self.coeffs[j, 2]
-        return np.clip(a + b * x + c * x * x, 0.0, self.total)
+        return np.clip(a + b * x + c * x * x, 0.0, self.total_measure)
 
     def mu(self, t):
         t = np.asarray(t, dtype=float)
         j = self.locate(t)
         out = self.eval_in_segment(j, t)
-        out = np.where(t < self.breaks[0], self.total, out)
+        out = np.where(t < self.breaks[0], self.total_measure, out)
         out = np.where(t >= self.breaks[-1], 0.0, out)
         return out if out.ndim else float(out)
 
@@ -92,15 +130,62 @@ class MuSegments:
         d = np.minimum(d, 0.0)
         return d if d.ndim else float(d)
 
+    @cached_property
     def edge_values(self):
-        """(right limits at segment starts, left limits at segment ends)."""
+        """(right limits at segment starts, left limits at segment ends),
+        made monotone in scan order against rounding wobble."""
         k = np.arange(self.num_segments)
-        right = self.eval_in_segment(k, self.breaks[:-1])
+        right = np.minimum.accumulate(self.eval_in_segment(k, self.breaks[:-1]))
         left = self.eval_in_segment(k, self.breaks[1:])
-        return right, left
+        return right, np.minimum(np.minimum.accumulate(left), right)
+
+    def ustar(self, s):
+        """Generalized inverse inf{t >= 0 : mu(t) < s}, vectorized."""
+        s_arr = np.asarray(s, dtype=float)
+        scalar = s_arr.ndim == 0
+        s_arr = np.atleast_1d(s_arr).astype(float)
+        right, left = self.edge_values
+        k = self.num_segments
+        # queries at the full measure must resolve to the essential infimum,
+        # not fall through a 1-ulp wobble of the computed plateau value
+        s_arr = np.minimum(s_arr, right[0])
+        j = np.searchsorted(-left, -s_arr, side="right")
+        out = np.empty_like(s_arr)
+        beyond = j >= k
+        out[beyond] = self.breaks[-1]
+        active = ~beyond & (s_arr > 0)
+        out[~beyond & ~active] = self.breaks[-1]
+        ji = np.clip(j, 0, k - 1)
+        jump = active & (right[ji] < s_arr)
+        out[jump] = self.breaks[ji[jump]]
+        solve = active & ~jump
+        if np.any(solve):
+            js = ji[solve]
+            a = self.coeffs[js, 0] - s_arr[solve]
+            b = self.coeffs[js, 1]
+            c = self.coeffs[js, 2]
+            x0 = self.breaks[js] - self.centers[js]
+            x1 = self.breaks[js + 1] - self.centers[js]
+            lin = np.abs(c) * np.maximum(np.abs(x0), np.abs(x1)) < 1e-14 * np.maximum(np.abs(b), 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xl = -a / np.where(b != 0, b, -1e-300)
+                disc = np.maximum(b * b - 4.0 * c * a, 0.0)
+                sq = np.sqrt(disc)
+                qq = -0.5 * (b + np.sign(b + (b == 0)) * sq)
+                r1 = qq / np.where(c != 0, c, 1e-300)
+                r2 = a / np.where(qq != 0, qq, 1e-300)
+            tol = 1e-9 * (x1 - x0) + 1e-300
+            in1 = (r1 >= x0 - tol) & (r1 <= x1 + tol)
+            root = np.where(in1, r1, r2)
+            x = np.where(lin, xl, root)
+            x = np.clip(x, x0, x1)
+            out[solve] = self.centers[js] + x
+        out = np.clip(out, 0.0, self.breaks[-1])
+        return float(out[0]) if scalar else out
 
 
-def build_mu_segments(u: ScalarField) -> MuSegments:
+def build_mu_segments(u: ScalarField) -> DistributionFunction:
+    """mu of |u| for a P1 field, exact and piecewise quadratic."""
     vals = np.abs(u.values)
     vmax = float(vals.max())
     if vmax <= 0.0:
@@ -172,8 +257,8 @@ def build_mu_segments(u: ScalarField) -> MuSegments:
         b += add[j, 1]
         c += add[j, 2]
         coeffs[j] = (a, b, c)
-    return MuSegments(breaks=breaks, centers=centers, coeffs=coeffs, total=total,
-                      u_min=float(vals.min()))
+    return DistributionFunction(breaks=breaks, centers=centers, coeffs=coeffs,
+                                total_measure=total, ess_inf=float(vals.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +380,13 @@ class LevelGrid:
             raise LevelGridError("level grid values must be strictly increasing")
 
 
-def make_level_grid(t_max: float, anchors=(), count: int = 512, include=(),
-                    margin: float = 1e-6, max_points: int = 8192) -> LevelGrid:
+# the grid stays _LEVEL_MARGIN * t_max away from 0 and t_max, and keeps at
+# most _LEVEL_MAX_POINTS levels
+_LEVEL_MARGIN = 1e-6
+_LEVEL_MAX_POINTS = 8192
+
+
+def make_level_grid(t_max: float, anchors=(), count: int = 512, include=()) -> LevelGrid:
     """Cosine-clustered levels on (0, t_max) refined near each anchor.
 
     Anchor values (u_min, v_min, ...) become panel boundaries so points
@@ -305,8 +395,8 @@ def make_level_grid(t_max: float, anchors=(), count: int = 512, include=(),
     """
     if t_max <= 0:
         raise LevelGridError("t_max must be positive")
-    lo = margin * t_max
-    hi = (1.0 - margin) * t_max
+    lo = _LEVEL_MARGIN * t_max
+    hi = (1.0 - _LEVEL_MARGIN) * t_max
     panels = sorted({lo, hi, *[float(a) for a in anchors if lo < float(a) < hi]})
     pts = []
     for a, b in zip(panels, panels[1:]):
@@ -325,8 +415,8 @@ def make_level_grid(t_max: float, anchors=(), count: int = 512, include=(),
         keep = ~np.isin(vals, interior)
         vals = np.concatenate([vals[keep], interior * (1.0 - 1e-9), interior * (1.0 + 1e-9)])
     vals = np.unique(vals)
-    if len(vals) > max_points:
-        idx = np.unique(np.linspace(0, len(vals) - 1, max_points).astype(int))
+    if len(vals) > _LEVEL_MAX_POINTS:
+        idx = np.unique(np.linspace(0, len(vals) - 1, _LEVEL_MAX_POINTS).astype(int))
         vals = vals[idx]
     return LevelGrid(values=vals)
 
@@ -387,9 +477,7 @@ def ode_residuals(source, fstar, beta: float, grid: LevelGrid) -> OdeResidualRep
         pb = n * omega_n ** (1.0 / n) * source.measure ** ((n - 1.0) / n)
         exterior = np.where(ts < source.v_m, pb / source.v_m, 0.0)
     else:
-        from .rearrange import distribution_function
-
-        dist = distribution_function(source)
+        dist = build_mu_segments(source)
         mu = dist.mu(ts)
         dmu = dist.dmu(ts)
         interior = np.array([interior_level_perimeter(source, t) for t in ts])
@@ -425,9 +513,7 @@ def quantitative_ode_margins(u: ScalarField, fstar, beta: float, gamma_n: float,
                              levels):
     """Margins of the asymmetry-strengthened level-set inequality
     4 pi mu (1 + alpha(U_t)^2 / gamma_n) <= RHS at the given levels."""
-    from .rearrange import distribution_function
-
-    dist = distribution_function(u)
+    dist = build_mu_segments(u)
     out = []
     for t in np.asarray(levels, dtype=float):
         mu = float(dist.mu(t))

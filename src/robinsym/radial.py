@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros
 
 from .domains import unit_ball_measure
-from .rearrange import DecreasingProfile, constant_profile
+from .rearrange import DecreasingProfile, _batched_segment_integral, constant_profile
 
 
 class RadialError(ValueError):
@@ -171,8 +171,6 @@ class RadialSolution:
         if p <= 0 or q <= 0:
             raise RadialError("Lorentz exponents must be positive")
         plateau = self.measure ** (q / p) * self.v_m ** q / q
-        from .rearrange import _batched_segment_integral
-
         ratio = q / p
         scale = self.measure ** ratio * self.v_M ** q
 
@@ -233,13 +231,11 @@ def symmetrized_constant_source(measure: float, beta: float, value: float = 1.0,
 # disc oracles
 
 
-def ball_closed_forms(R: float, beta: float, n: int = 2):
+def ball_closed_forms(R: float, beta: float):
     """(radial profile u(r), torsion) for f = 1 on the disc of radius R:
     u(r) = (R^2 - r^2)/4 + R/(2 beta), T = pi R^4/8 + pi R^3/(2 beta)."""
     if R <= 0 or beta <= 0:
         raise RadialError("R and beta must be positive")
-    if n != 2:
-        raise RadialError("closed forms implemented for n = 2")
 
     def u(r):
         return (R * R - np.asarray(r, dtype=float) ** 2) / 4.0 + R / (2.0 * beta)
@@ -272,8 +268,3 @@ def bessel_eigen_oracle(R: float, beta: float) -> float:
     if not (fn(0.0) > 0.0 > fn(hi)):
         raise OracleError("failed to bracket the principal Robin eigenvalue")
     return float(brentq(fn, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-
-
-def phi_distribution(rs: RadialSolution):
-    """DistributionFunction-style view of phi(t) = |{v > t}|."""
-    return rs.distribution()

@@ -1,8 +1,10 @@
-"""Distribution functions, rearrangements, and Lorentz norms.
+"""Decreasing profiles, rearrangements, and Lorentz norms.
 
-Norms are always computed from the distribution function mu, never from a
-sampled rearrangement: the theorem gaps are differences of integrals of
-mu^(1/k), and inverse-sampling error would show up directly in them.
+The distribution function mu itself is `levelset.DistributionFunction`;
+`distribution_function` builds it for a field or a profile.  Norms are always
+computed from mu, never from a sampled rearrangement: the theorem gaps are
+differences of integrals of mu^(1/k), and inverse-sampling error would show
+up directly in them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ScalarField
-from .levelset import MuSegments, build_mu_segments
+from .levelset import DistributionFunction, build_mu_segments
 from .domains import unit_ball_measure
 
 _GAUSS_CACHE: dict = {}
@@ -108,144 +110,16 @@ def constant_profile(value: float, total: float) -> DecreasingProfile:
 # distribution functions
 
 
-class DistributionFunction:
-    """Nonincreasing right-continuous t -> |{u > t}| with exact piecewise
-    structure (quadratic segments for P1 fields, linear for profiles)."""
-
-    def __init__(self, segments: MuSegments):
-        self._seg = segments
-        self._edges = None
-
-    @property
-    def total_measure(self) -> float:
-        return self._seg.total
-
-    @property
-    def ess_sup(self) -> float:
-        return float(self._seg.breaks[-1])
-
-    @property
-    def ess_inf(self) -> float:
-        return self._seg.u_min
-
-    @property
-    def breaks(self):
-        return self._seg.breaks
-
-    def mu(self, t):
-        return self._seg.mu(t)
-
-    def dmu(self, t):
-        return self._seg.dmu(t)
-
-    def _edge_values(self):
-        if self._edges is None:
-            right, left = self._seg.edge_values()
-            # enforce monotone scan order against rounding wobble
-            right = np.minimum.accumulate(right)
-            left = np.minimum(np.minimum.accumulate(left), right)
-            self._edges = (right, left)
-        return self._edges
-
-    def ustar(self, s):
-        """Generalized inverse inf{t >= 0 : mu(t) < s}, vectorized."""
-        seg = self._seg
-        s_arr = np.asarray(s, dtype=float)
-        scalar = s_arr.ndim == 0
-        s_arr = np.atleast_1d(s_arr).astype(float)
-        right, left = self._edge_values()
-        k = seg.num_segments
-        # queries at the full measure must resolve to the essential infimum,
-        # not fall through a 1-ulp wobble of the computed plateau value
-        s_arr = np.minimum(s_arr, right[0])
-        j = np.searchsorted(-left, -s_arr, side="right")
-        out = np.empty_like(s_arr)
-        beyond = j >= k
-        out[beyond] = seg.breaks[-1]
-        active = ~beyond & (s_arr > 0)
-        out[~beyond & ~active] = seg.breaks[-1]
-        ji = np.clip(j, 0, k - 1)
-        jump = active & (right[ji] < s_arr)
-        out[jump] = seg.breaks[ji[jump]]
-        solve = active & ~jump
-        if np.any(solve):
-            js = ji[solve]
-            a = seg.coeffs[js, 0] - s_arr[solve]
-            b = seg.coeffs[js, 1]
-            c = seg.coeffs[js, 2]
-            x0 = seg.breaks[js] - seg.centers[js]
-            x1 = seg.breaks[js + 1] - seg.centers[js]
-            lin = np.abs(c) * np.maximum(np.abs(x0), np.abs(x1)) < 1e-14 * np.maximum(np.abs(b), 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xl = -a / np.where(b != 0, b, -1e-300)
-                disc = np.maximum(b * b - 4.0 * c * a, 0.0)
-                sq = np.sqrt(disc)
-                qq = -0.5 * (b + np.sign(b + (b == 0)) * sq)
-                r1 = qq / np.where(c != 0, c, 1e-300)
-                r2 = a / np.where(qq != 0, qq, 1e-300)
-            tol = 1e-9 * (x1 - x0) + 1e-300
-            in1 = (r1 >= x0 - tol) & (r1 <= x1 + tol)
-            root = np.where(in1, r1, r2)
-            x = np.where(lin, xl, root)
-            x = np.clip(x, x0, x1)
-            out[solve] = seg.centers[js] + x
-        out = np.clip(out, 0.0, seg.breaks[-1])
-        return float(out[0]) if scalar else out
-
-
-def _segments_from_profile(prof: DecreasingProfile) -> MuSegments:
-    s, y = prof.s, prof.values
-    total = prof.total
-    pieces = []  # (t_lo, t_hi, s_i, y_i, slope) ascending in t
-    for i in range(len(s) - 2, -1, -1):
-        if y[i] > y[i + 1]:
-            slope = (s[i + 1] - s[i]) / (y[i + 1] - y[i])
-            pieces.append((y[i + 1], y[i], s[i], y[i], slope))
-    ymin = float(y[-1])
-    breaks = [0.0]
-    if ymin > 0.0:
-        breaks.append(ymin)
-    for lo, hi, *_ in pieces:
-        if hi > breaks[-1]:
-            if lo > breaks[-1]:
-                breaks.append(lo)
-            breaks.append(hi)
-    breaks = np.unique(np.array(breaks))
-    k = len(breaks) - 1
-    centers = 0.5 * (breaks[:-1] + breaks[1:])
-    coeffs = np.zeros((max(k, 0), 3))
-    ptr = 0  # pieces and segments are both ascending in t
-    for j in range(k):
-        m = centers[j]
-        if m < ymin or not pieces:
-            coeffs[j] = (total, 0.0, 0.0)
-            continue
-        while ptr < len(pieces) - 1 and pieces[ptr][1] <= m:
-            ptr += 1
-        lo, hi, si, yi, slope = pieces[ptr]
-        if m < lo or (m >= hi and not (j == k - 1 and hi >= breaks[-1])):
-            coeffs[j] = (total, 0.0, 0.0) if m < ymin else (0.0, 0.0, 0.0)
-            continue
-        coeffs[j] = (si + (m - yi) * slope, slope, 0.0)
-    if k == 0:  # constant zero profile is rejected upstream; keep a stub
-        breaks = np.array([0.0, max(ymin, 1e-300)])
-        centers = 0.5 * (breaks[:-1] + breaks[1:])
-        coeffs = np.array([[total, 0.0, 0.0]])
-        k = 1
-    return MuSegments(breaks=breaks, centers=centers, coeffs=coeffs, total=total,
-                      u_min=ymin)
-
-
 def distribution_function(obj) -> DistributionFunction:
     """Distribution function of |u| for a ScalarField or DecreasingProfile.
 
-    Radial solutions carry their own exact distribution; use their
-    .distribution() (see phi_distribution) which shares this interface.
+    Radial solutions carry their own exact distribution, whose
+    .distribution() shares this interface.
     """
     if isinstance(obj, ScalarField):
-        return DistributionFunction(build_mu_segments(obj))
+        return build_mu_segments(obj)
     if isinstance(obj, DecreasingProfile):
-        return DistributionFunction(_segments_from_profile(obj))
+        return DistributionFunction.from_profile(obj.s, obj.values)
     if hasattr(obj, "distribution"):
         return obj.distribution()
     raise RearrangeError(f"cannot build a distribution function from {type(obj)!r}")
@@ -323,18 +197,17 @@ def lorentz_power_integral(dist, p: float, q: float) -> float:
     a, b = a[keep], b[keep]
     jmap = np.nonzero(keep)[0]
     scale = dist.total_measure ** ratio * max(dist.ess_sup, 1e-300) ** params.q
-    seg = dist._seg
 
     if params.q >= 1.0:
         def f(i, t):
-            m = seg.eval_in_segment(jmap[i], t)
+            m = dist.eval_in_segment(jmap[i], t)
             return t ** (params.q - 1.0) * m ** ratio
         total = _batched_segment_integral(f, a, b, scale)
     else:
         # substitute tau = t^q to absorb the integrable t^(q-1) weight
         def f(i, tau):
             t = tau ** (1.0 / params.q)
-            m = seg.eval_in_segment(jmap[i], t)
+            m = dist.eval_in_segment(jmap[i], t)
             return m ** ratio / params.q
         total = _batched_segment_integral(f, a ** params.q, b ** params.q, scale)
     if not math.isfinite(total):
@@ -355,15 +228,14 @@ def _lorentz_sup(dist, p: float) -> float:
     limit at the right end) and the roots of p mu + t mu' = 0."""
     if isinstance(dist, ScalarField):
         dist = distribution_function(dist)
-    seg = getattr(dist, "_seg", None)
-    if seg is None:
+    if not isinstance(dist, DistributionFunction):
         ts = np.linspace(0.0, dist.ess_sup, 8193)
         return float(np.max(ts ** p * dist.mu(ts)))
     best = 0.0
-    for j in range(seg.num_segments):
-        a, b = float(seg.breaks[j]), float(seg.breaks[j + 1])
-        m = float(seg.centers[j])
-        ca, cb, cc = seg.coeffs[j]
+    for j in range(dist.num_segments):
+        a, b = float(dist.breaks[j]), float(dist.breaks[j + 1])
+        m = float(dist.centers[j])
+        ca, cb, cc = dist.coeffs[j]
         cand = [a, b]
         # p mu + t mu' = 0 with mu = ca + cb x + cc x^2, t = x + m
         c2 = (p + 2.0) * cc
@@ -382,7 +254,7 @@ def _lorentz_sup(dist, p: float) -> float:
             if a < t < b:
                 cand.append(t)
         ts = np.array(cand)
-        vals = ts ** p * seg.eval_in_segment(np.full(len(ts), j, dtype=int), ts)
+        vals = ts ** p * dist.eval_in_segment(np.full(len(ts), j, dtype=int), ts)
         best = max(best, float(vals.max()))
     return best
 
@@ -410,8 +282,7 @@ def hardy_littlewood_gap(h: ScalarField, g: ScalarField) -> float:
     total = dh.total_measure
     cuts = [np.array([0.0, total])]
     for d in (dh, dg):
-        r, l = d._edge_values()
-        cuts.extend([r, l])
+        cuts.extend(d.edge_values)
     sb = np.unique(np.clip(np.concatenate(cuts), 0.0, total))
     xg, wg = _gauss(16)
     acc = 0.0

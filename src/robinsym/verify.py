@@ -389,8 +389,11 @@ class PropagationReport:
     passed: bool | None
 
 
-def check_propagation(domain: Domain, u: ScalarField, t: float,
-                      tol: float = 5e-3) -> PropagationReport:
+# slack of the propagation check beyond the search's own error estimate
+_PROPAGATION_TOL = 5e-3
+
+
+def check_propagation(domain: Domain, u: ScalarField, t: float) -> PropagationReport:
     """Asymmetry propagation to the superlevel set U_t = {u > t} of a field
     on a mesh of the domain: if |Omega \\ U_t| / |Omega| <= alpha(Omega)/4
     then alpha(U_t) >= alpha(Omega)/2, with the removed fraction measured on
@@ -405,7 +408,7 @@ def check_propagation(domain: Domain, u: ScalarField, t: float,
                                  removed_fraction=removed, hypothesis_met=False,
                                  applicable=False, passed=None)
     a_sub = superlevel_asymmetry(u, t)
-    ok = a_sub.value >= alpha.value / 2.0 - a_sub.error - tol
+    ok = a_sub.value >= alpha.value / 2.0 - a_sub.error - _PROPAGATION_TOL
     return PropagationReport(domain_spec=domain_spec_string(domain),
                              alpha_domain=alpha.value, alpha_subset=a_sub.value,
                              removed_fraction=removed, hypothesis_met=True,

@@ -75,6 +75,30 @@ def test_k_out_of_range_cites_bound():
     assert parse_config(ok).ks == [2.0]
 
 
+@pytest.mark.parametrize("key", ["domains", "betas", "ks", "sources", "theorems"])
+def test_empty_list_rejected_by_name(key):
+    lines = [f"{key} =" if line.startswith(f"{key} =") else line
+             for line in MINIMAL.split("\n")]
+    with pytest.raises(ConfigError, match=f"{key} must list"):
+        parse_config("\n".join(lines))
+
+
+@pytest.mark.parametrize("flag,value", [("--h", "-0.1"), ("--h", "0"),
+                                        ("--gamma2", "-1"), ("--gamma2", "0")])
+def test_cli_verify_overrides_are_validated(tmp_path, monkeypatch, flag, value):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL)
+
+    def no_jobs(cfg):
+        raise AssertionError("a job ran with an invalid override")
+
+    monkeypatch.setattr("robinsym.cli.run_experiments", no_jobs)
+    with pytest.raises(ConfigError, match=f"{flag[2:]} must be positive"):
+        cli_main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep"),
+                  flag, value])
+    assert not (tmp_path / "rep").exists()
+
+
 def test_job_enumeration_deterministic():
     cfg = parse_config(MINIMAL.replace("domains = disc r=1",
                                        "domains = disc r=1; rect w=2 h=0.5"))

@@ -9,7 +9,6 @@ from robinsym.radial import (
     ball_closed_forms,
     ball_torsion,
     bessel_eigen_oracle,
-    phi_distribution,
     symmetrized_constant_source,
     symmetrized_solution,
 )
@@ -95,7 +94,7 @@ def test_lorentz_integrals_against_closed_forms():
 
 def test_distribution_view():
     rs = symmetrized_constant_source(math.pi, beta=1.0)
-    d = phi_distribution(rs)
+    d = rs.distribution()
     assert d.total_measure == pytest.approx(math.pi)
     assert d.mu(0.1) == pytest.approx(math.pi)
     assert d.mu(1.0) == 0.0

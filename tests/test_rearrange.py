@@ -86,6 +86,20 @@ def test_distribution_matches_monte_carlo():
         assert d.mu(t) == pytest.approx(frac, abs=3.5 * sigma)
 
 
+def test_profile_with_interior_plateau():
+    # u* falls 3 -> 2 on [0, .2], stays at 2 on [.2, .5], falls 2 -> 1 on
+    # [.5, .7] and 1 -> 0 on [.7, 1]: mu jumps from .5 to .2 at t = 2
+    d = distribution_function(DecreasingProfile(s=[0.0, 0.2, 0.5, 0.7, 1.0],
+                                                values=[3.0, 2.0, 2.0, 1.0, 0.0]))
+    assert d.mu(2.5) == pytest.approx(0.1, rel=1e-12)
+    assert d.mu(2.0) == pytest.approx(0.2, rel=1e-12)
+    assert d.mu(2.0 - 1e-12) == pytest.approx(0.5, rel=1e-9)
+    assert d.mu(1.5) == pytest.approx(0.6, rel=1e-12)
+    assert d.mu(0.5) == pytest.approx(0.85, rel=1e-12)
+    assert d.mu(3.0) == 0.0
+    assert d.ustar(0.3) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_rearrangement_of_constant():
     d = distribution_function(constant_profile(0.7, 2.5))
     prof = decreasing_rearrangement(d, num=64)

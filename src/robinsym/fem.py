@@ -5,8 +5,10 @@ blocks L/6 [[2,1],[1,2]]; no lumping, so the compatibility identity
 beta * boundary_integral(u) = volume_integral(f) holds to solver tolerance.
 
 The Robin-Poisson system is solved by one SuperLU factorization (symmetric
-mode, minimum-degree ordering); the principal eigenpair uses inverse power
-iteration with Jacobi-preconditioned CG inner solves.
+mode, minimum-degree ordering).  The principal eigenpair comes from nested
+inverse iteration down the mesh's `refine_mesh` hierarchy: LU solves on the
+coarsest mesh, then on each finer one CG preconditioned by a multigrid
+V-cycle, started from the prolonged eigenvector of the mesh below.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .meshing import Mesh
 
@@ -120,9 +122,11 @@ def _assemble(n: int, elements: np.ndarray, local) -> sparse.csr_matrix:
     (elements[:, i], elements[:, j])."""
     d = elements.shape[1]
     pairs = [(i, j) for i in range(d) for j in range(d)]
-    # the int64 index arrays die once coo_matrix has its own int32 copies,
-    # before the CSR conversion allocates
-    coo = sparse.coo_matrix((np.concatenate([local(i, j) for i, j in pairs]),
+    elements = elements.astype(np.int32)  # the index dtype coo_matrix keeps
+    data = np.empty((len(pairs), len(elements)))
+    for k, (i, j) in enumerate(pairs):
+        data[k] = local(i, j)
+    coo = sparse.coo_matrix((data.ravel(),
                              (np.concatenate([elements[:, i] for i, _ in pairs]),
                               np.concatenate([elements[:, j] for _, j in pairs]))),
                             shape=(n, n))
@@ -130,7 +134,7 @@ def _assemble(n: int, elements: np.ndarray, local) -> sparse.csr_matrix:
 
 
 def stiffness_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    _, b, c, area = _p1_geometry(mesh)
+    b, c, area = _p1_geometry(mesh)[1:]
     return _assemble(mesh.num_nodes, mesh.triangles,
                      lambda i, j: (b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
 
@@ -142,7 +146,7 @@ def boundary_mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
 
 
 def mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    _, _, _, area = _p1_geometry(mesh)
+    area = mesh.triangle_areas()
     return _assemble(mesh.num_nodes, mesh.triangles,
                      lambda i, j: area * (2.0 if i == j else 1.0) / 12.0)
 
@@ -177,31 +181,22 @@ def assemble_robin_system(mesh: Mesh, f: SourceSpec, beta: float) -> SparseSyste
     return SparseSystem(matrix=A, rhs=rhs, mesh=mesh, beta=beta)
 
 
-def _jacobi(A):
-    d = A.diagonal()
-    inv = np.where(d > 0, 1.0 / np.maximum(d, 1e-300), 1.0)
-    return sparse.diags(inv)
-
-
-def _cg_solve(A, b, rtol):
-    x, _ = cg(A, b, rtol=rtol, atol=0.0, M=_jacobi(A), maxiter=max(2000, 20 * A.shape[0]))
-    return x
+def _factor(A):
+    """SuperLU factor of the SPD matrix A.  SuperLU runs in symmetric mode: a
+    minimum-degree ordering of A + A^T and no pivoting keep the fill at
+    Cholesky shape."""
+    try:
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverError(f"singular matrix on {A.shape[0]} nodes: {exc}") from exc
 
 
 def solve_poisson(system: SparseSystem) -> ScalarField:
     """One sparse LU factorization and one solve; guarantees relative residual
-    <= 1e-10 or raises SolverError.
-
-    The Robin matrix is SPD, so SuperLU runs in symmetric mode: a minimum-degree
-    ordering of A + A^T and no pivoting keep the fill at Cholesky shape.
-    """
+    <= 1e-10 or raises SolverError."""
     A, b = system.matrix, system.rhs
-    try:
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"singular matrix on {A.shape[0]} nodes: {exc}") from exc
-    x = lu.solve(b)
+    x = _factor(A).solve(b)
     resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
     if not resid <= 1e-10:
         raise SolverError(f"LU solve left relative residual {resid:.3e}", [resid])
@@ -213,39 +208,107 @@ def solve_robin_poisson(mesh: Mesh, f: SourceSpec, beta: float) -> ScalarField:
 
 
 # inverse iteration stops when lambda changes by at most _EIGEN_TOL relative,
-# and fails after _EIGEN_MAXITER steps
+# and fails after _EIGEN_MAXITER steps; each inner PCG solve stops at relative
+# residual _PCG_TOL and fails after _PCG_MAXITER iterations
 _EIGEN_TOL = 1e-10
 _EIGEN_MAXITER = 200
+_PCG_TOL = 1e-13
+_PCG_MAXITER = 500
+# the V-cycle smoother: damped Jacobi, this weight, this many sweeps on each side
+_JACOBI_OMEGA = 0.6
+_JACOBI_SWEEPS = 2
 
 
-def principal_robin_eigenpair(mesh: Mesh, beta: float):
-    """Smallest eigenvalue of (K + beta B) w = lambda M w by inverse power
-    iteration with Jacobi-CG inner solves; eigenfunction has unit L2 norm,
-    positive.  Reusing one LU factor for every step is about 8x faster but
-    raises peak memory by about a third at 52k nodes, so CG stays."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    A = stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)
-    M = mass_matrix(mesh)
-    w = np.ones(mesh.num_nodes)
-    w /= math.sqrt(w @ (M @ w))
+def _prolongation(mesh: Mesh) -> sparse.csr_matrix:
+    """P1 interpolation from mesh.parent to mesh: an old node keeps its value,
+    a new node takes the mean of its parent edge's two endpoints."""
+    V, n_new = mesh.parent.num_nodes, len(mesh.parent_edges)
+    indptr = np.concatenate([np.arange(V + 1), V + 2 * np.arange(1, n_new + 1)])
+    indices = np.concatenate([np.arange(V), mesh.parent_edges.ravel()])
+    data = np.concatenate([np.ones(V), np.full(2 * n_new, 0.5)])
+    return sparse.csr_matrix((data, indices, indptr), shape=(mesh.num_nodes, V))
+
+
+def _vcycle(levels, lu, r):
+    """One symmetric V-cycle for the matrix of levels[-1]: damped Jacobi
+    before and after each coarse-grid correction, the root's LU at the
+    bottom.  levels[j] = (A, omega / diag(A), P), P prolonging from level
+    j - 1; the root itself is not in the list."""
+    stack = []
+    for A, dinv, P in reversed(levels):
+        x = dinv * r  # the first sweep, from x = 0
+        for _ in range(_JACOBI_SWEEPS - 1):
+            x += dinv * (r - A @ x)
+        stack.append((x, r))
+        r = P.T @ (r - A @ x)
+    x = lu.solve(r)
+    for (A, dinv, P), (x_pre, r) in zip(levels, reversed(stack)):
+        x = x_pre + P @ x
+        for _ in range(_JACOBI_SWEEPS):
+            x += dinv * (r - A @ x)
+    return x
+
+
+def _pcg(A, b, x0, precondition):
+    x, info = cg(A, b, x0=x0, rtol=_PCG_TOL, atol=0.0, maxiter=_PCG_MAXITER,
+                 M=LinearOperator(A.shape, matvec=precondition, dtype=float))
+    if info:
+        resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
+        raise SolverError(f"PCG hit its cap of {_PCG_MAXITER} iterations on {A.shape[0]}"
+                          f" nodes at relative residual {resid:.3e}", [resid])
+    return x
+
+
+def _inverse_iteration(A, M, w, solve):
+    """Inverse power iteration from w; solve(b, x0) solves A z = b from the
+    guess x0.  Returns lambda and the M-normalized eigenvector."""
+    w = w / math.sqrt(w @ (M @ w))
     lam = float(w @ (A @ w))
     for _ in range(_EIGEN_MAXITER):
-        z = _cg_solve(A, M @ w, rtol=1e-13)
+        z = solve(M @ w, w / lam)
         nz = math.sqrt(z @ (M @ z))
         if nz == 0:
             raise SolverError("inverse iteration produced the zero vector")
         w = z / nz
-        lam_new = float(w @ (A @ w)) / float(w @ (M @ w))
+        lam_new = float(w @ (A @ w))
         if abs(lam_new - lam) <= _EIGEN_TOL * abs(lam_new):
-            lam = lam_new
-            break
+            return lam_new, w
         lam = lam_new
-    else:
-        raise SolverError(f"eigen iteration cap {_EIGEN_MAXITER} exceeded")
+    raise SolverError(f"eigen iteration cap {_EIGEN_MAXITER} exceeded")
+
+
+def _nested_eigenpair(mesh: Mesh, beta: float):
+    """Nested inverse iteration down mesh's parent chain: LU solves on the
+    root, then on each finer mesh V-cycle PCG from the prolonged
+    eigenvector (full-multigrid eigensolver; Brandt, McCormick and Ruge,
+    SIAM J. Sci. Stat. Comput. 1983)."""
+    chain = [mesh]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
+    # assembly sets the peak memory, so every level is assembled, finest
+    # first, before the root's LU factor exists
+    systems = [(m, stiffness_matrix(m) + beta * boundary_mass_matrix(m), mass_matrix(m))
+               for m in chain]
+    _, A, M = systems.pop()
+    lu = _factor(A)
+    lam, w = _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
+    levels = []
+    for m, A, M in reversed(systems):
+        P = _prolongation(m)
+        levels.append((A, _JACOBI_OMEGA / A.diagonal(), P))
+        lam, w = _inverse_iteration(
+            A, M, P @ w, lambda b, x0: _pcg(A, b, x0, lambda r: _vcycle(levels, lu, r)))
+    return lam, w
+
+
+def principal_robin_eigenpair(mesh: Mesh, beta: float):
+    """Smallest eigenvalue of (K + beta B) w = lambda M w and its
+    eigenfunction, positive with unit L2 norm (`_nested_eigenpair`)."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    lam, w = _nested_eigenpair(mesh, beta)
     if w.sum() < 0:
         w = -w
-    w /= math.sqrt(w @ (M @ w))
     return lam, ScalarField(mesh=mesh, values=w)
 
 

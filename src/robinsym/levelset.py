@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .domains import _asymmetry_search, _asymmetry_seeds
 from .fem import ScalarField
@@ -167,7 +168,8 @@ class DistributionFunction:
             x0 = self.breaks[js] - self.centers[js]
             x1 = self.breaks[js + 1] - self.centers[js]
             lin = np.abs(c) * np.maximum(np.abs(x0), np.abs(x1)) < 1e-14 * np.maximum(np.abs(b), 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a linear segment's quadratic root may overflow; it is discarded
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 xl = -a / np.where(b != 0, b, -1e-300)
                 disc = np.maximum(b * b - 4.0 * c * a, 0.0)
                 sq = np.sqrt(disc)
@@ -492,8 +494,10 @@ def superlevel_asymmetry(u: ScalarField, t: float):
     """Fraenkel asymmetry of U_t = {interpolant > t}, or None when U_t is empty.
 
     The boundary of U_t (`superlevel_boundary`) goes through the same
-    boundary-integral search as a domain.  U_t need not be convex, so the
-    search starts from its centroid and 8 offsets in its bounding box.
+    boundary-integral search as a domain.  A convex U_t (the hull of its
+    boundary points has its area, to 1e-12 relative) is searched from its
+    centroid alone, as `fraenkel_asymmetry` searches a convex domain; any
+    other U_t from its centroid and 8 offsets in its bounding box.
     """
     segments = superlevel_boundary(u, t)
     # area and centroid by the shoelace formulas, about a nearby origin
@@ -504,8 +508,11 @@ def superlevel_asymmetry(u: ScalarField, t: float):
     if not area > 0.0:
         return None
     centroid = origin + ((a + b) * cross[:, None]).sum(axis=0) / (6.0 * area)
-    lo, hi = segments.reshape(-1, 2).min(axis=0), segments.reshape(-1, 2).max(axis=0)
-    seeds = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
+    points = segments.reshape(-1, 2)
+    seeds = [centroid]
+    if ConvexHull(points).volume > area * (1.0 + 1e-12):  # a 2-D hull's volume is its area
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        seeds = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
     return _asymmetry_search(segments, [], area, seeds)
 
 

@@ -40,6 +40,10 @@ class Mesh:
     domain: Domain | None = None
     boundary_curve: np.ndarray | None = None  # (B,) int
     boundary_t: np.ndarray | None = None      # (B, 2) params of edge endpoints
+    # refine_mesh output only: the mesh it split, and the two parent nodes of
+    # each new node (node parent.num_nodes + i is the midpoint of row i)
+    parent: Mesh | None = field(default=None, repr=False, compare=False)
+    parent_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -340,7 +344,9 @@ def refine_mesh(m: Mesh) -> Mesh:
 
     New nodes are numbered from num_nodes in the order their edges are first
     met walking edges ab, bc, ca of each triangle in turn.  Boundary edges
-    must be triangle edges, as validate_mesh guarantees.
+    must be triangle edges, as validate_mesh guarantees.  The result keeps
+    `m` as its `parent` and the endpoints of each split edge as
+    `parent_edges`, the hierarchy the eigensolver's multigrid walks.
     """
     V = m.num_nodes
     t = m.triangles.astype(np.int64)
@@ -370,7 +376,7 @@ def refine_mesh(m: Mesh) -> Mesh:
 
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
                 boundary_edges=bedges, h=m.h / 2.0, domain=m.domain,
-                boundary_curve=bcurve, boundary_t=bt)
+                boundary_curve=bcurve, boundary_t=bt, parent=m, parent_edges=edges)
 
 
 # ---------------------------------------------------------------------------

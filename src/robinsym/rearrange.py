@@ -61,6 +61,8 @@ class DecreasingProfile:
         self.values = np.asarray(self.values, dtype=float)
         if len(self.s) != len(self.values) or len(self.s) < 2:
             raise RearrangeError("profile needs matching s/value arrays")
+        if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.values))):
+            raise RearrangeError("profile s and values must be finite")
         if self.s[0] != 0.0 or np.any(np.diff(self.s) <= 0):
             raise RearrangeError("profile s-grid must increase from 0")
         scale = max(abs(float(self.values[0])), 1e-300)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
-from robinsym.domains import build_domain
+from robinsym import fem
+
+from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.fem import (
     ScalarField,
     SolverError,
@@ -19,12 +22,13 @@ from robinsym.fem import (
     field_integral_pow,
     integrate_field,
     load_vector,
+    mass_matrix,
     principal_robin_eigenpair,
     solve_poisson,
     solve_robin_poisson,
     stiffness_matrix,
 )
-from robinsym.meshing import generate_mesh, refine_mesh
+from robinsym.meshing import export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
 from robinsym.radial import bessel_eigen_oracle
 
 
@@ -178,3 +182,40 @@ def test_radial_source_spec():
     src = SourceSpec(kind="radial", fn=lambda r: 2.0 - r, centroid=(0.0, 0.0), label="radial")
     u = solve_robin_poisson(m, src, 1.0)
     assert u.u_min > 0.0
+
+
+def _eigsh_lambda(m, beta=1.0):
+    A = stiffness_matrix(m) + beta * boundary_mass_matrix(m)
+    return float(eigsh(A.tocsc(), k=1, M=mass_matrix(m).tocsc(), sigma=0)[0][0])
+
+
+@pytest.mark.parametrize("spec,h,levels", [
+    ("disc r=1", 0.2, 1), ("ellipse a=1.4142135623730951 b=0.70710678118654757", 0.2, 1),
+    ("rect w=2 h=0.5", 0.1, 1), ("stadium l=1 r=0.5", 0.1, 1),
+    ("polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 0.5474,-0.9483 1.0583,-0.1542 "
+     "0.725,0.8098 -0.1133,1.0612", 0.2, 1),
+    ("ellipse a=1.2 b=0.8", 0.2, 2)])
+def test_multigrid_eigenpair_matches_shift_invert(spec, h, levels):
+    m = generate_mesh(parse_domain_spec(spec), h)
+    for _ in range(levels):
+        m = refine_mesh(m)
+    lam, w = principal_robin_eigenpair(m, 1.0)
+    assert lam == pytest.approx(_eigsh_lambda(m), rel=1e-9)
+    assert w.u_min > 0.0
+    assert float(w.values @ (mass_matrix(m) @ w.values)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_eigenpair_does_not_depend_on_the_hierarchy():
+    m = refine_mesh(generate_mesh(build_domain("stadium", l=1.0, r=0.5), 0.1))
+    flat = import_mesh_text(export_mesh_text(m))
+    assert flat.parent is None
+    assert principal_robin_eigenpair(flat, 1.0)[0] == pytest.approx(
+        principal_robin_eigenpair(m, 1.0)[0], rel=1e-9)
+
+
+def test_pcg_cap_raises_with_nodes_and_residual(monkeypatch):
+    monkeypatch.setattr(fem, "_PCG_MAXITER", 1)
+    m = refine_mesh(generate_mesh(build_domain("disc", r=1.0), 0.2))
+    with pytest.raises(SolverError, match=rf"on {m.num_nodes} nodes at relative residual") as info:
+        principal_robin_eigenpair(m, 1.0)
+    assert info.value.residual_history[-1] > fem._PCG_TOL

@@ -1,10 +1,13 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from robinsym.domains import build_domain, fraenkel_asymmetry, parse_domain_spec
+from robinsym import levelset
+from robinsym.domains import _asymmetry_search, _asymmetry_seeds, build_domain, \
+    fraenkel_asymmetry, parse_domain_spec
 from robinsym.fem import ScalarField, constant_source, solve_robin_poisson
 from robinsym.levelset import (
     LevelGrid,
@@ -23,7 +26,8 @@ from robinsym.levelset import (
 )
 from robinsym.meshing import Mesh, generate_mesh
 from robinsym.radial import symmetrized_constant_source
-from robinsym.rearrange import constant_profile, decreasing_rearrangement, distribution_function
+from robinsym.rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
+    distribution_function
 from robinsym.runner import source_from_name
 
 
@@ -257,3 +261,55 @@ def test_superlevel_asymmetry_none_only_when_empty():
     for t in (u.u_max * (1.0 - 1e-6), u.u_min, 0.0):
         a = superlevel_asymmetry(u, t)
         assert a is not None and 0.0 <= a.value < 2.0
+
+
+def test_ustar_of_a_near_flat_segment_does_not_warn():
+    # the first segment falls by 1e-16 over a unit of s: its quadratic root
+    # overflows and is discarded for the linear one
+    prof = DecreasingProfile(s=[0.0, 1.0, 2.0], values=[1.0, 1.0 - 1e-16, 0.0])
+    q = np.linspace(0.0, 2.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = distribution_function(prof).ustar(q)
+    assert np.allclose(out, np.where(q <= 1.0, 1.0, 2.0 - q), rtol=0.0, atol=1e-15)
+
+
+def _recording_search(monkeypatch):
+    """Patch the search behind superlevel_asymmetry to record its seeds;
+    9-seed searches are skipped, as only their seeds are under test."""
+    seeds_seen = []
+
+    def search(segments, arcs, area, seeds):
+        seeds_seen.append((segments, area, seeds))
+        return _asymmetry_search(segments, arcs, area, seeds) if len(seeds) == 1 else None
+
+    monkeypatch.setattr(levelset, "_asymmetry_search", search)
+    return seeds_seen
+
+
+def test_convex_superlevel_sets_are_searched_from_the_centroid(monkeypatch):
+    # the 20 levels of the propagation property suite (acceptance criterion 10)
+    seen = _recording_search(monkeypatch)
+    for spec in ("ellipse a=1.224744871391589 b=0.81649658092772615",
+                 "ellipse a=1.4142135623730951 b=0.70710678118654757",
+                 "rect w=2 h=0.5", "stadium l=1 r=0.5"):
+        alpha = fraenkel_asymmetry(parse_domain_spec(spec)).value
+        u = _torsion(spec)
+        dist = distribution_function(u)
+        for frac in (1 / 16.0, 1 / 8.0, 3 / 16.0, 0.21, 0.24):
+            superlevel_asymmetry(u, dist.ustar(u.mesh.area() * (1.0 - alpha * frac)))
+    assert len(seen) == 20 and {len(s) for _, _, s in seen} == {1, 9}
+    for segments, area, (centroid,) in (r for r in seen if len(r[2]) == 1):
+        points = segments.reshape(-1, 2)
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        nine = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
+        assert _asymmetry_search(segments, [], area, [centroid]).value == pytest.approx(
+            _asymmetry_search(segments, [], area, nine).value, abs=1e-12)
+
+
+def test_nonconvex_superlevel_sets_keep_nine_seeds(monkeypatch):
+    seen = _recording_search(monkeypatch)
+    superlevel_asymmetry(_l_shape_field(), 0.5)
+    m = generate_mesh(build_domain("rect", w=2.0, h=0.5), 0.1)
+    superlevel_asymmetry(ScalarField(m, np.abs(m.nodes[:, 0])), 0.5)  # two components
+    assert [len(s) for _, _, s in seen] == [9, 9]

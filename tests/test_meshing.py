@@ -181,3 +181,28 @@ def test_refine_matches_loop_reference_bit_exact(spec):
         else:
             assert np.array_equal(r.boundary_t, bt)
             assert np.array_equal(r.boundary_curve, np.repeat(mesh.boundary_curve, 2))
+
+
+def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields():
+    from robinsym.fem import _prolongation
+    m = generate_mesh(build_domain("ellipse", a=1.5, b=0.6), 0.2)
+    r = refine_mesh(m)
+    assert r.parent is m
+    assert r.parent_edges.shape == (r.num_nodes - m.num_nodes, 2)
+    P = _prolongation(r)
+    assert P.shape == (r.num_nodes, m.num_nodes)
+    assert set(np.unique(P.data)) == {0.5, 1.0}
+    linear = lambda p: 0.7 - 1.3 * p[:, 0] + 2.1 * p[:, 1]  # noqa: E731
+    interp = P @ linear(m.nodes)
+    # boundary midpoints are projected onto the ellipse, interior ones are not
+    interior = np.setdiff1d(np.arange(r.num_nodes), r.boundary_nodes())
+    assert np.allclose(interp[interior], linear(r.nodes)[interior], rtol=0.0, atol=1e-14)
+    assert np.array_equal(interp[:m.num_nodes], linear(m.nodes))
+
+
+@pytest.mark.parametrize("spec", ["disc r=1", "ellipse a=1.5 b=0.6", "rect w=2 h=0.5",
+                                  "stadium l=1 r=0.5"])
+def test_generated_and_imported_meshes_have_no_parent(spec):
+    m = generate_mesh(parse_domain_spec(spec), 0.2)
+    for mesh in (m, import_mesh_text(export_mesh_text(refine_mesh(m)))):
+        assert mesh.parent is None and mesh.parent_edges is None

@@ -232,3 +232,10 @@ def test_field_distribution_consistency_with_exact_clip():
     d = distribution_function(u)
     for t in np.linspace(0.25, 1.6, 17):
         assert d.mu(t) == pytest.approx(superlevel_measure_exact(u, t), abs=1e-11)
+
+
+@pytest.mark.parametrize("text", ["0 nan\n1 nan\n", "0 1\n1 nan\n", "0 inf\n1 0\n",
+                                  "0 1\ninf 0\n", "nan 1\n1 0\n"])
+def test_profile_rejects_non_finite_input(text):
+    with pytest.raises(RearrangeError, match="finite"):
+        DecreasingProfile.from_text(text)

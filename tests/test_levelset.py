@@ -24,7 +24,7 @@ from robinsym.levelset import (
     superlevel_boundary,
     superlevel_measure_exact,
 )
-from robinsym.meshing import Mesh, generate_mesh
+from robinsym.meshing import Mesh, generate_mesh, refine_mesh
 from robinsym.radial import symmetrized_constant_source
 from robinsym.rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
     distribution_function
@@ -313,3 +313,74 @@ def test_nonconvex_superlevel_sets_keep_nine_seeds(monkeypatch):
     m = generate_mesh(build_domain("rect", w=2.0, h=0.5), 0.1)
     superlevel_asymmetry(ScalarField(m, np.abs(m.nodes[:, 0])), 0.5)  # two components
     assert [len(s) for _, _, s in seen] == [9, 9]
+
+
+def _loop_mu_segments(u):
+    """build_mu_segments as a per-segment Python recurrence: the reference
+    for the vectorized form, which must match it bit for bit."""
+    vals = np.abs(u.values)
+    snap = float(vals.max()) * 1e-12
+    vals = np.round(vals / snap) * snap
+    tv = np.sort(vals[u.mesh.triangles], axis=1)
+    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
+    area = u.mesh.triangle_areas()
+    breaks = np.unique(np.concatenate([[0.0], vals]))
+    k = len(breaks) - 1
+    centers = 0.5 * (breaks[:-1] + breaks[1:])
+    zero = np.zeros_like(area)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g1 = -area / ((v2 - v1) * (v3 - v1))
+        g2 = area / ((v3 - v2) * (v3 - v1))
+    # pieces (start, end, gamma, theta, alpha) adding gamma (t - theta)^2 + alpha
+    pieces = [(zero, v1, zero, zero, area, v1 > 0.0), (v1, v2, g1, v1, area, v2 > v1),
+              (v2, v3, g2, v3, zero, v3 > v2)]
+    starts, ends, gammas, thetas, alphas = (
+        np.concatenate([p[i][p[5]] for p in pieces]) for i in range(5))
+    si = np.searchsorted(breaks, starts)
+    ei = np.searchsorted(breaks, ends)
+    add = np.zeros((k + 1, 3))
+    sub = np.zeros((k + 1, 3))
+    for events, idx, m in ((add, si, centers[np.clip(si, 0, k - 1)]),
+                           (sub, ei, centers[np.clip(ei - 1, 0, k - 1)])):
+        d = m - thetas
+        np.add.at(events[:, 0], idx, gammas * d * d + alphas)
+        np.add.at(events[:, 1], idx, 2.0 * gammas * d)
+        np.add.at(events[:, 2], idx, gammas)
+    coeffs = np.empty((k, 3))
+    a = b = c = 0.0
+    for j in range(k):
+        if j > 0:
+            a -= sub[j, 0]
+            b -= sub[j, 1]
+            c -= sub[j, 2]
+            dlt = centers[j] - centers[j - 1]
+            a += b * dlt + c * dlt * dlt
+            b += 2.0 * c * dlt
+        a += add[j, 0]
+        b += add[j, 1]
+        c += add[j, 2]
+        coeffs[j] = (a, b, c)
+    return levelset.DistributionFunction(breaks=breaks, centers=centers, coeffs=coeffs,
+                                         total_measure=float(area.sum()),
+                                         ess_inf=float(vals.min()))
+
+
+@pytest.mark.parametrize("refinements", [0, 1])
+@pytest.mark.parametrize("spec", ["disc r=1", ELLIPSE_2, "rect w=2 h=0.5",
+                                  "stadium l=1 r=0.5", HEPTAGON])
+def test_build_mu_segments_matches_the_loop(spec, refinements):
+    d = parse_domain_spec(spec)
+    m = generate_mesh(d, 0.2)
+    for _ in range(refinements):
+        m = refine_mesh(m)
+    fields = [solve_robin_poisson(m, source_from_name(name, d), 1.0) for name in ("const", "bump")]
+    # random values on 11 levels: plateaus and many triangles with tied nodes
+    rng = np.random.default_rng(refinements)
+    fields.append(ScalarField(m, np.round(rng.uniform(0.0, 1.0, m.num_nodes), 1) + 0.5))
+    for u in fields:
+        got, ref = levelset.build_mu_segments(u), _loop_mu_segments(u)
+        for name in ("breaks", "centers", "coeffs"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert (got.total_measure, got.ess_inf) == (ref.total_measure, ref.ess_inf)
+        ts = np.linspace(0.0, 1.01 * u.u_max, 203)
+        assert np.array_equal(got.mu(ts), ref.mu(ts))

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from robinsym.domains import build_domain
-from robinsym.fem import ScalarField, field_integral_pow
-from robinsym.meshing import generate_mesh
+from robinsym import rearrange
+from robinsym.domains import build_domain, parse_domain_spec
+from robinsym.fem import ScalarField, field_integral_pow, solve_robin_poisson
+from robinsym.levelset import DistributionFunction
+from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.rearrange import (
     DecreasingProfile,
     RearrangeError,
@@ -13,11 +15,14 @@ from robinsym.rearrange import (
     constant_profile,
     decreasing_rearrangement,
     distribution_function,
+    _batched_segment_integral,
+    _gauss,
     hardy_littlewood_gap,
     lorentz_norm,
     lorentz_power_integral,
     schwarz_value,
 )
+from robinsym.runner import source_from_name
 
 
 def two_triangle_square():
@@ -239,3 +244,102 @@ def test_field_distribution_consistency_with_exact_clip():
 def test_profile_rejects_non_finite_input(text):
     with pytest.raises(RearrangeError, match="finite"):
         DecreasingProfile.from_text(text)
+
+
+def _loop_hardy_littlewood_gap(h, g):
+    """hardy_littlewood_gap with one 16-point rule per interval in a loop:
+    the reference for the batched form."""
+    tris = h.mesh.triangles
+    hv, gv = h.values[tris], g.values[tris]
+    exact = float(np.sum(h.mesh.triangle_areas() / 12.0
+                         * (hv.sum(axis=1) * gv.sum(axis=1) + (hv * gv).sum(axis=1))))
+    dh, dg = distribution_function(h), distribution_function(g)
+    cuts = [np.array([0.0, dh.total_measure]), *dh.edge_values, *dg.edge_values]
+    sb = np.unique(np.clip(np.concatenate(cuts), 0.0, dh.total_measure))
+    xg, wg = _gauss(16)
+    acc = 0.0
+    for a, b in zip(sb, sb[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        sg = mid + half * xg
+        acc += half * float(wg @ (dh.ustar(sg) * dg.ustar(sg)))
+    return acc - exact
+
+
+@pytest.mark.parametrize("h", [0.34, 0.125])
+def test_hardy_littlewood_gap_matches_the_interval_loop(h):
+    # the fields lie in [0, 1] on the unit square, so both integrals are at
+    # most 1 and the reassociated sums agree to a few ulps of 1
+    m = generate_mesh(build_domain("rect", w=1.0, h=1.0), h)
+    for seed in range(10):
+        f, g = random_field(m, 3000 + seed), random_field(m, 4000 + seed)
+        assert hardy_littlewood_gap(f, g) == pytest.approx(_loop_hardy_littlewood_gap(f, g),
+                                                           rel=0.0, abs=1e-14)
+
+
+# the Lorentz exponents of the default config, ks = 1 and 0.5: (k, 1) for
+# lorentz_k1 and (2k, 2) for lorentz_2k2
+DEFAULT_LORENTZ_PAIRS = [(1.0, 1.0), (0.5, 1.0), (2.0, 2.0), (1.0, 2.0)]
+
+
+def _poisson_fields(spec, refinements):
+    d = parse_domain_spec(spec)
+    m = generate_mesh(d, 0.2)
+    for _ in range(refinements):
+        m = refine_mesh(m)
+    return [solve_robin_poisson(m, source_from_name(name, d), 1.0) for name in ("const", "bump")]
+
+
+def _adaptive_lorentz(dist, p, q):
+    """The adaptive Gauss 16/32 batch on every segment, for q >= 1."""
+    ratio = q / p
+    return _batched_segment_integral(
+        lambda i, t: t ** (q - 1.0) * dist.eval_in_segment(i, t) ** ratio,
+        dist.breaks[:-1], dist.breaks[1:], dist.total_measure ** ratio * dist.ess_sup ** q)
+
+
+@pytest.mark.parametrize("refinements", [0, 1])
+@pytest.mark.parametrize("spec", ["disc r=1", "ellipse a=1.4142135623730951 b=0.7071067811865476",
+                                  "rect w=2 h=0.5", "stadium l=1 r=0.5"])
+def test_exact_lorentz_matches_the_adaptive_batch(spec, refinements):
+    for u in _poisson_fields(spec, refinements):
+        dist = distribution_function(u)
+        for p, q in DEFAULT_LORENTZ_PAIRS:
+            assert lorentz_power_integral(dist, p, q) == pytest.approx(
+                _adaptive_lorentz(dist, p, q), rel=1e-14, abs=0.0)
+
+
+def _count_eval_points(monkeypatch):
+    """Patch DistributionFunction.eval_in_segment to record the number of
+    points of every call, and the adaptive batch to record its calls."""
+    points, batches = [], []
+    eval_in_segment = DistributionFunction.eval_in_segment
+
+    def counting(self, j, t):
+        points.append(np.broadcast(j, t).size)
+        return eval_in_segment(self, j, t)
+
+    def batch(*args, **kwargs):
+        batches.append(args)
+        return _batched_segment_integral(*args, **kwargs)
+
+    monkeypatch.setattr(DistributionFunction, "eval_in_segment", counting)
+    monkeypatch.setattr(rearrange, "_batched_segment_integral", batch)
+    return points, batches
+
+
+@pytest.mark.parametrize("p, q", DEFAULT_LORENTZ_PAIRS)
+def test_exact_lorentz_uses_one_fixed_rule_per_segment(monkeypatch, p, q):
+    dist = distribution_function(_poisson_fields("stadium l=1 r=0.5", 1)[1])
+    points, batches = _count_eval_points(monkeypatch)
+    lorentz_power_integral(dist, p, q)
+    degree = int(2 * q / p + q - 1)
+    assert not batches
+    assert sum(points) == dist.num_segments * (degree // 2 + 1)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 1.0), (1.0, 1.5), (2.0, 0.5), (3.0, 1.0)])
+def test_non_polynomial_lorentz_exponents_use_the_adaptive_batch(monkeypatch, p, q):
+    dist = distribution_function(_poisson_fields("stadium l=1 r=0.5", 0)[0])
+    _, batches = _count_eval_points(monkeypatch)
+    lorentz_power_integral(dist, p, q)
+    assert len(batches) == 1

@@ -4,11 +4,14 @@ The boundary term beta * integral(u v) over the boundary uses exact edge-mass
 blocks L/6 [[2,1],[1,2]]; no lumping, so the compatibility identity
 beta * boundary_integral(u) = volume_integral(f) holds to solver tolerance.
 
-The Robin-Poisson system is solved by one SuperLU factorization (symmetric
-mode, minimum-degree ordering).  The principal eigenpair comes from nested
-inverse iteration down the mesh's `refine_mesh` hierarchy: LU solves on the
-coarsest mesh, then on each finer one CG preconditioned by a multigrid
-V-cycle, started from the prolonged eigenvector of the mesh below.
+Both solvers share one multigrid hierarchy, the mesh's `refine_mesh` parent
+chain with the coarsest mesh factored by SuperLU (symmetric mode,
+minimum-degree ordering).  The Robin-Poisson system is solved by that one LU
+on a mesh without a parent, and by CG preconditioned with a V-cycle down the
+chain on a refined one; both meet the same 1e-10 relative-residual contract.
+The principal eigenpair comes from nested inverse iteration: LU solves on the
+coarsest mesh, then on each finer one V-cycle PCG, started from the
+prolonged eigenvector of the mesh below.
 """
 
 from __future__ import annotations
@@ -173,10 +176,14 @@ def load_vector(mesh: Mesh, f: SourceSpec) -> np.ndarray:
     return load
 
 
+def _robin_matrix(mesh: Mesh, beta: float) -> sparse.csr_matrix:
+    return stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)
+
+
 def assemble_robin_system(mesh: Mesh, f: SourceSpec, beta: float) -> SparseSystem:
     if beta <= 0:
         raise ValueError("beta must be positive")
-    A = stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)
+    A = _robin_matrix(mesh, beta)
     rhs = load_vector(mesh, f)
     return SparseSystem(matrix=A, rhs=rhs, mesh=mesh, beta=beta)
 
@@ -193,13 +200,20 @@ def _factor(A):
 
 
 def solve_poisson(system: SparseSystem) -> ScalarField:
-    """One sparse LU factorization and one solve; guarantees relative residual
-    <= 1e-10 or raises SolverError."""
+    """One sparse LU solve on a mesh without a parent; on a `refine_mesh`
+    output, CG preconditioned by the V-cycle down its parent chain, the
+    coarser levels rediscretized with system.beta.  Either way guarantees
+    relative residual <= 1e-10 or raises SolverError."""
     A, b = system.matrix, system.rhs
-    x = _factor(A).solve(b)
+    if system.mesh.parent is None:
+        method, x = "LU", _factor(A).solve(b)
+    else:
+        chain = list(_chain(system.mesh))
+        lu, levels = _multigrid(chain, [A] + [_robin_matrix(m, system.beta) for m in chain[1:]])
+        method, x = "multigrid PCG", _pcg(A, b, None, lambda r: _vcycle(levels, lu, r))
     resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
     if not resid <= 1e-10:
-        raise SolverError(f"LU solve left relative residual {resid:.3e}", [resid])
+        raise SolverError(f"{method} solve left relative residual {resid:.3e}", [resid])
     return ScalarField(mesh=system.mesh, values=x)
 
 
@@ -227,6 +241,28 @@ def _prolongation(mesh: Mesh) -> sparse.csr_matrix:
     indices = np.concatenate([np.arange(V), mesh.parent_edges.ravel()])
     data = np.concatenate([np.ones(V), np.full(2 * n_new, 0.5)])
     return sparse.csr_matrix((data, indices, indptr), shape=(mesh.num_nodes, V))
+
+
+def _chain(mesh: Mesh):
+    """mesh, its parent, that mesh's parent, and so on down to the root."""
+    while mesh is not None:
+        yield mesh
+        mesh = mesh.parent
+
+
+def _multigrid(chain, matrices):
+    """The V-cycle hierarchy of a parent chain, finest mesh first, from the
+    matrices assembled on it: factors the root's and returns (root LU,
+    levels), levels[j] = (A, omega / diag(A), P) from the root's child up to
+    chain[0], as `_vcycle` takes them."""
+    lu = _factor(matrices[-1])
+    levels = []
+    for m, A in zip(chain[-2::-1], matrices[-2::-1]):
+        diag = A.diagonal()
+        if not np.all(diag > 0):
+            raise SolverError(f"nonpositive diagonal entry on {A.shape[0]} nodes")
+        levels.append((A, _JACOBI_OMEGA / diag, _prolongation(m)))
+    return lu, levels
 
 
 def _vcycle(levels, lu, r):
@@ -282,22 +318,17 @@ def _nested_eigenpair(mesh: Mesh, beta: float):
     root, then on each finer mesh V-cycle PCG from the prolonged
     eigenvector (full-multigrid eigensolver; Brandt, McCormick and Ruge,
     SIAM J. Sci. Stat. Comput. 1983)."""
-    chain = [mesh]
-    while chain[-1].parent is not None:
-        chain.append(chain[-1].parent)
     # assembly sets the peak memory, so every level is assembled, finest
     # first, before the root's LU factor exists
-    systems = [(m, stiffness_matrix(m) + beta * boundary_mass_matrix(m), mass_matrix(m))
-               for m in chain]
-    _, A, M = systems.pop()
-    lu = _factor(A)
+    chain = list(_chain(mesh))
+    systems = [(_robin_matrix(m, beta), mass_matrix(m)) for m in chain]
+    lu, levels = _multigrid(chain, [A for A, _ in systems])
+    A, M = systems.pop()
     lam, w = _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
-    levels = []
-    for m, A, M in reversed(systems):
-        P = _prolongation(m)
-        levels.append((A, _JACOBI_OMEGA / A.diagonal(), P))
+    for j, (A, _, P) in enumerate(levels):
+        M = systems.pop()[1]
         lam, w = _inverse_iteration(
-            A, M, P @ w, lambda b, x0: _pcg(A, b, x0, lambda r: _vcycle(levels, lu, r)))
+            A, M, P @ w, lambda b, x0: _pcg(A, b, x0, lambda r: _vcycle(levels[:j + 1], lu, r)))
     return lam, w
 
 

@@ -1,9 +1,9 @@
 """Triangular meshes for the parametric shape families.
 
 Structured generators: graded polar rings for disc/ellipse, tensor grid for
-rectangles, rectangle plus polar caps for stadiums, centroid fan for convex
-polygons.  Boundary nodes always lie on the exact boundary; refinement
-projects new boundary midpoints back onto it.
+rectangles, tensor grid plus graded half-ring caps for stadiums, centroid fan
+(refined down to h) for convex polygons.  Boundary nodes always lie on the
+exact boundary; refinement projects new boundary midpoints back onto it.
 """
 
 from __future__ import annotations
@@ -110,43 +110,41 @@ def validate_mesh(m: Mesh):
 # generators
 
 
-def _ring_counts(i):
-    return 8 * i
+def _stitch(inner, outer, span):
+    """Triangles between two rings of node indices that sweep the same angle
+    `span`, nodes equally spaced and both ends included (a closed ring repeats
+    its first node): an angular two-pointer merge.  A one-node inner ring
+    gives a fan."""
+    m, n = len(inner) - 1, len(outer) - 1
+    tris = []
+    p = q = 0
+    while p < m or q < n:
+        if q >= n or (p < m and span * (p + 1) / m <= span * (q + 1) / n):
+            tris.append((inner[p], outer[q], inner[p + 1]))
+            p += 1
+        else:
+            tris.append((inner[p], outer[q], outer[q + 1]))
+            q += 1
+    return tris
 
 
 def _disc_topology(rings):
     """Node layout and triangles of the graded-ring template on the unit disc.
 
     Returns (rho, theta, triangles, ring_of_outer_nodes): ring i carries 8*i
-    nodes; consecutive rings are stitched by an angular two-pointer merge.
+    nodes; consecutive rings are stitched by `_stitch`.
     """
     rho = [0.0]
     theta = [0.0]
-    start = [0]
+    closed = [[0]]
     for i in range(1, rings + 1):
-        n = _ring_counts(i)
-        start.append(len(rho))
+        n = 8 * i
+        closed.append(list(range(len(rho), len(rho) + n)) + [len(rho)])
         for j in range(n):
             rho.append(i / rings)
             theta.append(2.0 * math.pi * j / n)
-    tris = []
-    # center fan
-    for j in range(8):
-        tris.append((0, start[1] + j, start[1] + (j + 1) % 8))
-    for i in range(2, rings + 1):
-        m, n = _ring_counts(i - 1), _ring_counts(i)
-        si, so = start[i - 1], start[i]
-        p = q = 0
-        while p < m or q < n:
-            ang_in = 2.0 * math.pi * (p + 1) / m
-            ang_out = 2.0 * math.pi * (q + 1) / n
-            if q >= n or (p < m and ang_in <= ang_out):
-                tris.append((si + p % m, so + q % n, si + (p + 1) % m))
-                p += 1
-            else:
-                tris.append((si + p % m, so + q % n, so + (q + 1) % n))
-                q += 1
-    outer = np.arange(start[rings], start[rings] + _ring_counts(rings))
+    tris = [t for lo, hi in zip(closed, closed[1:]) for t in _stitch(lo, hi, 2.0 * math.pi)]
+    outer = np.array(closed[-1][:-1])
     return np.array(rho), np.array(theta), np.array(tris, dtype=np.int64), outer
 
 
@@ -213,12 +211,16 @@ def _mesh_rect(domain: Domain, h: float) -> Mesh:
 
 
 def _mesh_stadium(domain: Domain, h: float) -> Mesh:
+    """Tensor grid on the central rectangle, 2*mc cells across the diameter,
+    and a graded half-disc on each end whose ring k carries 4k arcs, half the
+    disc template's 8k; the rings are `_stitch`ed as on the disc and end on
+    the rectangle's end columns."""
     l, r, cx, cy = domain.params
     mc = max(2, int(math.ceil(2.0 * r / h)))
     sy = r / mc
     nx = max(1, round(l / sy))
     sx = l / nx
-    kang = max(2, round(math.pi * mc))  # angular cells per half-circle
+    kang = 4 * mc  # boundary arcs per cap: ring k carries 4k
 
     key_scale = 1e9 / max(l, r)
     node_map: dict = {}
@@ -248,23 +250,17 @@ def _mesh_stadium(domain: Domain, h: float) -> Mesh:
             tris.append((a, c, d))
 
     def cap(x0, th0):
-        """Polar tensor half-disc centered (x0, cy), angles th0 .. th0 + pi."""
-        ring_idx = []
-        center = add(x0, cy)
+        """Graded half-disc centered (x0, cy), angles th0 .. th0 + pi; add()
+        merges each ring's two end nodes into the rectangle's end column."""
+        rings = [[add(x0, cy)]]
         for k in range(1, mc + 1):
             rk = k * sy
-            row = [add(x0 + rk * math.cos(th0 + math.pi * m / kang),
-                       cy + rk * math.sin(th0 + math.pi * m / kang))
-                   for m in range(kang + 1)]
-            ring_idx.append(row)
-        for m in range(kang):
-            tris.append((center, ring_idx[0][m], ring_idx[0][m + 1]))
-        for k in range(mc - 1):
-            lo, hi = ring_idx[k], ring_idx[k + 1]
-            for m in range(kang):
-                tris.append((lo[m], hi[m], hi[m + 1]))
-                tris.append((lo[m], hi[m + 1], lo[m + 1]))
-        return ring_idx[-1]
+            rings.append([add(x0 + rk * math.cos(th0 + math.pi * m / (4 * k)),
+                              cy + rk * math.sin(th0 + math.pi * m / (4 * k)))
+                          for m in range(4 * k + 1)])
+        for lo, hi in zip(rings, rings[1:]):
+            tris.extend(_stitch(lo, hi, math.pi))
+        return rings[-1]
 
     right_outer = cap(cx + l / 2, -math.pi / 2)
     left_outer = cap(cx - l / 2, math.pi / 2)

@@ -236,38 +236,31 @@ def lorentz_norm(dist, p: float, q: float) -> float:
 
 def _lorentz_sup(dist, p: float) -> float:
     """sup of t^p mu(t): per segment the candidates are the endpoints (left
-    limit at the right end) and the roots of p mu + t mu' = 0."""
+    limit at the right end) and the roots of p mu + t mu' = 0, all segments
+    in one evaluation."""
     if isinstance(dist, ScalarField):
         dist = distribution_function(dist)
     if not isinstance(dist, DistributionFunction):
         ts = np.linspace(0.0, dist.ess_sup, 8193)
         return float(np.max(ts ** p * dist.mu(ts)))
-    best = 0.0
-    for j in range(dist.num_segments):
-        a, b = float(dist.breaks[j]), float(dist.breaks[j + 1])
-        m = float(dist.centers[j])
-        ca, cb, cc = dist.coeffs[j]
-        cand = [a, b]
-        # p mu + t mu' = 0 with mu = ca + cb x + cc x^2, t = x + m
-        c2 = (p + 2.0) * cc
-        c1 = (p + 1.0) * cb + 2.0 * cc * m
-        c0 = p * ca + cb * m
-        if abs(c2) > 0:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc >= 0:
-                sq = math.sqrt(disc)
-                for root in ((-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)):
-                    t = root + m
-                    if a < t < b:
-                        cand.append(t)
-        elif abs(c1) > 0:
-            t = -c0 / c1 + m
-            if a < t < b:
-                cand.append(t)
-        ts = np.array(cand)
-        vals = ts ** p * dist.eval_in_segment(np.full(len(ts), j, dtype=int), ts)
-        best = max(best, float(vals.max()))
-    return best
+    a, b, m = dist.breaks[:-1], dist.breaks[1:], dist.centers
+    ca, cb, cc = dist.coeffs.T
+    # p mu + t mu' = 0 with mu = ca + cb x + cc x^2, t = x + m
+    c2 = (p + 2.0) * cc
+    c1 = (p + 1.0) * cb + 2.0 * cc * m
+    c0 = p * ca + cb * m
+    quadratic = np.abs(c2) > 0
+    disc = c1 * c1 - 4.0 * c2 * c0
+    sq = np.sqrt(np.where(disc >= 0, disc, 0.0))
+    den = np.where(quadratic, 2 * c2, 1.0)
+    roots = [(-c1 + sq) / den + m, (-c1 - sq) / den + m,
+             -c0 / np.where(c1 != 0, c1, 1.0) + m]
+    real = [quadratic & (disc >= 0)] * 2 + [~quadratic & (np.abs(c1) > 0)]
+    keep = [ok & (a < t) & (t < b) for t, ok in zip(roots, real)]
+    j = np.arange(dist.num_segments)
+    seg = np.concatenate([j, j] + [j[k] for k in keep])
+    ts = np.concatenate([a, b] + [t[k] for t, k in zip(roots, keep)])
+    return float(np.max(ts ** p * dist.eval_in_segment(seg, ts)))
 
 
 def cavalieri_pnorm_power(dist, p: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from robinsym.fem import (
 )
 from robinsym.meshing import export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
 from robinsym.radial import bessel_eigen_oracle
+from robinsym.runner import source_from_name
 
 
 def disc_exact(r, beta=1.0, R=1.0):
@@ -115,11 +117,11 @@ def test_compatibility_identity():
     assert lhs == pytest.approx(d.measure, rel=2e-3)
 
 
-def test_stadium_65k_solve_meets_residual_contract():
-    # 65,829 nodes: restarted Jacobi-CG stalled here at relative residual
+def test_stadium_51k_solve_meets_residual_contract():
+    # this input once stalled restarted Jacobi-CG at relative residual
     # 1.7e-10, just above the 1e-10 contract
     m = refine_mesh(generate_mesh(build_domain("stadium", l=1.0, r=0.5), 0.025))
-    assert m.num_nodes == 65829
+    assert m.num_nodes == 51681
     system = assemble_robin_system(m, constant_source(1.0), 1.0)
     u = solve_poisson(system)
     A, b = system.matrix, system.rhs
@@ -143,6 +145,82 @@ def test_pure_neumann_matrix_fails_residual_check():
     with pytest.raises(SolverError) as info:
         solve_poisson(system)
     assert info.value.residual_history[-1] > 1e-10
+
+
+def test_exactly_singular_matrix_on_refined_mesh_raises_solver_error():
+    # the multigrid path checks the diagonal before it forms the Jacobi weights
+    m = refine_mesh(generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25))
+    zero = sparse.csr_matrix((m.num_nodes, m.num_nodes))
+    system = SparseSystem(zero, load_vector(m, constant_source()), m, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match=f"{m.num_nodes} nodes"):
+            solve_poisson(system)
+
+
+def test_pure_neumann_matrix_on_refined_mesh_fails():
+    # the coarse levels are Robin matrices, so the V-cycle is well defined;
+    # PCG on the singular finest matrix runs into its cap
+    m = refine_mesh(generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25))
+    system = SparseSystem(stiffness_matrix(m), load_vector(m, constant_source()), m, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError) as info:
+            solve_poisson(system)
+    assert info.value.residual_history[-1] > 1e-10
+
+
+_HEPTAGON = ("polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 0.5474,-0.9483 "
+             "1.0583,-0.1542 0.725,0.8098 -0.1133,1.0612")
+_ELLIPSE_2 = "ellipse a=1.4142135623730951 b=0.70710678118654757"
+_FAMILIES = ["disc r=1", _ELLIPSE_2, "rect w=2 h=0.5", "stadium l=1 r=0.5", _HEPTAGON]
+
+
+def _refined_system(spec, h, levels, source):
+    d = parse_domain_spec(spec)
+    m = generate_mesh(d, h)
+    for _ in range(levels):
+        m = refine_mesh(m)
+    f = constant_source(1.0) if source == "const" else source_from_name("bump", d)
+    return assemble_robin_system(m, f, 1.0)
+
+
+def _count_vcycles(monkeypatch):
+    calls = []
+    vcycle = fem._vcycle
+
+    def counted(*args):
+        calls.append(1)
+        return vcycle(*args)
+
+    monkeypatch.setattr(fem, "_vcycle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["const", "bump"])
+@pytest.mark.parametrize("spec", _FAMILIES)
+def test_multigrid_poisson_matches_lu(spec, source, monkeypatch):
+    system = _refined_system(spec, 0.1, 2, source)
+    calls = _count_vcycles(monkeypatch)
+    u = solve_poisson(system).values
+    lu = fem._factor(system.matrix).solve(system.rhs)
+    assert np.max(np.abs(u - lu)) <= 1e-12 * np.max(np.abs(lu))
+    assert 0 < len(calls) <= 30
+
+
+@pytest.mark.parametrize("spec,h", [(_ELLIPSE_2, 0.05), ("stadium l=1 r=0.5", 0.025)])
+def test_multigrid_poisson_iterations_on_the_ladder_meshes(spec, h, monkeypatch):
+    system = _refined_system(spec, h, 1, "bump")
+    assert system.mesh.num_nodes == {0.05: 52441, 0.025: 51681}[h]
+    calls = _count_vcycles(monkeypatch)
+    solve_poisson(system)
+    assert 0 < len(calls) <= 30
+
+
+def test_root_mesh_solves_without_the_vcycle(monkeypatch):
+    calls = _count_vcycles(monkeypatch)
+    solve_poisson(_refined_system("stadium l=1 r=0.5", 0.1, 0, "const"))
+    assert calls == []
 
 
 def test_lp_integrals():

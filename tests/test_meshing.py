@@ -207,3 +207,52 @@ def test_generated_and_imported_meshes_have_no_parent(spec):
     m = generate_mesh(parse_domain_spec(spec), 0.2)
     for mesh in (m, import_mesh_text(export_mesh_text(refine_mesh(m)))):
         assert mesh.parent is None and mesh.parent_edges is None
+
+
+def _min_angle_deg(m):
+    p = m.nodes[m.triangles]
+    cosines = []
+    for i in range(3):
+        a, b = p[:, (i + 1) % 3] - p[:, i], p[:, (i + 2) % 3] - p[:, i]
+        cosines.append((a * b).sum(axis=1) / (np.hypot(*a.T) * np.hypot(*b.T)))
+    return math.degrees(math.acos(min(1.0, float(np.max(cosines)))))
+
+
+_QUALITY_FAMILIES = [
+    "rect w=2 h=0.5", "disc r=1", "ellipse a=1.4142135623730951 b=0.70710678118654757",
+    "polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 0.5474,-0.9483 1.0583,-0.1542 "
+    "0.725,0.8098 -0.1133,1.0612",
+    "polygon 0,0 1,0 0,1", "stadium l=1 r=0.5", "stadium l=0.2 r=0.8", "stadium l=3 r=0.25"]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("spec", _QUALITY_FAMILIES)
+def test_min_angle_of_every_family(spec, h):
+    # the polar-grid stadium caps went down to 1.4-5.7 degrees here; the
+    # smallest angle now is the right-triangle fan's 18.4
+    m = generate_mesh(parse_domain_spec(spec), h)
+    assert _min_angle_deg(m) >= 15.0
+    assert _min_angle_deg(refine_mesh(m)) >= 15.0
+
+
+# area errors of the polar-grid caps, which the graded caps replaced
+_POLAR_CAP_AREA_ERROR = {("stadium l=1 r=0.5", 0.1): 1.344e-3,
+                         ("stadium l=1 r=0.5", 0.05): 3.255e-4,
+                         ("stadium l=0.2 r=0.8", 0.1): 1.323e-3,
+                         ("stadium l=0.2 r=0.8", 0.05): 3.242e-4,
+                         ("stadium l=3 r=0.25", 0.1): 1.259e-3,
+                         ("stadium l=3 r=0.25", 0.05): 3.359e-4}
+
+
+@pytest.mark.parametrize("spec,h", sorted(_POLAR_CAP_AREA_ERROR))
+def test_stadium_graded_caps(spec, h):
+    d = parse_domain_spec(spec)
+    l, r, cx, cy = d.params
+    m = generate_mesh(d, h)
+    mc = math.ceil(2.0 * r / h)
+    assert np.bincount(m.boundary_curve).tolist() == [round(l / (r / mc)), 4 * mc] * 2
+    assert abs(m.area() - d.measure) < _POLAR_CAP_AREA_ERROR[spec, h]
+    for mesh in (m, refine_mesh(m)):
+        x, y = mesh.nodes[mesh.boundary_nodes()].T
+        dx = np.maximum(np.abs(x - cx) - l / 2, 0.0)
+        assert np.max(np.abs(np.hypot(dx, y - cy) - r)) < 1e-12

@@ -12,6 +12,16 @@ chain on a refined one; both meet the same 1e-10 relative-residual contract.
 The principal eigenpair comes from nested inverse iteration: LU solves on the
 coarsest mesh, then on each finer one V-cycle PCG, started from the
 prolonged eigenvector of the mesh below.
+
+The hierarchy is built once per mesh chain.  Each mesh keeps, per beta, in
+its private store (`Mesh._store`, living as long as the mesh): the Robin
+matrix `assemble_robin_system` returns, the SuperLU factor if the mesh is a
+chain root, and the raw principal eigenpair.  So every source on a ladder
+solves against the same coarse matrices and root factor, and each rung's
+eigenpair continues from the stored one of the rung below.  Nothing else is
+kept: mass matrices, prolongations and Jacobi weights are cheap to form
+again, and keeping them, or a Robin matrix that only the eigensolver
+assembled, raised peak memory without saving time.
 """
 
 from __future__ import annotations
@@ -110,80 +120,110 @@ class SparseSystem:
 
 
 def _p1_geometry(mesh: Mesh):
-    p = mesh.nodes[mesh.triangles]
-    b = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], axis=1)
-    c = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], axis=1)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    return p, b, c, area
+    """(b, c, area): the three basis functions' gradients times twice the
+    area, (b[i], c[i]) for vertex i, and the triangle areas, gathered one
+    coordinate at a time."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    t0, t1, t2 = mesh.triangles.T
+    x0, x1, x2, y0, y1, y2 = x[t0], x[t1], x[t2], y[t0], y[t1], y[t2]
+    b = (y1 - y2, y2 - y0, y0 - y1)
+    c = (x2 - x1, x0 - x2, x1 - x0)
+    # (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0), as in Mesh.triangle_areas
+    return b, c, 0.5 * (c[2] * b[1] - b[2] * c[1])
 
 
-def _assemble(n: int, elements: np.ndarray, local) -> sparse.csr_matrix:
+def _assemble(n: int, elements: np.ndarray, data: np.ndarray) -> sparse.csr_matrix:
     """Sum element matrices into an n x n CSR matrix: for every local pair
-    (i, j), row-major, local(i, j) holds one value per element at
+    (i, j), row-major, row d * i + j of data holds one value per element at
     (elements[:, i], elements[:, j])."""
     d = elements.shape[1]
-    pairs = [(i, j) for i in range(d) for j in range(d)]
-    elements = elements.astype(np.int32)  # the index dtype coo_matrix keeps
-    data = np.empty((len(pairs), len(elements)))
-    for k, (i, j) in enumerate(pairs):
-        data[k] = local(i, j)
-    coo = sparse.coo_matrix((data.ravel(),
-                             (np.concatenate([elements[:, i] for i, _ in pairs]),
-                              np.concatenate([elements[:, j] for _, j in pairs]))),
-                            shape=(n, n))
-    return coo.tocsr()
+    index = elements.T.astype(np.int32)  # the index dtype coo_matrix keeps
+    rows = np.repeat(index, d, axis=0).ravel()
+    cols = np.tile(index, (d, 1)).ravel()
+    return sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _mass_data(d, weight, denominator):
+    """The data of an exact P1 mass matrix: weight * 2 / denominator on the
+    diagonal, weight * 1 / denominator off it."""
+    diag, off = weight * 2.0 / denominator, weight * 1.0 / denominator
+    return np.stack([diag if i == j else off for i in range(d) for j in range(d)])
 
 
 def stiffness_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    b, c, area = _p1_geometry(mesh)[1:]
-    return _assemble(mesh.num_nodes, mesh.triangles,
-                     lambda i, j: (b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
+    b, c, area = _p1_geometry(mesh)
+    area4 = 4.0 * area
+    data = np.empty((9, len(area)))
+    for i in range(3):
+        for j in range(3):
+            np.divide(b[i] * b[j] + c[i] * c[j], area4, out=data[3 * i + j])
+    del b, c, area, area4
+    return _assemble(mesh.num_nodes, mesh.triangles, data)
 
 
 def boundary_mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    length = mesh.boundary_lengths()
     return _assemble(mesh.num_nodes, mesh.boundary_edges,
-                     lambda i, j: length * (2.0 if i == j else 1.0) / 6.0)
+                     _mass_data(2, mesh.boundary_lengths(), 6.0))
 
 
 def mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    area = mesh.triangle_areas()
     return _assemble(mesh.num_nodes, mesh.triangles,
-                     lambda i, j: area * (2.0 if i == j else 1.0) / 12.0)
+                     _mass_data(3, mesh.triangle_areas(), 12.0))
 
 
 def load_vector(mesh: Mesh, f: SourceSpec) -> np.ndarray:
     """Load by 3-point (edge midpoint) quadrature, exact for quadratics."""
+    t0, t1, t2 = mesh.triangles.T
+
+    def midpoints(v):  # on edges 01, 12, 20
+        v0, v1, v2 = v[t0], v[t1], v[t2]
+        return np.stack([0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)], axis=1)
+
     if f.kind == "nodal":
-        fn = f.nodal_values(mesh)
-        fm = 0.5 * (fn[mesh.triangles][:, [0, 1, 2]] + fn[mesh.triangles][:, [1, 2, 0]])
+        fm = midpoints(f.nodal_values(mesh))
     else:
-        p = mesh.nodes[mesh.triangles]
-        mids = 0.5 * (p + np.roll(p, -1, axis=1))  # midpoints of edges 01, 12, 20
-        fm = f.evaluate(mids[..., 0], mids[..., 1])
+        fm = f.evaluate(midpoints(mesh.nodes[:, 0]), midpoints(mesh.nodes[:, 1]))
     _check_admissible(fm)
-    _, _, _, area = _p1_geometry(mesh)
     # basis function i is 1/2 on the two edges touching vertex i, 0 opposite
     contrib = np.empty_like(fm)
     contrib[:, 0] = fm[:, 0] + fm[:, 2]
     contrib[:, 1] = fm[:, 0] + fm[:, 1]
     contrib[:, 2] = fm[:, 1] + fm[:, 2]
-    contrib *= (area / 6.0)[:, None]
-    load = np.zeros(mesh.num_nodes)
-    np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
-    return load
+    del fm
+    contrib *= (mesh.triangle_areas() / 6.0)[:, None]
+    # bincount adds in input order, as np.add.at does
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.num_nodes)
 
 
 def _robin_matrix(mesh: Mesh, beta: float) -> sparse.csr_matrix:
     return stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)
 
 
+def _store(mesh: Mesh, beta: float) -> dict:
+    """mesh's solver store for beta (see the module docstring)."""
+    return mesh._store.setdefault(beta, {})
+
+
+def _robin(mesh: Mesh, beta: float, keep: bool) -> sparse.csr_matrix:
+    """The Robin matrix of (mesh, beta) from mesh's store; one not stored
+    yet is assembled, and kept there, read-only, if `keep`."""
+    store = _store(mesh, beta)
+    A = store.get("matrix")
+    if A is None:
+        A = _robin_matrix(mesh, beta)
+        if keep:
+            for a in (A.data, A.indices, A.indptr):
+                a.flags.writeable = False
+            store["matrix"] = A
+    return A
+
+
 def assemble_robin_system(mesh: Mesh, f: SourceSpec, beta: float) -> SparseSystem:
+    """The Robin-Poisson system on mesh.  Its matrix is assembled once per
+    (mesh, beta) and shared by every system and solver on that mesh."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    A = _robin_matrix(mesh, beta)
+    A = _robin(mesh, beta, keep=True)
     rhs = load_vector(mesh, f)
     return SparseSystem(matrix=A, rhs=rhs, mesh=mesh, beta=beta)
 
@@ -199,17 +239,30 @@ def _factor(A):
         raise SolverError(f"singular matrix on {A.shape[0]} nodes: {exc}") from exc
 
 
+def _root_factor(root: Mesh, beta: float, keep: bool, A=None):
+    """The LU of the chain root's Robin matrix, factored once per (root,
+    beta) and kept in root's store.  A is that matrix if the caller has it;
+    otherwise it comes from `_robin(root, beta, keep)`."""
+    store = _store(root, beta)
+    if "lu" not in store:
+        store["lu"] = _factor(_robin(root, beta, keep) if A is None else A)
+    return store["lu"]
+
+
 def solve_poisson(system: SparseSystem) -> ScalarField:
     """One sparse LU solve on a mesh without a parent; on a `refine_mesh`
     output, CG preconditioned by the V-cycle down its parent chain, the
     coarser levels rediscretized with system.beta.  Either way guarantees
-    relative residual <= 1e-10 or raises SolverError."""
-    A, b = system.matrix, system.rhs
-    if system.mesh.parent is None:
-        method, x = "LU", _factor(A).solve(b)
+    relative residual <= 1e-10 or raises SolverError.  The coarse levels
+    and the root's LU come from the chain's stores; the LU of a root mesh
+    is reused only for the matrix `assemble_robin_system` stored there."""
+    A, b, mesh = system.matrix, system.rhs, system.mesh
+    if mesh.parent is None:
+        stored = A is _store(mesh, system.beta).get("matrix")
+        lu = _root_factor(mesh, system.beta, keep=True) if stored else _factor(A)
+        method, x = "LU", lu.solve(b)
     else:
-        chain = list(_chain(system.mesh))
-        lu, levels = _multigrid(chain, [A] + [_robin_matrix(m, system.beta) for m in chain[1:]])
+        lu, levels = _hierarchy(mesh, system.beta, A, keep=True)
         method, x = "multigrid PCG", _pcg(A, b, None, lambda r: _vcycle(levels, lu, r))
     resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
     if not resid <= 1e-10:
@@ -250,14 +303,17 @@ def _chain(mesh: Mesh):
         mesh = mesh.parent
 
 
-def _multigrid(chain, matrices):
-    """The V-cycle hierarchy of a parent chain, finest mesh first, from the
-    matrices assembled on it: factors the root's and returns (root LU,
-    levels), levels[j] = (A, omega / diag(A), P) from the root's child up to
-    chain[0], as `_vcycle` takes them."""
-    lu = _factor(matrices[-1])
+def _hierarchy(mesh: Mesh, beta: float, A, keep: bool):
+    """The V-cycle hierarchy of the refined mesh's parent chain, with A on
+    mesh itself: (root LU, levels), levels[j] = (A, omega / diag(A), P) from
+    the root's child up to mesh, as `_vcycle` takes them.  The coarser
+    matrices and the root's LU come from the chain's stores (`keep` as in
+    `_robin`); the weights and prolongations are formed anew."""
+    chain = list(_chain(mesh))
+    matrices = [A] + [_robin(m, beta, keep) for m in chain[1:-1]]
+    lu = _root_factor(chain[-1], beta, keep)
     levels = []
-    for m, A in zip(chain[-2::-1], matrices[-2::-1]):
+    for m, A in zip(chain[-2::-1], matrices[::-1]):
         diag = A.diagonal()
         if not np.all(diag > 0):
             raise SolverError(f"nonpositive diagonal entry on {A.shape[0]} nodes")
@@ -314,21 +370,27 @@ def _inverse_iteration(A, M, w, solve):
 
 
 def _nested_eigenpair(mesh: Mesh, beta: float):
-    """Nested inverse iteration down mesh's parent chain: LU solves on the
-    root, then on each finer mesh V-cycle PCG from the prolonged
-    eigenvector (full-multigrid eigensolver; Brandt, McCormick and Ruge,
-    SIAM J. Sci. Stat. Comput. 1983)."""
-    # assembly sets the peak memory, so every level is assembled, finest
-    # first, before the root's LU factor exists
-    chain = list(_chain(mesh))
-    systems = [(_robin_matrix(m, beta), mass_matrix(m)) for m in chain]
-    lu, levels = _multigrid(chain, [A for A, _ in systems])
-    A, M = systems.pop()
-    lam, w = _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
-    for j, (A, _, P) in enumerate(levels):
-        M = systems.pop()[1]
+    """The raw (lambda, w) of (mesh, beta), kept in mesh's store: nested
+    inverse iteration down mesh's parent chain, LU solves on the root, then
+    on each finer mesh V-cycle PCG from the prolonged eigenvector of the
+    mesh below (full-multigrid eigensolver; Brandt, McCormick and Ruge,
+    SIAM J. Sci. Stat. Comput. 1983).  Robin matrices it assembles itself
+    are not kept."""
+    store = _store(mesh, beta)
+    if "eigenpair" in store:
+        return store["eigenpair"]
+    if mesh.parent is None:
+        A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
+        lu = _root_factor(mesh, beta, False, A)
+        lam, w = _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
+    else:
+        w = _nested_eigenpair(mesh.parent, beta)[1]
+        A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
+        lu, levels = _hierarchy(mesh, beta, A, keep=False)
         lam, w = _inverse_iteration(
-            A, M, P @ w, lambda b, x0: _pcg(A, b, x0, lambda r: _vcycle(levels[:j + 1], lu, r)))
+            A, M, levels[-1][2] @ w, lambda b, x0: _pcg(A, b, x0, lambda r: _vcycle(levels, lu, r)))
+    w.flags.writeable = False
+    store["eigenpair"] = lam, w
     return lam, w
 
 
@@ -338,9 +400,7 @@ def principal_robin_eigenpair(mesh: Mesh, beta: float):
     if beta <= 0:
         raise ValueError("beta must be positive")
     lam, w = _nested_eigenpair(mesh, beta)
-    if w.sum() < 0:
-        w = -w
-    return lam, ScalarField(mesh=mesh, values=w)
+    return lam, ScalarField(mesh=mesh, values=-w if w.sum() < 0 else w.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +422,14 @@ _RADON_W = np.array([0.225, 0.132394152788506, 0.132394152788506, 0.132394152788
 
 def field_integral(u: ScalarField) -> float:
     """Exact integral of the piecewise-linear interpolant."""
-    _, _, _, area = _p1_geometry(u.mesh)
+    area = u.mesh.triangle_areas()
     return float(np.sum(area * u.values[u.mesh.triangles].mean(axis=1)))
 
 
 def field_integral_pow(u: ScalarField, p: float) -> float:
     """Integral of |u|^p; exact for p = 1, 2 on one-signed fields, 7-point
     quadrature (degree 5) otherwise."""
-    _, _, _, area = _p1_geometry(u.mesh)
+    area = u.mesh.triangle_areas()
     v = u.values[u.mesh.triangles]
     if p == 1.0 and (u.values >= 0).all():
         return float(np.sum(area * v.mean(axis=1)))

@@ -201,31 +201,52 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
     snap = vmax * 1e-12
     vals = np.round(vals / snap) * snap
     breaks, inverse = np.unique(np.concatenate([[0.0], vals]), return_inverse=True)
-    # break indices of each triangle's nodal values, ascending
-    i1, i2, i3 = np.sort(inverse[1:][u.mesh.triangles], axis=1).T
-    v1, v2, v3 = breaks[i1], breaks[i2], breaks[i3]
+    # break indices of each triangle's nodal values, ascending, by a
+    # three-element min/max sorting network
+    inverse = inverse[1:]
+    t0, t1, t2 = u.mesh.triangles.T
+    a, b, c = inverse[t0], inverse[t1], inverse[t2]
+    i1, b = np.minimum(a, b), np.maximum(a, b)
+    b, i3 = np.minimum(b, c), np.maximum(b, c)
+    i1, i2 = np.minimum(i1, b), np.maximum(i1, b)
+    del a, b, c
     area = u.mesh.triangle_areas()
     k = len(breaks) - 1
     centers = 0.5 * (breaks[:-1] + breaks[1:])
     total = float(area.sum())
 
     # pieces between consecutive break indices si < ei, on which a triangle
-    # adds gamma (t - theta)^2 + alpha to mu
-    zero = np.zeros_like(area)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g1 = -area / ((v2 - v1) * (v3 - v1))
-        g2 = area / ((v3 - v2) * (v3 - v1))
-    keep = np.concatenate([i1 > 0, i2 > i1, i3 > i2])
-    si = np.concatenate([np.zeros_like(i1), i1, i2])[keep]
-    ei = np.concatenate([i1, i2, i3])[keep]
-    gammas = np.concatenate([zero, g1, g2])[keep]
-    thetas = np.concatenate([zero, v1, v3])[keep]
-    alphas = np.concatenate([area, area, zero])[keep]
+    # adds gamma (t - theta)^2 + alpha to mu: (0, i1) where i1 > 0, then
+    # (i1, i2) and (i2, i3) where nonempty, each written into its slice
+    k1, k2, k3 = i1 > 0, i2 > i1, i3 > i2
+    n1, n2 = int(k1.sum()), int(k2.sum())
+    n = n1 + n2 + int(k3.sum())
+    s1, s2, s3 = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n)
+    si, ei = np.empty(n, dtype=i1.dtype), np.empty(n, dtype=i1.dtype)
+    gammas, thetas, alphas = np.empty(n), np.empty(n), np.empty(n)
+    si[s1], si[s2], si[s3] = 0, i1[k2], i2[k3]
+    ei[s1], ei[s2], ei[s3] = i1[k1], i2[k2], i3[k3]
+    thetas[s1], thetas[s2], thetas[s3] = 0.0, breaks[si[s2]], breaks[ei[s3]]
+    alphas[s1], alphas[s2], alphas[s3] = area[k1], area[k2], 0.0
+    # with theta = v1 on (i1, i2) and v3 on (i2, i3); a nonempty piece has
+    # v1 < v2 or v2 < v3, so no divisor is zero
+    gammas[s1] = 0.0
+    gammas[s2] = -alphas[s2] / ((breaks[ei[s2]] - thetas[s2]) * (breaks[i3[k2]] - thetas[s2]))
+    gammas[s3] = area[k3] / ((thetas[s3] - breaks[si[s3]]) * (thetas[s3] - breaks[i1[k3]]))
+    del i1, i2, i3, k1, k2, k3, area
 
-    def events(idx, m):
-        d = m - thetas
-        return [np.bincount(idx, w, minlength=k + 1)[:k]
-                for w in (gammas * d * d + alphas, 2.0 * gammas * d, gammas)]
+    def events(idx, d):
+        """Bincounts over idx of gamma d^2 + alpha, 2 gamma d and gamma, for
+        d = m - theta, given m in d (overwritten)."""
+        d -= thetas
+        gd = gammas * d
+        d *= gd
+        d += alphas
+        out = [np.bincount(idx, d, minlength=k + 1)[:k]]
+        gd *= 2.0
+        out.append(np.bincount(idx, gd, minlength=k + 1)[:k])
+        out.append(np.bincount(idx, gammas, minlength=k + 1)[:k])
+        return out
 
     # start events expand about the center of the segment they enter, end
     # events about the center of the segment they leave

@@ -31,6 +31,12 @@ class Mesh:
     boundary_curve / boundary_t bind each boundary edge to the generating
     domain's boundary parametrization so refinement can project midpoints;
     imported meshes have no binding and refine with straight midpoints.
+
+    The arrays are made read-only on construction, because `fem` keeps
+    solver data computed from them in the mesh's private store: per beta,
+    the Robin matrix, the SuperLU factor if the mesh is the root of its
+    parent chain, and the principal eigenpair.  The store lives as long as
+    the mesh; `dataclasses.replace` gives a mesh with an empty one.
     """
 
     nodes: np.ndarray          # (N, 2)
@@ -44,16 +50,20 @@ class Mesh:
     # each new node (node parent.num_nodes + i is the midpoint of row i)
     parent: Mesh | None = field(default=None, repr=False, compare=False)
     parent_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in (self.nodes, self.triangles, self.boundary_edges, self.boundary_curve,
+                  self.boundary_t, self.parent_edges):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
     def triangle_areas(self):
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * _doubled_areas(self.nodes, self.triangles)
 
     def area(self) -> float:
         return float(self.triangle_areas().sum())
@@ -77,32 +87,40 @@ class Mesh:
         return n
 
 
+def _doubled_areas(nodes, tris):
+    """Twice the signed area of each triangle, gathered one coordinate at a
+    time."""
+    x, y = nodes[:, 0], nodes[:, 1]
+    t0, t1, t2 = tris.T
+    x0, y0 = x[t0], y[t0]
+    return (x[t1] - x0) * (y[t2] - y0) - (y[t1] - y0) * (x[t2] - x0)
+
+
 def _fix_orientation(nodes, tris):
-    p = nodes[tris]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    flip = area2 < 0
+    flip = _doubled_areas(nodes, tris) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
 
 
+def _edge_keys(a, b, V):
+    """The undirected edges a-b as int64 keys min * V + max."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    return np.minimum(a, b) * V + np.maximum(a, b)
+
+
 def validate_mesh(m: Mesh):
     """Edge-ownership and positivity checks; raises MeshError on violation."""
-    areas = m.triangle_areas()
-    if np.any(areas <= 0):
+    if np.any(m.triangle_areas() <= 0):
         raise MeshError("nonpositive triangle area")
-    edges = np.concatenate([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
-                            m.triangles[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    V, t, be = m.num_nodes, m.triangles, m.boundary_edges
+    keys, counts = np.unique(_edge_keys(t.ravel(), t[:, [1, 2, 0]].ravel(), V),
+                             return_counts=True)
     if counts.max() > 2:
         raise MeshError("edge shared by more than two triangles")
-    single = uniq[counts == 1]
-    bset = np.sort(m.boundary_edges, axis=1)
-    a = {tuple(e) for e in single.tolist()}
-    b = {tuple(e) for e in bset.tolist()}
-    if a != b:
+    # a node index outside [0, V) could alias another edge's key
+    inside = len(be) == 0 or (be.min() >= 0 and be.max() < V)
+    if not (inside and np.array_equal(keys[counts == 1],
+                                      np.unique(_edge_keys(be[:, 0], be[:, 1], V)))):
         raise MeshError("boundary edge list does not match single-owner edges")
 
 
@@ -346,20 +364,21 @@ def refine_mesh(m: Mesh) -> Mesh:
     """
     V = m.num_nodes
     t = m.triangles.astype(np.int64)
-    e = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    codes, first, inv = np.unique(e[:, 0] * V + e[:, 1], return_index=True,
-                                  return_inverse=True)
+    # edges ab, bc, ca of each triangle in turn, as (lo, hi) node pairs
+    tail, head = t.ravel(), t[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    codes, first, inv = np.unique(lo * V + hi, return_index=True, return_inverse=True)
     rank = np.empty(len(codes), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(codes))
     ab, bc, ca = (V + rank[inv.reshape(-1)]).reshape(-1, 3).T
     a, b, c = t.T
     tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    edges = e[np.sort(first)]
+    first.sort()
+    edges = np.stack([lo[first], hi[first]], axis=1)
     nodes = np.concatenate([m.nodes, (m.nodes[edges[:, 0]] + m.nodes[edges[:, 1]]) / 2.0])
 
     be = m.boundary_edges.astype(np.int64)
-    bkey = np.sort(be, axis=1)
-    bmid = V + rank[np.searchsorted(codes, bkey[:, 0] * V + bkey[:, 1])]
+    bmid = V + rank[np.searchsorted(codes, _edge_keys(be[:, 0], be[:, 1], V))]
     has_curves = m.domain is not None and m.boundary_curve is not None
     bcurve = bt = None
     if has_curves:

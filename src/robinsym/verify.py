@@ -177,10 +177,13 @@ class Ladder:
 
     Each piece is computed on first use and kept: the meshes, the solutions
     u of each source, the rungs (u, mu, v) of each source, and the principal
-    eigenvalue on each mesh (no eigenvector is kept).  Sources are told apart
-    by `f.label`, so two sources on one ladder need distinct labels.  The
-    asymmetry comes from `cached_asymmetry`, whose cache runs its search once
-    per domain.
+    eigenvalue on each mesh.  The solver hierarchy lives in the meshes'
+    stores (see `fem`) as long as the meshes do: every source solves against
+    one Robin matrix per mesh and one root factor, and the eigenvalues come
+    from one nested pass up the meshes.  Sources are told apart by
+    `f.label`, so two sources on one ladder need distinct labels.  The
+    asymmetry comes from `cached_asymmetry`, whose cache runs its search
+    once per domain.
     """
 
     def __init__(self, domain: Domain, beta: float, h: float, refinements: int = 1):

@@ -297,3 +297,152 @@ def test_pcg_cap_raises_with_nodes_and_residual(monkeypatch):
     with pytest.raises(SolverError, match=rf"on {m.num_nodes} nodes at relative residual") as info:
         principal_robin_eigenpair(m, 1.0)
     assert info.value.residual_history[-1] > fem._PCG_TOL
+
+
+# ---------------------------------------------------------------------------
+# the per-mesh solver store
+
+
+def _count(monkeypatch, name, record=lambda *args: True):
+    """Count the calls of fem.<name> for which record(*args) holds."""
+    calls = []
+    inner = getattr(fem, name)
+
+    def counted(*args, **kwargs):
+        if record(*args):
+            calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fem, name, counted)
+    return calls
+
+
+def test_ladder_builds_its_hierarchy_once(monkeypatch):
+    from robinsym.verify import Ladder
+
+    d = parse_domain_spec(_ELLIPSE_2)
+    ladder = Ladder(d, 1.0, 0.2, refinements=2)
+    root = ladder.meshes[0]
+    factors = _count(monkeypatch, "_factor")
+    robins = _count(monkeypatch, "_robin_matrix")
+    root_iterations = _count(monkeypatch, "_inverse_iteration",
+                             lambda A, *rest: A.shape[0] == root.num_nodes)
+    for name in ("const", "radial", "bump"):
+        ladder.solutions(source_from_name(name, d))
+    lams = ladder.eigenvalues
+    # the parent recomputes every coarser level per call: 12, 24 and 3
+    assert (len(factors), len(robins), len(root_iterations)) == (1, 3, 1)
+    assert [principal_robin_eigenpair(m, 1.0)[0] for m in ladder.meshes] == lams
+    assert (len(factors), len(robins), len(root_iterations)) == (1, 3, 1)
+
+
+def _chain_results(meshes, d):
+    f = source_from_name("bump", d)
+    us = [solve_robin_poisson(m, f, 1.0).values for m in meshes]
+    eigs = [principal_robin_eigenpair(m, 1.0) for m in meshes]
+    return us, [lam for lam, _ in eigs], [w.values for _, w in eigs]
+
+
+def _fresh_chain(d, h, levels):
+    meshes = [generate_mesh(d, h)]
+    for _ in range(levels):
+        meshes.append(refine_mesh(meshes[-1]))
+    return meshes
+
+
+@pytest.mark.parametrize("spec", [_ELLIPSE_2, "stadium l=1 r=0.5"])
+def test_warm_store_matches_a_fresh_chain_exactly(spec):
+    d = parse_domain_spec(spec)
+    meshes = _fresh_chain(d, 0.2, 2)
+    cold = _chain_results(meshes, d)
+    warm = _chain_results(meshes, d)
+    fresh = _chain_results(_fresh_chain(d, 0.2, 2), d)
+    for got in (warm, fresh):
+        for a, b in zip(cold, got):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+    # an eigenpair asked for on the finest mesh first fills the coarser ones
+    finest_first = _fresh_chain(d, 0.2, 2)
+    lam, w = principal_robin_eigenpair(finest_first[-1], 1.0)
+    assert lam == cold[1][-1] and np.array_equal(w.values, cold[2][-1])
+    assert [principal_robin_eigenpair(m, 1.0)[0] for m in finest_first] == cold[1]
+
+
+def test_store_is_kept_per_beta_and_shared_by_systems():
+    m = refine_mesh(generate_mesh(build_domain("disc", r=1.0), 0.2))
+    one = assemble_robin_system(m, constant_source(1.0), 1.0)
+    two = assemble_robin_system(m, constant_source(2.0), 1.0)
+    other = assemble_robin_system(m, constant_source(1.0), 3.0)
+    assert one.matrix is two.matrix and other.matrix is not one.matrix
+    with pytest.raises(ValueError, match="read-only"):
+        one.matrix.data[0] = 0.0
+    assert solve_poisson(two).values == pytest.approx(2.0 * solve_poisson(one).values, rel=1e-9)
+    lam1, w1 = principal_robin_eigenpair(m, 1.0)
+    lam3, _ = principal_robin_eigenpair(m, 3.0)
+    assert lam3 > lam1
+    # the eigenfunction handed out is the caller's to change
+    w1.values[:] = 0.0
+    assert principal_robin_eigenpair(m, 1.0)[1].u_min > 0.0
+    assert sorted(m.parent._store) == [1.0, 3.0]
+    assert set(m.parent._store[1.0]) == {"matrix", "lu", "eigenpair"}
+    assert set(m._store[1.0]) == {"matrix", "eigenpair"}
+
+
+def test_eigenpair_keeps_no_robin_matrix_of_its_own():
+    m = refine_mesh(generate_mesh(build_domain("disc", r=1.0), 0.2))
+    principal_robin_eigenpair(m, 1.0)
+    assert set(m._store[1.0]) == {"eigenpair"}
+    assert set(m.parent._store[1.0]) == {"lu", "eigenpair"}
+
+
+def test_root_solve_factors_a_matrix_that_is_not_the_stored_one(monkeypatch):
+    m = generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25)
+    system = assemble_robin_system(m, constant_source(), 1.0)
+    u = solve_poisson(system)
+    factors = _count(monkeypatch, "_factor")
+    assert np.array_equal(solve_poisson(system).values, u.values)
+    assert len(factors) == 0
+    copy = SparseSystem(system.matrix.copy(), system.rhs, m, 1.0)
+    assert np.array_equal(solve_poisson(copy).values, u.values)
+    assert len(factors) == 1
+
+
+def test_hand_built_systems_fail_on_a_warm_store():
+    for levels in (0, 1):
+        m = generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25)
+        for _ in range(levels):
+            m = refine_mesh(m)
+        solve_robin_poisson(m, constant_source(), 1.0)
+        principal_robin_eigenpair(m, 1.0)
+        load = load_vector(m, constant_source())
+        zero = SparseSystem(sparse.csr_matrix((m.num_nodes, m.num_nodes)), load, m, 1.0)
+        neumann = SparseSystem(stiffness_matrix(m), load, m, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match=f"{m.num_nodes} nodes"):
+                solve_poisson(zero)
+            with pytest.raises(SolverError) as info:
+                solve_poisson(neumann)
+        assert info.value.residual_history[-1] > 1e-10
+
+
+def test_replaced_mesh_starts_with_an_empty_store():
+    from dataclasses import replace
+
+    m = generate_mesh(build_domain("disc", r=1.0), 0.2)
+    lam, _ = principal_robin_eigenpair(m, 1.0)
+    assert m._store
+    scaled = replace(m, nodes=2.0 * m.nodes)
+    assert scaled._store == {}
+    # lambda scales as 1/R^2 for the Dirichlet part; a larger disc has a
+    # smaller eigenvalue whatever beta
+    assert principal_robin_eigenpair(scaled, 1.0)[0] < lam
+    assert principal_robin_eigenpair(m, 1.0)[0] == lam
+
+
+def test_mesh_arrays_are_read_only():
+    m = refine_mesh(generate_mesh(build_domain("ellipse", a=1.5, b=0.6), 0.2))
+    for a in (m.nodes, m.triangles, m.boundary_edges, m.boundary_curve, m.boundary_t,
+              m.parent_edges):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]

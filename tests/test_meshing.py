@@ -5,6 +5,7 @@ import pytest
 
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.meshing import (
+    Mesh,
     MeshError,
     UnsupportedDomainError,
     export_mesh_text,
@@ -256,3 +257,62 @@ def test_stadium_graded_caps(spec, h):
         x, y = mesh.nodes[mesh.boundary_nodes()].T
         dx = np.maximum(np.abs(x - cx) - l / 2, 0.0)
         assert np.max(np.abs(np.hypot(dx, y - cy) - r)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# validate_mesh: one mesh per violation
+
+def _unit_square_pair():
+    """Two positively oriented triangles on the unit square, sharing 1-2."""
+    nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    tris = np.array([(0, 1, 2), (1, 3, 2)])
+    bedges = np.array([(0, 1), (1, 3), (3, 2), (2, 0)])
+    return nodes, tris, bedges
+
+
+def test_validate_accepts_the_unit_square_pair():
+    nodes, tris, bedges = _unit_square_pair()
+    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, h=1.0))
+    # the boundary list is compared as a set of undirected edges
+    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges[::-1, ::-1], h=1.0))
+
+
+def test_validate_rejects_a_nonpositive_area():
+    nodes, tris, bedges = _unit_square_pair()
+    flipped = np.array([(0, 2, 1), (1, 3, 2)])
+    with pytest.raises(MeshError, match="nonpositive triangle area"):
+        validate_mesh(Mesh(nodes=nodes, triangles=flipped, boundary_edges=bedges, h=1.0))
+    flat = np.vstack([nodes, [(0.5, 0.5)]])
+    degenerate = np.array([(0, 1, 2), (1, 3, 2), (1, 4, 2)])
+    with pytest.raises(MeshError, match="nonpositive triangle area"):
+        validate_mesh(Mesh(nodes=flat, triangles=degenerate, boundary_edges=bedges, h=1.0))
+
+
+def test_validate_rejects_an_edge_of_three_triangles():
+    nodes, tris, bedges = _unit_square_pair()
+    nodes = np.vstack([nodes, [(2.0, 2.0)]])
+    tris = np.vstack([tris, [(1, 4, 2)]])  # a third triangle on edge 1-2
+    with pytest.raises(MeshError, match="more than two triangles"):
+        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, h=1.0))
+
+
+@pytest.mark.parametrize("bedges", [
+    [(0, 1), (1, 3), (3, 2)],                   # one boundary edge missing
+    [(0, 1), (1, 3), (3, 2), (2, 0), (1, 2)],   # an interior edge listed
+    [(0, 1), (1, 3), (3, 2), (0, 3)],           # a non-edge in place of 2-0
+    [(0, 1), (1, 3), (3, 2), (-1, 6)]])         # a bad pair with the key of 2-0
+def test_validate_rejects_a_boundary_list_that_does_not_match(bedges):
+    nodes, tris, _ = _unit_square_pair()
+    with pytest.raises(MeshError, match="boundary edge list"):
+        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array(bedges), h=1.0))
+
+
+def test_validate_rejects_a_bad_boundary_on_a_generated_mesh():
+    m = generate_mesh(parse_domain_spec("ellipse a=1.5 b=0.6"), 0.2)
+    with pytest.raises(MeshError, match="boundary edge list"):
+        validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
+                           boundary_edges=m.boundary_edges[1:], h=m.h))
+    interior = np.setdiff1d(np.arange(m.num_nodes), m.boundary_nodes())[:2]
+    with pytest.raises(MeshError, match="boundary edge list"):
+        validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
+                           boundary_edges=np.vstack([m.boundary_edges[1:], interior]), h=m.h))

@@ -20,14 +20,12 @@ from .fem import (
     SourceSpec,
     assemble_robin_system,
     constant_source,
-    integrate_field,
     principal_robin_eigenpair,
     solve_poisson,
     solve_robin_poisson,
 )
 from .rearrange import (
     DecreasingProfile,
-    LorentzParams,
     decreasing_rearrangement,
     distribution_function,
     hardy_littlewood_gap,

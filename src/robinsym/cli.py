@@ -44,10 +44,7 @@ def cmd_mesh(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh = _load_mesh(args)
-    domain = parse_domain_spec(args.domain) if args.domain else None
-    f = source_from_name(args.f, domain) if domain is not None else None
-    if f is None:
-        raise SystemExit("solve requires --domain")
+    f = source_from_name(args.f, parse_domain_spec(args.domain))
     u = solve_robin_poisson(mesh, f, args.beta)
     out = export_mesh_text(mesh) + f"values {mesh.num_nodes}\n" + \
         "\n".join(f"{v:.17g}" for v in u.values) + "\n"

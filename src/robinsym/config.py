@@ -51,11 +51,11 @@ def _split_list(value: str, sep: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate; unknown keys, duplicate keys, a missing gamma
-    provenance, and out-of-range k all raise with the offending line; a
-    retired key warns and is ignored; values are checked by `check_config`."""
+    """Parse and validate; unknown keys, duplicate keys, non-numeric values
+    and a missing gamma provenance raise with the offending line; a retired
+    key warns and is ignored; values are checked by `check_config`."""
     section = None
-    seen: set = set()
+    lines: dict = {}
     values: dict = {}
     retired = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -77,9 +77,9 @@ def parse_config(text: str) -> RunConfig:
             continue
         if key not in _KEYS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        if (section, key) in seen:
+        if (section, key) in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        seen.add((section, key))
+        lines[(section, key)] = lineno
         values[(section, key)] = val
     if retired:
         warnings.warn(f"ignoring retired [run] keys {', '.join(retired)}: they have "
@@ -87,6 +87,14 @@ def parse_config(text: str) -> RunConfig:
 
     def get(section, key, default=None):
         return values.get((section, key), default)
+
+    def number(key, text, kind=float, section="run"):
+        try:
+            return kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"line {lines[(section, key)]}: {key} value {text!r} "
+                              f"is not {what}") from None
 
     if get("run", "domains") is None:
         raise ConfigError("missing required key 'domains' in [run]")
@@ -99,13 +107,13 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(
         domains=_split_list(get("run", "domains"), ";"),
-        betas=[float(v) for v in _split_list(get("run", "betas", "1"), ",")],
-        ks=[float(v) for v in _split_list(get("run", "ks", "1"), ",")],
+        betas=[number("betas", v) for v in _split_list(get("run", "betas", "1"), ",")],
+        ks=[number("ks", v) for v in _split_list(get("run", "ks", "1"), ",")],
         sources=_split_list(get("run", "sources", "const"), ";"),
         theorems=_split_list(get("run", "theorems", ", ".join(KNOWN_THEOREMS)), ","),
-        h=float(get("run", "h", "0.1")),
-        refinements=int(get("run", "refinements", "1")),
-        gamma2=float(get("gamma", "gamma2")),
+        h=number("h", get("run", "h", "0.1")),
+        refinements=number("refinements", get("run", "refinements", "1"), int),
+        gamma2=number("gamma2", get("gamma", "gamma2"), section="gamma"),
         gamma_provenance=get("gamma", "provenance"),
         outdir=get("output", "dir", "reports"),
         raw_text=text,
@@ -116,8 +124,9 @@ def parse_config(text: str) -> RunConfig:
 
 def check_config(cfg: RunConfig) -> None:
     """Raise ConfigError unless every run value is admissible: no empty
-    list, known theorems and sources, positive h, gamma2, betas and k, and k
-    inside the range of each Lorentz theorem."""
+    list, known theorems and sources, positive finite h, gamma2, betas and
+    k, at least one refinement, and k inside the range of each Lorentz
+    theorem."""
     for key in ("domains", "betas", "ks", "sources", "theorems"):
         if not getattr(cfg, key):
             raise ConfigError(f"[run] {key} must list at least one value")
@@ -128,19 +137,16 @@ def check_config(cfg: RunConfig) -> None:
     for src in cfg.sources:
         if src not in KNOWN_SOURCES:
             raise ConfigError(f"unknown source {src!r}; choose from {KNOWN_SOURCES}")
-    if not cfg.h > 0:
-        raise ConfigError("h must be positive")
-    if cfg.refinements < 0:
-        raise ConfigError("refinements must be nonnegative")
-    if not cfg.gamma2 > 0:
-        raise ConfigError("gamma2 must be positive")
-    if min(cfg.betas) <= 0:
-        raise ConfigError("betas must be positive")
+    for key, vals in (("h", [cfg.h]), ("gamma2", [cfg.gamma2]), ("betas", cfg.betas),
+                      ("ks", cfg.ks)):
+        if not all(0 < v < math.inf for v in vals):
+            raise ConfigError(f"{key} must be positive and finite")
+    if cfg.refinements < 1:
+        raise ConfigError("refinements must be at least 1: the discretization error "
+                          "is the gap difference between two rungs")
 
     generic_f = any(s != "const" for s in cfg.sources)
     for k in cfg.ks:
-        if k <= 0:
-            raise ConfigError("k values must be positive")
         if "lorentz_k1" in cfg.theorems and k > k_range_lorentz_k1(2, not generic_f):
             raise ConfigError(
                 f"k={k:g} rejected for lorentz_k1 with a generic source: "

@@ -26,6 +26,21 @@ class GeometryError(ValueError):
     """Invalid geometric input."""
 
 
+# the parameters each shape takes, in Domain.params order
+_SHAPE_PARAMS = {"disc": ("r",), "ellipse": ("a", "b"), "rect": ("w", "h"),
+                 "stadium": ("l", "r"), "polygon": ("vertices",)}
+
+
+def _finite(name: str, value) -> float:
+    """float(value), or GeometryError naming `name` if that is not finite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise GeometryError(f"{name} must be a finite number, got {value!r}")
+    return x
+
 
 def unit_ball_measure(n: int) -> float:
     """Volume of the unit ball in R^n (pi for n=2)."""
@@ -202,9 +217,6 @@ class Domain:
         v = self.vertices
         return [("segment", v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
-    def boundary_curve_count(self) -> int:
-        return len(self.boundary_pieces())
-
     def boundary_point(self, curve_id: int, t):
         """Point on boundary curve `curve_id` at parameter t."""
         t = np.asarray(t, dtype=float)
@@ -234,33 +246,47 @@ def build_domain(kind: str, **kw) -> Domain:
     cx, cy offsets.
     """
     kind = kind.lower()
-    cx = float(kw.get("cx", 0.0))
-    cy = float(kw.get("cy", 0.0))
+    if kind not in _SHAPE_PARAMS:
+        raise GeometryError(f"unknown shape kind {kind!r}")
+    names = _SHAPE_PARAMS[kind]
+    offsets = () if kind == "polygon" else ("cx", "cy")
+    for name in kw:
+        if name not in names + offsets:
+            raise GeometryError(f"unknown {kind} parameter {name!r}; it takes "
+                                f"{', '.join(names + offsets)}")
+    for name in names:
+        if name not in kw:
+            raise GeometryError(f"{kind} needs parameter {name!r}")
+    if kind != "polygon":
+        kw = {name: _finite(f"{kind} parameter {name!r}", kw.get(name, 0.0))
+              for name in names + offsets}
+        cx, cy = kw["cx"], kw["cy"]
     if kind == "disc":
-        r = float(kw["r"])
+        r = kw["r"]
         if r <= 0:
             raise GeometryError("disc radius must be positive")
         dom = Domain("disc", (r, cx, cy), math.pi * r * r, TWO_PI * r)
     elif kind == "ellipse":
-        a, b = float(kw["a"]), float(kw["b"])
+        a, b = kw["a"], kw["b"]
         if a <= 0 or b <= 0:
             raise GeometryError("ellipse semi-axes must be positive")
         if a < b:
             a, b = b, a
         dom = Domain("ellipse", (a, b, cx, cy), math.pi * a * b, _ellipse_perimeter(a, b))
     elif kind == "rect":
-        w, h = float(kw["w"]), float(kw["h"])
+        w, h = kw["w"], kw["h"]
         if w <= 0 or h <= 0:
             raise GeometryError("rectangle sides must be positive")
         dom = Domain("rect", (w, h, cx, cy), w * h, 2.0 * (w + h))
     elif kind == "stadium":
-        l, r = float(kw["l"]), float(kw["r"])
+        l, r = kw["l"], kw["r"]
         if l <= 0 or r <= 0:
             raise GeometryError("stadium parameters must be positive")
         dom = Domain("stadium", (l, r, cx, cy), 2.0 * r * l + math.pi * r * r,
                      2.0 * l + TWO_PI * r)
-    elif kind == "polygon":
-        v = np.asarray(kw["vertices"], dtype=float).reshape(-1, 2)
+    else:
+        v = np.array([[_finite(f"coordinate of polygon vertex {i}", c) for c in p]
+                      for i, p in enumerate(kw["vertices"], start=1)]).reshape(-1, 2)
         if len(v) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         if not _polygon_is_simple(v):
@@ -276,8 +302,6 @@ def build_domain(kind: str, **kw) -> Domain:
             raise GeometryError("polygon has a zero-length edge (a repeated vertex)")
         per = float(np.sum(edges))
         dom = Domain("polygon", (), area, per, tuple(v.ravel()))
-    else:
-        raise GeometryError(f"unknown shape kind {kind!r}")
     # sanity: the isoperimetric inequality must hold for any genuine shape
     if dom.perimeter < 2.0 * math.sqrt(math.pi * dom.measure) * (1.0 - 1e-12):
         raise GeometryError("shape violates the isoperimetric inequality; bad parameters?")
@@ -296,22 +320,23 @@ def parse_domain_spec(text: str) -> Domain:
             xy = tok.split(",")
             if len(xy) != 2:
                 raise GeometryError(f"bad polygon vertex {tok!r}")
-            pts.append((float(xy[0]), float(xy[1])))
+            pts.append(xy)
         return build_domain("polygon", vertices=pts)
     kw = {}
     for tok in parts[1:]:
         if "=" not in tok:
             raise GeometryError(f"bad parameter {tok!r} in domain spec")
         k, v = tok.split("=", 1)
-        kw[k.strip()] = float(v)
+        if k in kw:
+            raise GeometryError(f"repeated parameter {k!r} in domain spec")
+        kw[k] = v
     return build_domain(kind, **kw)
 
 
 def domain_spec_string(d: Domain) -> str:
     if d.kind == "polygon":
         return "polygon " + " ".join(f"{x:.17g},{y:.17g}" for x, y in d.vertices)
-    names = {"disc": ("r",), "ellipse": ("a", "b"), "rect": ("w", "h"), "stadium": ("l", "r")}[d.kind]
-    items = [f"{n}={p:.17g}" for n, p in zip(names, d.params)]
+    items = [f"{n}={p:.17g}" for n, p in zip(_SHAPE_PARAMS[d.kind], d.params)]
     cx, cy = d.params[-2:]
     if cx != 0.0 or cy != 0.0:
         items += [f"cx={cx:.17g}", f"cy={cy:.17g}"]

@@ -51,13 +51,12 @@ class SourceError(ValueError):
 
 @dataclass
 class SourceSpec:
-    """Right-hand side: constant, callable f(x, y), nodal values, or a radial
-    decreasing profile evaluated as f(|x - centroid|)."""
+    """Right-hand side: constant, callable f(x, y), or a radial decreasing
+    profile evaluated as f(|x - centroid|)."""
 
-    kind: str                      # const | expr | nodal | radial
+    kind: str                      # const | expr | radial
     value: float = 1.0
     fn: object = None
-    values: np.ndarray | None = None
     centroid: tuple = (0.0, 0.0)
     label: str = ""
 
@@ -71,15 +70,7 @@ class SourceSpec:
         if self.kind == "radial":
             r = np.hypot(x - self.centroid[0], y - self.centroid[1])
             return np.asarray(self.fn(r), dtype=float)
-        raise SourceError("nodal sources evaluate through their mesh")
-
-    def nodal_values(self, mesh: Mesh):
-        if self.kind == "nodal":
-            v = np.asarray(self.values, dtype=float)
-            if len(v) != mesh.num_nodes:
-                raise SourceError("nodal source length does not match mesh")
-            return v
-        return self.evaluate(mesh.nodes[:, 0], mesh.nodes[:, 1])
+        raise SourceError(f"unknown source kind {self.kind!r}")
 
 
 def constant_source(c=1.0) -> SourceSpec:
@@ -179,10 +170,7 @@ def load_vector(mesh: Mesh, f: SourceSpec) -> np.ndarray:
         v0, v1, v2 = v[t0], v[t1], v[t2]
         return np.stack([0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)], axis=1)
 
-    if f.kind == "nodal":
-        fm = midpoints(f.nodal_values(mesh))
-    else:
-        fm = f.evaluate(midpoints(mesh.nodes[:, 0]), midpoints(mesh.nodes[:, 1]))
+    fm = f.evaluate(midpoints(mesh.nodes[:, 0]), midpoints(mesh.nodes[:, 1]))
     _check_admissible(fm)
     # basis function i is 1/2 on the two edges touching vertex i, 0 opposite
     contrib = np.empty_like(fm)
@@ -447,24 +435,8 @@ def boundary_integral(u: ScalarField) -> float:
     return float(np.sum(length * 0.5 * (u.values[e[:, 0]] + u.values[e[:, 1]])))
 
 
-def integrate_field(u: ScalarField, mode: str = "l1", p: float | None = None) -> float:
-    """Dispatch: 'l1'/'l2'/'lp' integrate |u|^p over the domain (returning the
-    integral, not the norm); 'boundary_l1' integrates |u| over the boundary."""
-    if mode == "l1":
-        return field_integral_pow(u, 1.0)
-    if mode == "l2":
-        return field_integral_pow(u, 2.0)
-    if mode == "lp":
-        if p is None or p < 1:
-            raise ValueError("lp mode needs p >= 1")
-        return field_integral_pow(u, float(p))
-    if mode == "boundary_l1":
-        return boundary_integral(ScalarField(u.mesh, np.abs(u.values)))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def nodal_source_field(mesh: Mesh, f: SourceSpec) -> ScalarField:
     """Interpolate a source onto the mesh (used to rearrange f)."""
-    vals = f.nodal_values(mesh)
+    vals = f.evaluate(mesh.nodes[:, 0], mesh.nodes[:, 1])
     _check_admissible(vals)
     return ScalarField(mesh=mesh, values=np.maximum(vals, 0.0))

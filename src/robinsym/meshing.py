@@ -78,14 +78,6 @@ class Mesh:
     def boundary_nodes(self):
         return np.unique(self.boundary_edges)
 
-    def outward_normals(self):
-        """Unit outward normal per boundary edge (domain lies left of a->b)."""
-        e = self.nodes[self.boundary_edges]
-        t = e[:, 1] - e[:, 0]
-        length = np.hypot(t[:, 0], t[:, 1])
-        n = np.stack([t[:, 1], -t[:, 0]], axis=1) / length[:, None]
-        return n
-
 
 def _doubled_areas(nodes, tris):
     """Twice the signed area of each triangle, gathered one coordinate at a

@@ -91,9 +91,6 @@ class RadialSolution:
     def _locate(self, s):
         return np.clip(np.searchsorted(self._s, s, side="right") - 1, 0, len(self._s) - 2)
 
-    def fstar_cumulative(self, t):
-        return self.fstar.cumulative(t)
-
     def slope_g(self, s):
         """g(s) = F(s) s^(2/n-2)/c_n = -v'(s); nonnegative."""
         s = np.asarray(s, dtype=float)
@@ -181,39 +178,12 @@ class RadialSolution:
                                         self._s[1:].astype(float), scale, 1e-13)
         return plateau + acc
 
-    def distribution(self):
-        return _RadialDistribution(self)
-
     def profile(self, num: int = 2048) -> DecreasingProfile:
         sg = self.measure * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, num)))
         return DecreasingProfile(s=sg, values=self.value(sg))
 
     def export_text(self, num: int = 2048) -> str:
         return self.profile(num).export_text()
-
-
-class _RadialDistribution:
-    """Distribution-function view of a radial solution (mu = phi)."""
-
-    def __init__(self, rs: RadialSolution):
-        self.rs = rs
-        v_breaks = rs.v_m + rs._w_at_breaks
-        self.breaks = np.unique(np.concatenate([[0.0], v_breaks, [rs.v_M]]))
-        self.total_measure = rs.measure
-        self.ess_sup = rs.v_M
-        self.ess_inf = 0.0
-
-    def mu(self, t):
-        return self.rs.phi(t)
-
-    def dmu(self, t):
-        return self.rs.dphi(t)
-
-    def ustar(self, s):
-        return self.rs.value(s)
-
-    def lorentz_power_integral(self, p, q):
-        return self.rs.lorentz_power_integral(p, q)
 
 
 def symmetrized_solution(measure: float, n: int, beta: float,

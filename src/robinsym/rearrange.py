@@ -29,20 +29,6 @@ class RearrangeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LorentzParams:
-    """Exponents of the L^(p,q) scale; q may be math.inf."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise RearrangeError("Lorentz p must be positive")
-        if not (self.q > 0):
-            raise RearrangeError("Lorentz q must be positive (or inf)")
-
-
 # ---------------------------------------------------------------------------
 # decreasing profiles
 
@@ -111,24 +97,16 @@ def constant_profile(value: float, total: float) -> DecreasingProfile:
 
 
 def distribution_function(obj) -> DistributionFunction:
-    """Distribution function of |u| for a ScalarField or DecreasingProfile.
-
-    Radial solutions carry their own exact distribution, whose
-    .distribution() shares this interface.
-    """
+    """Distribution function of |u| for a ScalarField or DecreasingProfile."""
     if isinstance(obj, ScalarField):
         return build_mu_segments(obj)
     if isinstance(obj, DecreasingProfile):
         return DistributionFunction.from_profile(obj.s, obj.values)
-    if hasattr(obj, "distribution"):
-        return obj.distribution()
     raise RearrangeError(f"cannot build a distribution function from {type(obj)!r}")
 
 
-def decreasing_rearrangement(dist, num: int = 2048) -> DecreasingProfile:
+def decreasing_rearrangement(dist: DistributionFunction, num: int = 2048) -> DecreasingProfile:
     """u* sampled on a cosine-clustered s-grid (dense near 0 and |Omega|)."""
-    if isinstance(dist, ScalarField):
-        dist = distribution_function(dist)
     total = dist.total_measure
     sgrid = total * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, num)))
     vals = dist.ustar(sgrid)
@@ -183,66 +161,52 @@ def _batched_segment_integral(eval_fn, a, b, tol_scale, rel_tol=1e-12, max_round
     return total
 
 
-def lorentz_power_integral(dist, p: float, q: float) -> float:
-    """integral of t^(q-1) mu(t)^(q/p) dt over [0, ess sup].
+def lorentz_power_integral(dist: DistributionFunction, p: float, q: float) -> float:
+    """integral of t^(q-1) mu(t)^(q/p) dt over [0, ess sup], for p > 0 and
+    q >= 1.
 
     When q and q/p are positive integers the integrand is a polynomial of
     degree 2 q/p + q - 1 on every segment of mu, and one fixed Gauss rule per
     segment integrates it exactly; other exponents go through the adaptive
     batch."""
-    if hasattr(dist, "lorentz_power_integral"):
-        return dist.lorentz_power_integral(p, q)
-    if isinstance(dist, ScalarField):
-        dist = distribution_function(dist)
-    params = LorentzParams(p, q)
+    if not (p > 0 and q >= 1):
+        raise RearrangeError("Lorentz exponents need p > 0 and q >= 1")
     breaks = np.asarray(dist.breaks, dtype=float)
-    ratio = params.q / params.p
+    ratio = q / p
     a, b = breaks[:-1], breaks[1:]
     keep = b > a
     a, b = a[keep], b[keep]
     jmap = np.nonzero(keep)[0]
-    scale = dist.total_measure ** ratio * max(dist.ess_sup, 1e-300) ** params.q
+    scale = dist.total_measure ** ratio * max(dist.ess_sup, 1e-300) ** q
 
-    if float(params.q).is_integer() and float(ratio).is_integer():
-        x, w = _gauss(int(2 * ratio + params.q - 1) // 2 + 1)
+    if float(q).is_integer() and float(ratio).is_integer():
+        x, w = _gauss(int(2 * ratio + q - 1) // 2 + 1)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         t = mid[:, None] + half[:, None] * x
         m = dist.eval_in_segment(jmap[:, None], t)
-        total = float(half @ ((t ** (params.q - 1.0) * m ** ratio) @ w))
-    elif params.q >= 1.0:
+        total = float(half @ ((t ** (q - 1.0) * m ** ratio) @ w))
+    else:
         def f(i, t):
             m = dist.eval_in_segment(jmap[i], t)
-            return t ** (params.q - 1.0) * m ** ratio
+            return t ** (q - 1.0) * m ** ratio
         total = _batched_segment_integral(f, a, b, scale)
-    else:
-        # substitute tau = t^q to absorb the integrable t^(q-1) weight
-        def f(i, tau):
-            t = tau ** (1.0 / params.q)
-            m = dist.eval_in_segment(jmap[i], t)
-            return m ** ratio / params.q
-        total = _batched_segment_integral(f, a ** params.q, b ** params.q, scale)
     if not math.isfinite(total):
         raise RearrangeError("divergent Lorentz integral")
     return total
 
 
-def lorentz_norm(dist, p: float, q: float) -> float:
-    """Lorentz functional: (integral t^q mu^(q/p) dt/t)^(1/q), or
+def lorentz_norm(dist: DistributionFunction, p: float, q: float) -> float:
+    """Lorentz functional: (integral t^q mu^(q/p) dt/t)^(1/q) for q >= 1, or
     sup_t t^p mu(t) when q = inf."""
     if math.isinf(q):
         return _lorentz_sup(dist, p)
     return lorentz_power_integral(dist, p, q) ** (1.0 / q)
 
 
-def _lorentz_sup(dist, p: float) -> float:
+def _lorentz_sup(dist: DistributionFunction, p: float) -> float:
     """sup of t^p mu(t): per segment the candidates are the endpoints (left
     limit at the right end) and the roots of p mu + t mu' = 0, all segments
     in one evaluation."""
-    if isinstance(dist, ScalarField):
-        dist = distribution_function(dist)
-    if not isinstance(dist, DistributionFunction):
-        ts = np.linspace(0.0, dist.ess_sup, 8193)
-        return float(np.max(ts ** p * dist.mu(ts)))
     a, b, m = dist.breaks[:-1], dist.breaks[1:], dist.centers
     ca, cb, cc = dist.coeffs.T
     # p mu + t mu' = 0 with mu = ca + cb x + cc x^2, t = x + m

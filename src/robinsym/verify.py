@@ -7,8 +7,9 @@ piece once, and each checker is a short functional of a ladder.  A checker
 computes both sides of one inequality: the gap between the
 symmetrized-problem functional and the actual-solution functional on the
 left, and constant * asymmetry^power on the right.  Discretization error is
-estimated by one uniform refinement (Richardson step), and a check passes
-when margin + error >= 0, so mesh error can never produce a false failure.
+estimated by the gap difference between the first and last rungs,
+|gap(h) - gap(h / 2^refinements)|, and a check passes when
+margin + error >= 0, so mesh error can never produce a false failure.
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ class Ladder:
     """
 
     def __init__(self, domain: Domain, beta: float, h: float, refinements: int = 1):
+        if refinements < 1:
+            raise ValueError("a ladder needs refinements >= 1: the discretization "
+                             "error is the gap difference between two rungs")
         self.domain = domain
         self.beta = beta
         self.h = h
@@ -238,9 +242,9 @@ def _mu_le_phi_margin(dist, rs) -> float:
 
 def _report(theorem, ladder: Ladder, f_label, k, gamma_n, gaps, alpha, constant, power,
             extras=None):
-    """Assemble a TheoremReport from the Richardson gap ladder."""
+    """Assemble a TheoremReport from the gaps on the ladder's rungs."""
     gap = gaps[-1]
-    disc = abs(gaps[0] - gaps[-1]) if len(gaps) > 1 else abs(gaps[0]) * 1e-2
+    disc = abs(gaps[0] - gaps[-1])
     rhs_err = constant * power * max(alpha.value, 1e-30) ** (power - 1) * alpha.error
     err = disc + rhs_err
     rhs = constant * alpha.value ** power

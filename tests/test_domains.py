@@ -103,6 +103,21 @@ def test_nonpositive_parameters_rejected():
         build_domain("rect", w=0.0, h=1.0)
 
 
+@pytest.mark.parametrize("spec, match", [
+    ("disc", "disc needs parameter 'r'"),
+    ("disc radius=1", "unknown disc parameter 'radius'"),
+    ("disc r=1 foo=2", "unknown disc parameter 'foo'"),
+    ("disc r=1 r=2", "repeated parameter 'r'"),
+    ("disc r=abc", "disc parameter 'r' must be a finite number, got 'abc'"),
+    ("polygon 0,0 1,0 1,x", "coordinate of polygon vertex 3 must be a finite number, got 'x'"),
+    ("disc r=nan", "disc parameter 'r' must be a finite number, got 'nan'"),
+    ("disc r=inf", "disc parameter 'r' must be a finite number, got 'inf'"),
+])
+def test_domain_spec_names_the_bad_parameter(spec, match):
+    with pytest.raises(GeometryError, match=match):
+        parse_domain_spec(spec)
+
+
 def test_spec_roundtrip():
     for text in ("disc r=1", "ellipse a=2 b=0.5", "rect w=2 h=0.5",
                  "stadium l=1 r=0.5", "polygon 0,0 2,0 1,1.5"):

@@ -75,6 +75,34 @@ def test_k_out_of_range_cites_bound():
     assert parse_config(ok).ks == [2.0]
 
 
+@pytest.mark.parametrize("old, new, line, what", [
+    ("h = 0.15", "h = abc", 7, "a number"),
+    ("betas = 1", "betas = 1, x", 3, "a number"),
+    ("refinements = 1", "refinements = 1.5", 8, "an integer"),
+    ("gamma2 = 16.0", "gamma2 = abc", 11, "a number")])
+def test_non_numeric_value_names_its_line(old, new, line, what):
+    with pytest.raises(ConfigError, match=f"line {line}: .* is not {what}"):
+        parse_config(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, key", [("betas = 1", "betas = nan", "betas"),
+                                           ("ks = 1", "ks = nan", "ks"),
+                                           ("h = 0.15", "h = inf", "h"),
+                                           ("gamma2 = 16.0", "gamma2 = inf", "gamma2")])
+def test_non_finite_values_rejected(old, new, key):
+    with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+        parse_config(MINIMAL.replace(old, new))
+
+
+def test_a_single_rung_is_rejected():
+    # the discretization error is the gap difference of two rungs; one rung
+    # has none to report
+    with pytest.raises(ConfigError, match="refinements must be at least 1"):
+        parse_config(MINIMAL.replace("refinements = 1", "refinements = 0"))
+    with pytest.raises(ValueError, match="two rungs"):
+        Ladder(parse_domain_spec("disc r=1"), 1.0, 0.15, refinements=0)
+
+
 @pytest.mark.parametrize("key", ["domains", "betas", "ks", "sources", "theorems"])
 def test_empty_list_rejected_by_name(key):
     lines = [f"{key} =" if line.startswith(f"{key} =") else line

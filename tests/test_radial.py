@@ -12,7 +12,7 @@ from robinsym.radial import (
     symmetrized_constant_source,
     symmetrized_solution,
 )
-from robinsym.rearrange import DecreasingProfile, constant_profile, lorentz_norm
+from robinsym.rearrange import DecreasingProfile, constant_profile
 
 
 def test_constant_source_matches_closed_form():
@@ -87,20 +87,15 @@ def test_lorentz_integrals_against_closed_forms():
     assert rs.lorentz_power_integral(1.0, 1.0) == pytest.approx(5 * math.pi / 8, rel=1e-11)
     # integral of t phi dt = (1/2) integral v^2 ds = 19 pi / 96
     assert rs.lorentz_power_integral(2.0, 2.0) == pytest.approx(19 * math.pi / 96, rel=1e-11)
-    # the same numbers through the generic Lorentz norm front end
-    assert lorentz_norm(rs.distribution(), 1.0, 1.0) == pytest.approx(5 * math.pi / 8, rel=1e-10)
-    assert lorentz_norm(rs.distribution(), 2.0, 2.0) ** 2 == pytest.approx(19 * math.pi / 96, rel=1e-10)
 
 
 def test_distribution_view():
     rs = symmetrized_constant_source(math.pi, beta=1.0)
-    d = rs.distribution()
-    assert d.total_measure == pytest.approx(math.pi)
-    assert d.mu(0.1) == pytest.approx(math.pi)
-    assert d.mu(1.0) == 0.0
-    assert d.ustar(0.5) == pytest.approx(rs.value(0.5), abs=1e-14)
+    assert rs.measure == pytest.approx(math.pi)
+    assert rs.phi(0.1) == pytest.approx(math.pi)
+    assert rs.phi(1.0) == 0.0
     # dphi = 1/v' on the decreasing part: here v' = -1/(4 pi), so phi' = -4 pi
-    assert d.dmu(0.6) == pytest.approx(-4.0 * math.pi, rel=1e-12)
+    assert rs.dphi(0.6) == pytest.approx(-4.0 * math.pi, rel=1e-12)
 
 
 def test_nonconstant_fstar_monotone_and_consistent():

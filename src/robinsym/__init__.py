@@ -1,7 +1,7 @@
 """Robin-Poisson symmetrization laboratory.
 
 Solves -Delta u = f with Robin boundary conditions on planar domains,
-computes rearrangements, Lorentz norms, and Fraenkel asymmetry, and checks
+computes rearrangements, Lorentz integrals, and Fraenkel asymmetry, and checks
 the quantitative comparison inequalities between a solution and its
 symmetrized counterpart on the equal-measure disc.
 """
@@ -28,9 +28,6 @@ from .rearrange import (
     DecreasingProfile,
     decreasing_rearrangement,
     distribution_function,
-    hardy_littlewood_gap,
-    lorentz_norm,
-    schwarz_value,
 )
 from .radial import (
     RadialSolution,
@@ -38,17 +35,7 @@ from .radial import (
     bessel_eigen_oracle,
     symmetrized_solution,
 )
-from .levelset import (
-    DistributionFunction,
-    LevelGrid,
-    OdeResidualReport,
-    exterior_boundary_integral_inv_u,
-    gronwall_bound,
-    interior_level_perimeter,
-    make_level_grid,
-    ode_residuals,
-    superlevel_measure_exact,
-)
+from .levelset import DistributionFunction
 from .verify import (
     ConstantsBundle,
     Ladder,

@@ -7,22 +7,28 @@ import sys
 
 import numpy as np
 
-from .config import check_config, default_config_text, parse_config
-from .domains import fraenkel_asymmetry, parse_domain_spec
-from .fem import boundary_integral, field_integral, solve_robin_poisson
-from .meshing import export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
-from .radial import ball_closed_forms, bessel_eigen_oracle, symmetrized_constant_source
+from .config import KNOWN_SOURCES, ConfigError, check_config, default_config_text, \
+    parse_config
+from .domains import GeometryError, fraenkel_asymmetry, parse_domain_spec
+from .fem import SolverError, SourceError, boundary_integral, field_integral, \
+    solve_robin_poisson
+from .meshing import MeshError, export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
+from .radial import OracleError, RadialError, ball_closed_forms, bessel_eigen_oracle, \
+    symmetrized_constant_source
+from .rearrange import RearrangeError
 from .runner import all_passed, emit_reports, run_experiments, source_from_name
+
+# what bad input or a failed solve raises: reported in one line, exit code 2
+_ERRORS = (ConfigError, GeometryError, MeshError, SourceError, SolverError, RadialError,
+           OracleError, RearrangeError, OSError)
 
 
 def _load_mesh(args):
     if getattr(args, "import_path", None):
         with open(args.import_path) as fh:
             mesh = import_mesh_text(fh.read())
-    elif getattr(args, "domain", None):
-        mesh = generate_mesh(parse_domain_spec(args.domain), args.h)
     else:
-        raise SystemExit("mesh: provide --domain or --import")
+        mesh = generate_mesh(parse_domain_spec(args.domain), args.h)
     for _ in range(getattr(args, "refine", 0)):
         mesh = refine_mesh(mesh)
     return mesh
@@ -105,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="generate, refine, import or export a mesh")
-    p.add_argument("--domain", help="domain spec, e.g. 'disc r=1'")
-    p.add_argument("--import", dest="import_path", help="mesh text file to load")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--domain", help="domain spec, e.g. 'disc r=1'")
+    given.add_argument("--import", dest="import_path", help="mesh text file to load")
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--refine", type=int, default=0)
     p.add_argument("--out")
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--refine", type=int, default=0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--f", default="const", help="source: const, radial, or bump")
+    p.add_argument("--f", default="const", choices=KNOWN_SOURCES)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
 
@@ -142,8 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit code 0 on success, 1 when a verify check
+    fails, 2 on bad input or a failed solve."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _ERRORS as exc:
+        print(f"robinsym {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

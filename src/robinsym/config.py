@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 
-from .verify import KRangeError, k_range_lorentz_2k2, k_range_lorentz_k1
+from .verify import k_range_lorentz_2k2, k_range_lorentz_k1
 
 KNOWN_THEOREMS = ("lorentz_k1", "lorentz_2k2", "pointwise", "saint_venant",
                   "bossel_daners")
@@ -18,10 +17,6 @@ _KEYS = {
     "gamma": {"gamma2", "provenance"},
     "output": {"dir"},
 }
-
-# [run] keys that once existed and no longer do anything; old configs that
-# still set them parse, with a warning
-_RETIRED_RUN_KEYS = ("tgrid", "seed", "workers")
 
 
 class ConfigError(ValueError):
@@ -52,12 +47,11 @@ def _split_list(value: str, sep: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; unknown keys, duplicate keys, non-numeric values
-    and a missing gamma provenance raise with the offending line; a retired
-    key warns and is ignored; values are checked by `check_config`."""
+    and a missing gamma provenance raise with the offending line; values are
+    checked by `check_config`."""
     section = None
     lines: dict = {}
     values: dict = {}
-    retired = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,18 +66,12 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, val = (part.strip() for part in line.split("=", 1))
-        if section == "run" and key in _RETIRED_RUN_KEYS:
-            retired.append(f"{key!r} (line {lineno})")
-            continue
         if key not in _KEYS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         if (section, key) in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         lines[(section, key)] = lineno
         values[(section, key)] = val
-    if retired:
-        warnings.warn(f"ignoring retired [run] keys {', '.join(retired)}: they have "
-                      "no effect", stacklevel=2)
 
     def get(section, key, default=None):
         return values.get((section, key), default)

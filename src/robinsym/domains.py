@@ -92,20 +92,6 @@ def _polygon_is_convex(v):
     return True
 
 
-def _polygon_contains(v, px, py):
-    """Crossing-number point-in-polygon test, vectorized over points."""
-    inside = np.zeros_like(px, dtype=bool)
-    m = len(v)
-    for i in range(m):
-        xa, ya = v[i]
-        xb, yb = v[(i + 1) % m]
-        cond = (ya > py) != (yb > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcut = xa + (py - ya) * (xb - xa) / (yb - ya)
-        inside ^= cond & (px < xcut)
-    return inside
-
-
 def _polygon_centroid(v):
     x, y = v[:, 0], v[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -167,27 +153,6 @@ class Domain:
     def diameter(self) -> float:
         x0, x1, y0, y1 = self.bounding_box()
         return math.hypot(x1 - x0, y1 - y0)
-
-    def contains(self, px, py):
-        """Exact membership test, vectorized over point arrays."""
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        if self.kind == "disc":
-            r, cx, cy = self.params
-            return (px - cx) ** 2 + (py - cy) ** 2 <= r * r
-        if self.kind == "ellipse":
-            a, b, cx, cy = self.params
-            return ((px - cx) / a) ** 2 + ((py - cy) / b) ** 2 <= 1.0
-        if self.kind == "rect":
-            w, h, cx, cy = self.params
-            return (np.abs(px - cx) <= w / 2) & (np.abs(py - cy) <= h / 2)
-        if self.kind == "stadium":
-            l, r, cx, cy = self.params
-            x, y = px - cx, py - cy
-            in_rect = (np.abs(x) <= l / 2) & (np.abs(y) <= r)
-            in_caps = (np.abs(x) - l / 2) ** 2 + y ** 2 <= r * r
-            return in_rect | (in_caps & (np.abs(x) > l / 2))
-        return _polygon_contains(self.vertices, px, py)
 
     # -- boundary parametrization (mesh refinement and the asymmetry) --------
 

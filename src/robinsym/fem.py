@@ -394,38 +394,10 @@ def principal_robin_eigenpair(mesh: Mesh, beta: float):
 # ---------------------------------------------------------------------------
 # integration
 
-# 7-point Radon rule, degree 5, barycentric coordinates and weights
-_RADON_BARY = np.array([
-    [1 / 3, 1 / 3, 1 / 3],
-    [0.059715871789770, 0.470142064105115, 0.470142064105115],
-    [0.470142064105115, 0.059715871789770, 0.470142064105115],
-    [0.470142064105115, 0.470142064105115, 0.059715871789770],
-    [0.797426985353087, 0.101286507323456, 0.101286507323456],
-    [0.101286507323456, 0.797426985353087, 0.101286507323456],
-    [0.101286507323456, 0.101286507323456, 0.797426985353087],
-])
-_RADON_W = np.array([0.225, 0.132394152788506, 0.132394152788506, 0.132394152788506,
-                     0.125939180544827, 0.125939180544827, 0.125939180544827])
-
-
 def field_integral(u: ScalarField) -> float:
     """Exact integral of the piecewise-linear interpolant."""
     area = u.mesh.triangle_areas()
     return float(np.sum(area * u.values[u.mesh.triangles].mean(axis=1)))
-
-
-def field_integral_pow(u: ScalarField, p: float) -> float:
-    """Integral of |u|^p; exact for p = 1, 2 on one-signed fields, 7-point
-    quadrature (degree 5) otherwise."""
-    area = u.mesh.triangle_areas()
-    v = u.values[u.mesh.triangles]
-    if p == 1.0 and (u.values >= 0).all():
-        return float(np.sum(area * v.mean(axis=1)))
-    if p == 2.0:
-        s = v.sum(axis=1)
-        return float(np.sum(area / 12.0 * (s * s + (v * v).sum(axis=1))))
-    vals = np.abs(v @ _RADON_BARY.T) ** p
-    return float(np.sum(area * (vals @ _RADON_W)))
 
 
 def boundary_integral(u: ScalarField) -> float:

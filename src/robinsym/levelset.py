@@ -2,17 +2,17 @@
 distribution-function class.
 
 The superlevel measure mu(t) = |{u > t}| of a P1 field is piecewise
-quadratic in the level t with breakpoints at nodal values; that of a
-piecewise-linear decreasing profile is piecewise linear.  Both are a
+quadratic in the level t with breakpoints at nodal values; it is a
 `DistributionFunction`, which also inverts mu (`ustar`).  The segment
 coefficients are kept in a basis centered at each segment's midpoint: every
 contribution is then bounded by the triangle area, so near-duplicate nodal
-values (ubiquitous on symmetric meshes) cannot blow up the expansion.
+values (ubiquitous on symmetric meshes) cannot blow up the expansion.  The
+superlevel sets themselves get an oriented boundary and, through it, their
+Fraenkel asymmetry (`superlevel_asymmetry`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,36 +23,6 @@ from .domains import _asymmetry_search, _asymmetry_seeds
 from .fem import ScalarField
 
 
-class LevelGridError(ValueError):
-    """Level grid too coarse or malformed."""
-
-
-# ---------------------------------------------------------------------------
-# per-triangle clip area
-
-
-def _sorted_triangle_values(u: ScalarField):
-    tv = u.values[u.mesh.triangles]
-    order = np.argsort(tv, axis=1, kind="stable")
-    tv_sorted = np.take_along_axis(tv, order, axis=1)
-    return tv_sorted, order
-
-
-def superlevel_measure_exact(u: ScalarField, t: float) -> float:
-    """Exact area of {interpolant > t}: each triangle is clipped by its level line."""
-    tv, _ = _sorted_triangle_values(u)
-    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
-    area = u.mesh.triangle_areas()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = np.maximum((v2 - v1) * (v3 - v1), 1e-300)
-        d2 = np.maximum((v3 - v2) * (v3 - v1), 1e-300)
-        mid = area * (1.0 - (t - v1) ** 2 / d1)
-        top = area * (v3 - t) ** 2 / d2
-    out = np.where(t < v1, area,
-                   np.where(t < v2, mid, np.where(t < v3, top, 0.0)))
-    return float(np.maximum(out, 0.0).sum())
-
-
 # ---------------------------------------------------------------------------
 # piecewise-quadratic superlevel measure
 
@@ -61,41 +31,13 @@ def superlevel_measure_exact(u: ScalarField, t: float) -> float:
 class DistributionFunction:
     """Nonincreasing right-continuous t -> mu(t) = |{u > t}|, piecewise
     quadratic: mu(t) = a + b (t - m) + c (t - m)^2 on [breaks[j], breaks[j+1])
-    with m = centers[j] and (a, b, c) = coeffs[j].  P1 fields give quadratic
-    segments (`build_mu_segments`), decreasing profiles linear ones
-    (`from_profile`)."""
+    with m = centers[j] and (a, b, c) = coeffs[j] (`build_mu_segments`)."""
 
     breaks: np.ndarray    # K+1 ascending, breaks[0] = 0
     centers: np.ndarray   # K midpoints
     coeffs: np.ndarray    # (K, 3) local (a, b, c)
     total_measure: float
     ess_inf: float
-
-    @classmethod
-    def from_profile(cls, s, values) -> "DistributionFunction":
-        """mu of a nonnegative, nonincreasing, piecewise-linear profile with
-        nodes (s, values), s ascending from 0: linear in t on every strictly
-        decreasing piece, a jump at every plateau."""
-        s, y = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
-        total, ymin = float(s[-1]), float(y[-1])
-        breaks = np.unique(np.concatenate([[0.0], y[y > 0.0]]))
-        if len(breaks) == 1:  # the zero profile: one stub segment
-            breaks = np.array([0.0, 1e-300])
-        centers = 0.5 * (breaks[:-1] + breaks[1:])
-        coeffs = np.zeros((len(centers), 3))
-        coeffs[:, 0] = total
-        # strictly decreasing pieces [y[i+1], y[i]], ascending in t; they
-        # tile [ymin, ymax], and each midpoint above ymin lies on the first
-        # piece that ends above it
-        i = np.nonzero(y[:-1] > y[1:])[0][::-1]
-        if len(i):
-            hi, slope = y[i], (s[i + 1] - s[i]) / (y[i + 1] - y[i])
-            on = centers >= ymin
-            p = np.minimum(np.searchsorted(hi, centers[on], side="right"), len(i) - 1)
-            coeffs[on, 0] = s[i[p]] + (centers[on] - hi[p]) * slope[p]
-            coeffs[on, 1] = slope[p]
-        return cls(breaks=breaks, centers=centers, coeffs=coeffs, total_measure=total,
-                   ess_inf=ymin)
 
     @property
     def num_segments(self) -> int:
@@ -121,15 +63,6 @@ class DistributionFunction:
         out = np.where(t < self.breaks[0], self.total_measure, out)
         out = np.where(t >= self.breaks[-1], 0.0, out)
         return out if out.ndim else float(out)
-
-    def dmu(self, t):
-        t = np.asarray(t, dtype=float)
-        j = self.locate(t)
-        x = t - self.centers[j]
-        d = self.coeffs[j, 1] + 2.0 * self.coeffs[j, 2] * x
-        d = np.where((t < self.breaks[0]) | (t >= self.breaks[-1]), 0.0, d)
-        d = np.minimum(d, 0.0)
-        return d if d.ndim else float(d)
 
     @cached_property
     def edge_values(self):
@@ -192,7 +125,7 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
     The nodal values are first snapped to multiples of 1e-12 max|u|, so
     that values equal up to rounding share one breakpoint; mu is then exact
     for the snapped field, and up to about 1e-12 relative off the exact
-    superlevel area of u itself (`superlevel_measure_exact`).
+    superlevel area of u itself.
     """
     vals = np.abs(u.values)
     vmax = float(vals.max())
@@ -274,7 +207,14 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
 
 
 # ---------------------------------------------------------------------------
-# level-curve lengths and boundary integrals
+# superlevel sets: oriented boundary and asymmetry
+
+
+def _sorted_triangle_values(u: ScalarField):
+    tv = u.values[u.mesh.triangles]
+    order = np.argsort(tv, axis=1, kind="stable")
+    tv_sorted = np.take_along_axis(tv, order, axis=1)
+    return tv_sorted, order
 
 
 def _level_segments(u: ScalarField, t: float):
@@ -295,13 +235,6 @@ def _level_segments(u: ScalarField, t: float):
                  p2 + w23[:, None] * (p3 - p2))
     b = p1 + w13[:, None] * (p3 - p1)
     return lower | upper, a, b, p3
-
-
-def interior_level_perimeter(u: ScalarField, t: float) -> float:
-    """Total length of the level line {interpolant = t} inside triangles."""
-    cut, a, b, _ = _level_segments(u, t)
-    seg = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-    return float(np.where(cut, seg, 0.0).sum())
 
 
 def _outer_edges(mesh):
@@ -340,166 +273,6 @@ def superlevel_boundary(u: ScalarField, t: float) -> np.ndarray:
     return np.concatenate([level, outer])
 
 
-def exterior_boundary_integral_inv_u(u: ScalarField, t: float) -> float:
-    """Integral of 1/u over the boundary portion where u > t (closed form)."""
-    e = u.mesh.boundary_edges
-    ua = u.values[e[:, 0]]
-    ub = u.values[e[:, 1]]
-    if np.any(ua <= 0.0) or np.any(ub <= 0.0):
-        raise ValueError("boundary values must be strictly positive")
-    length = u.mesh.boundary_lengths()
-    lo = np.minimum(ua, ub)
-    hi = np.maximum(ua, ub)
-    cut = np.maximum(lo, t)
-    active = hi > t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(hi > lo, (hi - cut) / (hi - lo), 1.0)
-        sub_len = length * frac
-        near = np.abs(hi - cut) < 1e-12 * hi
-        val = np.where(near, sub_len / hi, sub_len * np.log(hi / np.maximum(cut, 1e-300))
-                       / np.maximum(hi - cut, 1e-300))
-    return float(np.where(active, val, 0.0).sum())
-
-
-def perimeter_decomposition(u: ScalarField, t: float):
-    """(interior level length, exterior boundary length where u > t)."""
-    e = u.mesh.boundary_edges
-    ua, ub = u.values[e[:, 0]], u.values[e[:, 1]]
-    lo, hi = np.minimum(ua, ub), np.maximum(ua, ub)
-    length = u.mesh.boundary_lengths()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(hi > lo, np.clip((hi - np.maximum(lo, t)) / (hi - lo), 0.0, 1.0),
-                        (hi > t).astype(float))
-    ext = float((length * frac).sum())
-    return interior_level_perimeter(u, t), ext
-
-
-# ---------------------------------------------------------------------------
-# level grids and the level-set ODE report
-
-
-@dataclass(frozen=True)
-class LevelGrid:
-    """Strictly increasing interior levels for residual checks."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = self.values
-        if len(v) < 64:
-            raise LevelGridError("level grid needs at least 64 interior points")
-        if np.any(np.diff(v) <= 0):
-            raise LevelGridError("level grid values must be strictly increasing")
-
-
-# the grid stays _LEVEL_MARGIN * t_max away from 0 and t_max, and keeps at
-# most _LEVEL_MAX_POINTS levels
-_LEVEL_MARGIN = 1e-6
-_LEVEL_MAX_POINTS = 8192
-
-
-def make_level_grid(t_max: float, anchors=(), count: int = 512, include=()) -> LevelGrid:
-    """Cosine-clustered levels on (0, t_max) refined near each anchor.
-
-    Anchor values (u_min, v_min, ...) become panel boundaries so points
-    cluster there; `include` values (nodal values) are inserted with a
-    relative 1e-12 jitter to avoid degenerate level lines through vertices.
-    """
-    if t_max <= 0:
-        raise LevelGridError("t_max must be positive")
-    lo = _LEVEL_MARGIN * t_max
-    hi = (1.0 - _LEVEL_MARGIN) * t_max
-    panels = sorted({lo, hi, *[float(a) for a in anchors if lo < float(a) < hi]})
-    pts = []
-    for a, b in zip(panels, panels[1:]):
-        n = max(16, int(round(count * (b - a) / (hi - lo))))
-        x = 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n)))
-        pts.append(a + (b - a) * x)
-    vals = np.concatenate(pts) if pts else np.linspace(lo, hi, count)
-    if len(include):
-        inc = np.asarray(include, dtype=float) * (1.0 + 1e-12) + 1e-12 * t_max
-        inc = inc[(inc > lo) & (inc < hi)]
-        vals = np.concatenate([vals, inc])
-    # the anchors themselves are exceptional levels (kinks of mu); keep the
-    # clustering but evaluate just off them
-    interior = np.array([a for a in panels[1:-1]])
-    if len(interior):
-        keep = ~np.isin(vals, interior)
-        vals = np.concatenate([vals[keep], interior * (1.0 - 1e-9), interior * (1.0 + 1e-9)])
-    vals = np.unique(vals)
-    if len(vals) > _LEVEL_MAX_POINTS:
-        idx = np.unique(np.linspace(0, len(vals) - 1, _LEVEL_MAX_POINTS).astype(int))
-        vals = vals[idx]
-    return LevelGrid(values=vals)
-
-
-@dataclass
-class OdeResidualReport:
-    """Per-level comparison of n^2 w_n^(2/n) mu^((2n-2)/n) against
-    (-mu' + (1/beta) * exterior 1/u integral) * F(mu)."""
-
-    t: np.ndarray
-    mu: np.ndarray
-    dmu: np.ndarray
-    interior_perimeter: np.ndarray
-    exterior_integral: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def residual(self):
-        return self.lhs - self.rhs
-
-    @property
-    def margin(self):
-        return self.rhs - self.lhs
-
-    def max_relative_residual(self) -> float:
-        scale = np.maximum(np.abs(self.lhs), np.abs(self.rhs))
-        ok = scale > 0
-        return float(np.max(np.abs(self.residual[ok]) / scale[ok]))
-
-    def fraction_satisfied(self, tol: float) -> float:
-        scale = np.maximum(np.maximum(np.abs(self.lhs), np.abs(self.rhs)), 1e-300)
-        return float(np.mean(self.margin / scale >= -tol))
-
-    def export_text(self) -> str:
-        header = "# t mu dmu interior_perimeter exterior_integral lhs rhs margin"
-        rows = [header]
-        for k in range(len(self.t)):
-            rows.append(" ".join(f"{v:.17g}" for v in
-                                 (self.t[k], self.mu[k], self.dmu[k],
-                                  self.interior_perimeter[k], self.exterior_integral[k],
-                                  self.lhs[k], self.rhs[k], self.margin[k])))
-        return "\n".join(rows) + "\n"
-
-
-def ode_residuals(source, fstar, beta: float, grid: LevelGrid) -> OdeResidualReport:
-    """Level-set ODE residuals for a FEM field (inequality) or a radial
-    solution (equality); fstar is the decreasing rearrangement of the datum."""
-    ts = grid.values
-    n = getattr(source, "n", 2)
-    omega_n = math.pi if n == 2 else math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    cn = n * n * omega_n ** (2.0 / n)
-    if hasattr(source, "phi"):  # radial solution
-        mu = source.phi(ts)
-        dmu = source.dphi(ts)
-        per_ball = n * omega_n ** (1.0 / n) * np.maximum(mu, 0.0) ** ((n - 1.0) / n)
-        interior = np.where(ts > source.v_m, per_ball, 0.0)
-        pb = n * omega_n ** (1.0 / n) * source.measure ** ((n - 1.0) / n)
-        exterior = np.where(ts < source.v_m, pb / source.v_m, 0.0)
-    else:
-        dist = build_mu_segments(source)
-        mu = dist.mu(ts)
-        dmu = dist.dmu(ts)
-        interior = np.array([interior_level_perimeter(source, t) for t in ts])
-        exterior = np.array([exterior_boundary_integral_inv_u(source, t) for t in ts])
-    lhs = cn * np.maximum(mu, 0.0) ** ((2.0 * n - 2.0) / n)
-    rhs = (-dmu + exterior / beta) * fstar.cumulative(mu)
-    return OdeResidualReport(t=ts, mu=mu, dmu=dmu, interior_perimeter=interior,
-                             exterior_integral=exterior, lhs=lhs, rhs=rhs)
-
-
 def superlevel_asymmetry(u: ScalarField, t: float):
     """Fraenkel asymmetry of U_t = {interpolant > t}, or None when U_t is empty.
 
@@ -524,67 +297,3 @@ def superlevel_asymmetry(u: ScalarField, t: float):
         lo, hi = points.min(axis=0), points.max(axis=0)
         seeds = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
     return _asymmetry_search(segments, [], area, seeds)
-
-
-def quantitative_ode_margins(u: ScalarField, fstar, beta: float, gamma_n: float,
-                             levels):
-    """Margins of the asymmetry-strengthened level-set inequality
-    4 pi mu (1 + alpha(U_t)^2 / gamma_n) <= RHS at the given levels."""
-    dist = build_mu_segments(u)
-    out = []
-    for t in np.asarray(levels, dtype=float):
-        mu = float(dist.mu(t))
-        a = superlevel_asymmetry(u, t)
-        if a is None:
-            continue
-        ext = exterior_boundary_integral_inv_u(u, t)
-        rhs = (-float(dist.dmu(t)) + ext / beta) * float(fstar.cumulative(mu))
-        lhs = 4.0 * math.pi * mu * (1.0 + a.value ** 2 / gamma_n)
-        out.append((t, a.value, rhs - lhs))
-    return out
-
-
-def exterior_time_integral(u: ScalarField, tau: float) -> float:
-    """integral_0^tau t * (boundary integral of 1/u over {u > t}) dt.
-
-    The integrand has kinks only at boundary nodal values, so panel-wise
-    Gauss quadrature between them is accurate.
-    """
-    bvals = np.unique(u.values[np.unique(u.mesh.boundary_edges)])
-    cuts = np.unique(np.concatenate([[0.0, tau], bvals[(bvals > 0) & (bvals < tau)]]))
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tg = mid + half * xg
-        vals = np.array([t * exterior_boundary_integral_inv_u(u, t) for t in tg])
-        total += half * float(wg @ vals)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Gronwall helpers
-
-
-def gronwall_bound(xi_tau0: float, C: float, tau0: float, tau):
-    """Bounds implied by tau * xi' <= xi + C for tau >= tau0 > 0:
-    xi(tau) <= (xi(tau0) + C) (tau/tau0) - C and xi' <= (xi(tau0) + C)/tau0."""
-    if tau0 <= 0:
-        raise ValueError("tau0 must be positive")
-    if C < 0:
-        raise ValueError("C must be nonnegative")
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < tau0):
-        raise ValueError("tau must be >= tau0")
-    value = (xi_tau0 + C) * (tau / tau0) - C
-    slope = (xi_tau0 + C) / tau0
-    if value.ndim == 0:
-        return float(value), slope
-    return value, slope
-
-
-def gronwall_hypothesis_margin(tau, xi, dxi, C: float):
-    """max of tau*xi' - xi - C; positive means the hypothesis fails there."""
-    tau = np.asarray(tau, dtype=float)
-    margins = tau * np.asarray(dxi, dtype=float) - np.asarray(xi, dtype=float) - C
-    return float(margins.max()), margins

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Domain, GeometryError, _polygon_is_convex
+from .domains import Domain, _polygon_is_convex
 
 
 class MeshError(ValueError):
@@ -74,9 +74,6 @@ class Mesh:
 
     def boundary_length(self) -> float:
         return float(self.boundary_lengths().sum())
-
-    def boundary_nodes(self):
-        return np.unique(self.boundary_edges)
 
 
 def _doubled_areas(nodes, tris):

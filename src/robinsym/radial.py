@@ -63,7 +63,6 @@ class RadialSolution:
         self._q0 = fcum[:-1] - f[:-1] * s[:-1] + 0.5 * slopes * s[:-1] ** 2
         self._q0[0] = 0.0  # F(0) = 0 exactly on the first segment
         self._s = s
-        self._fcum = fcum
         self.v_m = self.measure ** (1.0 / n) / (self.beta * n * omega ** (1.0 / n)) \
             * (fcum[-1] / self.measure)
         w_right = self._antiderivative(s[1:], np.arange(len(s) - 1))
@@ -112,9 +111,6 @@ class RadialSolution:
         out = self.v_m + w
         return out if out.ndim else float(out)
 
-    def dvalue(self, s):
-        return -self.slope_g(s)
-
     # -- level sets -----------------------------------------------------------
 
     def phi(self, t):
@@ -152,14 +148,6 @@ class RadialSolution:
             out[mid] = x
         out = np.clip(out, 0.0, self.measure)
         return float(out[0]) if scalar else out
-
-    def dphi(self, t):
-        """phi'(t) = -1/g(phi(t)) on (v_m, v_M), 0 outside."""
-        t = np.asarray(t, dtype=float)
-        s = self.phi(t)
-        g = self.slope_g(s)
-        out = np.where((t > self.v_m) & (t < self.v_M) & (g > 0), -1.0 / np.maximum(g, 1e-300), 0.0)
-        return out if out.ndim else float(out)
 
     # -- norms and export -----------------------------------------------------
 

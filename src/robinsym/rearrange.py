@@ -1,7 +1,7 @@
-"""Decreasing profiles, rearrangements, and Lorentz norms.
+"""Decreasing profiles, rearrangements, and Lorentz integrals.
 
 The distribution function mu itself is `levelset.DistributionFunction`;
-`distribution_function` builds it for a field or a profile.  Norms are always
+`distribution_function` builds it for a field.  Lorentz integrals are always
 computed from mu, never from a sampled rearrangement: the theorem gaps are
 differences of integrals of mu^(1/k), and inverse-sampling error would show
 up directly in them.
@@ -17,7 +17,6 @@ import numpy as np
 
 from .fem import ScalarField
 from .levelset import DistributionFunction, build_mu_segments
-from .domains import unit_ball_measure
 
 
 @cache
@@ -64,9 +63,6 @@ class DecreasingProfile:
     def total(self) -> float:
         return float(self.s[-1])
 
-    def __call__(self, q):
-        return np.interp(q, self.s, self.values)
-
     def cumulative(self, q):
         """Exact integral of the profile from 0 to q (piecewise quadratic)."""
         q = np.clip(np.asarray(q, dtype=float), 0.0, self.total)
@@ -75,17 +71,8 @@ class DecreasingProfile:
         out = self._cum[j] + self.values[j] * d + 0.5 * self._slopes[j] * d * d
         return out if out.ndim else float(out)
 
-    def mean(self) -> float:
-        return float(self.cumulative(self.total)) / self.total
-
     def export_text(self) -> str:
         return "\n".join(f"{a:.17g} {b:.17g}" for a, b in zip(self.s, self.values)) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str):
-        rows = [line.split() for line in text.strip().split("\n")]
-        arr = np.array([[float(a), float(b)] for a, b in rows])
-        return cls(s=arr[:, 0], values=arr[:, 1])
 
 
 def constant_profile(value: float, total: float) -> DecreasingProfile:
@@ -97,11 +84,9 @@ def constant_profile(value: float, total: float) -> DecreasingProfile:
 
 
 def distribution_function(obj) -> DistributionFunction:
-    """Distribution function of |u| for a ScalarField or DecreasingProfile."""
+    """Distribution function of |u| for a ScalarField."""
     if isinstance(obj, ScalarField):
         return build_mu_segments(obj)
-    if isinstance(obj, DecreasingProfile):
-        return DistributionFunction.from_profile(obj.s, obj.values)
     raise RearrangeError(f"cannot build a distribution function from {type(obj)!r}")
 
 
@@ -112,15 +97,6 @@ def decreasing_rearrangement(dist: DistributionFunction, num: int = 2048) -> Dec
     vals = dist.ustar(sgrid)
     vals = np.minimum.accumulate(vals)
     return DecreasingProfile(s=sgrid, values=vals)
-
-
-def schwarz_value(prof: DecreasingProfile, x, n: int = 2) -> float:
-    """u_sharp(x) = u*(omega_n |x|^n) on the equal-measure ball."""
-    x = np.asarray(x, dtype=float)
-    s = unit_ball_measure(n) * np.linalg.norm(x) ** n
-    if s > prof.total * (1.0 + 1e-12):
-        raise RearrangeError("point lies outside the equal-measure ball")
-    return float(prof(min(s, prof.total)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,67 +169,3 @@ def lorentz_power_integral(dist: DistributionFunction, p: float, q: float) -> fl
     if not math.isfinite(total):
         raise RearrangeError("divergent Lorentz integral")
     return total
-
-
-def lorentz_norm(dist: DistributionFunction, p: float, q: float) -> float:
-    """Lorentz functional: (integral t^q mu^(q/p) dt/t)^(1/q) for q >= 1, or
-    sup_t t^p mu(t) when q = inf."""
-    if math.isinf(q):
-        return _lorentz_sup(dist, p)
-    return lorentz_power_integral(dist, p, q) ** (1.0 / q)
-
-
-def _lorentz_sup(dist: DistributionFunction, p: float) -> float:
-    """sup of t^p mu(t): per segment the candidates are the endpoints (left
-    limit at the right end) and the roots of p mu + t mu' = 0, all segments
-    in one evaluation."""
-    a, b, m = dist.breaks[:-1], dist.breaks[1:], dist.centers
-    ca, cb, cc = dist.coeffs.T
-    # p mu + t mu' = 0 with mu = ca + cb x + cc x^2, t = x + m
-    c2 = (p + 2.0) * cc
-    c1 = (p + 1.0) * cb + 2.0 * cc * m
-    c0 = p * ca + cb * m
-    quadratic = np.abs(c2) > 0
-    disc = c1 * c1 - 4.0 * c2 * c0
-    sq = np.sqrt(np.where(disc >= 0, disc, 0.0))
-    den = np.where(quadratic, 2 * c2, 1.0)
-    roots = [(-c1 + sq) / den + m, (-c1 - sq) / den + m,
-             -c0 / np.where(c1 != 0, c1, 1.0) + m]
-    real = [quadratic & (disc >= 0)] * 2 + [~quadratic & (np.abs(c1) > 0)]
-    keep = [ok & (a < t) & (t < b) for t, ok in zip(roots, real)]
-    j = np.arange(dist.num_segments)
-    seg = np.concatenate([j, j] + [j[k] for k in keep])
-    ts = np.concatenate([a, b] + [t[k] for t, k in zip(roots, keep)])
-    return float(np.max(ts ** p * dist.eval_in_segment(seg, ts)))
-
-
-def cavalieri_pnorm_power(dist, p: float) -> float:
-    """p * integral t^(p-1) mu(t) dt, equal to the p-th power of the L^p norm."""
-    return p * lorentz_power_integral(dist, p, p)
-
-
-def hardy_littlewood_gap(h: ScalarField, g: ScalarField) -> float:
-    """integral of h* g* ds minus integral of h g dx (nonnegative up to
-    quadrature tolerance); both fields must be nonnegative on one mesh."""
-    if h.mesh is not g.mesh:
-        raise RearrangeError("fields must share one mesh")
-    if h.u_min < 0 or g.u_min < 0:
-        raise RearrangeError("Hardy-Littlewood gap expects nonnegative fields")
-    tris = h.mesh.triangles
-    area = h.mesh.triangle_areas()
-    hv = h.values[tris]
-    gv = g.values[tris]
-    exact = float(np.sum(area / 12.0 * (hv.sum(axis=1) * gv.sum(axis=1) + (hv * gv).sum(axis=1))))
-
-    dh = distribution_function(h)
-    dg = distribution_function(g)
-    total = dh.total_measure
-    cuts = [np.array([0.0, total])]
-    for d in (dh, dg):
-        cuts.extend(d.edge_values)
-    sb = np.unique(np.clip(np.concatenate(cuts), 0.0, total))
-    xg, wg = _gauss(16)
-    mid, half = 0.5 * (sb[1:] + sb[:-1]), 0.5 * (sb[1:] - sb[:-1])
-    sg = mid[:, None] + half[:, None] * xg
-    return float(half @ ((dh.ustar(sg) * dg.ustar(sg)) @ wg)) - exact
-

@@ -1,0 +1,239 @@
+"""The identities of the paper's proof, as the tests' oracle for package
+results: the level-set ODE of Lemma 3.3 and its asymmetry-strengthened form
+with the boundary terms it integrates, exact superlevel areas and level-line
+lengths of P1 fields, the distribution function of a decreasing profile,
+and the Cavalieri and Hardy-Littlewood identities.  Not part of the package.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from robinsym.fem import ScalarField
+from robinsym.levelset import DistributionFunction, _level_segments, \
+    _sorted_triangle_values, build_mu_segments, superlevel_asymmetry
+from robinsym.radial import RadialSolution
+from robinsym.rearrange import DecreasingProfile, _gauss, distribution_function, \
+    lorentz_power_integral
+
+# ---------------------------------------------------------------------------
+# superlevel geometry of a P1 field
+
+
+def superlevel_measure_exact(u: ScalarField, t: float) -> float:
+    """Exact area of {interpolant > t}: each triangle is clipped by its level line."""
+    tv, _ = _sorted_triangle_values(u)
+    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
+    area = u.mesh.triangle_areas()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = area * (1.0 - (t - v1) ** 2 / np.maximum((v2 - v1) * (v3 - v1), 1e-300))
+        top = area * (v3 - t) ** 2 / np.maximum((v3 - v2) * (v3 - v1), 1e-300)
+    out = np.where(t < v1, area, np.where(t < v2, mid, np.where(t < v3, top, 0.0)))
+    return float(np.maximum(out, 0.0).sum())
+
+
+def interior_level_perimeter(u: ScalarField, t: float) -> float:
+    """Total length of the level line {interpolant = t} inside triangles."""
+    cut, a, b, _ = _level_segments(u, t)
+    return float(np.where(cut, np.hypot(*(a - b).T), 0.0).sum())
+
+
+def _boundary_values(u: ScalarField):
+    """(lo, hi, length): the smaller and larger end value of every boundary
+    edge, and its length."""
+    e = u.mesh.boundary_edges
+    ua, ub = u.values[e[:, 0]], u.values[e[:, 1]]
+    return np.minimum(ua, ub), np.maximum(ua, ub), u.mesh.boundary_lengths()
+
+
+def perimeter_decomposition(u: ScalarField, t: float):
+    """(interior level length, exterior boundary length where u > t)."""
+    lo, hi, length = _boundary_values(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(hi > lo, np.clip((hi - np.maximum(lo, t)) / (hi - lo), 0.0, 1.0),
+                        (hi > t).astype(float))
+    return interior_level_perimeter(u, t), float((length * frac).sum())
+
+
+def exterior_boundary_integral_inv_u(u: ScalarField, t: float) -> float:
+    """Integral of 1/u over the boundary portion where u > t (closed form)."""
+    lo, hi, length = _boundary_values(u)
+    if np.any(lo <= 0.0):
+        raise ValueError("boundary values must be strictly positive")
+    cut = np.maximum(lo, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sub_len = length * np.where(hi > lo, (hi - cut) / (hi - lo), 1.0)
+        val = np.where(np.abs(hi - cut) < 1e-12 * hi, sub_len / hi,
+                       sub_len * np.log(hi / np.maximum(cut, 1e-300))
+                       / np.maximum(hi - cut, 1e-300))
+    return float(np.where(hi > t, val, 0.0).sum())
+
+
+def exterior_time_integral(u: ScalarField, tau: float) -> float:
+    """integral_0^tau t * (boundary integral of 1/u over {u > t}) dt, by
+    16-point Gauss panels between the boundary nodal values, where alone
+    the integrand has kinks."""
+    bvals = np.unique(u.values[u.mesh.boundary_edges])
+    cuts = np.unique(np.concatenate([[0.0, tau], bvals[(bvals > 0) & (bvals < tau)]]))
+    xg, wg = _gauss(16)
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = [t * exterior_boundary_integral_inv_u(u, t) for t in mid + half * xg]
+        total += half * float(wg @ vals)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# distribution functions
+
+
+def dmu(dist: DistributionFunction, t):
+    """mu'(t) from the segment polynomial: 0 outside (0, ess sup), never positive."""
+    t = np.asarray(t, dtype=float)
+    j = dist.locate(t)
+    d = dist.coeffs[j, 1] + 2.0 * dist.coeffs[j, 2] * (t - dist.centers[j])
+    d = np.minimum(np.where((t < dist.breaks[0]) | (t >= dist.breaks[-1]), 0.0, d), 0.0)
+    return d if d.ndim else float(d)
+
+
+def dphi(rs: RadialSolution, t):
+    """phi'(t) = -1/g(phi(t)) on (v_m, v_M), 0 outside."""
+    t = np.asarray(t, dtype=float)
+    g = rs.slope_g(rs.phi(t))
+    out = np.where((t > rs.v_m) & (t < rs.v_M) & (g > 0), -1.0 / np.maximum(g, 1e-300), 0.0)
+    return out if out.ndim else float(out)
+
+
+def profile_distribution(prof: DecreasingProfile) -> DistributionFunction:
+    """mu of a decreasing piecewise-linear profile: linear in t on every
+    strictly decreasing piece, a jump at every plateau."""
+    s, y = prof.s, prof.values
+    total, ymin = float(s[-1]), float(y[-1])
+    breaks = np.unique(np.concatenate([[0.0], y[y > 0.0]]))
+    if len(breaks) == 1:  # the zero profile: one stub segment
+        breaks = np.array([0.0, 1e-300])
+    centers = 0.5 * (breaks[:-1] + breaks[1:])
+    coeffs = np.zeros((len(centers), 3))
+    coeffs[:, 0] = total
+    # strictly decreasing pieces [y[i+1], y[i]], ascending in t; they tile
+    # [ymin, ymax], and each midpoint above ymin lies on the first piece
+    # that ends above it
+    i = np.nonzero(y[:-1] > y[1:])[0][::-1]
+    if len(i):
+        hi, slope = y[i], (s[i + 1] - s[i]) / (y[i + 1] - y[i])
+        on = centers >= ymin
+        p = np.minimum(np.searchsorted(hi, centers[on], side="right"), len(i) - 1)
+        coeffs[on, 0] = s[i[p]] + (centers[on] - hi[p]) * slope[p]
+        coeffs[on, 1] = slope[p]
+    return DistributionFunction(breaks=breaks, centers=centers, coeffs=coeffs,
+                                total_measure=total, ess_inf=ymin)
+
+
+# ---------------------------------------------------------------------------
+# the planar level-set ODE (Lemma 3.3)
+
+
+def make_level_grid(t_max: float, anchors=(), count: int = 512) -> np.ndarray:
+    """Cosine-clustered increasing levels on (0, t_max), 1e-6 t_max away
+    from both ends; each anchor (u_min, v_min, ...) is a panel end that the
+    levels cluster at, and is evaluated just off, as it is a kink of mu."""
+    lo, hi = 1e-6 * t_max, (1.0 - 1e-6) * t_max
+    panels = sorted({lo, hi, *[float(a) for a in anchors if lo < float(a) < hi]})
+    pts = []
+    for a, b in zip(panels, panels[1:]):
+        n = max(16, int(round(count * (b - a) / (hi - lo))))
+        pts.append(a + (b - a) * (0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n)))))
+    vals, interior = np.concatenate(pts), np.array(panels[1:-1])
+    if len(interior):
+        vals = np.concatenate([vals[~np.isin(vals, interior)],
+                               interior * (1.0 - 1e-9), interior * (1.0 + 1e-9)])
+    return np.unique(vals)
+
+
+def ode_residuals(source, fstar: DecreasingProfile, beta: float, levels):
+    """(lhs, rhs) of 4 pi mu <= (-mu' + boundary integral of 1/u over
+    {u > t} / beta) F(mu), F the primitive of f*, at the levels: an
+    inequality for a P1 field, an equality for a radial solution."""
+    ts = np.asarray(levels, dtype=float)
+    if isinstance(source, RadialSolution):
+        mu, dm = source.phi(ts), dphi(source, ts)
+        exterior = np.where(ts < source.v_m,
+                            2.0 * math.sqrt(math.pi * source.measure) / source.v_m, 0.0)
+    else:
+        dist = build_mu_segments(source)
+        mu, dm = dist.mu(ts), dmu(dist, ts)
+        exterior = np.array([exterior_boundary_integral_inv_u(source, t) for t in ts])
+    return 4.0 * math.pi * np.maximum(mu, 0.0), (-dm + exterior / beta) * fstar.cumulative(mu)
+
+
+def max_relative_residual(lhs, rhs) -> float:
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    ok = scale > 0
+    return float(np.max(np.abs(lhs - rhs)[ok] / scale[ok]))
+
+
+def quantitative_ode_margins(u: ScalarField, fstar: DecreasingProfile, beta: float,
+                             gamma_n: float, levels):
+    """(t, alpha(U_t), rhs - lhs) of the asymmetry-strengthened inequality
+    4 pi mu (1 + alpha(U_t)^2 / gamma_n) <= rhs at every level whose
+    superlevel set U_t is not empty."""
+    dist = build_mu_segments(u)
+    out = []
+    for t in np.asarray(levels, dtype=float):
+        mu, a = float(dist.mu(t)), superlevel_asymmetry(u, t)
+        if a is not None:
+            ext = exterior_boundary_integral_inv_u(u, t)
+            rhs = (-dmu(dist, t) + ext / beta) * float(fstar.cumulative(mu))
+            out.append((t, a.value, rhs - 4.0 * math.pi * mu * (1.0 + a.value ** 2 / gamma_n)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# integral identities
+
+
+def cavalieri_pnorm_power(dist: DistributionFunction, p: float) -> float:
+    """p * integral t^(p-1) mu(t) dt, equal to the p-th power of the L^p norm."""
+    return p * lorentz_power_integral(dist, p, p)
+
+
+def hardy_littlewood_gap(h: ScalarField, g: ScalarField) -> float:
+    """integral of h* g* ds minus integral of h g dx, for nonnegative fields
+    on one mesh; nonnegative up to quadrature tolerance."""
+    hv, gv = h.values[h.mesh.triangles], g.values[g.mesh.triangles]
+    exact = float(np.sum(h.mesh.triangle_areas() / 12.0
+                         * (hv.sum(axis=1) * gv.sum(axis=1) + (hv * gv).sum(axis=1))))
+    dh, dg = distribution_function(h), distribution_function(g)
+    total = dh.total_measure
+    cuts = [np.array([0.0, total]), *dh.edge_values, *dg.edge_values]
+    sb = np.unique(np.clip(np.concatenate(cuts), 0.0, total))
+    xg, wg = _gauss(16)
+    mid, half = 0.5 * (sb[1:] + sb[:-1]), 0.5 * (sb[1:] - sb[:-1])
+    sg = mid[:, None] + half[:, None] * xg
+    return float(half @ ((dh.ustar(sg) * dg.ustar(sg)) @ wg)) - exact
+
+
+# the 7-point Radon rule, degree 5: barycentric coordinates and weights
+_RADON_A, _RADON_B = 0.059715871789770, 0.470142064105115
+_RADON_C, _RADON_D = 0.797426985353087, 0.101286507323456
+_RADON_BARY = np.array([[1 / 3] * 3, [_RADON_A, _RADON_B, _RADON_B],
+                        [_RADON_B, _RADON_A, _RADON_B], [_RADON_B, _RADON_B, _RADON_A],
+                        [_RADON_C, _RADON_D, _RADON_D], [_RADON_D, _RADON_C, _RADON_D],
+                        [_RADON_D, _RADON_D, _RADON_C]])
+_RADON_W = np.array([0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3)
+
+
+def field_integral_pow(u: ScalarField, p: float) -> float:
+    """Integral of |u|^p; exact for p = 1, 2 on one-signed fields, 7-point
+    quadrature (degree 5) otherwise."""
+    area = u.mesh.triangle_areas()
+    v = u.values[u.mesh.triangles]
+    if p == 1.0 and (u.values >= 0).all():
+        return float(np.sum(area * v.mean(axis=1)))
+    if p == 2.0:
+        s = v.sum(axis=1)
+        return float(np.sum(area / 12.0 * (s * s + (v * v).sum(axis=1))))
+    return float(np.sum(area * (np.abs(v @ _RADON_BARY.T) ** p @ _RADON_W)))

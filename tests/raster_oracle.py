@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robinsym.domains import Domain, GeometryError, _polygon_contains
+from robinsym.domains import Domain, GeometryError
 
 # default raster resolution: cell size == diameter / RASTER_CELLS
 RASTER_CELLS = 512
@@ -192,6 +192,20 @@ def cell_fractions(domain: Domain, grid: Grid):
         return _polygon_fractions(domain, grid)
     ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
     return _domain_box_fractions(domain, *grid.cell_boxes(ii, jj), grid.h)
+
+
+def _polygon_contains(v, px, py):
+    """Crossing-number point-in-polygon test, vectorized over points."""
+    inside = np.zeros_like(px, dtype=bool)
+    m = len(v)
+    for i in range(m):
+        xa, ya = v[i]
+        xb, yb = v[(i + 1) % m]
+        cond = (ya > py) != (yb > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcut = xa + (py - ya) * (xb - xa) / (yb - ya)
+        inside ^= cond & (px < xcut)
+    return inside
 
 
 def _polygon_fractions(domain: Domain, grid: Grid):

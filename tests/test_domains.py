@@ -218,7 +218,8 @@ def test_identity_decomposition():
     y0, y1 = min(y0, center[1] - r), max(y1, center[1] + r)
     px = rng.uniform(x0, x1, size=n)
     py = rng.uniform(y0, y1, size=n)
-    in_d = d.contains(px, py)
+    a, b = d.params[:2]
+    in_d = (px / a) ** 2 + (py / b) ** 2 <= 1.0
     in_b = (px - center[0]) ** 2 + (py - center[1]) ** 2 <= r * r
     box = (x1 - x0) * (y1 - y0)
     overlap = in_d.mean() * 0 + (in_d & in_b).mean() * box

@@ -1,9 +1,8 @@
 import json
 import math
 import os
-from dataclasses import replace
+import re
 
-import numpy as np
 import pytest
 
 from robinsym.cli import main as cli_main
@@ -113,7 +112,7 @@ def test_empty_list_rejected_by_name(key):
 
 @pytest.mark.parametrize("flag,value", [("--h", "-0.1"), ("--h", "0"),
                                         ("--gamma2", "-1"), ("--gamma2", "0")])
-def test_cli_verify_overrides_are_validated(tmp_path, monkeypatch, flag, value):
+def test_cli_verify_overrides_are_validated(tmp_path, monkeypatch, capsys, flag, value):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(MINIMAL)
 
@@ -121,9 +120,10 @@ def test_cli_verify_overrides_are_validated(tmp_path, monkeypatch, flag, value):
         raise AssertionError("a job ran with an invalid override")
 
     monkeypatch.setattr("robinsym.cli.run_experiments", no_jobs)
-    with pytest.raises(ConfigError, match=f"{flag[2:]} must be positive"):
-        cli_main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep"),
-                  flag, value])
+    assert cli_main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep"),
+                     flag, value]) == 2
+    assert re.fullmatch(f"robinsym verify: {flag[2:]} must be positive.*\n",
+                        capsys.readouterr().err)
     assert not (tmp_path / "rep").exists()
 
 
@@ -247,13 +247,12 @@ def test_unparsable_domain_fails_every_job_of_its_group():
     assert all(row.status == "ok" and row.report.passed for row in good)
 
 
-def test_retired_run_keys_warn_once_and_are_ignored():
-    text = MINIMAL.replace("refinements = 1",
-                           "refinements = 1\ntgrid = 512\nseed = 1234\nworkers = 2")
-    with pytest.warns(UserWarning, match="'tgrid'.*'seed'.*'workers'") as record:
-        cfg = parse_config(text)
-    assert len(record) == 1
-    assert replace(cfg, raw_text="") == replace(parse_config(MINIMAL), raw_text="")
+@pytest.mark.parametrize("key", ["tgrid", "seed", "workers"])
+def test_retired_run_keys_are_unknown(key):
+    # keys that once existed and did nothing are rejected like any other
+    text = MINIMAL.replace("refinements = 1", f"refinements = 1\n{key} = 2")
+    with pytest.raises(ConfigError, match=f"line 9: unknown key '{key}' in \\[run\\]"):
+        parse_config(text)
 
 
 def test_cli_verify_exit_code(tmp_path):
@@ -287,3 +286,41 @@ def test_cross_process_determinism(tmp_path):
         a = (tmp_path / "p1" / name).read_bytes()
         b = (tmp_path / "p2" / name).read_bytes()
         assert a == b, name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--domain", "disc r=1", "--f", "foo"],
+     "robinsym solve: error: argument --f: invalid choice: 'foo'"),
+    (["asymmetry", "--domain", "blob r=1"], "robinsym asymmetry: unknown shape kind 'blob'"),
+    (["mesh", "--domain", "disc r=1", "--h", "5"],
+     "robinsym mesh: target size must be in (0, diameter/4)"),
+    (["verify", "--config", "nope.cfg"],
+     "robinsym verify: [Errno 2] No such file or directory: 'nope.cfg'"),
+    (["oracle", "--R", "-1"], "robinsym oracle: R and beta must be positive"),
+    (["solve", "--domain", "rect w=5 h=0.5", "--f", "radial"],
+     "robinsym solve: source must be nonnegative"),
+    (["mesh", "--import", "nope.txt"],
+     "robinsym mesh: [Errno 2] No such file or directory: 'nope.txt'"),
+    (["mesh", "--import", "bad.txt"], "robinsym mesh: bad mesh header"),
+    (["verify", "--config", "retired.cfg"], "robinsym verify: line 2: unknown key 'seed' in [run]"),
+    (["solve", "--domain", "disc r=1", "--h", "0.3", "--out", "nodir/u.txt"],
+     "robinsym solve: [Errno 2] No such file or directory: 'nodir/u.txt'"),
+    (["oracle", "--kind", "profile", "--samples", "1"],
+     "robinsym oracle: profile needs matching s/value arrays"),
+], ids=["unknown-source", "unknown-shape", "mesh-size", "missing-config", "negative-radius",
+        "negative-source", "missing-mesh", "bad-mesh", "retired-key", "unwritable-output",
+        "one-sample-profile"])
+def test_cli_errors_end_in_one_line_and_exit_code_2(tmp_path, monkeypatch, capsys, argv,
+                                                    message):
+    # an uncaught error would propagate here; argparse reports a bad choice
+    # itself, after the usage line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("garbage\n")
+    (tmp_path / "retired.cfg").write_text("[run]\nseed = 3\n")
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(message)

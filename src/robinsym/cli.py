@@ -29,7 +29,9 @@ def _load_mesh(args):
             mesh = import_mesh_text(fh.read())
     else:
         mesh = generate_mesh(parse_domain_spec(args.domain), args.h)
-    for _ in range(getattr(args, "refine", 0)):
+    if args.refine < 0:
+        raise MeshError(f"--refine must be >= 0, got {args.refine}")
+    for _ in range(args.refine):
         mesh = refine_mesh(mesh)
     return mesh
 

@@ -46,7 +46,13 @@ class SolverError(RuntimeError):
 
 
 class SourceError(ValueError):
-    """Source term violates admissibility (nonnegative, not identically zero)."""
+    """Problem data violates admissibility: a source that is negative,
+    identically zero or not finite, or a beta that is not positive and finite."""
+
+
+def _check_beta(beta: float):
+    if not (math.isfinite(beta) and beta > 0):
+        raise SourceError(f"beta must be positive and finite, got {beta:g}")
 
 
 @dataclass
@@ -209,8 +215,7 @@ def _robin(mesh: Mesh, beta: float, keep: bool) -> sparse.csr_matrix:
 def assemble_robin_system(mesh: Mesh, f: SourceSpec, beta: float) -> SparseSystem:
     """The Robin-Poisson system on mesh.  Its matrix is assembled once per
     (mesh, beta) and shared by every system and solver on that mesh."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     A = _robin(mesh, beta, keep=True)
     rhs = load_vector(mesh, f)
     return SparseSystem(matrix=A, rhs=rhs, mesh=mesh, beta=beta)
@@ -385,8 +390,7 @@ def _nested_eigenpair(mesh: Mesh, beta: float):
 def principal_robin_eigenpair(mesh: Mesh, beta: float):
     """Smallest eigenvalue of (K + beta B) w = lambda M w and its
     eigenfunction, positive with unit L2 norm (`_nested_eigenpair`)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     lam, w = _nested_eigenpair(mesh, beta)
     return lam, ScalarField(mesh=mesh, values=-w if w.sum() < 0 else w.copy())
 

@@ -21,7 +21,10 @@ from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros
 
 from .domains import unit_ball_measure
-from .rearrange import DecreasingProfile, _batched_segment_integral, constant_profile
+from .rearrange import DecreasingProfile, _batched_segment_integral, _gauss, constant_profile
+
+# points of the fixed Gauss rule of `RadialSolution.lorentz_power_integral`
+_FIXED_POINTS = 32
 
 
 class RadialError(ValueError):
@@ -30,6 +33,10 @@ class RadialError(ValueError):
 
 class OracleError(RuntimeError):
     """A closed-form oracle could not bracket its root."""
+
+
+def _positive_finite(*values) -> bool:
+    return all(math.isfinite(v) and v > 0 for v in values)
 
 
 @dataclass
@@ -44,8 +51,8 @@ class RadialSolution:
     v_M: float = field(init=False)
 
     def __post_init__(self):
-        if self.measure <= 0 or self.beta <= 0 or self.n < 2:
-            raise RadialError("need measure > 0, beta > 0, n >= 2")
+        if not _positive_finite(self.measure, self.beta) or self.n < 2:
+            raise RadialError("need finite measure > 0, finite beta > 0, n >= 2")
         if self.fstar.total <= 0 or self.fstar.values[0] <= 0:
             raise RadialError("f* must not be identically zero")
         if abs(self.fstar.total - self.measure) > 1e-9 * self.measure:
@@ -152,11 +159,23 @@ class RadialSolution:
     # -- norms and export -----------------------------------------------------
 
     def lorentz_power_integral(self, p: float, q: float) -> float:
-        """integral t^(q-1) phi^(q/p) dt via the substitution t = v(s)."""
+        """integral t^(q-1) phi^(q/p) dt via the substitution t = v(s).
+
+        At n = 2 with q in {1, 2} and r = q/p an integer, one fixed 32-point
+        Gauss rule per f* segment [a, b] integrates v^(q-1) s^r g = v^(q-1)
+        s^(r-1) F(s)/c_n.  For q = 1 that is a polynomial of degree r + 1, so
+        the rule is exact.  For q = 2, v adds q0 ln s on segments with
+        q0 != 0, which all have a > 0; where b <= 4 a the integrand is
+        analytic inside the Bernstein ellipse rho = 3, and the rule converges
+        to about 3^-64 (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  Both need
+        the polynomial degree r + 2q - 1 below 64.  Other dimensions,
+        exponents and grids go through the adaptive batch."""
         if p <= 0 or q <= 0:
             raise RadialError("Lorentz exponents must be positive")
         plateau = self.measure ** (q / p) * self.v_m ** q / q
         ratio = q / p
+        if self._fixed_rule_holds(q, ratio):
+            return plateau + self._fixed_rule_integral(q, int(ratio))
         scale = self.measure ** ratio * self.v_M ** q
 
         def f(_, s):
@@ -165,6 +184,30 @@ class RadialSolution:
         acc = _batched_segment_integral(f, self._s[:-1].astype(float),
                                         self._s[1:].astype(float), scale, 1e-13)
         return plateau + acc
+
+    def _fixed_rule_holds(self, q: float, ratio: float) -> bool:
+        """Whether `_fixed_rule_integral` is exact (q = 1) or converged (q = 2)."""
+        if self.n != 2 or q not in (1.0, 2.0) or not ratio.is_integer():
+            return False
+        if ratio + 2.0 * q - 1.0 > 2 * _FIXED_POINTS - 1:
+            return False
+        logs = self._q0 != 0.0
+        return q == 1.0 or bool(np.all(self._s[1:][logs] <= 4.0 * self._s[:-1][logs]))
+
+    def _fixed_rule_integral(self, q: float, r: int) -> float:
+        """integral of v^(q-1) s^(r-1) F(s)/c_n over [0, measure], one
+        32-point Gauss rule per f* segment (n = 2)."""
+        x, w = _gauss(_FIXED_POINTS)
+        a, b = self._s[:-1], self._s[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        t = mid[:, None] + half[:, None] * x
+        y = t ** (r - 1) * (self._q0[:, None] + t * (self._q1[:, None] + t * self._q2[:, None]))
+        if q == 2.0:
+            # on segment j, v(s) = v(b_j) + A_j(b_j) - A_j(s), A_j = `_antiderivative`
+            j = np.arange(len(a))
+            shift = self.v_m + self._w_at_breaks[1:] + self._antiderivative(b, j)
+            y *= shift[:, None] - self._antiderivative(t, j[:, None])
+        return float(half @ (y @ w)) / self._cn
 
     def profile(self, num: int = 2048) -> DecreasingProfile:
         sg = self.measure * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, num)))
@@ -192,8 +235,8 @@ def symmetrized_constant_source(measure: float, beta: float, value: float = 1.0,
 def ball_closed_forms(R: float, beta: float):
     """(radial profile u(r), torsion) for f = 1 on the disc of radius R:
     u(r) = (R^2 - r^2)/4 + R/(2 beta), T = pi R^4/8 + pi R^3/(2 beta)."""
-    if R <= 0 or beta <= 0:
-        raise RadialError("R and beta must be positive")
+    if not _positive_finite(R, beta):
+        raise RadialError("R and beta must be positive and finite")
 
     def u(r):
         return (R * R - np.asarray(r, dtype=float) ** 2) / 4.0 + R / (2.0 * beta)
@@ -212,8 +255,8 @@ def bessel_eigen_oracle(R: float, beta: float) -> float:
     This is the principal Robin eigenvalue of the disc of radius R; it lies
     strictly below the Dirichlet value (j_{0,1}/R)^2, which brackets the root.
     """
-    if R <= 0 or beta <= 0:
-        raise RadialError("R and beta must be positive")
+    if not _positive_finite(R, beta):
+        raise RadialError("R and beta must be positive and finite")
     j01 = float(jn_zeros(0, 1)[0])
     hi = (j01 / R) ** 2
 

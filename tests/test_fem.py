@@ -252,6 +252,11 @@ def test_beta_guard():
         assemble_robin_system(m, constant_source(), 0.0)
     with pytest.raises(ValueError):
         principal_robin_eigenpair(m, -1.0)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(SourceError, match="beta must be positive and finite"):
+            assemble_robin_system(m, constant_source(), beta)
+        with pytest.raises(SourceError, match="beta must be positive and finite"):
+            principal_robin_eigenpair(m, beta)
 
 
 def test_radial_source_spec():

@@ -307,9 +307,24 @@ def test_cross_process_determinism(tmp_path):
      "robinsym solve: [Errno 2] No such file or directory: 'nodir/u.txt'"),
     (["oracle", "--kind", "profile", "--samples", "1"],
      "robinsym oracle: profile needs matching s/value arrays"),
+    (["solve", "--domain", "disc r=1", "--h", "0.5", "--beta", "0"],
+     "robinsym solve: beta must be positive and finite, got 0"),
+    (["solve", "--domain", "disc r=1", "--h", "0.5", "--beta", "nan"],
+     "robinsym solve: beta must be positive and finite, got nan"),
+    (["oracle", "--kind", "torsion", "--R", "nan"],
+     "robinsym oracle: R and beta must be positive and finite"),
+    (["oracle", "--kind", "eigen", "--beta", "inf"],
+     "robinsym oracle: R and beta must be positive and finite"),
+    (["oracle", "--kind", "profile", "--beta", "nan"],
+     "robinsym oracle: need finite measure > 0, finite beta > 0"),
+    (["mesh", "--domain", "disc r=1", "--h", "0.5", "--refine", "-2"],
+     "robinsym mesh: --refine must be >= 0, got -2"),
+    (["solve", "--domain", "disc r=1", "--h", "0.5", "--refine", "-1"],
+     "robinsym solve: --refine must be >= 0, got -1"),
 ], ids=["unknown-source", "unknown-shape", "mesh-size", "missing-config", "negative-radius",
         "negative-source", "missing-mesh", "bad-mesh", "retired-key", "unwritable-output",
-        "one-sample-profile"])
+        "one-sample-profile", "zero-beta", "nan-beta", "nan-radius", "infinite-beta",
+        "nan-profile-beta", "negative-mesh-refine", "negative-solve-refine"])
 def test_cli_errors_end_in_one_line_and_exit_code_2(tmp_path, monkeypatch, capsys, argv,
                                                     message):
     # an uncaught error would propagate here; argparse reports a bad choice
@@ -323,4 +338,6 @@ def test_cli_errors_end_in_one_line_and_exit_code_2(tmp_path, monkeypatch, capsy
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.splitlines()[-1].startswith(message)
+    lines = captured.err.splitlines()
+    assert lines[-1].startswith(message)
+    assert len(lines) == 1 or ": error: " in message

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from proof_oracle import dphi
+from robinsym import radial
+from robinsym.domains import parse_domain_spec
+from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.radial import (
     RadialError,
     ball_closed_forms,
@@ -12,7 +15,9 @@ from robinsym.radial import (
     symmetrized_constant_source,
     symmetrized_solution,
 )
-from robinsym.rearrange import DecreasingProfile, constant_profile
+from robinsym.rearrange import DecreasingProfile, _batched_segment_integral, constant_profile
+from robinsym.runner import source_from_name
+from robinsym.verify import _fstar_for
 
 
 def test_constant_source_matches_closed_form():
@@ -87,6 +92,95 @@ def test_lorentz_integrals_against_closed_forms():
     assert rs.lorentz_power_integral(1.0, 1.0) == pytest.approx(5 * math.pi / 8, rel=1e-11)
     # integral of t phi dt = (1/2) integral v^2 ds = 19 pi / 96
     assert rs.lorentz_power_integral(2.0, 2.0) == pytest.approx(19 * math.pi / 96, rel=1e-11)
+
+
+def test_fixed_rule_lorentz_integrals_match_the_closed_forms():
+    rs = symmetrized_constant_source(math.pi, beta=1.0)
+    assert rs.lorentz_power_integral(1.0, 1.0) == pytest.approx(5 * math.pi / 8, rel=1e-14)
+    assert rs.lorentz_power_integral(2.0, 2.0) == pytest.approx(19 * math.pi / 96, rel=1e-14)
+
+
+# the Lorentz exponents of ks = 1 and 0.5: (k, 1) for lorentz_k1 and (2k, 2)
+# for lorentz_2k2
+LORENTZ_PAIRS = [(1.0, 1.0), (0.5, 1.0), (2.0, 2.0), (1.0, 2.0)]
+
+# centred shapes of area (about) pi: axis ratio 1.7, aspect 1.6, l = r and a
+# convex heptagon
+_STADIUM_R = math.sqrt(math.pi / (2.0 + math.pi))
+SHAPES = [f"ellipse a={math.sqrt(1.7)!r} b={1.0 / math.sqrt(1.7)!r}",
+          f"rect w={math.sqrt(1.6 * math.pi)!r} h={math.sqrt(math.pi / 1.6)!r}",
+          f"stadium l={_STADIUM_R!r} r={_STADIUM_R!r}",
+          "polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 0.5474,-0.9483 "
+          "1.0583,-0.1542 0.725,0.8098 -0.1133,1.0612"]
+
+
+def _rearranged_solutions(spec, refinements):
+    """v of the radial and bump sources, from f* rearranged on the mesh
+    refined `refinements` times, as a verify ladder builds it."""
+    d = parse_domain_spec(spec)
+    m = generate_mesh(d, 0.1)
+    for _ in range(refinements):
+        m = refine_mesh(m)
+    return [symmetrized_solution(d.measure, 2, 1.0, _fstar_for(d, m, source_from_name(name, d)))
+            for name in ("radial", "bump")]
+
+
+def _adaptive_lorentz(rs, p, q):
+    """The adaptive Gauss 16/32 batch of value() and slope_g() on every f*
+    segment: the reference for the fixed rule."""
+    ratio = q / p
+    acc = _batched_segment_integral(
+        lambda _, s: rs.value(s) ** (q - 1.0) * s ** ratio * rs.slope_g(s),
+        rs.fstar.s[:-1], rs.fstar.s[1:], rs.measure ** ratio * rs.v_M ** q, 1e-13)
+    return rs.measure ** ratio * rs.v_m ** q / q + acc
+
+
+def _count_batches(monkeypatch):
+    batches = []
+
+    def batch(*args, **kwargs):
+        batches.append(args)
+        return _batched_segment_integral(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "_batched_segment_integral", batch)
+    return batches
+
+
+@pytest.mark.parametrize("refinements", [0, 1])
+@pytest.mark.parametrize("spec", SHAPES)
+def test_fixed_rule_lorentz_matches_the_adaptive_batch(monkeypatch, spec, refinements):
+    batches = _count_batches(monkeypatch)
+    for rs in _rearranged_solutions(spec, refinements):
+        for p, q in LORENTZ_PAIRS:
+            assert rs.lorentz_power_integral(p, q) == pytest.approx(
+                _adaptive_lorentz(rs, p, q), rel=1e-14, abs=0.0)
+    assert not batches
+
+
+def test_other_exponents_and_dimensions_use_the_adaptive_batch(monkeypatch):
+    rs = _rearranged_solutions(SHAPES[2], 0)[1]
+    w3 = 4.0 * math.pi / 3.0
+    ball = symmetrized_solution(w3, 3, 1.0, constant_profile(1.0, w3))
+    disc = symmetrized_constant_source(math.pi, beta=1.0)
+    batches = _count_batches(monkeypatch)
+    # at p = 0.01 the polynomial s^99 F(s) is beyond the 32-point rule
+    for sol, p, q in [(rs, 0.75, 1.0), (ball, 1.0, 1.0), (ball, 1.0, 2.0), (disc, 0.01, 1.0)]:
+        batches.clear()
+        assert sol.lorentz_power_integral(p, q) == _adaptive_lorentz(sol, p, q)
+        assert len(batches) == 1
+
+
+def test_log_segments_wider_than_4a_use_the_adaptive_batch(monkeypatch):
+    # b/a = 10 on every segment but the first puts the log term of v (q = 2)
+    # outside the rho = 3 error bound; q = 1 has no log term
+    s = np.concatenate([[0.0], 10.0 ** np.arange(-4.0, 1.0)])
+    rs = symmetrized_solution(1.0, 2, 1.0, DecreasingProfile(s=s, values=2.0 - s))
+    batches = _count_batches(monkeypatch)
+    for p, q in LORENTZ_PAIRS:
+        batches.clear()
+        assert rs.lorentz_power_integral(p, q) == pytest.approx(
+            _adaptive_lorentz(rs, p, q), rel=1e-14, abs=0.0)
+        assert len(batches) == (q == 2.0)
 
 
 def test_distribution_view():

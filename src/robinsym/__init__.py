@@ -12,7 +12,6 @@ from .domains import (
     build_domain,
     fraenkel_asymmetry,
     parse_domain_spec,
-    unit_ball_measure,
 )
 from .meshing import Mesh, export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
 from .fem import (

@@ -6,10 +6,9 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .verify import k_range_lorentz_2k2, k_range_lorentz_k1
+from .verify import CHECKERS, K_RANGES, KRangeError, check_k
 
-KNOWN_THEOREMS = ("lorentz_k1", "lorentz_2k2", "pointwise", "saint_venant",
-                  "bossel_daners")
+KNOWN_THEOREMS = tuple(CHECKERS)
 KNOWN_SOURCES = ("const", "radial", "bump")
 
 _KEYS = {
@@ -114,7 +113,7 @@ def check_config(cfg: RunConfig) -> None:
     """Raise ConfigError unless every run value is admissible: no empty
     list, known theorems and sources, positive finite h, gamma2, betas and
     k, at least one refinement, and k inside the range of each Lorentz
-    theorem."""
+    theorem (`verify.check_k`, as the checkers apply it)."""
     for key in ("domains", "betas", "ks", "sources", "theorems"):
         if not getattr(cfg, key):
             raise ConfigError(f"[run] {key} must list at least one value")
@@ -133,16 +132,13 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError("refinements must be at least 1: the discretization error "
                           "is the gap difference between two rungs")
 
-    generic_f = any(s != "const" for s in cfg.sources)
-    for k in cfg.ks:
-        if "lorentz_k1" in cfg.theorems and k > k_range_lorentz_k1(2, not generic_f):
-            raise ConfigError(
-                f"k={k:g} rejected for lorentz_k1 with a generic source: "
-                f"the admissible range is 0 < k <= n/(2n-2) = 1 at n=2")
-        if "lorentz_2k2" in cfg.theorems and k > k_range_lorentz_2k2(2, not generic_f):
-            raise ConfigError(
-                f"k={k:g} rejected for lorentz_2k2 with a generic source: "
-                f"the admissible range is 0 < k <= n/(3n-4) = 1 at n=2")
+    f_is_constant = all(s == "const" for s in cfg.sources)
+    for theorem in (t for t in cfg.theorems if t in K_RANGES):
+        for k in cfg.ks:
+            try:
+                check_k(theorem, k, f_is_constant)
+            except KRangeError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def default_config_text() -> str:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
-from scipy.special import gamma as _gamma_fn
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,14 +39,6 @@ def _finite(name: str, value) -> float:
     if not math.isfinite(x):
         raise GeometryError(f"{name} must be a finite number, got {value!r}")
     return x
-
-
-def unit_ball_measure(n: int) -> float:
-    """Volume of the unit ball in R^n (pi for n=2)."""
-    if n < 1:
-        raise GeometryError("dimension must be >= 1")
-    return math.pi ** (n / 2.0) / _gamma_fn(n / 2.0 + 1.0)
-
 
 
 def _polygon_signed_area(v):
@@ -308,9 +299,9 @@ def domain_spec_string(d: Domain) -> str:
     return d.kind + " " + " ".join(items)
 
 
-def equal_measure_radius(measure: float, n: int = 2) -> float:
-    """Radius of the ball with the given measure (exact: sqrt(|Omega|/pi) in 2d)."""
-    return (measure / unit_ball_measure(n)) ** (1.0 / n)
+def equal_measure_radius(measure: float) -> float:
+    """Radius (|Omega| / pi)^(1/2) of the disc with the given measure."""
+    return (measure / math.pi) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -487,7 +478,7 @@ def cached_asymmetry(domain: Domain) -> AsymmetryResult:
     return _ASYMMETRY_CACHE[key]
 
 
-def isoperimetric_deficit(domain: Domain, n: int = 2):
-    """P / (n omega^(1/n) |Omega|^((n-1)/n)) - 1, the scale-free deficit."""
-    base = n * unit_ball_measure(n) ** (1.0 / n) * domain.measure ** ((n - 1.0) / n)
+def isoperimetric_deficit(domain: Domain):
+    """P / (2 pi^(1/2) |Omega|^(1/2)) - 1, the scale-free deficit."""
+    base = 2.0 * math.pi ** 0.5 * domain.measure ** 0.5
     return domain.perimeter / base - 1.0

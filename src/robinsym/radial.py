@@ -1,14 +1,14 @@
-"""The symmetrized problem on the equal-measure ball, solved in closed form.
+"""The symmetrized problem on the equal-measure disc, solved in closed form.
 
-With s = omega_n |x|^n the solution of -Delta v = f_sharp with Robin
-boundary data is
+With s = pi |x|^2 the solution of -Delta v = f_sharp with Robin boundary
+data is
 
-    v(s) = v_m + integral_s^{|Omega|} F(t) t^(2/n - 2) / (n^2 omega_n^(2/n)) dt,
-    v_m  = |Omega|^(1/n) / (beta n omega_n^(1/n)) * mean of f*,
+    v(s) = v_m + integral_s^{|Omega|} F(t) / (4 pi t) dt,
+    v_m  = |Omega|^(1/2) / (2 beta pi^(1/2)) * mean of f*,
 
 where F(t) = integral_0^t f*.  For a piecewise-linear f* every integral here
 is elementary, so v, v', and the level-set inverse phi are exact; no FEM is
-involved on the ball.
+involved on the disc.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros
 
-from .domains import unit_ball_measure
-from .rearrange import DecreasingProfile, _batched_segment_integral, _gauss, constant_profile
+from .rearrange import DecreasingProfile, _batched_segment_integral, _gauss, constant_profile, \
+    cosine_grid
 
 # points of the fixed Gauss rule of `RadialSolution.lorentz_power_integral`
 _FIXED_POINTS = 32
@@ -41,36 +41,32 @@ def _positive_finite(*values) -> bool:
 
 @dataclass
 class RadialSolution:
-    """Profile v over s = omega_n |x|^n in [0, measure], decreasing."""
+    """Profile v over s = pi |x|^2 in [0, measure], decreasing."""
 
     measure: float
-    n: int
     beta: float
     fstar: DecreasingProfile
     v_m: float = field(init=False)
     v_M: float = field(init=False)
 
     def __post_init__(self):
-        if not _positive_finite(self.measure, self.beta) or self.n < 2:
-            raise RadialError("need finite measure > 0, finite beta > 0, n >= 2")
+        if not _positive_finite(self.measure, self.beta):
+            raise RadialError("need finite measure > 0, finite beta > 0")
         if self.fstar.total <= 0 or self.fstar.values[0] <= 0:
             raise RadialError("f* must not be identically zero")
         if abs(self.fstar.total - self.measure) > 1e-9 * self.measure:
             raise RadialError("f* must live on [0, measure]")
-        n = self.n
-        omega = unit_ball_measure(n)
-        self._cn = n * n * omega ** (2.0 / n)
+        self._cn = 4.0 * math.pi
         s = self.fstar.s
         f = self.fstar.values
-        slopes = (f[1:] - f[:-1]) / (s[1:] - s[:-1])
-        fcum = np.concatenate([[0.0], np.cumsum(0.5 * (f[:-1] + f[1:]) * (s[1:] - s[:-1]))])
+        slopes, fcum = self.fstar._slopes, self.fstar._cum  # of f*, and F at its breaks
         # F(t) = q0 + q1 t + q2 t^2 on segment i (monomial basis)
         self._q2 = 0.5 * slopes
         self._q1 = f[:-1] - slopes * s[:-1]
         self._q0 = fcum[:-1] - f[:-1] * s[:-1] + 0.5 * slopes * s[:-1] ** 2
         self._q0[0] = 0.0  # F(0) = 0 exactly on the first segment
         self._s = s
-        self.v_m = self.measure ** (1.0 / n) / (self.beta * n * omega ** (1.0 / n)) \
+        self.v_m = self.measure ** 0.5 / (self.beta * 2.0 * math.pi ** 0.5) \
             * (fcum[-1] / self.measure)
         w_right = self._antiderivative(s[1:], np.arange(len(s) - 1))
         w_left = self._antiderivative(s[:-1], np.arange(len(s) - 1))
@@ -82,32 +78,23 @@ class RadialSolution:
     # -- elementary integrals ------------------------------------------------
 
     def _antiderivative(self, t, j):
-        """Antiderivative of g(t) = F(t) t^(2/n-2) / c_n on segment j at t."""
-        nu = 2.0 / self.n - 2.0
+        """Antiderivative of g(t) = F(t) / (c t) on segment j at t, c = 4 pi:
+        (q0 ln t + q1 t + q2 t^2 / 2) / c."""
         q0, q1, q2 = self._q0[j], self._q1[j], self._q2[j]
-        e0, e1, e2 = nu + 1.0, nu + 2.0, nu + 3.0
         tt = np.maximum(t, 1e-300)  # t = 0 only occurs where q0 = 0 exactly
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if abs(e0) < 1e-14:  # n = 2: the q0 term integrates to a log
-                t0 = np.where(q0 != 0.0, q0 * np.log(tt), 0.0)
-            else:
-                t0 = np.where(q0 != 0.0, q0 * tt ** e0 / e0, 0.0)
-        return (t0 + q1 * tt ** e1 / e1 + q2 * tt ** e2 / e2) / self._cn
+        t0 = np.where(q0 != 0.0, q0 * np.log(tt), 0.0)
+        return (t0 + q1 * tt + q2 * tt ** 2.0 / 2.0) / self._cn
 
     def _locate(self, s):
         return np.clip(np.searchsorted(self._s, s, side="right") - 1, 0, len(self._s) - 2)
 
     def slope_g(self, s):
-        """g(s) = F(s) s^(2/n-2)/c_n = -v'(s); nonnegative."""
+        """g(s) = F(s) / (c s) = -v'(s), c = 4 pi; nonnegative."""
         s = np.asarray(s, dtype=float)
-        nu = 2.0 / self.n - 2.0
         F = self.fstar.cumulative(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = F * np.maximum(s, 1e-300) ** nu / self._cn
-        # at s = 0 the product F(s) s^nu tends to f*(0) s^(2/n-1): finite for n=2
-        if self.n == 2:
-            out = np.where(s <= 0.0, self.fstar.values[0] / self._cn, out)
-        return out
+        out = F * np.maximum(s, 1e-300) ** -1.0 / self._cn
+        # at s = 0 the quotient F(s) / s tends to f*(0)
+        return np.where(s <= 0.0, self.fstar.values[0] / self._cn, out)
 
     def value(self, s):
         """v(s), vectorized; s outside [0, measure] is clamped."""
@@ -161,15 +148,15 @@ class RadialSolution:
     def lorentz_power_integral(self, p: float, q: float) -> float:
         """integral t^(q-1) phi^(q/p) dt via the substitution t = v(s).
 
-        At n = 2 with q in {1, 2} and r = q/p an integer, one fixed 32-point
-        Gauss rule per f* segment [a, b] integrates v^(q-1) s^r g = v^(q-1)
-        s^(r-1) F(s)/c_n.  For q = 1 that is a polynomial of degree r + 1, so
+        With q in {1, 2} and r = q/p an integer, one fixed 32-point Gauss
+        rule per f* segment [a, b] integrates v^(q-1) s^r g = v^(q-1) s^(r-1)
+        F(s)/c.  For q = 1 that is a polynomial of degree r + 1, so
         the rule is exact.  For q = 2, v adds q0 ln s on segments with
         q0 != 0, which all have a > 0; where b <= 4 a the integrand is
         analytic inside the Bernstein ellipse rho = 3, and the rule converges
         to about 3^-64 (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  Both need
-        the polynomial degree r + 2q - 1 below 64.  Other dimensions,
-        exponents and grids go through the adaptive batch."""
+        the polynomial degree r + 2q - 1 below 64.  Other exponents and
+        grids go through the adaptive batch."""
         if p <= 0 or q <= 0:
             raise RadialError("Lorentz exponents must be positive")
         plateau = self.measure ** (q / p) * self.v_m ** q / q
@@ -187,7 +174,7 @@ class RadialSolution:
 
     def _fixed_rule_holds(self, q: float, ratio: float) -> bool:
         """Whether `_fixed_rule_integral` is exact (q = 1) or converged (q = 2)."""
-        if self.n != 2 or q not in (1.0, 2.0) or not ratio.is_integer():
+        if q not in (1.0, 2.0) or not ratio.is_integer():
             return False
         if ratio + 2.0 * q - 1.0 > 2 * _FIXED_POINTS - 1:
             return False
@@ -195,8 +182,8 @@ class RadialSolution:
         return q == 1.0 or bool(np.all(self._s[1:][logs] <= 4.0 * self._s[:-1][logs]))
 
     def _fixed_rule_integral(self, q: float, r: int) -> float:
-        """integral of v^(q-1) s^(r-1) F(s)/c_n over [0, measure], one
-        32-point Gauss rule per f* segment (n = 2)."""
+        """integral of v^(q-1) s^(r-1) F(s)/c over [0, measure], one
+        32-point Gauss rule per f* segment."""
         x, w = _gauss(_FIXED_POINTS)
         a, b = self._s[:-1], self._s[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -210,7 +197,10 @@ class RadialSolution:
         return float(half @ (y @ w)) / self._cn
 
     def profile(self, num: int = 2048) -> DecreasingProfile:
-        sg = self.measure * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, num)))
+        """v sampled at num >= 2 points of the cosine grid."""
+        if num < 2:
+            raise RadialError(f"a profile needs at least 2 samples, got {num}")
+        sg = cosine_grid(self.measure, num)
         return DecreasingProfile(s=sg, values=self.value(sg))
 
     def export_text(self, num: int = 2048) -> str:
@@ -219,13 +209,14 @@ class RadialSolution:
 
 def symmetrized_solution(measure: float, n: int, beta: float,
                          fstar: DecreasingProfile) -> RadialSolution:
-    """Solution profile of the symmetrized problem from the rearranged datum."""
-    return RadialSolution(measure=measure, n=n, beta=beta, fstar=fstar)
+    """Solution profile of the symmetrized problem from the rearranged datum (n = 2)."""
+    if n != 2:
+        raise RadialError(f"the symmetrized problem is planar: n must be 2, got {n!r}")
+    return RadialSolution(measure=measure, beta=beta, fstar=fstar)
 
 
-def symmetrized_constant_source(measure: float, beta: float, value: float = 1.0,
-                                n: int = 2) -> RadialSolution:
-    return symmetrized_solution(measure, n, beta, constant_profile(value, measure))
+def symmetrized_constant_source(measure: float, beta: float) -> RadialSolution:
+    return symmetrized_solution(measure, 2, beta, constant_profile(1.0, measure))
 
 
 # ---------------------------------------------------------------------------

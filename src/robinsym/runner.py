@@ -13,7 +13,7 @@ import numpy as np
 from .config import RunConfig
 from .domains import parse_domain_spec
 from .fem import SourceSpec, constant_source
-from .verify import CHECKERS, Ladder, TheoremReport
+from .verify import CHECKERS, K_RANGES, Ladder, TheoremReport
 
 _COLUMNS = ("job", "status", "theorem", "domain", "f", "beta", "k", "alpha", "gap",
             "rhs", "margin", "disc_error", "passed")
@@ -96,21 +96,18 @@ class ResultRow:
 def enumerate_jobs(cfg: RunConfig) -> list:
     jobs = []
     for theorem in cfg.theorems:
-        takes_k = theorem in ("lorentz_k1", "lorentz_2k2")
+        runs = ([(k, src) for src in cfg.sources for k in cfg.ks] if theorem in K_RANGES
+                else [(None, "const")])
         for spec in cfg.domains:
             for beta in cfg.betas:
-                if takes_k:
-                    for src in cfg.sources:
-                        for k in cfg.ks:
-                            jobs.append(Job(len(jobs), theorem, spec, beta, k, src))
-                else:
-                    jobs.append(Job(len(jobs), theorem, spec, beta, None, "const"))
+                for k, src in runs:
+                    jobs.append(Job(len(jobs), theorem, spec, beta, k, src))
     return jobs
 
 
 def _check(job: Job, ladder: Ladder, cfg: RunConfig) -> TheoremReport:
     checker = CHECKERS[job.theorem]
-    if job.theorem in ("lorentz_k1", "lorentz_2k2"):
+    if job.theorem in K_RANGES:
         f = source_from_name(job.source, ladder.domain)
         return checker(ladder, f, job.k, cfg.gamma2)
     return checker(ladder, cfg.gamma2)

@@ -21,86 +21,68 @@ from functools import cached_property
 import numpy as np
 
 from .domains import Domain, cached_asymmetry, domain_spec_string, equal_measure_radius, \
-    isoperimetric_deficit, unit_ball_measure
+    isoperimetric_deficit
 from .fem import ScalarField, SourceSpec, constant_source, field_integral, \
     nodal_source_field, principal_robin_eigenpair, solve_robin_poisson
 from .levelset import superlevel_asymmetry
 from .meshing import generate_mesh, refine_mesh
 from .radial import ball_torsion, bessel_eigen_oracle, symmetrized_solution
-from .rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
-    distribution_function, lorentz_power_integral
+from .rearrange import DecreasingProfile, constant_profile, cosine_grid, \
+    decreasing_rearrangement, distribution_function, lorentz_power_integral
 
 
 class KRangeError(ValueError):
     """Lorentz exponent outside the admissible range for a theorem."""
 
 
-def k_range_lorentz_k1(n: int, f_is_constant: bool) -> float:
-    """Admissible upper bound for k in the L^(k,1) comparison."""
-    if f_is_constant:
-        return math.inf if n == 2 else n / (n - 2.0)
-    return n / (2.0 * n - 2.0)
+# the theorems that take a source and a k, with the paper's bound on k for a
+# generic source (1 at n = 2); a constant source admits any k > 0
+K_RANGES = {"lorentz_k1": "n/(2n-2)", "lorentz_2k2": "n/(3n-4)"}
 
 
-def k_range_lorentz_2k2(n: int, f_is_constant: bool) -> float:
-    """Admissible upper bound for k in the L^(2k,2) comparison."""
-    if f_is_constant:
-        return math.inf if n == 2 else n / (n - 2.0)
-    return n / (3.0 * n - 4.0)
-
-
-def _guard_k(k: float, bound: float, label: str, n: int, denom: str):
+def check_k(theorem: str, k: float, f_is_constant: bool) -> None:
+    """Raise KRangeError unless the Lorentz `theorem` admits k."""
+    bound = math.inf if f_is_constant else 1.0
     if not 0.0 < k <= bound * (1.0 + 1e-12):
-        raise KRangeError(
-            f"{label}: k={k:g} outside the admissible range 0 < k <= n/({denom})"
-            f" = {bound:g} at n={n}")
+        raise KRangeError(f"{theorem}: k={k:g} outside the admissible range 0 < k <= "
+                          f"{K_RANGES[theorem]} = {bound:g} at n=2")
 
 
 @dataclass(frozen=True)
 class ConstantsBundle:
     """Explicit constants of the quantitative inequalities."""
 
-    n: int
-    measure: float
-    f_l1: float
-    beta: float
-    k: float
-    gamma_n: float
     c1: float
     c2: float
-    c3: float | None
+    c3: float
     c4: float
-    c5: float | None
+    c5: float
 
 
-def compute_constants(n: int, measure: float, f_l1: float, beta: float, k: float,
+def compute_constants(measure: float, f_l1: float, beta: float, k: float,
                       gamma_n: float) -> ConstantsBundle:
-    """Evaluate the displayed constant formulas (no range guard here; the
-    checkers guard k per theorem)."""
+    """Evaluate the displayed constant formulas at n = 2, omega_2 = pi (no
+    range guard here; the checkers guard k per theorem).  Each formula keeps
+    the rounding of its general-n form: 1/k + 1/n - 1 reads 1.0 / k + 0.5 - 1.0."""
     if min(measure, f_l1, beta, k, gamma_n) <= 0:
         raise ValueError("all constant inputs must be positive")
-    omega = unit_ball_measure(n)
-    nw = n * omega ** (1.0 / n)
-    c1 = (measure ** (1.0 / k + 1.0 / n - 1.0) * f_l1 / (beta * nw)) * min(
+    nw = 2.0 * math.pi ** 0.5
+    c1 = (measure ** (1.0 / k + 0.5 - 1.0) * f_l1 / (beta * nw)) * min(
         1.0 / (2.0 ** (1.0 / k + 5.0) * gamma_n),
-        beta * measure ** (1.0 / n) / (2.0 ** (1.0 / k + 3.0 + 2.0 / n) * nw))
-    c2 = (measure ** (1.0 / n - 1.0) * f_l1 / (beta * nw)) ** 2 * measure ** (1.0 / k) * min(
+        beta * measure ** 0.5 / (2.0 ** (1.0 / k + 3.0 + 1.0) * nw))
+    c2 = (measure ** -0.5 * f_l1 / (beta * nw)) ** 2 * measure ** (1.0 / k) * min(
         1.0 / (2.0 ** (1.0 / k + 5.0) * gamma_n),
-        beta * measure ** (1.0 / n) / (2.0 ** (1.0 / k + 5.0 + 2.0 / n) * nw))
-    c3 = None
-    c5 = None
-    if n == 2:
-        c3 = measure * min(1.0 / (2.0 ** 7 * math.pi),
-                           1.0 / (2.0 ** 8 * math.pi * gamma_n))
-        c5 = min(1.0 / (2.0 ** 6 * gamma_n),
-                 beta * math.sqrt(measure) / (2.0 ** 8 * math.sqrt(math.pi))) / (
-            2.0 * beta ** 2 * (measure / (2.0 * math.pi) + 1.0 / (math.pi * beta ** 2)
-                               + math.sqrt(measure) / (beta * math.sqrt(math.pi))))
-    c4 = (measure ** (1.0 + 1.0 / n) / (beta * nw)) * min(
+        beta * measure ** 0.5 / (2.0 ** (1.0 / k + 5.0 + 1.0) * nw))
+    c3 = measure * min(1.0 / (2.0 ** 7 * math.pi),
+                       1.0 / (2.0 ** 8 * math.pi * gamma_n))
+    c4 = (measure ** 1.5 / (beta * nw)) * min(
         1.0 / (2.0 ** 6 * gamma_n),
-        beta * measure ** (1.0 / n) / (2.0 ** (4.0 + 2.0 / n) * nw))
-    return ConstantsBundle(n=n, measure=measure, f_l1=f_l1, beta=beta, k=k,
-                           gamma_n=gamma_n, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
+        beta * measure ** 0.5 / (2.0 ** 5.0 * nw))
+    c5 = min(1.0 / (2.0 ** 6 * gamma_n),
+             beta * math.sqrt(measure) / (2.0 ** 8 * math.sqrt(math.pi))) / (
+        2.0 * beta ** 2 * (measure / (2.0 * math.pi) + 1.0 / (math.pi * beta ** 2)
+                           + math.sqrt(measure) / (beta * math.sqrt(math.pi))))
+    return ConstantsBundle(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
 
 
 @dataclass
@@ -261,41 +243,37 @@ def _report(theorem, ladder: Ladder, f_label, k, gamma_n, gaps, alpha, constant,
 # theorem checkers
 
 
+def _check_lorentz(theorem: str, ladder: Ladder, f: SourceSpec, k: float, gamma_n: float,
+                   p: float, q: float, constant: str, u_min_extra: bool) -> TheoremReport:
+    """Gap of the Lorentz power integrals of v and u at (p, q) on every rung
+    against `constant` (c1 or c2) alpha^2; `u_min_extra` adds u_min <= v_min."""
+    check_k(theorem, k, f.kind == "const")
+    alpha = ladder.alpha
+    rungs = ladder.rungs(f)
+    gaps = [rs.lorentz_power_integral(p, q) - lorentz_power_integral(dist, p, q)
+            for _, dist, rs in rungs]
+    u, dist, rs = rungs[-1]
+    extras = {"mu_le_phi_margin": _mu_le_phi_margin(dist, rs)}
+    if u_min_extra:
+        extras["u_min_le_v_min"] = bool(u.u_min <= rs.v_m + 1e-6 * rs.v_m)
+    d = ladder.domain
+    constants = compute_constants(d.measure, _f_l1(d, u.mesh, f), ladder.beta, k, gamma_n)
+    return _report(theorem, ladder, f.label, k, gamma_n, gaps, alpha,
+                   getattr(constants, constant), 2, extras)
+
+
 def check_lorentz_k1(ladder: Ladder, f: SourceSpec, k: float,
                      gamma_n: float) -> TheoremReport:
     """L^(k,1) comparison: ||v|| - ||u|| >= C1 alpha^2 (functional form
     integral mu^(1/k) dt at q = 1)."""
-    _guard_k(k, k_range_lorentz_k1(2, f.kind == "const"), "lorentz_k1", 2, "2n-2")
-    alpha = ladder.alpha
-    rungs = ladder.rungs(f)
-    gaps = [rs.lorentz_power_integral(k, 1.0) - lorentz_power_integral(dist, k, 1.0)
-            for _, dist, rs in rungs]
-    u, dist, rs = rungs[-1]
-    extras = {"mu_le_phi_margin": _mu_le_phi_margin(dist, rs),
-              "u_min_le_v_min": bool(u.u_min <= rs.v_m + 1e-6 * rs.v_m)}
-    d = ladder.domain
-    constant = compute_constants(2, d.measure, _f_l1(d, u.mesh, f), ladder.beta, k,
-                                 gamma_n).c1
-    return _report("lorentz_k1", ladder, f.label, k, gamma_n, gaps, alpha, constant, 2,
-                   extras)
+    return _check_lorentz("lorentz_k1", ladder, f, k, gamma_n, k, 1.0, "c1", True)
 
 
 def check_lorentz_2k2(ladder: Ladder, f: SourceSpec, k: float,
                       gamma_n: float) -> TheoremReport:
     """L^(2k,2) comparison of squared norms: ||v||^2 - ||u||^2 >= C2 alpha^2
     (functional form integral t mu^(1/k) dt)."""
-    _guard_k(k, k_range_lorentz_2k2(2, f.kind == "const"), "lorentz_2k2", 2, "3n-4")
-    alpha = ladder.alpha
-    rungs = ladder.rungs(f)
-    gaps = [rs.lorentz_power_integral(2.0 * k, 2.0)
-            - lorentz_power_integral(dist, 2.0 * k, 2.0) for _, dist, rs in rungs]
-    u, dist, rs = rungs[-1]
-    extras = {"mu_le_phi_margin": _mu_le_phi_margin(dist, rs)}
-    d = ladder.domain
-    constant = compute_constants(2, d.measure, _f_l1(d, u.mesh, f), ladder.beta, k,
-                                 gamma_n).c2
-    return _report("lorentz_2k2", ladder, f.label, k, gamma_n, gaps, alpha, constant, 2,
-                   extras)
+    return _check_lorentz("lorentz_2k2", ladder, f, k, gamma_n, 2.0 * k, 2.0, "c2", False)
 
 
 def check_pointwise(ladder: Ladder, gamma_n: float) -> TheoremReport:
@@ -304,7 +282,7 @@ def check_pointwise(ladder: Ladder, gamma_n: float) -> TheoremReport:
     f = constant_source(1.0)
     alpha = ladder.alpha
     total = ladder.domain.measure
-    sgrid = total * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 2048)))
+    sgrid = cosine_grid(total, 2048)
     gaps = []
     for _, dist, rs in ladder.rungs(f):
         # u* lives on [0, mesh area]; compare on the common measure scale
@@ -313,7 +291,7 @@ def check_pointwise(ladder: Ladder, gamma_n: float) -> TheoremReport:
         diff = rs.value(sgrid) - usharp
         gaps.append(float(np.max(diff)))
     min_diff = float(np.min(diff))
-    constant = compute_constants(2, total, total, ladder.beta, 1.0, gamma_n).c3
+    constant = compute_constants(total, total, ladder.beta, 1.0, gamma_n).c3
     extras = {"min_pointwise_diff": min_diff,
               "pointwise_domination": bool(min_diff >= -abs(gaps[0] - gaps[-1]) - 1e-9)}
     return _report("pointwise", ladder, f.label, None, gamma_n, gaps, alpha, constant, 3,
@@ -328,7 +306,7 @@ def check_saint_venant(ladder: Ladder, gamma_n: float) -> TheoremReport:
     measure = ladder.domain.measure
     t_ball = ball_torsion(equal_measure_radius(measure), ladder.beta)
     gaps = [t_ball - field_integral(u) for u in ladder.solutions(f)]
-    constant = compute_constants(2, measure, measure, ladder.beta, 1.0, gamma_n).c4
+    constant = compute_constants(measure, measure, ladder.beta, 1.0, gamma_n).c4
     extras = {"torsion_ball": t_ball, "torsion_domain": t_ball - gaps[-1]}
     return _report("saint_venant", ladder, f.label, None, gamma_n, gaps, alpha, constant,
                    2, extras)
@@ -342,7 +320,7 @@ def check_bossel_daners(ladder: Ladder, gamma_n: float) -> TheoremReport:
     measure = ladder.domain.measure
     lam_ball = bessel_eigen_oracle(equal_measure_radius(measure), ladder.beta)
     gaps = [lam - lam_ball for lam in ladder.eigenvalues]
-    constant = compute_constants(2, measure, measure, ladder.beta, 1.0, gamma_n).c5
+    constant = compute_constants(measure, measure, ladder.beta, 1.0, gamma_n).c5
     extras = {"lambda_domain": ladder.eigenvalues[-1], "lambda_ball": lam_ball,
               "in_proof_regime": bool(alpha.value <= 0.5)}
     return _report("bossel_daners", ladder, "const 1", None, gamma_n, gaps, alpha, constant,

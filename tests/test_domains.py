@@ -24,7 +24,6 @@ from robinsym.domains import (
     fraenkel_asymmetry,
     isoperimetric_deficit,
     parse_domain_spec,
-    unit_ball_measure,
 )
 
 
@@ -38,11 +37,6 @@ def square_disc_overlap_defect():
     d = 0.5
     seg = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
     return 8.0 * seg
-
-
-def test_unit_ball_measure():
-    assert unit_ball_measure(2) == pytest.approx(math.pi, rel=1e-15)
-    assert unit_ball_measure(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
 
 
 def test_disc_measure_perimeter():

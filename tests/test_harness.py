@@ -306,7 +306,9 @@ def test_cross_process_determinism(tmp_path):
     (["solve", "--domain", "disc r=1", "--h", "0.3", "--out", "nodir/u.txt"],
      "robinsym solve: [Errno 2] No such file or directory: 'nodir/u.txt'"),
     (["oracle", "--kind", "profile", "--samples", "1"],
-     "robinsym oracle: profile needs matching s/value arrays"),
+     "robinsym oracle: a profile needs at least 2 samples, got 1"),
+    (["oracle", "--kind", "profile", "--samples", "-3"],
+     "robinsym oracle: a profile needs at least 2 samples, got -3"),
     (["solve", "--domain", "disc r=1", "--h", "0.5", "--beta", "0"],
      "robinsym solve: beta must be positive and finite, got 0"),
     (["solve", "--domain", "disc r=1", "--h", "0.5", "--beta", "nan"],
@@ -323,8 +325,8 @@ def test_cross_process_determinism(tmp_path):
      "robinsym solve: --refine must be >= 0, got -1"),
 ], ids=["unknown-source", "unknown-shape", "mesh-size", "missing-config", "negative-radius",
         "negative-source", "missing-mesh", "bad-mesh", "retired-key", "unwritable-output",
-        "one-sample-profile", "zero-beta", "nan-beta", "nan-radius", "infinite-beta",
-        "nan-profile-beta", "negative-mesh-refine", "negative-solve-refine"])
+        "one-sample-profile", "negative-sample-profile", "zero-beta", "nan-beta", "nan-radius",
+        "infinite-beta", "nan-profile-beta", "negative-mesh-refine", "negative-solve-refine"])
 def test_cli_errors_end_in_one_line_and_exit_code_2(tmp_path, monkeypatch, capsys, argv,
                                                     message):
     # an uncaught error would propagate here; argparse reports a bad choice

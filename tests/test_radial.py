@@ -159,12 +159,10 @@ def test_fixed_rule_lorentz_matches_the_adaptive_batch(monkeypatch, spec, refine
 
 def test_other_exponents_and_dimensions_use_the_adaptive_batch(monkeypatch):
     rs = _rearranged_solutions(SHAPES[2], 0)[1]
-    w3 = 4.0 * math.pi / 3.0
-    ball = symmetrized_solution(w3, 3, 1.0, constant_profile(1.0, w3))
     disc = symmetrized_constant_source(math.pi, beta=1.0)
     batches = _count_batches(monkeypatch)
     # at p = 0.01 the polynomial s^99 F(s) is beyond the 32-point rule
-    for sol, p, q in [(rs, 0.75, 1.0), (ball, 1.0, 1.0), (ball, 1.0, 2.0), (disc, 0.01, 1.0)]:
+    for sol, p, q in [(rs, 0.75, 1.0), (disc, 0.01, 1.0)]:
         batches.clear()
         assert sol.lorentz_power_integral(p, q) == _adaptive_lorentz(sol, p, q)
         assert len(batches) == 1
@@ -210,13 +208,26 @@ def test_nonconstant_fstar_monotone_and_consistent():
     assert np.max(np.abs(fd + rs.slope_g(mid))) < 1e-6
 
 
-def test_general_dimension_value():
-    # n = 3, f* = 1, |Omega| = measure of unit 3-ball: v(0) - v_m = R^2/6 = 1/6
+def test_planar_only():
     w3 = 4.0 * math.pi / 3.0
-    rs = symmetrized_solution(w3, 3, 1.0, constant_profile(1.0, w3))
-    assert rs.v_M - rs.v_m == pytest.approx(1.0 / 6.0, rel=1e-10)
-    # v_m = |O|^(1/3)/(3 w3^(1/3) beta) = R/(3 beta) with R = 1
-    assert rs.v_m == pytest.approx(1.0 / 3.0, rel=1e-13)
+    with pytest.raises(RadialError, match="n must be 2, got 3"):
+        symmetrized_solution(w3, 3, 1.0, constant_profile(1.0, w3))
+
+
+def test_cumulative_source_is_read_from_fstar():
+    # the monomial coefficients of F come from the profile's own F and slopes,
+    # bit for bit what the formula on the f* grid gives
+    s = np.linspace(0.0, 2.0, 257) ** 1.5
+    f = 2.0 - 0.3 * s
+    rs = symmetrized_solution(s[-1], 2, 1.5, DecreasingProfile(s=s, values=f))
+    slopes = (f[1:] - f[:-1]) / (s[1:] - s[:-1])
+    fcum = np.concatenate([[0.0], np.cumsum(0.5 * (f[:-1] + f[1:]) * (s[1:] - s[:-1]))])
+    assert np.array_equal(rs.fstar._slopes, slopes)
+    assert np.array_equal(rs.fstar._cum, fcum)
+    assert np.array_equal(rs._q2, 0.5 * slopes)
+    q0 = fcum[:-1] - f[:-1] * s[:-1] + 0.5 * slopes * s[:-1] ** 2
+    q0[0] = 0.0
+    assert np.array_equal(rs._q0, q0)
 
 
 def test_zero_fstar_rejected():

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from robinsym.config import ConfigError, parse_config
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.fem import SourceSpec, constant_source
+from robinsym.runner import source_from_name
 from robinsym.verify import (
+    CHECKERS,
+    K_RANGES,
     KRangeError,
     Ladder,
     check_bossel_daners,
@@ -16,8 +20,6 @@ from robinsym.verify import (
     check_propagation,
     check_saint_venant,
     compute_constants,
-    k_range_lorentz_2k2,
-    k_range_lorentz_k1,
 )
 
 GAMMA2 = 16.0
@@ -25,20 +27,20 @@ ELLIPSE_15 = "ellipse a=1.224744871391589 b=0.8164965809277261"  # a/b = 1.5, |O
 
 
 def test_constant_c1_hand_value():
-    cb = compute_constants(2, math.pi, math.pi, 1.0, 1.0, GAMMA2)
+    cb = compute_constants(math.pi, math.pi, 1.0, 1.0, GAMMA2)
     assert cb.c1 == pytest.approx((math.pi / 2.0) * min(1.0 / (64.0 * GAMMA2), 1.0 / 64.0),
                                   rel=1e-14)
     assert cb.c4 == pytest.approx(cb.c1, rel=1e-14)  # k=1, ||f||_1 = |Omega|
 
 
 def test_constant_c3_hand_value():
-    cb = compute_constants(2, math.pi, math.pi, 1.0, 1.0, GAMMA2)
+    cb = compute_constants(math.pi, math.pi, 1.0, 1.0, GAMMA2)
     assert cb.c3 == pytest.approx(min(1.0 / 128.0, 1.0 / (256.0 * GAMMA2)), rel=1e-14)
 
 
 def test_constant_c5_formula():
     m, beta = math.pi, 2.0
-    cb = compute_constants(2, m, m, beta, 1.0, GAMMA2)
+    cb = compute_constants(m, m, beta, 1.0, GAMMA2)
     num = min(1.0 / (64.0 * GAMMA2), beta * math.sqrt(m) / (256.0 * math.sqrt(math.pi)))
     den = 2.0 * beta ** 2 * (m / (2 * math.pi) + 1.0 / (math.pi * beta ** 2)
                              + math.sqrt(m) / (beta * math.sqrt(math.pi)))
@@ -48,14 +50,14 @@ def test_constant_c5_formula():
 def test_constants_vanish_as_beta_grows():
     vals1, vals2 = [], []
     for beta in (1.0, 10.0, 100.0, 1000.0):
-        cb = compute_constants(2, math.pi, math.pi, beta, 1.0, GAMMA2)
+        cb = compute_constants(math.pi, math.pi, beta, 1.0, GAMMA2)
         vals1.append(cb.c1)
         vals2.append(cb.c2)
     assert all(a >= b for a, b in zip(vals1, vals1[1:]))
     assert all(a >= b for a, b in zip(vals2, vals2[1:]))
     assert vals1[-1] < 1e-3 * vals1[0] and vals2[-1] < 1e-3 * vals2[0]
     # C3 does not depend on beta
-    c3s = {compute_constants(2, math.pi, math.pi, b, 1.0, GAMMA2).c3 for b in (1.0, 50.0)}
+    c3s = {compute_constants(math.pi, math.pi, b, 1.0, GAMMA2).c3 for b in (1.0, 50.0)}
     assert len(c3s) == 1
 
 
@@ -67,10 +69,33 @@ def test_k_range_guards():
         check_lorentz_k1(Ladder(d, 1.0, 0.2), generic, 2.0, GAMMA2)
     with pytest.raises(KRangeError, match="3n-4"):
         check_lorentz_2k2(Ladder(d, 1.0, 0.2), generic, 1.5, GAMMA2)
-    assert k_range_lorentz_k1(2, False) == 1.0
-    assert k_range_lorentz_2k2(2, False) == 1.0
-    assert math.isinf(k_range_lorentz_k1(2, True))
-    assert k_range_lorentz_2k2(3, False) == pytest.approx(0.6)
+
+
+@pytest.fixture(scope="module")
+def rect_ladder():
+    return Ladder(build_domain("rect", w=2.0, h=0.5), 1.0, 0.2)
+
+
+@pytest.mark.parametrize("k", [1.0, 1.0 + 1e-13, 1.0 + 1e-9])
+@pytest.mark.parametrize("source", ["const", "radial"])
+@pytest.mark.parametrize("theorem", sorted(K_RANGES))
+def test_config_and_checker_admit_the_same_k(rect_ladder, theorem, source, k):
+    # both apply one rule with one tolerance: k <= 1 (1 + 1e-12) unless f = 1
+    text = (f"[run]\ndomains = rect w=2 h=0.5\nks = {k!r}\nsources = {source}\n"
+            f"theorems = {theorem}\n[gamma]\ngamma2 = 16.0\nprovenance = test\n")
+    try:
+        parse_config(text)
+        config_admits = True
+    except ConfigError as exc:
+        assert K_RANGES[theorem] in str(exc)
+        config_admits = False
+    try:
+        CHECKERS[theorem](rect_ladder, source_from_name(source, rect_ladder.domain), k,
+                          GAMMA2)
+        checker_admits = True
+    except KRangeError:
+        checker_admits = False
+    assert config_admits == checker_admits == (source == "const" or k < 1.0 + 1e-10)
 
 
 def test_disc_equality_cases_all_checkers():

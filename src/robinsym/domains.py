@@ -3,10 +3,11 @@
 Shapes are parametric (disc, ellipse, rectangle, stadium) or simple polygons;
 each boundary is a chain of segments and elliptic arcs (`boundary_pieces`).
 The Fraenkel asymmetry comes from an exact boundary integral for the area of
-the intersection with a ball (`_ball_overlap`), minimized over the center by
-Nelder-Mead (`_asymmetry_search`).  Both take oriented segments and arcs, not
-a Domain, so the superlevel sets of a P1 field (`levelset.superlevel_asymmetry`)
-go through the same search as the shapes.
+the intersection with a ball and its exact gradient in the center
+(`_ball_overlap`), minimized over the center by a quasi-Newton search
+(`_asymmetry_search`).  Both take oriented segments and arcs, not a Domain,
+so the superlevel sets of a P1 field (`levelset.superlevel_asymmetry`) go
+through the same search as the shapes.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,9 +188,18 @@ class Domain:
 
 
 def _ellipse_perimeter(a: float, b: float) -> float:
-    val, _ = quad(lambda t: math.hypot(a * math.sin(t), b * math.cos(t)), 0.0, TWO_PI,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    """Gauss-Kummer form of the perimeter through the arithmetic-geometric
+    mean: P = 2 pi (a^2 - sum_n 2^(n-1) c_n^2) / AGM(a, b), with c_0^2 =
+    a^2 - b^2 and c_(n+1) = (a_n - b_n) / 2 (Abramowitz-Stegun 17.6.3-4).
+    The n = 0 term is folded in, (a^2 + b^2) / 2, so nothing cancels there."""
+    total, weight = 0.5 * (a * a + b * b), 1.0
+    while True:
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        total -= weight * c * c
+        weight *= 2.0
+        if c <= 1e-15 * a:
+            return TWO_PI * total / a
 
 
 def build_domain(kind: str, **kw) -> Domain:
@@ -374,19 +382,25 @@ def _oriented_boundary(domain: Domain):
 
 
 def _ball_overlap(segments, arcs, x, r, halve=False):
-    """|U cap B_r(x)| = 1/2 closed integral of min(|p - x|, r)^2 dtheta_x(p)
-    for the set U bounded by oriented `segments` and `arcs`, U on the left.
+    """(|U cap B_r(x)|, its gradient in x) for the set U bounded by oriented
+    `segments` and `arcs`, U on the left.
 
-    This is the divergence theorem for F(q) = min(|q - x|, r)^2 (q - x) /
-    (2 |q - x|^2), whose divergence is the indicator of B_r(x); it holds for
-    any center and any boundary traversed with U on its left, in any order
-    of its pieces.  The integrand is smooth except where |p - x| = r, so the
-    Gauss panels of every piece are split there.  Segments must have
-    positive length.
+    The area is 1/2 closed integral of min(|p - x|, r)^2 dtheta_x(p): the
+    divergence theorem for F(q) = min(|q - x|, r)^2 (q - x) / (2 |q - x|^2),
+    whose divergence is the indicator of B_r(x); it holds for any center and
+    any boundary traversed with U on its left, in any order of its pieces.
+    The integrand is smooth except where |p - x| = r, so the Gauss panels of
+    every piece are split there.  Segments must have positive length.
+
+    The gradient is minus the integral of the outward normal of U over the
+    boundary inside the ball, that is the sum of the chords of the boundary
+    pieces clipped to the ball, turned by +90 degrees.  It is exact, and it
+    reuses the crossings that split the panels.
     """
     x = np.asarray(x, dtype=float)
     r2 = r * r
     total = 0.0
+    chords = np.zeros(2)
     if len(segments):
         a = segments[:, 0] - x
         e = segments[:, 1] - segments[:, 0]
@@ -403,6 +417,7 @@ def _ball_overlap(segments, arcs, x, r, halve=False):
         py = a[:, 1, None, None] + t * e[:, 1, None, None]
         cross = (a[:, 0] * e[:, 1] - a[:, 1] * e[:, 0])[:, None, None]
         total += np.sum(w * cross * r2 / np.maximum(px * px + py * py, r2))
+        chords += (cut[:, 1] - cut[:, 0]) @ e
     for (cx, cy), (A, B), (s0, s1) in arcs:
         ox, oy = cx - x[0], cy - x[1]
 
@@ -418,7 +433,57 @@ def _ball_overlap(segments, arcs, x, r, halve=False):
         c, sn = np.cos(s), np.sin(s)
         px, py = ox + A * c, oy + B * sn
         total += np.sum(w * (px * B * c + py * A * sn) * r2 / np.maximum(px * px + py * py, r2))
-    return 0.5 * total
+        inside = g(0.5 * (ends[:-1] + ends[1:])) < 0.0
+        lo, hi = ends[:-1][inside], ends[1:][inside]
+        chords += [A * np.sum(np.cos(hi) - np.cos(lo)), B * np.sum(np.sin(hi) - np.sin(lo))]
+    return 0.5 * total, np.array([-chords[1], chords[0]])
+
+
+# quasi-Newton search: value tolerance on the predicted decrease, Armijo
+# constant, and caps on the iterations and on the halvings of one step
+_SEARCH_FTOL = 1e-15
+_ARMIJO = 1e-4
+_SEARCH_ITERATIONS = 100
+_STEP_HALVINGS = 30
+
+
+def _quasi_newton(fg, x, scale):
+    """A local minimum of f near x by BFGS with the exact gradient and an
+    Armijo backtracking line search (Nocedal and Wright, Numerical
+    Optimization, 2006, Alg. 6.1); fg(x) returns (f, grad f).
+
+    `scale` is a length: the first inverse Hessian guess is scale^2 I and no
+    step is longer than scale.  The search stops when the decrease predicted
+    by the quadratic model, g.H.g / 2, falls below _SEARCH_FTOL, or when
+    no step along the search direction decreases f.
+    """
+    f, g = fg(x)
+    H = scale * scale * np.eye(2)
+    scaled = False
+    for _ in range(_SEARCH_ITERATIONS):
+        p = -H @ g
+        slope = float(g @ p)
+        if not -slope > 2.0 * _SEARCH_FTOL:
+            break
+        p *= min(1.0, scale / math.hypot(*p))
+        slope = float(g @ p)
+        t = 1.0
+        for _ in range(_STEP_HALVINGS):
+            fn, gn = fg(x + t * p)
+            if fn <= f + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = t * p, gn - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if not scaled:  # Shanno-Phua scaling of the first guess (N-W 6.20)
+                H, scaled = sy / float(y @ y) * np.eye(2), True
+            v = np.eye(2) - np.outer(s, y) / sy
+            H = v @ H @ v.T + np.outer(s, s) / sy
+        x, f, g = x + s, fn, gn
+    return x, f
 
 
 def _asymmetry_search(segments, arcs, area, seeds) -> AsymmetryResult:
@@ -426,9 +491,11 @@ def _asymmetry_search(segments, arcs, area, seeds) -> AsymmetryResult:
     set U bounded by `segments` and `arcs` (see `_ball_overlap`).
 
     The objective is exact up to quadrature: |U Delta B| = 2 (|U| - |U cap
-    B|).  One Nelder-Mead run starts from each seed and the best end point
-    wins.  `error` is the change of the value when every panel is halved,
-    and `evaluations` counts the overlap integrals taken.
+    B|), and its gradient is exact.  One quasi-Newton run (`_quasi_newton`,
+    steps up to r) starts from each seed and the best end point wins.
+    `error` is the change of the value when every panel is halved, and
+    `evaluations` counts the overlap integrals taken, each of which gives
+    the value and the gradient together.
     """
     # an empty segment (a level line through a node) bounds nothing
     segments = segments[np.any(segments[:, 0] != segments[:, 1], axis=1)]
@@ -438,15 +505,15 @@ def _asymmetry_search(segments, arcs, area, seeds) -> AsymmetryResult:
     def objective(x, halve=False):
         nonlocal evaluations
         evaluations += 1
-        return 2.0 * (1.0 - _ball_overlap(segments, arcs, x, r, halve) / area)
+        overlap, gradient = _ball_overlap(segments, arcs, x, r, halve)
+        return 2.0 * (1.0 - overlap / area), (-2.0 / area) * gradient
 
     ends = []
     for s in seeds:
-        res = minimize(objective, s, method="Nelder-Mead",
-                       options=dict(xatol=1e-9, fatol=1e-13, maxiter=400, maxfev=600))
-        ends.append((float(res.fun), float(res.x[0]), float(res.x[1])))
+        x, f = _quasi_newton(objective, np.asarray(s, dtype=float), r)
+        ends.append((float(f), float(x[0]), float(x[1])))
     value, cx, cy = min(ends)
-    fine = float(objective((cx, cy), halve=True))
+    fine = float(objective((cx, cy), halve=True)[0])
     return AsymmetryResult(value=max(fine, 0.0), center=(cx, cy), radius=r,
                            error=abs(value - fine), evaluations=evaluations)
 
@@ -457,7 +524,7 @@ def fraenkel_asymmetry(domain: Domain) -> AsymmetryResult:
     The overlap |Omega cap B| is a boundary integral (`_ball_overlap`) taken
     with 16-point Gauss-Legendre panels split where the boundary crosses the
     circle.  For a convex domain the square root of the overlap is concave
-    in the center on its support (Brunn-Minkowski), so one Nelder-Mead run
+    in the center on its support (Brunn-Minkowski), so one quasi-Newton run
     from the centroid finds the global minimum; a nonconvex polygon is
     searched from the centroid and 8 bounding-box offsets
     (`_asymmetry_search`).

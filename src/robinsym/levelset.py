@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
-from .domains import _asymmetry_search, _asymmetry_seeds
+from .domains import _asymmetry_search, _asymmetry_seeds, _polygon_signed_area
 from .fem import ScalarField
 
 
@@ -273,14 +272,34 @@ def superlevel_boundary(u: ScalarField, t: float) -> np.ndarray:
     return np.concatenate([level, outer])
 
 
+def _convex_hull(points) -> np.ndarray:
+    """Vertices of the convex hull of (N, 2) points, counterclockwise, by
+    Andrew's monotone chain (Inf. Process. Lett. 9, 1979); duplicate points
+    and points inside a hull edge are dropped."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0).tolist()  # sorted by x, then y
+    if len(pts) < 3:
+        return np.array(pts).reshape(-1, 2)
+    hull = []
+    for seq in (pts, pts[::-1]):  # the lower chain, then the upper one
+        chain = []
+        for x, y in seq:
+            while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
+                                       - (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])) <= 0.0:
+                chain.pop()
+            chain.append((x, y))
+        hull += chain[:-1]  # its last point starts the other chain
+    return np.array(hull)
+
+
 def superlevel_asymmetry(u: ScalarField, t: float):
     """Fraenkel asymmetry of U_t = {interpolant > t}, or None when U_t is empty.
 
     The boundary of U_t (`superlevel_boundary`) goes through the same
-    boundary-integral search as a domain.  A convex U_t (the hull of its
-    boundary points has its area, to 1e-12 relative) is searched from its
-    centroid alone, as `fraenkel_asymmetry` searches a convex domain; any
-    other U_t from its centroid and 8 offsets in its bounding box.
+    boundary-integral quasi-Newton search as a domain.  A convex U_t (the
+    hull of its boundary points, `_convex_hull`, has its area to 1e-12
+    relative) is searched from its centroid alone, as `fraenkel_asymmetry`
+    searches a convex domain; any other U_t from its centroid and 8 offsets
+    in its bounding box.
     """
     segments = superlevel_boundary(u, t)
     # area and centroid by the shoelace formulas, about a nearby origin
@@ -293,7 +312,7 @@ def superlevel_asymmetry(u: ScalarField, t: float):
     centroid = origin + ((a + b) * cross[:, None]).sum(axis=0) / (6.0 * area)
     points = segments.reshape(-1, 2)
     seeds = [centroid]
-    if ConvexHull(points).volume > area * (1.0 + 1e-12):  # a 2-D hull's volume is its area
+    if _polygon_signed_area(_convex_hull(points - origin)) > area * (1.0 + 1e-12):
         lo, hi = points.min(axis=0), points.max(axis=0)
         seeds = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
     return _asymmetry_search(segments, [], area, seeds)

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j0, j1, jn_zeros
 
 from .rearrange import DecreasingProfile, _batched_segment_integral, _gauss, constant_profile, \
     cosine_grid
@@ -240,23 +238,50 @@ def ball_torsion(R: float, beta: float) -> float:
     return ball_closed_forms(R, beta)[1]
 
 
+# the first zero of J0, and the number of power-series terms that give J0
+# and J1 to rounding on [0, _J0_FIRST_ZERO]: there |x^2/4| <= 1.45, and the
+# first term left out is below 1.45^15 / (14! 15!) < 1e-20
+_J0_FIRST_ZERO = 2.404825557695773  # correctly rounded
+_BESSEL_TERMS = 14
+
+
+def _bessel_j0_j1(x: float):
+    """(J0(x), J1(x)) by their power series in Horner form, for 0 <= x <=
+    _J0_FIRST_ZERO: J0 = sum_k q^k / k!^2 and J1 = (x/2) sum_k q^k / (k! (k+1)!),
+    q = -x^2/4."""
+    q = -0.25 * x * x
+    s0 = s1 = 1.0
+    for k in range(_BESSEL_TERMS, 0, -1):
+        s0 = 1.0 + s0 * q / (k * k)
+        s1 = 1.0 + s1 * q / (k * (k + 1))
+    return s0, 0.5 * x * s1
+
+
 def bessel_eigen_oracle(R: float, beta: float) -> float:
     """Smallest lambda with -sqrt(lambda) J1(sqrt(lambda) R) + beta J0(...) = 0.
 
     This is the principal Robin eigenvalue of the disc of radius R; it lies
     strictly below the Dirichlet value (j_{0,1}/R)^2, which brackets the root.
+    The bracket is bisected down to adjacent floating-point numbers, with
+    J0 and J1 from their power series (`_bessel_j0_j1`).
     """
     if not _positive_finite(R, beta):
         raise RadialError("R and beta must be positive and finite")
-    j01 = float(jn_zeros(0, 1)[0])
-    hi = (j01 / R) ** 2
+    hi = (_J0_FIRST_ZERO / R) ** 2
 
     def fn(lam):
-        if lam <= 0.0:
-            return beta
         rt = math.sqrt(lam)
-        return -rt * j1(rt * R) + beta * j0(rt * R)
+        j0, j1 = _bessel_j0_j1(rt * R)
+        return -rt * j1 + beta * j0
 
     if not (fn(0.0) > 0.0 > fn(hi)):
         raise OracleError("failed to bracket the principal Robin eigenvalue")
-    return float(brentq(fn, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if fn(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid

@@ -16,7 +16,9 @@ from raster_oracle import (
 )
 from robinsym.domains import (
     GeometryError,
+    _asymmetry_seeds,
     _ball_overlap,
+    _ellipse_perimeter,
     _oriented_boundary,
     build_domain,
     domain_spec_string,
@@ -25,6 +27,7 @@ from robinsym.domains import (
     isoperimetric_deficit,
     parse_domain_spec,
 )
+from search_oracle import nelder_mead_asymmetry
 
 
 def square_disc_overlap_defect():
@@ -58,6 +61,21 @@ def test_ellipse_perimeter_quadrature():
     oracle = 4.0 * 2.0 * ellipe(1.0 - (0.5 / 2.0) ** 2)
     assert d.perimeter == pytest.approx(oracle, rel=1e-10)
     assert d.perimeter == pytest.approx(8.578, abs=2e-3)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.5, 2.0, 10.0, 137.0, 1e3, 1e4])
+def test_agm_ellipse_perimeter_matches_quad_and_ellipe(ratio):
+    from scipy.integrate import quad
+    for a in (1.0, 0.37, 25.0):
+        b = a / ratio
+        perimeter = _ellipse_perimeter(a, b)
+        assert perimeter == pytest.approx(4.0 * a * ellipe((1.0 - b / a) * (1.0 + b / a)),
+                                          rel=1e-14)
+        # a quarter arc, split at the bend of the flat ellipses
+        quarter, _ = quad(lambda t: math.hypot(a * math.sin(t), b * math.cos(t)),
+                          0.0, 0.5 * math.pi, points=[b / a], epsabs=0.0,
+                          epsrel=2e-14, limit=500)
+        assert perimeter == pytest.approx(4.0 * quarter, rel=1e-14)
 
 
 def test_stadium_measure_perimeter():
@@ -318,7 +336,7 @@ def test_exact_overlap_matches_disc_lens():
         for off in ((0.13, -0.07), (0.9, 0.4), (1.8, 0.5), (3.0, 0.0)):
             x = (0.2 + off[0], -0.4 + off[1])
             exact = _lens_area(1.3, r, math.hypot(*off))
-            assert _ball_overlap(*_oriented_boundary(d), x, r) == pytest.approx(exact, abs=1e-13)
+            assert _ball_overlap(*_oriented_boundary(d), x, r)[0] == pytest.approx(exact, abs=1e-13)
 
 
 @pytest.mark.parametrize("spec", ASYMMETRY_SHAPES + ("rect w=1 h=1", "polygon 0,0 2,0 2,1 1,1 1,2 0,2"))
@@ -331,7 +349,7 @@ def test_exact_overlap_matches_raster_oracle(spec):
     for off in ((0.13, -0.07), (0.9, 0.4), (3.0, 0.0)):
         x = (d.center[0] + off[0], d.center[1] + off[1])
         raster, _ = symmetric_difference_with_ball(d, BallSpec(x, r))
-        exact = 2.0 * (d.measure - _ball_overlap(*_oriented_boundary(d), x, r))
+        exact = 2.0 * (d.measure - _ball_overlap(*_oriented_boundary(d), x, r)[0])
         assert exact == pytest.approx(raster, abs=1e-6)
 
 
@@ -363,11 +381,57 @@ def test_asymmetry_translation_invariance_exact():
     assert moved == pytest.approx(base, abs=1e-12)
 
 
+L_SHAPE = "polygon 0,0 2,0 2,1 1,1 1,2 0,2"
+
+
 def test_asymmetry_evaluation_budget():
-    # a deterministic guard on the search cost in place of a timing test
-    for spec in ASYMMETRY_SHAPES:
+    # a deterministic guard on the search cost in place of a timing test: at
+    # most 10 overlap integrals per seed (9 measured, on the heptagon), plus
+    # the one with halved panels for the error
+    for spec in ASYMMETRY_SHAPES + (L_SHAPE,):
+        seeds = 9 if spec == L_SHAPE else 1
         res = fraenkel_asymmetry(parse_domain_spec(spec))
-        assert 0 < res.evaluations <= 300
+        assert 0 < res.evaluations <= 10 * seeds + 1
+
+
+@pytest.mark.parametrize("spec", ASYMMETRY_SHAPES[:4] + (L_SHAPE,))
+def test_overlap_gradient_matches_central_differences(spec):
+    # generic centres at the search radius, a ball that contains the domain,
+    # a disjoint one, and circles tangent to a segment from inside
+    d = parse_domain_spec(spec)
+    boundary = _oriented_boundary(d)
+    r = equal_measure_radius(d.measure)
+    far = 3.0 * d.diameter()
+    cases = [(d.center + off, r) for off in ((0.0, 0.0), (0.13, -0.07), (0.3, 0.2))]
+    cases += [(d.center, far), (d.center + (far, 0.0), r)]
+    tangent = []
+    for a, b in boundary[0]:
+        inward = np.array([a[1] - b[1], b[0] - a[0]]) / math.dist(a, b)
+        tangent.append((0.5 * (a + b) + r * inward, r))
+    for k, (x, radius) in enumerate(cases + tangent):
+        # the overlap grows like (distance)^(3/2) off a tangency, so there the
+        # central difference is only O(step^(1/2)) accurate
+        step, tol = (1e-6, 1e-8) if k < len(cases) else (1e-9, 1e-4)
+        _, grad = _ball_overlap(*boundary, x, radius)
+        fd = [(_ball_overlap(*boundary, x + e, radius)[0]
+               - _ball_overlap(*boundary, x - e, radius)[0]) / (2.0 * step)
+              for e in np.eye(2) * step]
+        assert grad == pytest.approx(fd, abs=tol)
+    assert bool(tangent) == (spec != ASYMMETRY_SHAPES[0])  # all but the ellipse have segments
+
+
+@pytest.mark.parametrize("spec", ASYMMETRY_SHAPES + (L_SHAPE, "disc r=1", "rect w=1 h=1"))
+def test_asymmetry_search_is_no_worse_than_nelder_mead(spec):
+    # the quasi-Newton search against the simplex search it replaced, from
+    # the same seeds
+    d = parse_domain_spec(spec)
+    seeds = [d.center]
+    if spec == L_SHAPE:
+        seeds = _asymmetry_seeds(d.bounding_box(), d.center)
+    res = fraenkel_asymmetry(d)
+    value, evaluations = nelder_mead_asymmetry(*_oriented_boundary(d), d.measure, seeds)
+    assert res.value <= value + 1e-12
+    assert res.evaluations < evaluations
 
 
 def test_isoperimetric_on_random_convex_polygons():

@@ -1,0 +1,56 @@
+"""Import guard: the package loads no SciPy module outside scipy.sparse.
+
+scipy.optimize, scipy.special, scipy.spatial and scipy.integrate cost about
+0.3 s of start-up per process, which every `robinsym` command pays.  The
+package has numpy replacements for them, and this guard keeps them out:
+both of the modules a command loads and of the package's source, so that
+the cost cannot come back as an import inside a function body either.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import robinsym
+
+PACKAGE = Path(robinsym.__file__).resolve().parent
+UNWANTED = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.integrate")
+
+
+def _allowed(module: str) -> bool:
+    return not (module == "scipy" or module.startswith("scipy.")) \
+        or module == "scipy.sparse" or module.startswith("scipy.sparse.")
+
+
+def test_cli_import_loads_no_unwanted_scipy_module():
+    code = "import json, sys; import robinsym.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    loaded = json.loads(res.stdout)
+    assert "robinsym.cli" in loaded and "scipy.sparse.linalg" in loaded
+    assert [m for m in loaded if m.startswith(UNWANTED)] == []
+
+
+def test_source_imports_only_scipy_sparse():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = ["scipy." + alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, node.lineno, n) for n in names if not _allowed(n)]
+    assert found == []
+
+
+def test_the_guard_rejects_what_it_should():
+    assert _allowed("numpy") and _allowed("scipy.sparse") and _allowed("scipy.sparse.linalg")
+    assert not any(_allowed(m) for m in ("scipy", "scipy.special", "scipy.sparsetools"))

@@ -21,12 +21,13 @@ from robinsym import levelset
 from robinsym.domains import _asymmetry_search, _asymmetry_seeds, build_domain, \
     fraenkel_asymmetry, parse_domain_spec
 from robinsym.fem import ScalarField, constant_source, solve_robin_poisson
-from robinsym.levelset import superlevel_asymmetry, superlevel_boundary
+from robinsym.levelset import _convex_hull, superlevel_asymmetry, superlevel_boundary
 from robinsym.meshing import Mesh, generate_mesh, refine_mesh
 from robinsym.radial import symmetrized_constant_source
 from robinsym.rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
     distribution_function
 from robinsym.runner import source_from_name
+from search_oracle import nelder_mead_asymmetry
 
 
 def single_triangle(values):
@@ -250,9 +251,9 @@ def _recording_search(monkeypatch):
     return seeds_seen
 
 
-def test_convex_superlevel_sets_are_searched_from_the_centroid(monkeypatch):
-    # the 20 levels of the propagation property suite (acceptance criterion 10)
-    seen = _recording_search(monkeypatch)
+def _criterion_10_levels():
+    """The 20 levels of the propagation property suite (acceptance criterion
+    10): u and t for each, on four shapes."""
     for spec in ("ellipse a=1.224744871391589 b=0.81649658092772615",
                  "ellipse a=1.4142135623730951 b=0.70710678118654757",
                  "rect w=2 h=0.5", "stadium l=1 r=0.5"):
@@ -260,7 +261,13 @@ def test_convex_superlevel_sets_are_searched_from_the_centroid(monkeypatch):
         u = _torsion(spec)
         dist = distribution_function(u)
         for frac in (1 / 16.0, 1 / 8.0, 3 / 16.0, 0.21, 0.24):
-            superlevel_asymmetry(u, dist.ustar(u.mesh.area() * (1.0 - alpha * frac)))
+            yield u, dist.ustar(u.mesh.area() * (1.0 - alpha * frac))
+
+
+def test_convex_superlevel_sets_are_searched_from_the_centroid(monkeypatch):
+    seen = _recording_search(monkeypatch)
+    for u, t in _criterion_10_levels():
+        superlevel_asymmetry(u, t)
     assert len(seen) == 20 and {len(s) for _, _, s in seen} == {1, 9}
     for segments, area, (centroid,) in (r for r in seen if len(r[2]) == 1):
         points = segments.reshape(-1, 2)
@@ -268,6 +275,43 @@ def test_convex_superlevel_sets_are_searched_from_the_centroid(monkeypatch):
         nine = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
         assert _asymmetry_search(segments, [], area, [centroid]).value == pytest.approx(
             _asymmetry_search(segments, [], area, nine).value, abs=1e-12)
+
+
+def test_superlevel_search_is_no_worse_than_nelder_mead(monkeypatch):
+    # the quasi-Newton search against the simplex search it replaced, from
+    # the same seeds, on the 20 criterion-10 levels
+    seen = _recording_search(monkeypatch)
+    for u, t in _criterion_10_levels():
+        superlevel_asymmetry(u, t)
+    for segments, area, seeds in seen:
+        new = _asymmetry_search(segments, [], area, seeds)
+        value, evaluations = nelder_mead_asymmetry(segments, [], area, seeds)
+        assert new.value <= value + 1e-12
+        assert new.evaluations < evaluations
+
+
+def test_monotone_chain_hull_matches_qhull():
+    from scipy.spatial import ConvexHull
+    rng = np.random.default_rng(16)
+    sets = [rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, size=2)
+            for n in (3, 4, 10, 100, 1000)]
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    sets.append(np.concatenate([square, square, square[:2]]))  # duplicate points
+    edge = np.arange(11.0)  # exact coordinates, so the runs are exactly collinear
+    sets.append(np.concatenate([np.column_stack([edge, 0.0 * edge]),  # collinear runs
+                                np.column_stack([10.0 - edge, edge]),
+                                np.column_stack([0.0 * edge, edge]), [[2.0, 2.0]]]))
+    sets.append(rng.integers(0, 4, size=(60, 2)).astype(float))  # both, on a lattice
+    for pts in sets:
+        hull = _convex_hull(pts)
+        x, y = hull[:, 0], hull[:, 1]
+        area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+        assert area == pytest.approx(ConvexHull(pts).volume, rel=1e-14)
+        assert len(hull) == len(ConvexHull(pts).vertices)
+        d1, d2 = np.roll(hull, -1, axis=0) - hull, np.roll(hull, -2, axis=0) - hull
+        turns = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        assert np.all(turns > 0.0)  # counterclockwise, no repeated or collinear vertex
+    assert _convex_hull(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])).shape == (2, 2)
 
 
 def test_nonconvex_superlevel_sets_keep_nine_seeds(monkeypatch):

@@ -9,6 +9,8 @@ from robinsym.domains import parse_domain_spec
 from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.radial import (
     RadialError,
+    _bessel_j0_j1,
+    _J0_FIRST_ZERO,
     ball_closed_forms,
     ball_torsion,
     bessel_eigen_oracle,
@@ -73,6 +75,37 @@ def test_bessel_oracle():
     # scaling in R: lambda(R) = lambda_hat / R^2 only when beta rescales too
     lam2 = bessel_eigen_oracle(2.0, 0.5)
     assert lam2 == pytest.approx(lam / 4.0, rel=1e-12)
+
+
+def _brentq_eigen_oracle(R, beta):
+    """The disc eigenvalue as the package took it with SciPy: brentq on the
+    Bessel form, bracketed by SciPy's first zero of J0."""
+    from scipy.optimize import brentq
+    from scipy.special import j0, j1, jn_zeros
+
+    def fn(lam):
+        rt = math.sqrt(lam)
+        return beta if lam <= 0.0 else -rt * j1(rt * R) + beta * j0(rt * R)
+
+    return brentq(fn, 0.0, (jn_zeros(0, 1)[0] / R) ** 2, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
+def test_bessel_series_match_scipy_on_the_first_lobe():
+    from scipy.special import j0, j1, jn_zeros
+    # SciPy's zero is one unit in the last place below the correctly rounded one
+    assert _J0_FIRST_ZERO == pytest.approx(float(jn_zeros(0, 1)[0]), rel=2.3e-16)
+    x = np.linspace(0.0, _J0_FIRST_ZERO, 4001)
+    series = np.array([_bessel_j0_j1(v) for v in x])
+    assert np.max(np.abs(series[:, 0] - j0(x))) <= 1e-15
+    assert np.max(np.abs(series[:, 1] - j1(x))) <= 1e-15
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_bessel_oracle_matches_the_brentq_form(R):
+    # 18 (R, beta) pairs over four decades of beta
+    for beta in (0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
+        assert bessel_eigen_oracle(R, beta) == pytest.approx(_brentq_eigen_oracle(R, beta),
+                                                             rel=1e-14)
 
 
 def test_phi_inverts_profile():

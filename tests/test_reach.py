@@ -27,6 +27,7 @@ ALLOWED = {
     "levelset._level_segments": "reached through check_propagation",
     "levelset._outer_edges": "reached through check_propagation",
     "levelset._sorted_triangle_values": "reached through check_propagation",
+    "levelset._convex_hull": "reached through check_propagation",
     "fem.SolverError.__init__": "raised only when a solve fails",
     "radial.ball_closed_forms.u": "the disc profile; the CLI prints only the torsion",
 }

@@ -439,9 +439,13 @@ def _ball_overlap(segments, arcs, x, r, halve=False):
     return 0.5 * total, np.array([-chords[1], chords[0]])
 
 
-# quasi-Newton search: value tolerance on the predicted decrease, Armijo
-# constant, and caps on the iterations and on the halvings of one step
+# quasi-Newton search: value tolerance on the predicted decrease, the floor
+# of f, Armijo constant, and caps on the iterations and on the halvings of
+# one step.  The asymmetry is >= 0 and its computed value carries rounding
+# of a few tens of ulps (6.7e-16 at the centre of a disc, where the
+# gradient is rounding noise), so a value at the floor is a minimum.
 _SEARCH_FTOL = 1e-15
+_SEARCH_FLOOR = 1e-14
 _ARMIJO = 1e-4
 _SEARCH_ITERATIONS = 100
 _STEP_HALVINGS = 30
@@ -454,8 +458,9 @@ def _quasi_newton(fg, x, scale):
 
     `scale` is a length: the first inverse Hessian guess is scale^2 I and no
     step is longer than scale.  The search stops when the decrease predicted
-    by the quadratic model, g.H.g / 2, falls below _SEARCH_FTOL, or when
-    no step along the search direction decreases f.
+    by the quadratic model, g.H.g / 2, falls below _SEARCH_FTOL, when f is
+    at most _SEARCH_FLOOR (f >= 0 here), or when no step along the search
+    direction decreases f.
     """
     f, g = fg(x)
     H = scale * scale * np.eye(2)
@@ -463,7 +468,7 @@ def _quasi_newton(fg, x, scale):
     for _ in range(_SEARCH_ITERATIONS):
         p = -H @ g
         slope = float(g @ p)
-        if not -slope > 2.0 * _SEARCH_FTOL:
+        if f <= _SEARCH_FLOOR or not -slope > 2.0 * _SEARCH_FTOL:
             break
         p *= min(1.0, scale / math.hypot(*p))
         slope = float(g @ p)

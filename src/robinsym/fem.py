@@ -9,9 +9,9 @@ chain with the coarsest mesh factored by SuperLU (symmetric mode,
 minimum-degree ordering).  The Robin-Poisson system is solved by that one LU
 on a mesh without a parent, and by CG preconditioned with a V-cycle down the
 chain on a refined one; both meet the same 1e-10 relative-residual contract.
-The principal eigenpair comes from nested inverse iteration: LU solves on the
-coarsest mesh, then on each finer one V-cycle PCG, started from the
-prolonged eigenvector of the mesh below.
+The principal eigenpair comes from nested LOBPCG: preconditioned by the LU
+on the coarsest mesh, then on each finer one by one V-cycle per step,
+started from the prolonged eigenvector of the mesh below.
 
 The hierarchy is built once per mesh chain.  Each mesh keeps, per beta, in
 its private store (`Mesh._store`, living as long as the mesh): the Robin
@@ -256,7 +256,7 @@ def solve_poisson(system: SparseSystem) -> ScalarField:
         method, x = "LU", lu.solve(b)
     else:
         lu, levels = _hierarchy(mesh, system.beta, A, keep=True)
-        method, x = "multigrid PCG", _pcg(A, b, None, lambda r: _vcycle(levels, lu, r))
+        method, x = "multigrid PCG", _pcg(A, b, lambda r: _vcycle(levels, lu, r))
     resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
     if not resid <= 1e-10:
         raise SolverError(f"{method} solve left relative residual {resid:.3e}", [resid])
@@ -267,10 +267,10 @@ def solve_robin_poisson(mesh: Mesh, f: SourceSpec, beta: float) -> ScalarField:
     return solve_poisson(assemble_robin_system(mesh, f, beta))
 
 
-# inverse iteration stops when lambda changes by at most _EIGEN_TOL relative,
-# and fails after _EIGEN_MAXITER steps; each inner PCG solve stops at relative
-# residual _PCG_TOL and fails after _PCG_MAXITER iterations
-_EIGEN_TOL = 1e-10
+# LOBPCG stops at relative eigen-residual _EIGEN_RTOL and fails after
+# _EIGEN_MAXITER steps; a Poisson PCG solve stops at relative residual
+# _PCG_TOL and fails after _PCG_MAXITER iterations
+_EIGEN_RTOL = 1e-7
 _EIGEN_MAXITER = 200
 _PCG_TOL = 1e-13
 _PCG_MAXITER = 500
@@ -334,8 +334,8 @@ def _vcycle(levels, lu, r):
     return x
 
 
-def _pcg(A, b, x0, precondition):
-    x, info = cg(A, b, x0=x0, rtol=_PCG_TOL, atol=0.0, maxiter=_PCG_MAXITER,
+def _pcg(A, b, precondition):
+    x, info = cg(A, b, rtol=_PCG_TOL, atol=0.0, maxiter=_PCG_MAXITER,
                  M=LinearOperator(A.shape, matvec=precondition, dtype=float))
     if info:
         resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
@@ -344,44 +344,65 @@ def _pcg(A, b, x0, precondition):
     return x
 
 
-def _inverse_iteration(A, M, w, solve):
-    """Inverse power iteration from w; solve(b, x0) solves A z = b from the
-    guess x0.  Returns lambda and the M-normalized eigenvector."""
-    w = w / math.sqrt(w @ (M @ w))
-    lam = float(w @ (A @ w))
-    for _ in range(_EIGEN_MAXITER):
-        z = solve(M @ w, w / lam)
-        nz = math.sqrt(z @ (M @ z))
-        if nz == 0:
-            raise SolverError("inverse iteration produced the zero vector")
-        w = z / nz
-        lam_new = float(w @ (A @ w))
-        if abs(lam_new - lam) <= _EIGEN_TOL * abs(lam_new):
-            return lam_new, w
-        lam = lam_new
-    raise SolverError(f"eigen iteration cap {_EIGEN_MAXITER} exceeded")
+def _m_normalized(v):
+    """v = (x, A x, M x) scaled to x.M x = 1, or None if x is zero."""
+    norm = math.sqrt(v[0] @ v[2])
+    return v / norm if norm > 0 else None
+
+
+def _lobpcg(A, M, w, precondition):
+    """The smallest eigenpair of A w = lambda M w by one-vector LOBPCG from w
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001).  Each step is a Rayleigh-Ritz
+    on span{w, t, p}: t = precondition(r) for the residual r = A w - lambda
+    M w, p the previous step, both M-normalized; p is dropped for a step
+    whose Gram matrix is not positive definite.  The A and M images of w
+    and p are carried along as the same combinations.  It stops when ||r||
+    <= _EIGEN_RTOL * lambda * ||M w||.  Returns lambda and the M-normalized
+    eigenvector."""
+    W = _m_normalized(np.stack([w, A @ w, M @ w]))
+    lam, P = float(W[0] @ W[1]), None
+    for step in range(_EIGEN_MAXITER + 1):
+        r = W[1] - lam * W[2]
+        resid = float(np.linalg.norm(r)) / (lam * float(np.linalg.norm(W[2])))
+        if resid <= _EIGEN_RTOL:
+            return lam, W[0].copy()
+        if step == _EIGEN_MAXITER:
+            break
+        t = precondition(r)
+        B = np.stack([W, _m_normalized(np.stack([t, A @ t, M @ t]))] + ([] if P is None else [P]))
+        GA, GM = B[:, 0] @ B[:, 1].T, B[:, 0] @ B[:, 2].T
+        try:
+            L = np.linalg.cholesky(GM)
+        except np.linalg.LinAlgError:  # p is (nearly) in span{w, t}
+            B, GA, L = B[:2], GA[:2, :2], np.linalg.cholesky(GM[:2, :2])
+        Linv = np.linalg.inv(L)
+        vals, vecs = np.linalg.eigh(Linv @ GA @ Linv.T)
+        y, lam = Linv.T @ vecs[:, 0], float(vals[0])
+        W, P = np.tensordot(y, B, 1), _m_normalized(np.tensordot(y[1:], B[1:], 1))
+    raise SolverError(f"LOBPCG hit its cap of {_EIGEN_MAXITER} steps on {A.shape[0]} nodes"
+                      f" at relative residual {resid:.3e}", [resid])
 
 
 def _nested_eigenpair(mesh: Mesh, beta: float):
     """The raw (lambda, w) of (mesh, beta), kept in mesh's store: nested
-    inverse iteration down mesh's parent chain, LU solves on the root, then
-    on each finer mesh V-cycle PCG from the prolonged eigenvector of the
-    mesh below (full-multigrid eigensolver; Brandt, McCormick and Ruge,
-    SIAM J. Sci. Stat. Comput. 1983).  Robin matrices it assembles itself
-    are not kept."""
+    LOBPCG down mesh's parent chain, preconditioned by the root's LU on the
+    root, from the ones vector, then on each finer mesh by the V-cycle, from
+    the prolonged eigenvector of the mesh below (full-multigrid
+    eigensolver; Brandt, McCormick and Ruge, SIAM J. Sci. Stat. Comput.
+    1983; Knyazev and Neymeyr, ETNA 15, 2003).  Robin matrices it
+    assembles itself are not kept."""
     store = _store(mesh, beta)
     if "eigenpair" in store:
         return store["eigenpair"]
     if mesh.parent is None:
         A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
         lu = _root_factor(mesh, beta, False, A)
-        lam, w = _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
+        lam, w = _lobpcg(A, M, np.ones(A.shape[0]), lu.solve)
     else:
         w = _nested_eigenpair(mesh.parent, beta)[1]
         A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
         lu, levels = _hierarchy(mesh, beta, A, keep=False)
-        lam, w = _inverse_iteration(
-            A, M, levels[-1][2] @ w, lambda b, x0: _pcg(A, b, x0, lambda r: _vcycle(levels, lu, r)))
+        lam, w = _lobpcg(A, M, levels[-1][2] @ w, lambda r: _vcycle(levels, lu, r))
     w.flags.writeable = False
     store["eigenpair"] = lam, w
     return lam, w

@@ -120,19 +120,17 @@ def validate_mesh(m: Mesh):
 def _stitch(inner, outer, span):
     """Triangles between two rings of node indices that sweep the same angle
     `span`, nodes equally spaced and both ends included (a closed ring repeats
-    its first node): an angular two-pointer merge.  A one-node inner ring
-    gives a fan."""
+    its first node): an angular merge.  Step k advances the ring whose next
+    node comes first, the inner one on ties, from inner[p], outer[q] to
+    inner[p + 1] or outer[q + 1].  A one-node inner ring gives a fan."""
+    inner, outer = np.asarray(inner), np.asarray(outer)
     m, n = len(inner) - 1, len(outer) - 1
-    tris = []
-    p = q = 0
-    while p < m or q < n:
-        if q >= n or (p < m and span * (p + 1) / m <= span * (q + 1) / n):
-            tris.append((inner[p], outer[q], inner[p + 1]))
-            p += 1
-        else:
-            tris.append((inner[p], outer[q], outer[q + 1]))
-            q += 1
-    return tris
+    ends = np.concatenate([span * np.arange(1, m + 1) / m, span * np.arange(1, n + 1) / n])
+    step_inner = np.argsort(ends, kind="stable") < m
+    p = np.cumsum(step_inner) - step_inner
+    q = np.arange(m + n) - p
+    third = np.where(step_inner, inner[np.minimum(p + 1, m)], outer[np.minimum(q + 1, n)])
+    return np.stack([inner[p], outer[q], third], axis=1)
 
 
 def _disc_topology(rings):
@@ -141,18 +139,15 @@ def _disc_topology(rings):
     Returns (rho, theta, triangles, ring_of_outer_nodes): ring i carries 8*i
     nodes; consecutive rings are stitched by `_stitch`.
     """
-    rho = [0.0]
-    theta = [0.0]
-    closed = [[0]]
-    for i in range(1, rings + 1):
-        n = 8 * i
-        closed.append(list(range(len(rho), len(rho) + n)) + [len(rho)])
-        for j in range(n):
-            rho.append(i / rings)
-            theta.append(2.0 * math.pi * j / n)
-    tris = [t for lo, hi in zip(closed, closed[1:]) for t in _stitch(lo, hi, 2.0 * math.pi)]
-    outer = np.array(closed[-1][:-1])
-    return np.array(rho), np.array(theta), np.array(tris, dtype=np.int64), outer
+    counts = 8 * np.arange(rings + 1)
+    counts[0] = 1
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    rho = np.repeat(np.arange(rings + 1) / rings, counts)
+    theta = np.concatenate([2.0 * math.pi * np.arange(n) / n for n in counts])
+    closed = [np.array([0])] + [np.append(np.arange(starts[i], starts[i + 1]), starts[i])
+                                for i in range(1, rings + 1)]
+    tris = np.concatenate([_stitch(lo, hi, 2.0 * math.pi) for lo, hi in zip(closed, closed[1:])])
+    return rho, theta, tris, closed[-1][:-1]
 
 
 def _mesh_disc_like(domain: Domain, h: float) -> Mesh:
@@ -266,7 +261,7 @@ def _mesh_stadium(domain: Domain, h: float) -> Mesh:
                               cy + rk * math.sin(th0 + math.pi * m / (4 * k)))
                           for m in range(4 * k + 1)])
         for lo, hi in zip(rings, rings[1:]):
-            tris.extend(_stitch(lo, hi, math.pi))
+            tris.extend(_stitch(lo, hi, math.pi).tolist())
         return rings[-1]
 
     right_outer = cap(cx + l / 2, -math.pi / 2)
@@ -372,8 +367,9 @@ def refine_mesh(m: Mesh) -> Mesh:
     bcurve = bt = None
     if has_curves:
         tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
-        for k in range(len(be)):
-            nodes[bmid[k]] = m.domain.boundary_point(int(m.boundary_curve[k]), tm[k])
+        for curve in np.unique(m.boundary_curve):
+            on = m.boundary_curve == curve
+            nodes[bmid[on]] = m.domain.boundary_point(int(curve), tm[on])
         bt = np.stack([m.boundary_t[:, 0], tm, tm, m.boundary_t[:, 1]], axis=1).reshape(-1, 2)
         bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
     bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)

@@ -14,6 +14,7 @@ from raster_oracle import (
     sym_diff_area,
     symmetric_difference_with_ball,
 )
+from robinsym import domains
 from robinsym.domains import (
     GeometryError,
     _asymmetry_seeds,
@@ -392,6 +393,19 @@ def test_asymmetry_evaluation_budget():
         seeds = 9 if spec == L_SHAPE else 1
         res = fraenkel_asymmetry(parse_domain_spec(spec))
         assert 0 < res.evaluations <= 10 * seeds + 1
+
+
+@pytest.mark.parametrize("spec", ["disc r=1", "disc r=0.3 cx=2 cy=1"])
+def test_disc_search_stops_at_the_rounding_floor(spec, monkeypatch):
+    # at the exact centre the value is rounding noise about 0 and so is the
+    # gradient; without the floor every step fails all its halvings
+    d = parse_domain_spec(spec)
+    res = fraenkel_asymmetry(d)
+    monkeypatch.setattr(domains, "_SEARCH_FLOOR", -math.inf)
+    unfloored = fraenkel_asymmetry(d)
+    assert res.evaluations <= 2 < unfloored.evaluations
+    assert (res.value, res.center, res.error) == \
+        (unfloored.value, unfloored.center, unfloored.error)
 
 
 @pytest.mark.parametrize("spec", ASYMMETRY_SHAPES[:4] + (L_SHAPE,))

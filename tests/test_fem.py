@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
+from eigen_oracle import inverse_iteration_eigenpair
 from proof_oracle import field_integral_pow
 from robinsym import fem
 
@@ -297,10 +298,44 @@ def test_eigenpair_does_not_depend_on_the_hierarchy():
 
 def test_pcg_cap_raises_with_nodes_and_residual(monkeypatch):
     monkeypatch.setattr(fem, "_PCG_MAXITER", 1)
-    m = refine_mesh(generate_mesh(build_domain("disc", r=1.0), 0.2))
-    with pytest.raises(SolverError, match=rf"on {m.num_nodes} nodes at relative residual") as info:
-        principal_robin_eigenpair(m, 1.0)
+    system = _refined_system("disc r=1", 0.2, 1, "const")
+    with pytest.raises(SolverError,
+                       match=rf"on {system.mesh.num_nodes} nodes at relative residual") as info:
+        solve_poisson(system)
     assert info.value.residual_history[-1] > fem._PCG_TOL
+
+
+def test_lobpcg_cap_raises_with_nodes_and_residual(monkeypatch):
+    monkeypatch.setattr(fem, "_EIGEN_MAXITER", 1)
+    m = refine_mesh(generate_mesh(build_domain("disc", r=1.0), 0.2))
+    with pytest.raises(SolverError, match=rf"LOBPCG hit its cap of 1 steps on {m.parent.num_nodes}"
+                                          r" nodes at relative residual") as info:
+        principal_robin_eigenpair(m, 1.0)
+    assert info.value.residual_history[-1] > fem._EIGEN_RTOL
+
+
+def test_lobpcg_from_a_converged_eigenvector_returns_at_once():
+    m = refine_mesh(generate_mesh(parse_domain_spec(_ELLIPSE_2), 0.2))
+    lam, w = fem._nested_eigenpair(m, 1.0)
+    calls = []
+
+    def precondition(r):
+        calls.append(1)
+        return r
+
+    A = stiffness_matrix(m) + boundary_mass_matrix(m)
+    again, w2 = fem._lobpcg(A, mass_matrix(m), w, precondition)
+    assert calls == []
+    assert again == pytest.approx(lam, rel=1e-14)
+    assert np.allclose(w2, w, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("spec", _FAMILIES)
+def test_lobpcg_matches_inverse_iteration(spec):
+    m = refine_mesh(generate_mesh(parse_domain_spec(spec), 0.2 if spec == "disc r=1" else 0.1))
+    lam, _ = principal_robin_eigenpair(m, 1.0)
+    oracle, _ = inverse_iteration_eigenpair(m, 1.0)
+    assert lam == pytest.approx(oracle, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +364,7 @@ def test_ladder_builds_its_hierarchy_once(monkeypatch):
     root = ladder.meshes[0]
     factors = _count(monkeypatch, "_factor")
     robins = _count(monkeypatch, "_robin_matrix")
-    root_iterations = _count(monkeypatch, "_inverse_iteration",
+    root_iterations = _count(monkeypatch, "_lobpcg",
                              lambda A, *rest: A.shape[0] == root.num_nodes)
     for name in ("const", "radial", "bump"):
         ladder.solutions(source_from_name(name, d))

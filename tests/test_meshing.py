@@ -8,6 +8,7 @@ from robinsym.meshing import (
     Mesh,
     MeshError,
     UnsupportedDomainError,
+    _stitch,
     export_mesh_text,
     generate_mesh,
     import_mesh_text,
@@ -167,8 +168,8 @@ def _refine_loop_reference(m):
     return np.array(nodes), np.array(tris), np.array(bedges), np.array(bt)
 
 
-@pytest.mark.parametrize("spec", ["ellipse a=1.5 b=0.6", "stadium l=1 r=0.5", "rect w=2 h=0.5",
-                                  "polygon 0,0 1,0 1.2,0.8 0.5,1.3 -0.2,0.7"])
+@pytest.mark.parametrize("spec", ["disc r=1", "ellipse a=1.5 b=0.6", "stadium l=1 r=0.5",
+                                  "rect w=2 h=0.5", "polygon 0,0 1,0 1.2,0.8 0.5,1.3 -0.2,0.7"])
 def test_refine_matches_loop_reference_bit_exact(spec):
     m = generate_mesh(parse_domain_spec(spec), 0.15)
     for mesh in (m, refine_mesh(m), import_mesh_text(export_mesh_text(m))):
@@ -182,6 +183,34 @@ def test_refine_matches_loop_reference_bit_exact(spec):
         else:
             assert np.array_equal(r.boundary_t, bt)
             assert np.array_equal(r.boundary_curve, np.repeat(mesh.boundary_curve, 2))
+
+
+def _stitch_loop_reference(inner, outer, span):
+    """The angular two-pointer merge, one triangle at a time."""
+    m, n = len(inner) - 1, len(outer) - 1
+    tris = []
+    p = q = 0
+    while p < m or q < n:
+        if q >= n or (p < m and span * (p + 1) / m <= span * (q + 1) / n):
+            tris.append((inner[p], outer[q], inner[p + 1]))
+            p += 1
+        else:
+            tris.append((inner[p], outer[q], outer[q + 1]))
+            q += 1
+    return tris
+
+
+def test_stitch_matches_loop_reference():
+    # the disc rings (8i nodes, closed), the stadium cap rings (4k arcs,
+    # span pi), a fan, equal rings and ratios whose thresholds tie
+    pairs = [(8 * i, 8 * (i + 1), 2.0 * math.pi) for i in range(1, 60)]
+    pairs += [(4 * k, 4 * (k + 1), math.pi) for k in range(1, 40)]
+    pairs += [(0, 8, 2.0 * math.pi), (0, 4, math.pi), (5, 5, 1.0), (3, 6, 1.0), (6, 9, 0.7),
+              (7, 3, 2.0)]
+    for m, n, span in pairs:
+        inner, outer = list(range(m + 1)), list(range(1000, 1001 + n))
+        assert _stitch(inner, outer, span).tolist() == \
+            [list(t) for t in _stitch_loop_reference(inner, outer, span)]
 
 
 def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields():

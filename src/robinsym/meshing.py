@@ -1,9 +1,10 @@
 """Triangular meshes for the parametric shape families.
 
-Structured generators: graded polar rings for disc/ellipse, tensor grid for
-rectangles, tensor grid plus graded half-ring caps for stadiums, centroid fan
-(refined down to h) for convex polygons.  Boundary nodes always lie on the
-exact boundary; refinement projects new boundary midpoints back onto it.
+Structured generators: graded polar rings for disc/ellipse; one tensor grid
+for rectangles and the stadium's central rectangle, whose graded half-ring
+caps join its end columns by node index; a centroid fan refined down to h
+for convex polygons.  Boundary nodes always lie on the exact boundary;
+refinement projects new boundary midpoints back onto it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class Mesh:
     boundary_curve / boundary_t bind each boundary edge to the generating
     domain's boundary parametrization so refinement can project midpoints;
     imported meshes have no binding and refine with straight midpoints.
+    No target size is kept: h only sets a generator's resolution.
 
     The arrays are made read-only on construction, because `fem` keeps
     solver data computed from them in the mesh's private store: per beta,
@@ -42,7 +44,6 @@ class Mesh:
     nodes: np.ndarray          # (N, 2)
     triangles: np.ndarray      # (T, 3)
     boundary_edges: np.ndarray  # (B, 2)
-    h: float
     domain: Domain | None = None
     boundary_curve: np.ndarray | None = None  # (B,) int
     boundary_t: np.ndarray | None = None      # (B, 2) params of edge endpoints
@@ -97,11 +98,18 @@ def _edge_keys(a, b, V):
     return np.minimum(a, b) * V + np.maximum(a, b)
 
 
+def _check_triangle_indices(tris, V):
+    if len(tris) == 0 or tris.min() < 0 or tris.max() >= V:
+        raise MeshError("no triangles, or a triangle node index out of range")
+
+
 def validate_mesh(m: Mesh):
-    """Edge-ownership and positivity checks; raises MeshError on violation."""
-    if np.any(m.triangle_areas() <= 0):
-        raise MeshError("nonpositive triangle area")
+    """Index, positivity and edge-ownership checks; raises MeshError on
+    violation."""
     V, t, be = m.num_nodes, m.triangles, m.boundary_edges
+    _check_triangle_indices(t, V)
+    if not np.all(m.triangle_areas() > 0):  # a NaN area fails too
+        raise MeshError("nonpositive triangle area")
     keys, counts = np.unique(_edge_keys(t.ravel(), t[:, [1, 2, 0]].ravel(), V),
                              return_counts=True)
     if counts.max() > 2:
@@ -164,131 +172,77 @@ def _mesh_disc_like(domain: Domain, h: float) -> Mesh:
     t0 = 2.0 * math.pi * np.arange(n) / n
     bt = np.stack([t0, t0 + 2.0 * math.pi / n], axis=1)
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=bedges, h=h, domain=domain,
+                boundary_edges=bedges, domain=domain,
                 boundary_curve=np.zeros(n, dtype=np.int64), boundary_t=bt)
 
 
+def _grid(x0, y0, sx, sy, nx, ny):
+    """The nx-by-ny tensor grid with corner (x0, y0) and steps sx, sy: its
+    nodes, the (nx+1, ny+1) array of their numbers (i-major) and the triangles
+    (a, b, c), (a, c, d) of each cell a, b, c, d counterclockwise."""
+    idx = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    xx, yy = np.meshgrid(x0 + np.arange(nx + 1) * sx, y0 + np.arange(ny + 1) * sy,
+                         indexing="ij")
+    a, b, c, d = (q.ravel() for q in (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]))
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return np.stack([xx.ravel(), yy.ravel()], axis=1), idx, tris
+
+
+def _bound(runs):
+    """Boundary edges and their curve binding from the counterclockwise runs
+    (node indices, parameters at those nodes); run c lies on curve c."""
+    return dict(
+        boundary_edges=np.concatenate([np.stack([v[:-1], v[1:]], axis=1) for v, _ in runs]),
+        boundary_curve=np.repeat(np.arange(len(runs)), [len(v) - 1 for v, _ in runs]),
+        boundary_t=np.concatenate([np.stack([t[:-1], t[1:]], axis=1) for _, t in runs]))
+
+
 def _mesh_rect(domain: Domain, h: float) -> Mesh:
+    """Tensor grid; side c is curve c, parametrized by the fraction along it."""
     w, hh, cx, cy = domain.params
     nx = max(1, round(w / h))
     ny = max(1, round(hh / h))
-    xs = cx - w / 2 + np.arange(nx + 1) * (w / nx)
-    ys = cy - hh / 2 + np.arange(ny + 1) * (hh / ny)
-    xs[-1] = cx + w / 2
-    ys[-1] = cy + hh / 2
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-
-    def idx(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    tris = np.array(tris, dtype=np.int64)
-    bedges, bcurve, bt = [], [], []
-    for i in range(nx):  # bottom, curve 0, param = fraction along side
-        bedges.append((idx(i, 0), idx(i + 1, 0)))
-        bcurve.append(0)
-        bt.append((i / nx, (i + 1) / nx))
-    for j in range(ny):  # right, curve 1
-        bedges.append((idx(nx, j), idx(nx, j + 1)))
-        bcurve.append(1)
-        bt.append((j / ny, (j + 1) / ny))
-    for i in range(nx):  # top, curve 2 (right-to-left)
-        bedges.append((idx(nx - i, ny), idx(nx - i - 1, ny)))
-        bcurve.append(2)
-        bt.append((i / nx, (i + 1) / nx))
-    for j in range(ny):  # left, curve 3 (top-to-bottom)
-        bedges.append((idx(0, ny - j), idx(0, ny - j - 1)))
-        bcurve.append(3)
-        bt.append((j / ny, (j + 1) / ny))
-    return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=np.array(bedges, dtype=np.int64), h=h, domain=domain,
-                boundary_curve=np.array(bcurve, dtype=np.int64),
-                boundary_t=np.array(bt))
+    nodes, idx, tris = _grid(cx - w / 2, cy - hh / 2, w / nx, hh / ny, nx, ny)
+    nodes[idx[-1], 0] = cx + w / 2
+    nodes[idx[:, -1], 1] = cy + hh / 2
+    along_x, along_y = np.arange(nx + 1) / nx, np.arange(ny + 1) / ny
+    runs = [(idx[:, 0], along_x), (idx[-1], along_y), (idx[::-1, -1], along_x),
+            (idx[0, ::-1], along_y)]
+    return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), domain=domain,
+                **_bound(runs))
 
 
 def _mesh_stadium(domain: Domain, h: float) -> Mesh:
     """Tensor grid on the central rectangle, 2*mc cells across the diameter,
     and a graded half-disc on each end whose ring k carries 4k arcs, half the
-    disc template's 8k; the rings are `_stitch`ed as on the disc and end on
-    the rectangle's end columns."""
+    disc template's 8k; the rings are `_stitch`ed as on the disc.  A cap's
+    centre is node mc of the rectangle's end column (read top to bottom on
+    the left), and its ring k runs from column node mc - k through 4k - 1 new
+    nodes to column node mc + k.  New nodes are numbered right cap first."""
     l, r, cx, cy = domain.params
     mc = max(2, int(math.ceil(2.0 * r / h)))
     sy = r / mc
     nx = max(1, round(l / sy))
-    sx = l / nx
-    kang = 4 * mc  # boundary arcs per cap: ring k carries 4k
-
-    key_scale = 1e9 / max(l, r)
-    node_map: dict = {}
-    nodes: list = []
-
-    def add(x, y):
-        key = (round(x * key_scale), round(y * key_scale))
-        i = node_map.get(key)
-        if i is None:
-            i = len(nodes)
-            nodes.append((x, y))
-            node_map[key] = i
-        return i
-
-    tris = []
-    # central rectangle
-    for i in range(nx + 1):
-        for j in range(2 * mc + 1):
-            add(cx - l / 2 + i * sx, cy - r + j * sy)
-    for i in range(nx):
-        for j in range(2 * mc):
-            a = add(cx - l / 2 + i * sx, cy - r + j * sy)
-            b = add(cx - l / 2 + (i + 1) * sx, cy - r + j * sy)
-            c = add(cx - l / 2 + (i + 1) * sx, cy - r + (j + 1) * sy)
-            d = add(cx - l / 2 + i * sx, cy - r + (j + 1) * sy)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-
-    def cap(x0, th0):
-        """Graded half-disc centered (x0, cy), angles th0 .. th0 + pi; add()
-        merges each ring's two end nodes into the rectangle's end column."""
-        rings = [[add(x0, cy)]]
+    nodes, idx, tris = _grid(cx - l / 2, cy - r, l / nx, sy, nx, 2 * mc)
+    nodes, tris, arcs = [nodes], [tris], []
+    for column, x0, th0 in ((idx[-1], cx + l / 2, -math.pi / 2),
+                            (idx[0, ::-1], cx - l / 2, math.pi / 2)):
+        ring = column[[mc]]
         for k in range(1, mc + 1):
-            rk = k * sy
-            rings.append([add(x0 + rk * math.cos(th0 + math.pi * m / (4 * k)),
-                              cy + rk * math.sin(th0 + math.pi * m / (4 * k)))
-                          for m in range(4 * k + 1)])
-        for lo, hi in zip(rings, rings[1:]):
-            tris.extend(_stitch(lo, hi, math.pi).tolist())
-        return rings[-1]
-
-    right_outer = cap(cx + l / 2, -math.pi / 2)
-    left_outer = cap(cx - l / 2, math.pi / 2)
-
-    bedges, bcurve, bt = [], [], []
-    for i in range(nx):  # bottom side, curve 0
-        bedges.append((add(cx - l / 2 + i * sx, cy - r), add(cx - l / 2 + (i + 1) * sx, cy - r)))
-        bcurve.append(0)
-        bt.append((i / nx, (i + 1) / nx))
-    for m in range(kang):  # right cap arc, curve 1, angle from -pi/2
-        bedges.append((right_outer[m], right_outer[m + 1]))
-        bcurve.append(1)
-        bt.append((-math.pi / 2 + math.pi * m / kang, -math.pi / 2 + math.pi * (m + 1) / kang))
-    for i in range(nx):  # top side, curve 2 (right-to-left)
-        bedges.append((add(cx + l / 2 - i * sx, cy + r), add(cx + l / 2 - (i + 1) * sx, cy + r)))
-        bcurve.append(2)
-        bt.append((i / nx, (i + 1) / nx))
-    for m in range(kang):  # left cap arc, curve 3, angle from pi/2
-        bedges.append((left_outer[m], left_outer[m + 1]))
-        bcurve.append(3)
-        bt.append((math.pi / 2 + math.pi * m / kang, math.pi / 2 + math.pi * (m + 1) / kang))
-    nodes = np.array(nodes)
-    tris = np.array(tris, dtype=np.int64)
-    return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=np.array(bedges, dtype=np.int64), h=h, domain=domain,
-                boundary_curve=np.array(bcurve, dtype=np.int64), boundary_t=np.array(bt))
+            theta = th0 + math.pi * np.arange(1, 4 * k) / (4 * k)
+            new = sum(map(len, nodes)) + np.arange(4 * k - 1)
+            nodes.append(np.stack([x0 + k * sy * np.cos(theta),
+                                   cy + k * sy * np.sin(theta)], axis=1))
+            outer = np.concatenate([column[[mc - k]], new, column[[mc + k]]])
+            tris.append(_stitch(ring, outer, math.pi))
+            ring = outer
+        arcs.append(ring)
+    nodes, tris = np.concatenate(nodes), np.concatenate(tris)
+    along, arc = np.arange(nx + 1) / nx, math.pi * np.arange(4 * mc + 1) / (4 * mc)
+    runs = [(idx[:, 0], along), (arcs[0], -math.pi / 2 + arc), (idx[::-1, -1], along),
+            (arcs[1], math.pi / 2 + arc)]
+    return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), domain=domain,
+                **_bound(runs))
 
 
 def _mesh_polygon(domain: Domain, h: float) -> Mesh:
@@ -299,19 +253,16 @@ def _mesh_polygon(domain: Domain, h: float) -> Mesh:
     c = domain.center
     nodes = np.vstack([c[None, :], v])
     m = len(v)
-    tris = np.array([(0, 1 + i, 1 + (i + 1) % m) for i in range(m)], dtype=np.int64)
-    bedges = np.array([(1 + i, 1 + (i + 1) % m) for i in range(m)], dtype=np.int64)
-    bcurve = np.arange(m, dtype=np.int64)
-    bt = np.tile(np.array([0.0, 1.0]), (m, 1))
-    mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=bedges, h=h, domain=domain,
-                boundary_curve=bcurve, boundary_t=bt)
+    ring = np.append(np.arange(1, m + 1), 1)
+    tris = np.stack([np.zeros(m, dtype=np.int64), ring[:-1], ring[1:]], axis=1)
+    side = np.array([0.0, 1.0])
+    mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), domain=domain,
+                **_bound([(ring[i:i + 2], side) for i in range(m)]))
     edge_len = np.hypot(*(nodes[tris[:, 1]] - nodes[tris[:, 0]]).T).max()
     longest = max(edge_len, mesh.boundary_lengths().max())
     while longest > h:
         mesh = refine_mesh(mesh)
         longest *= 0.5
-    mesh.h = h
     return mesh
 
 
@@ -375,7 +326,7 @@ def refine_mesh(m: Mesh) -> Mesh:
     bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)
 
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=bedges, h=m.h / 2.0, domain=m.domain,
+                boundary_edges=bedges, domain=m.domain,
                 boundary_curve=bcurve, boundary_t=bt, parent=m, parent_edges=edges)
 
 
@@ -394,21 +345,30 @@ def export_mesh_text(m: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows(lines, kind, width):
+    """Whitespace-separated numbers of type `kind`, `width` to a line."""
+    try:
+        rows = [[kind(v) for v in s.split()] for s in lines]
+        if any(len(r) != width for r in rows):
+            raise ValueError(f"expected {width} numbers a line")
+        return np.array(rows, dtype=kind).reshape(-1, width)
+    except (ValueError, OverflowError) as exc:
+        raise MeshError(f"malformed mesh file: {exc}") from None
+
+
 def import_mesh_text(text: str) -> Mesh:
     lines = text.strip().split("\n")
     head = lines[0].split()
-    if len(head) != 6 or head[0] != "nodes" or head[2] != "triangles" or head[4] != "bedges":
+    if (len(head) != 6 or head[::2] != ["nodes", "triangles", "bedges"]
+            or not all(n.isdecimal() for n in head[1::2])):
         raise MeshError("bad mesh header")
-    nn, nt, nb = int(head[1]), int(head[3]), int(head[5])
+    nn, nt, nb = map(int, head[1::2])
     if len(lines) != 1 + nn + nt + nb:
         raise MeshError("mesh file line count does not match header")
-    nodes = np.array([[float(v) for v in lines[1 + i].split()] for i in range(nn)])
-    tris = np.array([[int(v) for v in lines[1 + nn + i].split()] for i in range(nt)],
-                    dtype=np.int64)
-    bedges = np.array([[int(v) for v in lines[1 + nn + nt + i].split()] for i in range(nb)],
-                      dtype=np.int64)
-    lens = np.hypot(*(nodes[tris[:, 1]] - nodes[tris[:, 0]]).T)
-    mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), boundary_edges=bedges,
-                h=float(np.median(lens)))
+    nodes = _rows(lines[1:1 + nn], float, 2)
+    tris = _rows(lines[1 + nn:1 + nn + nt], int, 3)
+    bedges = _rows(lines[1 + nn + nt:], int, 2)
+    _check_triangle_indices(tris, nn)
+    mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), boundary_edges=bedges)
     validate_mesh(mesh)
     return mesh

@@ -34,7 +34,7 @@ def single_triangle(values):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     bedges = np.array([[0, 1], [1, 2], [2, 0]])
-    m = Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, h=1.0)
+    m = Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
     return ScalarField(m, np.asarray(values, dtype=float))
 
 
@@ -82,7 +82,7 @@ def test_exterior_integral_examples():
     # single edge, length 1, endpoint values (1, 2):  integral = ln 2
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m1 = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]),
-              boundary_edges=np.array([[0, 1]]), h=1.0)
+              boundary_edges=np.array([[0, 1]]))
     u1 = ScalarField(m1, np.array([1.0, 2.0, 1.0]))
     assert exterior_boundary_integral_inv_u(u1, 0.0) == pytest.approx(math.log(2.0), rel=1e-12)
     # clipped at t = 1.5: u > 1.5 on the upper half of the edge
@@ -135,7 +135,8 @@ def test_lemma33_radial_equality_and_fem_inequality():
 
 def test_perimeter_decomposition_and_isoperimetric():
     d = build_domain("ellipse", a=1.3, b=1.0 / 1.3)
-    m = generate_mesh(d, 0.08)
+    h = 0.08
+    m = generate_mesh(d, h)
     u = solve_robin_poisson(m, constant_source(1.0), 1.0)
     dist = distribution_function(u)
     # below the minimum: no interior level line, full boundary
@@ -150,7 +151,7 @@ def test_perimeter_decomposition_and_isoperimetric():
     for t in np.linspace(u.u_min * 1.05, u.u_max * 0.95, 25):
         interior, ext = perimeter_decomposition(u, t)
         mu = dist.mu(t)
-        assert interior + ext >= 2.0 * math.sqrt(math.pi * mu) - 10.0 * m.h * math.sqrt(mu)
+        assert interior + ext >= 2.0 * math.sqrt(math.pi * mu) - 10.0 * h * math.sqrt(mu)
 
 
 # the convex heptagon of the benchmark's shape family

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import mesh_oracle
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.meshing import (
     Mesh,
@@ -120,9 +122,28 @@ def test_mesh_text_roundtrip_bit_exact():
     assert abs(m2.area() - m.area()) < 1e-15
 
 
-def test_import_rejects_bad_header():
+_TRIANGLE = ["nodes 3 triangles 1 bedges 3", "0 0", "1 0", "0 1", "0 1 2", "0 1", "1 2", "2 0"]
+
+
+def _edited(row, text):
+    lines = list(_TRIANGLE)
+    lines[row] = text
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    "nodes 3 cells 1 bedges 3\n",
+    _edited(4, "0 1 3"),        # a triangle index out of range
+    _edited(2, "1 zero"),       # a non-numeric field
+    _edited(4, "0 1"),          # a triangle row with two fields
+    _edited(1, "nan 0"),        # a NaN coordinate
+    _edited(4, "0 1 " + "9" * 30),  # an index too large for int64
+    "nodes 3 triangles 0 bedges 0\n0 0\n1 0\n0 1\n",  # no triangles
+])
+def test_import_rejects_bad_header(text):
+    assert import_mesh_text("\n".join(_TRIANGLE)).num_nodes == 3
     with pytest.raises(MeshError):
-        import_mesh_text("nodes 3 cells 1 bedges 3\n")
+        import_mesh_text(text)
 
 
 def test_h_guard():
@@ -213,6 +234,31 @@ def test_stitch_matches_loop_reference():
             [list(t) for t in _stitch_loop_reference(inner, outer, span)]
 
 
+def _digest(m):
+    arrays = (m.nodes, m.triangles, m.boundary_edges, m.boundary_t, m.boundary_curve)
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+
+# the benchmark's stadium and its shape-family rectangle and stadium (area pi)
+_R1 = math.sqrt(math.pi / (2.0 + math.pi))
+
+
+@pytest.mark.parametrize("spec,h", [
+    ("stadium l=1 r=0.5", 0.1), ("stadium l=1 r=0.5", 0.025),
+    ("stadium l=0.001 r=0.5", 0.05), ("stadium l=1 r=0.5 cx=0.3 cy=-1.7", 0.1),
+    ("stadium l=0.37 r=1.3", 0.2), ("stadium l=3 r=0.2", 0.05),
+    (f"stadium l={_R1!r} r={_R1!r}", 0.1),
+    ("rect w=1 h=1", 0.25), ("rect w=2 h=0.5", 0.05), ("rect w=3.3 h=0.7", 0.1),
+    ("rect w=1.5 h=1 cx=-0.4 cy=2.1", 0.13),
+    (f"rect w={math.sqrt(1.6 * math.pi)!r} h={math.sqrt(math.pi / 1.6)!r}", 0.1)])
+def test_tensor_grid_meshes_match_the_loop_reference(spec, h):
+    d = parse_domain_spec(spec)
+    ref = getattr(mesh_oracle, f"_mesh_{d.kind}")(d, h)
+    m = generate_mesh(d, h)
+    assert _digest(m) == _digest(ref)
+    assert _digest(refine_mesh(m)) == _digest(refine_mesh(ref))
+
+
 def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields():
     from robinsym.fem import _prolongation
     m = generate_mesh(build_domain("ellipse", a=1.5, b=0.6), 0.2)
@@ -301,20 +347,20 @@ def _unit_square_pair():
 
 def test_validate_accepts_the_unit_square_pair():
     nodes, tris, bedges = _unit_square_pair()
-    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, h=1.0))
+    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges))
     # the boundary list is compared as a set of undirected edges
-    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges[::-1, ::-1], h=1.0))
+    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges[::-1, ::-1]))
 
 
 def test_validate_rejects_a_nonpositive_area():
     nodes, tris, bedges = _unit_square_pair()
     flipped = np.array([(0, 2, 1), (1, 3, 2)])
     with pytest.raises(MeshError, match="nonpositive triangle area"):
-        validate_mesh(Mesh(nodes=nodes, triangles=flipped, boundary_edges=bedges, h=1.0))
+        validate_mesh(Mesh(nodes=nodes, triangles=flipped, boundary_edges=bedges))
     flat = np.vstack([nodes, [(0.5, 0.5)]])
     degenerate = np.array([(0, 1, 2), (1, 3, 2), (1, 4, 2)])
     with pytest.raises(MeshError, match="nonpositive triangle area"):
-        validate_mesh(Mesh(nodes=flat, triangles=degenerate, boundary_edges=bedges, h=1.0))
+        validate_mesh(Mesh(nodes=flat, triangles=degenerate, boundary_edges=bedges))
 
 
 def test_validate_rejects_an_edge_of_three_triangles():
@@ -322,7 +368,7 @@ def test_validate_rejects_an_edge_of_three_triangles():
     nodes = np.vstack([nodes, [(2.0, 2.0)]])
     tris = np.vstack([tris, [(1, 4, 2)]])  # a third triangle on edge 1-2
     with pytest.raises(MeshError, match="more than two triangles"):
-        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, h=1.0))
+        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges))
 
 
 @pytest.mark.parametrize("bedges", [
@@ -333,15 +379,15 @@ def test_validate_rejects_an_edge_of_three_triangles():
 def test_validate_rejects_a_boundary_list_that_does_not_match(bedges):
     nodes, tris, _ = _unit_square_pair()
     with pytest.raises(MeshError, match="boundary edge list"):
-        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array(bedges), h=1.0))
+        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array(bedges)))
 
 
 def test_validate_rejects_a_bad_boundary_on_a_generated_mesh():
     m = generate_mesh(parse_domain_spec("ellipse a=1.5 b=0.6"), 0.2)
     with pytest.raises(MeshError, match="boundary edge list"):
         validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
-                           boundary_edges=m.boundary_edges[1:], h=m.h))
+                           boundary_edges=m.boundary_edges[1:]))
     interior = np.setdiff1d(np.arange(m.num_nodes), np.unique(m.boundary_edges))[:2]
     with pytest.raises(MeshError, match="boundary edge list"):
         validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
-                           boundary_edges=np.vstack([m.boundary_edges[1:], interior]), h=m.h))
+                           boundary_edges=np.vstack([m.boundary_edges[1:], interior])))

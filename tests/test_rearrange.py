@@ -34,7 +34,7 @@ def two_triangle_square():
     nodes = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     bedges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    return Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, h=1.0)
+    return Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
 
 
 def random_field(mesh, seed, lo=0.0, hi=1.0):

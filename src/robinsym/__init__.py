@@ -13,7 +13,7 @@ from .domains import (
     fraenkel_asymmetry,
     parse_domain_spec,
 )
-from .meshing import Mesh, export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
+from .meshing import Mesh, export_mesh_text, generate_mesh, refine_mesh
 from .fem import (
     ScalarField,
     SourceSpec,

@@ -12,7 +12,7 @@ from .config import KNOWN_SOURCES, ConfigError, check_config, default_config_tex
 from .domains import GeometryError, fraenkel_asymmetry, parse_domain_spec
 from .fem import SolverError, SourceError, boundary_integral, field_integral, \
     solve_robin_poisson
-from .meshing import MeshError, export_mesh_text, generate_mesh, import_mesh_text, refine_mesh
+from .meshing import MeshError, export_mesh_text, generate_mesh, refine_mesh
 from .radial import OracleError, RadialError, ball_closed_forms, bessel_eigen_oracle, \
     symmetrized_constant_source
 from .rearrange import RearrangeError
@@ -24,11 +24,7 @@ _ERRORS = (ConfigError, GeometryError, MeshError, SourceError, SolverError, Radi
 
 
 def _load_mesh(args):
-    if getattr(args, "import_path", None):
-        with open(args.import_path) as fh:
-            mesh = import_mesh_text(fh.read())
-    else:
-        mesh = generate_mesh(parse_domain_spec(args.domain), args.h)
+    mesh = generate_mesh(parse_domain_spec(args.domain), args.h)
     if args.refine < 0:
         raise MeshError(f"--refine must be >= 0, got {args.refine}")
     for _ in range(args.refine):
@@ -52,7 +48,7 @@ def cmd_mesh(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh = _load_mesh(args)
-    f = source_from_name(args.f, parse_domain_spec(args.domain))
+    f = source_from_name(args.f, mesh.domain)
     u = solve_robin_poisson(mesh, f, args.beta)
     out = export_mesh_text(mesh) + f"values {mesh.num_nodes}\n" + \
         "\n".join(f"{v:.17g}" for v in u.values) + "\n"
@@ -112,10 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Robin-Poisson symmetrization laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mesh", help="generate, refine, import or export a mesh")
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("--domain", help="domain spec, e.g. 'disc r=1'")
-    given.add_argument("--import", dest="import_path", help="mesh text file to load")
+    p = sub.add_parser("mesh", help="generate, refine and export a mesh")
+    p.add_argument("--domain", required=True, help="domain spec, e.g. 'disc r=1'")
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--refine", type=int, default=0)
     p.add_argument("--out")

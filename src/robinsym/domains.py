@@ -12,6 +12,7 @@ through the same search as the shapes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,41 +46,37 @@ def _polygon_signed_area(v):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _orient(a, b, c):
+    """Twice the signed area of the triangles (a, b, c), broadcast over rows."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
 def _polygon_is_simple(v):
-    """Reject self-intersecting polygons (O(E^2) proper-crossing test)."""
+    """True when no two edges of the closed chain v meet but adjacent ones at
+    their shared vertex (O(E^2)): no proper crossing and no vertex on an edge
+    other than its own two, which also rules out two adjacent edges folding
+    back onto each other."""
     m = len(v)
-
-    def seg(i):
-        return v[i], v[(i + 1) % m]
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
+    w = np.roll(v, -1, axis=0)  # edge i runs from v[i] to w[i]
     for i in range(m):
-        a, b = seg(i)
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
-            c, d = seg(j)
-            if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
-                return False
+        side = _orient(v[i], w[i], v)
+        touch = (side == 0) & (((v - v[i]) * (v - w[i])).sum(axis=1) <= 0)
+        touch[[i, (i + 1) % m]] = False
+        j = np.arange(i + 2, m - (i == 0))  # the later edges not adjacent to i
+        cross = ((side[j] * side[(j + 1) % m] < 0)
+                 & (_orient(v[j], w[j], v[i]) * _orient(v[j], w[j], w[i]) < 0))
+        if touch.any() or cross.any():
+            return False
     return True
 
 
 def _polygon_is_convex(v):
-    m = len(v)
-    sign = 0
-    for i in range(m):
-        a, b, c = v[i], v[(i + 1) % m], v[(i + 2) % m]
-        cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(cr) < 1e-14:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
+    """True when every corner turns the same way, straight ones (|cross| <
+    1e-14) aside."""
+    cr = _orient(v, np.roll(v, -1, axis=0), np.roll(v, -2, axis=0))
+    cr = cr[np.abs(cr) >= 1e-14]
+    return bool(np.all(cr > 0) or np.all(cr < 0))
 
 
 def _polygon_centroid(v):
@@ -110,9 +107,6 @@ class Domain:
     measure: float
     perimeter: float
     _vertices: tuple = ()
-
-    def key(self):
-        return (self.kind, self.params, self._vertices)
 
     @property
     def vertices(self):
@@ -253,18 +247,17 @@ def build_domain(kind: str, **kw) -> Domain:
                       for i, p in enumerate(kw["vertices"], start=1)]).reshape(-1, 2)
         if len(v) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
+        if np.any(np.all(np.roll(v, -1, axis=0) == v, axis=1)):
+            raise GeometryError("polygon has a zero-length edge (a repeated vertex)")
         if not _polygon_is_simple(v):
-            raise GeometryError("polygon is self-intersecting")
+            raise GeometryError("polygon is self-intersecting or touches itself")
         area = _polygon_signed_area(v)
         if area < 0:  # auto-correct clockwise input
             v = v[::-1].copy()
             area = -area
         if area <= 0:
             raise GeometryError("degenerate polygon")
-        edges = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
-        if not np.all(edges > 0):
-            raise GeometryError("polygon has a zero-length edge (a repeated vertex)")
-        per = float(np.sum(edges))
+        per = float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
         dom = Domain("polygon", (), area, per, tuple(v.ravel()))
     # sanity: the isoperimetric inequality must hold for any genuine shape
     if dom.perimeter < 2.0 * math.sqrt(math.pi * dom.measure) * (1.0 - 1e-12):
@@ -540,14 +533,10 @@ def fraenkel_asymmetry(domain: Domain) -> AsymmetryResult:
     return _asymmetry_search(*_oriented_boundary(domain), domain.measure, seeds)
 
 
-_ASYMMETRY_CACHE: dict = {}
-
-
+@functools.cache
 def cached_asymmetry(domain: Domain) -> AsymmetryResult:
-    key = domain.key()
-    if key not in _ASYMMETRY_CACHE:
-        _ASYMMETRY_CACHE[key] = fraenkel_asymmetry(domain)
-    return _ASYMMETRY_CACHE[key]
+    """`fraenkel_asymmetry`, searched once per domain."""
+    return fraenkel_asymmetry(domain)
 
 
 def isoperimetric_deficit(domain: Domain):

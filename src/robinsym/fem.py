@@ -57,13 +57,11 @@ def _check_beta(beta: float):
 
 @dataclass
 class SourceSpec:
-    """Right-hand side: constant, callable f(x, y), or a radial decreasing
-    profile evaluated as f(|x - centroid|)."""
+    """Right-hand side: a constant or a callable f(x, y)."""
 
-    kind: str                      # const | expr | radial
+    kind: str                      # const | expr
     value: float = 1.0
     fn: object = None
-    centroid: tuple = (0.0, 0.0)
     label: str = ""
 
     def evaluate(self, x, y):
@@ -73,9 +71,6 @@ class SourceSpec:
             return np.full(x.shape, float(self.value))
         if self.kind == "expr":
             return np.asarray(self.fn(x, y), dtype=float)
-        if self.kind == "radial":
-            r = np.hypot(x - self.centroid[0], y - self.centroid[1])
-            return np.asarray(self.fn(r), dtype=float)
         raise SourceError(f"unknown source kind {self.kind!r}")
 
 

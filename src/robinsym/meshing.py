@@ -2,9 +2,10 @@
 
 Structured generators: graded polar rings for disc/ellipse; one tensor grid
 for rectangles and the stadium's central rectangle, whose graded half-ring
-caps join its end columns by node index; a centroid fan refined down to h
-for convex polygons.  Boundary nodes always lie on the exact boundary;
-refinement projects new boundary midpoints back onto it.
+caps join its end columns by node index; for polygons a centroid fan if
+convex and ear clipping otherwise, refined down to h.  Every mesh is bound
+to its domain: boundary nodes lie on the exact boundary, and refinement
+projects new boundary midpoints back onto it.
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Domain, _polygon_is_convex
+from .domains import Domain, _orient, _polygon_is_convex
 
 
 class MeshError(ValueError):
     """Mesh construction or validation failure."""
-
-
-class UnsupportedDomainError(MeshError):
-    """Domain family the structured generator cannot mesh."""
 
 
 @dataclass
@@ -31,7 +28,7 @@ class Mesh:
 
     boundary_curve / boundary_t bind each boundary edge to the generating
     domain's boundary parametrization so refinement can project midpoints;
-    imported meshes have no binding and refine with straight midpoints.
+    `generate_mesh` and `refine_mesh` always set them.
     No target size is kept: h only sets a generator's resolution.
 
     The arrays are made read-only on construction, because `fem` keeps
@@ -98,16 +95,12 @@ def _edge_keys(a, b, V):
     return np.minimum(a, b) * V + np.maximum(a, b)
 
 
-def _check_triangle_indices(tris, V):
-    if len(tris) == 0 or tris.min() < 0 or tris.max() >= V:
-        raise MeshError("no triangles, or a triangle node index out of range")
-
-
 def validate_mesh(m: Mesh):
     """Index, positivity and edge-ownership checks; raises MeshError on
     violation."""
     V, t, be = m.num_nodes, m.triangles, m.boundary_edges
-    _check_triangle_indices(t, V)
+    if len(t) == 0 or t.min() < 0 or t.max() >= V:
+        raise MeshError("no triangles, or a triangle node index out of range")
     if not np.all(m.triangle_areas() > 0):  # a NaN area fails too
         raise MeshError("nonpositive triangle area")
     keys, counts = np.unique(_edge_keys(t.ravel(), t[:, [1, 2, 0]].ravel(), V),
@@ -245,21 +238,49 @@ def _mesh_stadium(domain: Domain, h: float) -> Mesh:
                 **_bound(runs))
 
 
+def _ear_clip(v):
+    """Triangles (as vertex numbers) of the counterclockwise simple polygon v
+    by ear clipping (Meisters 1975).  An ear is a convex corner whose
+    triangle holds no other remaining vertex, not even on its border; each
+    step cuts the ear whose smallest angle is largest."""
+    left = np.arange(len(v))
+    tris = []
+    while len(left) > 3:
+        n = len(left)
+        a, b, c = (v[np.roll(left, s)] for s in (1, 0, -1))  # the corner at each vertex
+        p = v[left][None]
+        inside = ((_orient(a[:, None], b[:, None], p) >= 0)
+                  & (_orient(b[:, None], c[:, None], p) >= 0)
+                  & (_orient(c[:, None], a[:, None], p) >= 0))
+        inside[np.arange(n)[:, None], (np.arange(n)[:, None] + [-1, 0, 1]) % n] = False
+        sides = [q / np.hypot(*q.T)[:, None] for q in (b - a, c - b, a - c)]
+        cosine = np.max([-(e * f).sum(axis=1) for e, f in zip(sides, sides[1:] + sides[:1])],
+                        axis=0)  # of the ear's smallest angle
+        cosine[(_orient(a, b, c) <= 0) | inside.any(axis=1)] = np.inf
+        k = int(np.argmin(cosine))
+        if cosine[k] == np.inf:
+            raise MeshError("no ear to cut: the polygon is not simple")
+        tris.append(left[[k - 1, k, (k + 1) % n]])
+        left = np.delete(left, k)
+    return np.array(tris + [left])
+
+
 def _mesh_polygon(domain: Domain, h: float) -> Mesh:
+    """A fan from the centroid if the polygon is convex, `_ear_clip`
+    otherwise; then uniform refinement until no edge is longer than h."""
     v = domain.vertices
-    if not _polygon_is_convex(v):
-        raise UnsupportedDomainError(
-            "nonconvex polygon: generate the mesh externally and load it with import_mesh_text")
-    c = domain.center
-    nodes = np.vstack([c[None, :], v])
     m = len(v)
-    ring = np.append(np.arange(1, m + 1), 1)
-    tris = np.stack([np.zeros(m, dtype=np.int64), ring[:-1], ring[1:]], axis=1)
+    if _polygon_is_convex(v):
+        nodes = np.vstack([domain.center[None, :], v])
+        ring = np.append(np.arange(1, m + 1), 1)
+        tris = np.stack([np.zeros(m, dtype=np.int64), ring[:-1], ring[1:]], axis=1)
+    else:
+        nodes, ring, tris = v, np.append(np.arange(m), 0), _ear_clip(v)
     side = np.array([0.0, 1.0])
     mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), domain=domain,
                 **_bound([(ring[i:i + 2], side) for i in range(m)]))
-    edge_len = np.hypot(*(nodes[tris[:, 1]] - nodes[tris[:, 0]]).T).max()
-    longest = max(edge_len, mesh.boundary_lengths().max())
+    p = nodes[mesh.triangles]
+    longest = np.hypot(*(p - p[:, [1, 2, 0]]).reshape(-1, 2).T).max()
     while longest > h:
         mesh = refine_mesh(mesh)
         longest *= 0.5
@@ -276,10 +297,8 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
         mesh = _mesh_rect(domain, h)
     elif domain.kind == "stadium":
         mesh = _mesh_stadium(domain, h)
-    elif domain.kind == "polygon":
-        mesh = _mesh_polygon(domain, h)
     else:
-        raise UnsupportedDomainError(f"no generator for {domain.kind!r}")
+        mesh = _mesh_polygon(domain, h)
     validate_mesh(mesh)
     return mesh
 
@@ -314,15 +333,12 @@ def refine_mesh(m: Mesh) -> Mesh:
 
     be = m.boundary_edges.astype(np.int64)
     bmid = V + rank[np.searchsorted(codes, _edge_keys(be[:, 0], be[:, 1], V))]
-    has_curves = m.domain is not None and m.boundary_curve is not None
-    bcurve = bt = None
-    if has_curves:
-        tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
-        for curve in np.unique(m.boundary_curve):
-            on = m.boundary_curve == curve
-            nodes[bmid[on]] = m.domain.boundary_point(int(curve), tm[on])
-        bt = np.stack([m.boundary_t[:, 0], tm, tm, m.boundary_t[:, 1]], axis=1).reshape(-1, 2)
-        bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
+    tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
+    for curve in np.unique(m.boundary_curve):
+        on = m.boundary_curve == curve
+        nodes[bmid[on]] = m.domain.boundary_point(int(curve), tm[on])
+    bt = np.stack([m.boundary_t[:, 0], tm, tm, m.boundary_t[:, 1]], axis=1).reshape(-1, 2)
+    bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
     bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)
 
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
@@ -331,7 +347,7 @@ def refine_mesh(m: Mesh) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# text round-trip
+# text export
 
 
 def export_mesh_text(m: Mesh) -> str:
@@ -343,32 +359,3 @@ def export_mesh_text(m: Mesh) -> str:
     for a, b in m.boundary_edges:
         lines.append(f"{a} {b}")
     return "\n".join(lines) + "\n"
-
-
-def _rows(lines, kind, width):
-    """Whitespace-separated numbers of type `kind`, `width` to a line."""
-    try:
-        rows = [[kind(v) for v in s.split()] for s in lines]
-        if any(len(r) != width for r in rows):
-            raise ValueError(f"expected {width} numbers a line")
-        return np.array(rows, dtype=kind).reshape(-1, width)
-    except (ValueError, OverflowError) as exc:
-        raise MeshError(f"malformed mesh file: {exc}") from None
-
-
-def import_mesh_text(text: str) -> Mesh:
-    lines = text.strip().split("\n")
-    head = lines[0].split()
-    if (len(head) != 6 or head[::2] != ["nodes", "triangles", "bedges"]
-            or not all(n.isdecimal() for n in head[1::2])):
-        raise MeshError("bad mesh header")
-    nn, nt, nb = map(int, head[1::2])
-    if len(lines) != 1 + nn + nt + nb:
-        raise MeshError("mesh file line count does not match header")
-    nodes = _rows(lines[1:1 + nn], float, 2)
-    tris = _rows(lines[1 + nn:1 + nn + nt], int, 3)
-    bedges = _rows(lines[1 + nn + nt:], int, 2)
-    _check_triangle_indices(tris, nn)
-    mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), boundary_edges=bedges)
-    validate_mesh(mesh)
-    return mesh

@@ -26,7 +26,7 @@ def source_from_name(name: str, domain) -> SourceSpec:
         return constant_source(1.0)
     c = domain.center
     if name == "radial":
-        return SourceSpec(kind="radial", fn=lambda r: 2.0 - r, centroid=(c[0], c[1]),
+        return SourceSpec(kind="expr", fn=lambda x, y: 2.0 - np.hypot(x - c[0], y - c[1]),
                           label="radial 2-r")
     if name == "bump":
         x0, x1, y0, y1 = domain.bounding_box()

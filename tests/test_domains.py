@@ -95,9 +95,13 @@ def test_polygon_shoelace_and_orientation():
     assert np.allclose(cw.vertices, sq.vertices[::1]) or cw.measure > 0
 
 
-def test_polygon_rejects_self_intersection():
-    with pytest.raises(GeometryError):
-        build_domain("polygon", vertices=[(0, 0), (1, 1), (1, 0), (0, 1)])
+@pytest.mark.parametrize("spec", [
+    "polygon 0,0 1,1 1,0 0,1",              # two edges cross
+    "polygon 0,0 2,0 2,2 1,0 0,2",          # vertex (1,0) lies on the bottom edge
+    "polygon 0,0 2,0 2,2 1,1 1,1.5 1,1 0,2"])  # a zero-width spike, its base repeated
+def test_polygon_rejects_self_intersection(spec):
+    with pytest.raises(GeometryError, match="self-intersecting or touches itself"):
+        parse_domain_spec(spec)
 
 
 @pytest.mark.parametrize("spec", ["polygon 0,0 1,0 1,0 1,1 0,1",

@@ -195,9 +195,6 @@ def test_cli_mesh_and_solve_roundtrip(tmp_path, capsys):
     assert cli_main(["mesh", "--domain", "disc r=1", "--h", "0.2",
                      "--out", str(mesh_path)]) == 0
     capsys.readouterr()
-    assert cli_main(["mesh", "--import", str(mesh_path), "--refine", "1",
-                     "--out", str(tmp_path / "m2.txt")]) == 0
-    capsys.readouterr()
     field_path = tmp_path / "u.txt"
     assert cli_main(["solve", "--domain", "disc r=1", "--h", "0.1", "--beta", "1",
                      "--out", str(field_path)]) == 0
@@ -299,9 +296,6 @@ def test_cross_process_determinism(tmp_path):
     (["oracle", "--R", "-1"], "robinsym oracle: R and beta must be positive"),
     (["solve", "--domain", "rect w=5 h=0.5", "--f", "radial"],
      "robinsym solve: source must be nonnegative"),
-    (["mesh", "--import", "nope.txt"],
-     "robinsym mesh: [Errno 2] No such file or directory: 'nope.txt'"),
-    (["mesh", "--import", "bad.txt"], "robinsym mesh: bad mesh header"),
     (["verify", "--config", "retired.cfg"], "robinsym verify: line 2: unknown key 'seed' in [run]"),
     (["solve", "--domain", "disc r=1", "--h", "0.3", "--out", "nodir/u.txt"],
      "robinsym solve: [Errno 2] No such file or directory: 'nodir/u.txt'"),
@@ -323,16 +317,20 @@ def test_cross_process_determinism(tmp_path):
      "robinsym mesh: --refine must be >= 0, got -2"),
     (["solve", "--domain", "disc r=1", "--h", "0.5", "--refine", "-1"],
      "robinsym solve: --refine must be >= 0, got -1"),
+    (["mesh", "--domain", "polygon 0,0 2,0 2,2 1,0 0,2"],
+     "robinsym mesh: polygon is self-intersecting or touches itself"),
+    (["mesh", "--domain", "polygon 0,0 2,0 2,2 1,1 1,1.5 1,1 0,2"],
+     "robinsym mesh: polygon is self-intersecting or touches itself"),
 ], ids=["unknown-source", "unknown-shape", "mesh-size", "missing-config", "negative-radius",
-        "negative-source", "missing-mesh", "bad-mesh", "retired-key", "unwritable-output",
-        "one-sample-profile", "negative-sample-profile", "zero-beta", "nan-beta", "nan-radius",
-        "infinite-beta", "nan-profile-beta", "negative-mesh-refine", "negative-solve-refine"])
+        "negative-source", "retired-key", "unwritable-output", "one-sample-profile",
+        "negative-sample-profile", "zero-beta", "nan-beta", "nan-radius", "infinite-beta",
+        "nan-profile-beta", "negative-mesh-refine", "negative-solve-refine",
+        "vertex-on-edge-polygon", "zero-width-spike-polygon"])
 def test_cli_errors_end_in_one_line_and_exit_code_2(tmp_path, monkeypatch, capsys, argv,
                                                     message):
     # an uncaught error would propagate here; argparse reports a bad choice
     # itself, after the usage line
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.txt").write_text("garbage\n")
     (tmp_path / "retired.cfg").write_text("[run]\nseed = 3\n")
     try:
         code = cli_main(argv)

@@ -45,7 +45,8 @@ provenance = reachability guard
 
 COMMANDS = [
     ["mesh", "--domain", "polygon 0,0 1,0 1.2,0.8 0,1", "--h", "0.3", "--out", "p.txt"],
-    ["mesh", "--import", "p.txt", "--refine", "1"],
+    ["mesh", "--domain", "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2", "--h", "0.5",
+     "--refine", "1"],
     ["asymmetry", "--domain", "polygon 0,0 2,0 2,1 1,1 1,2 0,2"],
     ["solve", "--domain", "stadium l=1 r=0.5", "--h", "0.3", "--refine", "1", "--f", "bump",
      "--out", "u.txt"],

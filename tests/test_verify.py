@@ -63,8 +63,7 @@ def test_constants_vanish_as_beta_grows():
 
 def test_k_range_guards():
     d = build_domain("rect", w=2.0, h=0.5)
-    generic = SourceSpec(kind="radial", fn=lambda r: 2.0 - r, centroid=(0.0, 0.0),
-                         label="radial")
+    generic = SourceSpec(kind="expr", fn=lambda x, y: 2.0 - np.hypot(x, y), label="radial")
     with pytest.raises(KRangeError, match="2n-2"):
         check_lorentz_k1(Ladder(d, 1.0, 0.2), generic, 2.0, GAMMA2)
     with pytest.raises(KRangeError, match="3n-4"):
@@ -128,8 +127,7 @@ def test_ellipse_positive_margins():
 
 def test_nonsymmetric_source_pass():
     d = build_domain("rect", w=2.0, h=0.5)
-    f = SourceSpec(kind="radial", fn=lambda r: 2.0 - r, centroid=(0.0, 0.0),
-                   label="radial 2-r")
+    f = SourceSpec(kind="expr", fn=lambda x, y: 2.0 - np.hypot(x, y), label="radial 2-r")
     rep = check_lorentz_k1(Ladder(d, 1.0, 0.1), f, 1.0, GAMMA2)
     assert rep.lhs_gap > 0 and rep.passed
 
@@ -148,6 +146,17 @@ def test_convex_polygon_through_checker():
                                           (0.9, 1.5), (-0.3, 0.9)])
     rep = check_saint_venant(Ladder(d, 1.0, 0.1), GAMMA2)
     assert rep.lhs_gap > 0 and rep.margin > 0 and rep.passed
+
+
+def test_nonconvex_polygons_through_every_checker():
+    # the L- and U-shapes are ear-clipped; every job must run and pass
+    from robinsym.runner import all_passed, run_experiments
+    cfg = parse_config("[run]\ndomains = polygon 0,0 2,0 2,1 1,1 1,2 0,2; "
+                       "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2\n"
+                       "sources = const; bump\nks = 1, 0.5\nh = 0.1\n"
+                       "[gamma]\ngamma2 = 16.0\nprovenance = test\n")
+    rows = run_experiments(cfg)
+    assert len(rows) == 22 and all_passed(rows), [(r.job, r.status, r.error) for r in rows]
 
 
 def test_pointwise_stadium_domination():

@@ -3,6 +3,10 @@
 The boundary term beta * integral(u v) over the boundary uses exact edge-mass
 blocks L/6 [[2,1],[1,2]]; no lumping, so the compatibility identity
 beta * boundary_integral(u) = volume_integral(f) holds to solver tolerance.
+Matrices are assembled per edge of the mesh's edge graph (`Mesh.graph`): an
+edge's entry is the bincount of its one or two triangle terms (the
+cotangent formula; Pinkall and Polthier, Exp. Math. 2, 1993), a node's that
+of its triangles' terms, and one COO without duplicates becomes the CSR.
 
 Both solvers share one multigrid hierarchy, the mesh's `refine_mesh` parent
 chain with the coarsest mesh factored by SuperLU (symmetric mode,
@@ -19,9 +23,11 @@ matrix `assemble_robin_system` returns, the SuperLU factor if the mesh is a
 chain root, and the raw principal eigenpair.  So every source on a ladder
 solves against the same coarse matrices and root factor, and each rung's
 eigenpair continues from the stored one of the rung below.  Nothing else is
-kept: mass matrices, prolongations and Jacobi weights are cheap to form
-again, and keeping them, or a Robin matrix that only the eigensolver
-assembled, raised peak memory without saving time.
+kept there: mass matrices, prolongations and Jacobi weights are cheap to
+form again, and keeping them, or a Robin matrix that only the eigensolver
+assembled, raised peak memory without saving time.  The edge graph that
+assembly and prolongation read belongs to the mesh itself, not to the
+store, since it does not depend on beta.
 """
 
 from __future__ import annotations
@@ -124,43 +130,57 @@ def _p1_geometry(mesh: Mesh):
     return b, c, 0.5 * (c[2] * b[1] - b[2] * c[1])
 
 
-def _assemble(n: int, elements: np.ndarray, data: np.ndarray) -> sparse.csr_matrix:
-    """Sum element matrices into an n x n CSR matrix: for every local pair
-    (i, j), row-major, row d * i + j of data holds one value per element at
-    (elements[:, i], elements[:, j])."""
-    d = elements.shape[1]
-    index = elements.T.astype(np.int32)  # the index dtype coo_matrix keeps
-    rows = np.repeat(index, d, axis=0).ravel()
-    cols = np.tile(index, (d, 1)).ravel()
-    return sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _mass_data(d, weight, denominator):
-    """The data of an exact P1 mass matrix: weight * 2 / denominator on the
-    diagonal, weight * 1 / denominator off it."""
-    diag, off = weight * 2.0 / denominator, weight * 1.0 / denominator
-    return np.stack([diag if i == j else off for i in range(d) for j in range(d)])
+def _symmetric(n: int, pairs: np.ndarray, off: np.ndarray, diag: np.ndarray):
+    """The symmetric n x n CSR matrix with off[k] at (i, j) and (j, i) for
+    row k = (i, j) of pairs, i != j and no pair twice, and diag on the
+    diagonal where it is nonzero: one COO without duplicates."""
+    i, j = pairs.T
+    d = np.flatnonzero(diag)
+    rows = np.concatenate([i, j, d], dtype=np.int32)  # the index dtype coo_matrix keeps
+    cols = np.concatenate([j, i, d], dtype=np.int32)
+    return sparse.coo_matrix((np.concatenate([off, off, diag[d]]), (rows, cols)),
+                             shape=(n, n)).tocsr()
 
 
 def stiffness_matrix(mesh: Mesh) -> sparse.csr_matrix:
+    """The P1 stiffness matrix, one entry per edge of mesh.graph (explicit
+    zeros kept) and per node.  An edge's entry is the bincount of its one or
+    two triangles' terms, a node's that of its triangles' terms in triangle
+    order."""
+    g = mesh.graph
     b, c, area = _p1_geometry(mesh)
     area4 = 4.0 * area
-    data = np.empty((9, len(area)))
+    terms = np.empty((len(area), 3))  # of edges ab, bc, ca, then of vertices a, b, c
     for i in range(3):
-        for j in range(3):
-            np.divide(b[i] * b[j] + c[i] * c[j], area4, out=data[3 * i + j])
+        j = (i + 1) % 3
+        np.divide(b[i] * b[j] + c[i] * c[j], area4, out=terms[:, i])
+    off = np.bincount(g.triangle_edges.ravel(), terms.ravel(), minlength=len(g.edges))
+    for i in range(3):
+        np.divide(b[i] * b[i] + c[i] * c[i], area4, out=terms[:, i])
     del b, c, area, area4
-    return _assemble(mesh.num_nodes, mesh.triangles, data)
+    diag = np.bincount(mesh.triangles.ravel(), terms.ravel(), minlength=mesh.num_nodes)
+    del terms
+    return _symmetric(mesh.num_nodes, g.edges, off, diag)
 
 
 def boundary_mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    return _assemble(mesh.num_nodes, mesh.boundary_edges,
-                     _mass_data(2, mesh.boundary_lengths(), 6.0))
+    """The exact boundary edge mass, L/6 [[2, 1], [1, 2]] per boundary edge."""
+    length = mesh.boundary_lengths()
+    diag = np.bincount(mesh.boundary_edges.ravel(), np.repeat(length * 2.0 / 6.0, 2),
+                       minlength=mesh.num_nodes)
+    return _symmetric(mesh.num_nodes, mesh.boundary_edges, length * 1.0 / 6.0, diag)
 
 
 def mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
-    return _assemble(mesh.num_nodes, mesh.triangles,
-                     _mass_data(3, mesh.triangle_areas(), 12.0))
+    """The exact P1 mass, area/12 on each edge of a triangle and 2 area/12
+    on each vertex, summed per edge of mesh.graph and per node."""
+    g = mesh.graph
+    area = mesh.triangle_areas()
+    off = np.bincount(g.triangle_edges.ravel(), np.repeat(area * 1.0 / 12.0, 3),
+                      minlength=len(g.edges))
+    diag = np.bincount(mesh.triangles.ravel(), np.repeat(area * 2.0 / 12.0, 3),
+                       minlength=mesh.num_nodes)
+    return _symmetric(mesh.num_nodes, g.edges, off, diag)
 
 
 def load_vector(mesh: Mesh, f: SourceSpec) -> np.ndarray:
@@ -277,9 +297,10 @@ _JACOBI_SWEEPS = 2
 def _prolongation(mesh: Mesh) -> sparse.csr_matrix:
     """P1 interpolation from mesh.parent to mesh: an old node keeps its value,
     a new node takes the mean of its parent edge's two endpoints."""
-    V, n_new = mesh.parent.num_nodes, len(mesh.parent_edges)
+    edges = mesh.parent.graph.edges
+    V, n_new = mesh.parent.num_nodes, len(edges)
     indptr = np.concatenate([np.arange(V + 1), V + 2 * np.arange(1, n_new + 1)])
-    indices = np.concatenate([np.arange(V), mesh.parent_edges.ravel()])
+    indices = np.concatenate([np.arange(V), edges.ravel()])
     data = np.concatenate([np.ones(V), np.full(2 * n_new, 0.5)])
     return sparse.csr_matrix((data, indices, indptr), shape=(mesh.num_nodes, V))
 

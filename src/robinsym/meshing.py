@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,26 @@ class MeshError(ValueError):
     """Mesh construction or validation failure."""
 
 
+class EdgeGraph(NamedTuple):
+    """The undirected edges of a mesh, int32 and read-only: `edges[e]` is
+    edge e as (lo, hi) node numbers, edges numbered in the order they are
+    first met walking edges ab, bc, ca of each triangle in turn;
+    `triangle_edges[t]` are the numbers of triangle t's edges ab, bc, ca and
+    `boundary_ids[k]` that of boundary edge k."""
+
+    edges: np.ndarray           # (E, 2)
+    triangle_edges: np.ndarray  # (T, 3)
+    boundary_ids: np.ndarray    # (B,)
+
+
+def _frozen_graph(edges, triangle_edges, boundary_ids) -> EdgeGraph:
+    graph = EdgeGraph(*(a.astype(np.int32, copy=False)
+                         for a in (edges, triangle_edges, boundary_ids)))
+    for a in graph:
+        a.flags.writeable = False
+    return graph
+
+
 @dataclass
 class Mesh:
     """Nodes, positively oriented triangles, and boundary edges.
@@ -30,6 +51,11 @@ class Mesh:
     domain's boundary parametrization so refinement can project midpoints;
     `generate_mesh` and `refine_mesh` always set them.
     No target size is kept: h only sets a generator's resolution.
+
+    `graph` is the mesh's `EdgeGraph`: `refine_mesh` hands its output the
+    graph it built along with the split, and any other mesh computes its
+    own on first use.  `dataclasses.replace` gives a mesh that computes it
+    again.
 
     The arrays are made read-only on construction, because `fem` keeps
     solver data computed from them in the mesh's private store: per beta,
@@ -44,17 +70,23 @@ class Mesh:
     domain: Domain | None = None
     boundary_curve: np.ndarray | None = None  # (B,) int
     boundary_t: np.ndarray | None = None      # (B, 2) params of edge endpoints
-    # refine_mesh output only: the mesh it split, and the two parent nodes of
-    # each new node (node parent.num_nodes + i is the midpoint of row i)
+    # refine_mesh output only: the mesh it split; node parent.num_nodes + e
+    # is the midpoint of the parent's edge e
     parent: Mesh | None = field(default=None, repr=False, compare=False)
-    parent_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _graph: EdgeGraph | None = field(default=None, init=False, repr=False, compare=False)
     _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in (self.nodes, self.triangles, self.boundary_edges, self.boundary_curve,
-                  self.boundary_t, self.parent_edges):
+                  self.boundary_t):
             if a is not None:
                 a.flags.writeable = False
+
+    @property
+    def graph(self) -> EdgeGraph:
+        if self._graph is None:
+            self._graph = _edge_graph(self)
+        return self._graph
 
     @property
     def num_nodes(self) -> int:
@@ -83,9 +115,13 @@ def _doubled_areas(nodes, tris):
     return (x[t1] - x0) * (y[t2] - y0) - (y[t1] - y0) * (x[t2] - x0)
 
 
-def _fix_orientation(nodes, tris):
+def _fix_orientation(nodes, tris, tri_edges=None):
+    """Turns each negatively oriented triangle a, b, c to a, c, b in place,
+    and its row of tri_edges, if given, from ab, bc, ca to ca, bc, ab."""
     flip = _doubled_areas(nodes, tris) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
+    if tri_edges is not None:
+        tri_edges[flip] = tri_edges[flip][:, [2, 1, 0]]
     return tris
 
 
@@ -93,6 +129,31 @@ def _edge_keys(a, b, V):
     """The undirected edges a-b as int64 keys min * V + max."""
     a, b = a.astype(np.int64), b.astype(np.int64)
     return np.minimum(a, b) * V + np.maximum(a, b)
+
+
+def _edge_graph(m: Mesh) -> EdgeGraph:
+    """m's `EdgeGraph` by sorting the edge keys of its triangles."""
+    V = m.num_nodes
+    t = m.triangles
+    # edges ab, bc, ca of each triangle in turn, as keys lo * V + hi; only
+    # the keys are kept through the sort, and the edges are read back off them
+    s = t[:, [1, 2, 0]]
+    keys = np.minimum(t, s).astype(np.int64)
+    keys *= V
+    keys += np.maximum(t, s)
+    del s
+    codes, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    del keys
+    order = np.argsort(first)  # the edges in first-met order
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    edges = np.stack(np.divmod(codes[order], V), axis=1)
+    be = m.boundary_edges
+    k = np.searchsorted(codes, _edge_keys(be[:, 0], be[:, 1], V))
+    ids = rank[np.minimum(k, len(codes) - 1)]
+    if not np.array_equal(edges[ids], np.sort(be, axis=1)):
+        raise MeshError("a boundary edge is not a triangle edge")
+    return _frozen_graph(edges, rank[inv].reshape(-1, 3), ids)
 
 
 def validate_mesh(m: Mesh):
@@ -310,29 +371,25 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
 def refine_mesh(m: Mesh) -> Mesh:
     """Uniform 4-split; boundary midpoints are projected to the exact boundary.
 
-    New nodes are numbered from num_nodes in the order their edges are first
-    met walking edges ab, bc, ca of each triangle in turn.  Boundary edges
-    must be triangle edges, as validate_mesh guarantees.  The result keeps
-    `m` as its `parent` and the endpoints of each split edge as
-    `parent_edges`, the hierarchy the eigensolver's multigrid walks.
+    Node num_nodes + e is the midpoint of edge e of `m.graph`.  The result
+    keeps `m` as its `parent`, the hierarchy the solvers' multigrid walks,
+    and carries its own graph, built without a sort: edge e splits into the
+    halves 2e (at its lo end) and 2e + 1 (at its hi end), parent triangle t
+    adds the inner edges 2E + 3t + j, and one `np.minimum.at` over the new
+    triangles' edges renumbers them in first-met order.
     """
-    V = m.num_nodes
-    t = m.triangles.astype(np.int64)
-    # edges ab, bc, ca of each triangle in turn, as (lo, hi) node pairs
-    tail, head = t.ravel(), t[:, [1, 2, 0]].ravel()
-    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-    codes, first, inv = np.unique(lo * V + hi, return_index=True, return_inverse=True)
-    rank = np.empty(len(codes), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(codes))
-    ab, bc, ca = (V + rank[inv.reshape(-1)]).reshape(-1, 3).T
-    a, b, c = t.T
+    if m.domain is None or m.boundary_curve is None or m.boundary_t is None:
+        raise MeshError("refine_mesh needs a mesh bound to its domain:"
+                        " domain, boundary_curve and boundary_t must be set")
+    V, g = m.num_nodes, m.graph
+    E, T = len(g.edges), len(m.triangles)
+    a, b, c = m.triangles.astype(np.int64, copy=False).T
+    eab, ebc, eca = g.triangle_edges.T
+    ab, bc, ca = V + eab, V + ebc, V + eca
     tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    first.sort()
-    edges = np.stack([lo[first], hi[first]], axis=1)
-    nodes = np.concatenate([m.nodes, (m.nodes[edges[:, 0]] + m.nodes[edges[:, 1]]) / 2.0])
-
+    nodes = np.concatenate([m.nodes, (m.nodes[g.edges[:, 0]] + m.nodes[g.edges[:, 1]]) / 2.0])
     be = m.boundary_edges.astype(np.int64)
-    bmid = V + rank[np.searchsorted(codes, _edge_keys(be[:, 0], be[:, 1], V))]
+    bmid = V + g.boundary_ids
     tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
     for curve in np.unique(m.boundary_curve):
         on = m.boundary_curve == curve
@@ -341,9 +398,34 @@ def refine_mesh(m: Mesh) -> Mesh:
     bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
     bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)
 
-    return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=bedges, domain=m.domain,
-                boundary_curve=bcurve, boundary_t=bt, parent=m, parent_edges=edges)
+    # The new edges, int32 as (lo, hi): the halves, then ab-bc, bc-ca and
+    # ca-ab of each parent triangle.  Edge p-q's half at p is 2e + (p > q).
+    pairs = np.empty((2 * E + 3 * T, 2), dtype=np.int32)
+    pairs[:2 * E, 0] = g.edges.ravel()
+    pairs[:2 * E, 1] = np.repeat(np.arange(V, V + E, dtype=np.int32), 2)
+    for j, (p, q) in enumerate([(ab, bc), (bc, ca), (ca, ab)]):
+        pairs[2 * E + j::3] = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    inner = 2 * E + 3 * np.arange(T, dtype=np.int32)
+    te = np.stack([2 * eab + (a > b), inner + 2, 2 * eca + (a > c),
+                   2 * eab + (b > a), 2 * ebc + (b > c), inner,
+                   inner + 1, 2 * ebc + (c > b), 2 * eca + (c > a),
+                   inner, inner + 1, inner + 2], axis=1).reshape(-1, 3)
+    _fix_orientation(nodes, tris, te)
+    # renumber in first-met order
+    first = np.full(len(pairs), te.size, dtype=np.int32)
+    np.minimum.at(first, te.ravel(), np.arange(te.size, dtype=np.int32))
+    met = np.zeros(te.size, dtype=bool)
+    met[first] = True
+    order = te.ravel()[met]
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    p, q = be.T
+    graph = _frozen_graph(pairs[order], rank[te], rank[np.stack(
+        [2 * g.boundary_ids + (p > q), 2 * g.boundary_ids + (q > p)], axis=1).ravel()])
+    child = Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, domain=m.domain,
+                 boundary_curve=bcurve, boundary_t=bt, parent=m)
+    child._graph = graph
+    return child
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
+import assembly_oracle
 from eigen_oracle import inverse_iteration_eigenpair
 from proof_oracle import field_integral_pow
 from robinsym import fem
@@ -30,6 +32,7 @@ from robinsym.fem import (
     solve_robin_poisson,
     stiffness_matrix,
 )
+from robinsym.levelset import build_mu_segments
 from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.radial import bessel_eigen_oracle
 from robinsym.runner import source_from_name
@@ -291,7 +294,7 @@ def test_multigrid_eigenpair_matches_shift_invert(spec, h, levels):
 
 def test_eigenpair_does_not_depend_on_the_hierarchy():
     m = refine_mesh(generate_mesh(build_domain("stadium", l=1.0, r=0.5), 0.1))
-    flat = dataclasses.replace(m, parent=None, parent_edges=None)
+    flat = dataclasses.replace(m, parent=None)
     assert principal_robin_eigenpair(flat, 1.0)[0] == pytest.approx(
         principal_robin_eigenpair(m, 1.0)[0], rel=1e-9)
 
@@ -482,6 +485,67 @@ def test_replaced_mesh_starts_with_an_empty_store():
 def test_mesh_arrays_are_read_only():
     m = refine_mesh(generate_mesh(build_domain("ellipse", a=1.5, b=0.6), 0.2))
     for a in (m.nodes, m.triangles, m.boundary_edges, m.boundary_curve, m.boundary_t,
-              m.parent_edges):
+              *m.graph, *m.parent.graph):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[1]
+
+
+# ---------------------------------------------------------------------------
+# per-edge assembly against the element-by-element COO oracle
+
+_ASSEMBLY_FAMILIES = ["disc r=1", "ellipse a=1.4142135623730951 b=0.70710678118654757",
+                      "stadium l=1 r=0.5", "rect w=2 h=0.5", "polygon 0,0 2,0 2,1 1,1 1,2 0,2"]
+
+
+def _off_diagonal(A):
+    A = A.tocsr(copy=True)
+    A.setdiag(0.0)
+    A.eliminate_zeros()
+    return A
+
+
+@pytest.mark.parametrize("spec", _ASSEMBLY_FAMILIES)
+def test_per_edge_assembly_matches_the_coo_oracle(spec):
+    m = generate_mesh(parse_domain_spec(spec), 0.2)
+    for _ in range(2):
+        beta = 1.3
+        robin = assemble_robin_system(m, constant_source(), beta).matrix
+        oracle_robin = assembly_oracle.robin_matrix(m, beta)
+        assert np.array_equal(robin.indptr, oracle_robin.indptr)
+        assert np.array_equal(robin.indices, oracle_robin.indices)
+        for A, oracle in [(stiffness_matrix(m), assembly_oracle.stiffness_matrix(m)),
+                          (boundary_mass_matrix(m), assembly_oracle.boundary_mass_matrix(m)),
+                          (mass_matrix(m), assembly_oracle.mass_matrix(m)),
+                          (robin, oracle_robin)]:
+            # off the diagonal every entry sums the same one or two terms
+            assert (_off_diagonal(A) != _off_diagonal(oracle)).nnz == 0
+            # the diagonal sums its terms in another order
+            d, ref = A.diagonal(), oracle.diagonal()
+            assert np.all(np.abs(d - ref) <= 4 * np.spacing(np.abs(ref)))
+        m = refine_mesh(m)
+
+
+def _transient_mb(fn):
+    """fn() and the peak memory it allocated above what was live before, in
+    MB, as tracemalloc sees it (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_and_mu_stay_within_their_memory_budget():
+    # the 52.4k-node ratio-2 ellipse; element-by-element COO assembly took
+    # 30.6 MB and a mu built from one 3T-long piece array 21.5 MB, and
+    # the per-edge and chunked forms must take at most 60% of that
+    d = parse_domain_spec("ellipse a=1.4142135623730951 b=0.70710678118654757")
+    m = refine_mesh(generate_mesh(d, 0.05))
+    assert m.num_nodes == 52441
+    f = source_from_name("bump", d)
+    system, assembly_mb = _transient_mb(lambda: assemble_robin_system(m, f, 1.0))
+    u = solve_poisson(system)
+    _, mu_mb = _transient_mb(lambda: build_mu_segments(u))
+    assert assembly_mb <= 0.6 * 30.6 and mu_mb <= 0.6 * 21.5, (assembly_mb, mu_mb)

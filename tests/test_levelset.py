@@ -376,7 +376,10 @@ def _loop_mu_segments(u):
 @pytest.mark.parametrize("refinements", [0, 1])
 @pytest.mark.parametrize("spec", ["disc r=1", ELLIPSE_2, "rect w=2 h=0.5",
                                   "stadium l=1 r=0.5", HEPTAGON])
-def test_build_mu_segments_matches_the_loop(spec, refinements):
+def test_build_mu_segments_matches_the_loop(spec, refinements, monkeypatch):
+    if refinements:
+        # small chunks, so that the events cross chunk boundaries
+        monkeypatch.setattr(levelset, "_CHUNK", 997)
     d = parse_domain_spec(spec)
     m = generate_mesh(d, 0.2)
     for _ in range(refinements):

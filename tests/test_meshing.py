@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import mesh_oracle
+from robinsym import meshing
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.meshing import (
     Mesh,
@@ -71,9 +73,9 @@ def test_refine_midpoint_numbering_and_positions():
     m = generate_mesh(d, 0.2)
     r = refine_mesh(m)
     V, T, B = m.num_nodes, len(m.triangles), len(m.boundary_edges)
-    parent_edges = np.unique(np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
+    unique_edges = np.unique(np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
                              axis=0)
-    assert r.num_nodes == V + len(parent_edges)
+    assert r.num_nodes == V + len(unique_edges)
     assert len(r.triangles) == 4 * T
     assert len(r.boundary_edges) == 2 * B
     # a new node is joined to exactly the two old endpoints of its parent edge
@@ -83,7 +85,8 @@ def test_refine_midpoint_numbering_and_positions():
     new, old = e[order, 1].reshape(-1, 2), e[order, 0].reshape(-1, 2)
     assert np.array_equal(new[:, 0], np.arange(V, r.num_nodes))
     assert np.array_equal(new[:, 1], new[:, 0])
-    assert np.array_equal(np.unique(old, axis=0), parent_edges)  # one new node per edge
+    assert np.array_equal(np.unique(old, axis=0), unique_edges)  # one new node per edge
+    assert np.array_equal(old, m.graph.edges)  # node V + e halves edge e
     on_boundary = np.isin(new[:, 0], r.boundary_edges)
     exact_mid = (m.nodes[old[:, 0]] + m.nodes[old[:, 1]]) / 2.0
     assert np.array_equal(r.nodes[V:][~on_boundary], exact_mid[~on_boundary])
@@ -239,7 +242,7 @@ def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields()
     m = generate_mesh(build_domain("ellipse", a=1.5, b=0.6), 0.2)
     r = refine_mesh(m)
     assert r.parent is m
-    assert r.parent_edges.shape == (r.num_nodes - m.num_nodes, 2)
+    assert m.graph.edges.shape == (r.num_nodes - m.num_nodes, 2)
     P = _prolongation(r)
     assert P.shape == (r.num_nodes, m.num_nodes)
     assert set(np.unique(P.data)) == {0.5, 1.0}
@@ -256,7 +259,64 @@ def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields()
                                   "stadium l=1 r=0.5"])
 def test_generated_meshes_have_no_parent(spec):
     m = generate_mesh(parse_domain_spec(spec), 0.2)
-    assert m.parent is None and m.parent_edges is None
+    assert m.parent is None
+
+
+_ELLIPSE_2 = "ellipse a=1.4142135623730951 b=0.70710678118654757"
+
+
+def _check_graph(m):
+    """m.graph against its definition, read off the triangles directly."""
+    g = m.graph
+    assert all(a.dtype == np.int32 for a in g)
+    t = m.triangles
+    for j in range(3):
+        ends = np.sort(t[:, [j, (j + 1) % 3]], axis=1)
+        assert np.array_equal(g.edges[g.triangle_edges[:, j]], ends)
+    assert np.array_equal(g.edges[g.boundary_ids], np.sort(m.boundary_edges, axis=1))
+    # numbered in first-met order: edge e first appears after edges 0..e-1
+    flat = g.triangle_edges.ravel()
+    seen = np.maximum.accumulate(flat)
+    assert flat[0] == 0 and np.all(np.diff(seen) <= 1)
+    assert seen[-1] == len(g.edges) - 1
+
+
+@pytest.mark.parametrize("spec", ["disc r=1", _ELLIPSE_2, "stadium l=1 r=0.5", "rect w=2 h=0.5",
+                                  "polygon 0,0 2,0 2,1 1,1 1,2 0,2"])
+def test_refine_hands_over_the_sort_built_graph(spec):
+    m = generate_mesh(parse_domain_spec(spec), 0.2)
+    _check_graph(m)
+    for _ in range(2):
+        m = refine_mesh(m)
+        handed = m.graph
+        built = meshing._edge_graph(m)  # by np.unique, as a generated mesh's
+        for a, b in zip(handed, built):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _check_graph(m)
+    # a replaced mesh builds its graph again, and gets the same one
+    again = dataclasses.replace(m).graph
+    assert again is not handed and all(np.array_equal(a, b) for a, b in zip(again, handed))
+
+
+def test_fix_orientation_turns_the_edge_rows_with_the_triangles():
+    # no generated child turns over, so turn some by hand: a, c, b has the
+    # edges ca, bc, ab in its own order
+    m = generate_mesh(parse_domain_spec(_ELLIPSE_2), 0.2)
+    turned = np.arange(len(m.triangles)) % 3 == 1
+    tris, te = m.triangles.copy(), m.graph.triangle_edges.copy()
+    tris[turned] = tris[turned][:, [0, 2, 1]]
+    te[turned] = te[turned][:, [2, 1, 0]]
+    meshing._fix_orientation(m.nodes, tris, te)
+    assert np.array_equal(tris, m.triangles) and np.array_equal(te, m.graph.triangle_edges)
+
+
+def test_refining_an_unbound_mesh_names_the_missing_binding():
+    m = Mesh(nodes=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
+             triangles=np.array([(0, 1, 2)]), boundary_edges=np.array([(0, 1), (1, 2), (2, 0)]))
+    validate_mesh(m)
+    assert np.array_equal(m.graph.boundary_ids, [0, 1, 2])
+    with pytest.raises(MeshError, match="bound to its domain"):
+        refine_mesh(m)
 
 
 def _min_angle_deg(m):
@@ -357,6 +417,14 @@ def test_validate_rejects_a_boundary_list_that_does_not_match(bedges):
     nodes, tris, _ = _unit_square_pair()
     with pytest.raises(MeshError, match="boundary edge list"):
         validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array(bedges)))
+
+
+@pytest.mark.parametrize("bedges", [[(0, 1), (1, 3), (3, 2), (0, 3)],
+                                    [(0, 1), (1, 3), (3, 2), (-1, 6)]])
+def test_edge_graph_rejects_a_boundary_edge_that_is_no_triangle_edge(bedges):
+    nodes, tris, _ = _unit_square_pair()
+    with pytest.raises(MeshError, match="not a triangle edge"):
+        Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array(bedges)).graph
 
 
 def test_validate_rejects_a_bad_boundary_on_a_generated_mesh():

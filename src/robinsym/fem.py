@@ -39,7 +39,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .meshing import Mesh
+from .meshing import Mesh, _blocks, _doubled_areas
 
 
 class SolverError(RuntimeError):
@@ -184,24 +184,26 @@ def mass_matrix(mesh: Mesh) -> sparse.csr_matrix:
 
 
 def load_vector(mesh: Mesh, f: SourceSpec) -> np.ndarray:
-    """Load by 3-point (edge midpoint) quadrature, exact for quadratics."""
-    t0, t1, t2 = mesh.triangles.T
-
-    def midpoints(v):  # on edges 01, 12, 20
-        v0, v1, v2 = v[t0], v[t1], v[t2]
-        return np.stack([0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)], axis=1)
-
-    fm = f.evaluate(midpoints(mesh.nodes[:, 0]), midpoints(mesh.nodes[:, 1]))
-    _check_admissible(fm)
-    # basis function i is 1/2 on the two edges touching vertex i, 0 opposite
-    contrib = np.empty_like(fm)
-    contrib[:, 0] = fm[:, 0] + fm[:, 2]
-    contrib[:, 1] = fm[:, 0] + fm[:, 1]
-    contrib[:, 2] = fm[:, 1] + fm[:, 2]
-    del fm
-    contrib *= (mesh.triangle_areas() / 6.0)[:, None]
-    # bincount adds in input order, as np.add.at does
-    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.num_nodes)
+    """Load by 3-point (edge midpoint) quadrature, exact for quadratics.
+    f is evaluated once per edge of mesh.graph; each triangle's terms are
+    added by node, in triangle order, a block of triangles at a time."""
+    g = mesh.graph
+    lo, hi = g.edges.T
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    fe = f.evaluate(0.5 * (x[lo] + x[hi]), 0.5 * (y[lo] + y[hi]))
+    _check_admissible(fe)
+    out = np.zeros(mesh.num_nodes)
+    for j in _blocks(len(mesh.triangles)):
+        tris = mesh.triangles[j]
+        fm = fe[g.triangle_edges[j]]  # on edges ab, bc, ca
+        # basis function i is 1/2 on the two edges touching vertex i, 0 opposite
+        contrib = np.empty_like(fm)
+        contrib[:, 0] = fm[:, 0] + fm[:, 2]
+        contrib[:, 1] = fm[:, 0] + fm[:, 1]
+        contrib[:, 2] = fm[:, 1] + fm[:, 2]
+        contrib *= (0.5 * _doubled_areas(mesh.nodes, tris) / 6.0)[:, None]
+        np.add.at(out, tris.ravel(), contrib.ravel())
+    return out
 
 
 def _robin_matrix(mesh: Mesh, beta: float) -> sparse.csr_matrix:

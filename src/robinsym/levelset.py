@@ -20,12 +20,7 @@ import numpy as np
 
 from .domains import _asymmetry_search, _asymmetry_seeds, _polygon_signed_area
 from .fem import ScalarField
-
-# build_mu_segments accumulates its events this many triangles at a time: the
-# largest power of two whose chunk arrays stay below the running-sum tail on
-# 52.4k- and 208.8k-node ellipse meshes (tracemalloc: 2^14 peaks 9.2 and 36.8 MB
-# above live memory, 2^16 11.5 MB on the smaller, one chunk 14.3 and 57.0 MB)
-_CHUNK = 1 << 14
+from .meshing import _blocks
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +68,13 @@ class DistributionFunction:
     def edge_values(self):
         """(right limits at segment starts, left limits at segment ends),
         made monotone in scan order against rounding wobble."""
-        k = np.arange(self.num_segments)
-        right = np.minimum.accumulate(self.eval_in_segment(k, self.breaks[:-1]))
-        left = self.eval_in_segment(k, self.breaks[1:])
-        return right, np.minimum(np.minimum.accumulate(left), right)
+        right, left = np.empty(self.num_segments), np.empty(self.num_segments)
+        for j in _blocks(self.num_segments):
+            right[j] = self.eval_in_segment(j, self.breaks[j])
+            left[j] = self.eval_in_segment(j, self.breaks[j.start + 1:j.stop + 1])
+        np.minimum.accumulate(right, out=right)
+        np.minimum.accumulate(left, out=left)
+        return right, np.minimum(left, right, out=left)
 
     def ustar(self, s):
         """Generalized inverse inf{t >= 0 : mu(t) < s}, vectorized."""
@@ -134,8 +132,8 @@ def _event_sums(i1, i2, i3, area, breaks, centers):
     enters, its end event about the center of the segment it leaves, each
     as the three sums gamma d^2 + alpha, 2 gamma d and gamma, d = m - theta.
     np.add.at adds in order, as one bincount over all pieces of the first
-    kind, then the second, then the third would; in chunks of _CHUNK
-    triangles, no piece array is longer than one chunk.
+    kind, then the second, then the third would; in `_blocks` of
+    triangles, no piece array is longer than one block.
     """
     add, sub = np.zeros((3, len(breaks))), np.zeros((3, len(breaks)))
 
@@ -147,9 +145,8 @@ def _event_sums(i1, i2, i3, area, breaks, centers):
         np.add.at(sums[2], idx, gamma)
 
     for piece in range(3):
-        for lo in range(0, len(area), _CHUNK):
-            chunk = slice(lo, lo + _CHUNK)
-            j1, j2, j3, a = i1[chunk], i2[chunk], i3[chunk], area[chunk]
+        for block in _blocks(len(area)):
+            j1, j2, j3, a = i1[block], i2[block], i3[block], area[block]
             if piece == 0:
                 # gamma = 0 and theta = 0: only the area, at break 0 and at i1
                 on = j1 > 0
@@ -213,18 +210,25 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
     # a += b dlt + c dlt^2 and b += 2 c dlt after the events that end there
     # and before those that start there.  cumsum adds in sequence, so
     # interleaving the three steps of each segment repeats that recurrence's
-    # roundings exactly.
-    dlt = np.diff(centers, prepend=centers[0])
+    # roundings exactly; a block's first step adds the sum the block before
+    # ended with, the same addition one cumsum over all segments makes.
+    coeffs = np.empty((k, 3))
 
-    def run(*steps):
-        return np.cumsum(np.stack(steps, axis=1)).reshape(k, len(steps))
+    def run(j, col, *steps):
+        """coeffs[j, col] = the running sum after each segment's last step;
+        returns the sums after its first."""
+        s = np.stack(steps, axis=1)
+        if j.start:
+            s[0, 0] += coeffs[j.start - 1, col]
+        np.cumsum(s, out=s.ravel())
+        coeffs[j, col] = s[:, -1]
+        return s[:, 0]
 
-    c_run = run(-sub[2], add[2])
-    c_sub = c_run[:, 0]
-    b_run = run(-sub[1], 2.0 * c_sub * dlt, add[1])
-    b_sub = b_run[:, 0]
-    a_run = run(-sub[0], b_sub * dlt + c_sub * dlt * dlt, add[0])
-    coeffs = np.stack([a_run[:, -1], b_run[:, -1], c_run[:, -1]], axis=1)
+    for j in _blocks(k):
+        dlt = np.diff(centers[j], prepend=centers[max(j.start - 1, 0)])
+        c_sub = run(j, 2, -sub[2, j], add[2, j])
+        b_sub = run(j, 1, -sub[1, j], 2.0 * c_sub * dlt, add[1, j])
+        run(j, 0, -sub[0, j], b_sub * dlt + c_sub * dlt * dlt, add[0, j])
     return DistributionFunction(breaks=breaks, centers=centers, coeffs=coeffs,
                                 total_measure=total, ess_inf=ess_inf)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .fem import ScalarField
 from .levelset import DistributionFunction, build_mu_segments
+from .meshing import _blocks
 
 
 @cache
@@ -164,10 +165,13 @@ def lorentz_power_integral(dist: DistributionFunction, p: float, q: float) -> fl
 
     if float(q).is_integer() and float(ratio).is_integer():
         x, w = _gauss(int(2 * ratio + q - 1) // 2 + 1)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid[:, None] + half[:, None] * x
-        m = dist.eval_in_segment(jmap[:, None], t)
-        total = float(half @ ((t ** (q - 1.0) * m ** ratio) @ w))
+        half = 0.5 * (b - a)
+        v = np.empty(len(a))  # the integrals over the segments, divided by half
+        for j in _blocks(len(a)):
+            t = (0.5 * (a[j] + b[j]))[:, None] + half[j, None] * x
+            m = dist.eval_in_segment(jmap[j, None], t)
+            v[j] = (t ** (q - 1.0) * m ** ratio) @ w
+        total = float(half @ v)
     else:
         def f(i, t):
             m = dist.eval_in_segment(jmap[i], t)

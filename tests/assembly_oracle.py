@@ -4,14 +4,16 @@ It assembles the stiffness, boundary mass and mass matrices the way the
 package did before it assembled them per edge: every element matrix goes
 into one COO matrix, duplicates and all, and scipy sums the duplicates when
 it converts to CSR.  The off-diagonal entries of the per-edge matrices must
-equal these bit for bit; the diagonals sum in another order.  It is not
-part of the package.
+equal these bit for bit; the diagonals sum in another order.  The load
+vector evaluates the source at three edge midpoints per triangle and sums
+all triangles' terms in one bincount; the package's per-edge, blockwise
+load must equal it bit for bit.  It is not part of the package.
 """
 
 import numpy as np
 from scipy import sparse
 
-from robinsym.fem import _p1_geometry
+from robinsym.fem import _check_admissible, _p1_geometry
 
 
 def _assemble(n: int, elements: np.ndarray, data: np.ndarray) -> sparse.csr_matrix:
@@ -54,3 +56,21 @@ def mass_matrix(mesh):
 
 def robin_matrix(mesh, beta):
     return stiffness_matrix(mesh) + beta * boundary_mass_matrix(mesh)
+
+
+def load_vector(mesh, f):
+    t0, t1, t2 = mesh.triangles.T
+
+    def midpoints(v):  # on edges 01, 12, 20
+        v0, v1, v2 = v[t0], v[t1], v[t2]
+        return np.stack([0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)], axis=1)
+
+    fm = f.evaluate(midpoints(mesh.nodes[:, 0]), midpoints(mesh.nodes[:, 1]))
+    _check_admissible(fm)
+    # basis function i is 1/2 on the two edges touching vertex i, 0 opposite
+    contrib = np.empty_like(fm)
+    contrib[:, 0] = fm[:, 0] + fm[:, 2]
+    contrib[:, 1] = fm[:, 0] + fm[:, 1]
+    contrib[:, 2] = fm[:, 1] + fm[:, 2]
+    contrib *= (mesh.triangle_areas() / 6.0)[:, None]
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.num_nodes)

@@ -1,8 +1,10 @@
-"""Loop references for the tensor-grid meshers in `robinsym.meshing`.
+"""References for the tensor-grid meshers and the refinement in
+`robinsym.meshing`.
 
 `_mesh_rect` and `_mesh_stadium` build the rectangle and stadium meshes one
 cell and one node at a time, the stadium joining its caps to the central
-rectangle through a dict of rounded coordinates.  The array generators must
+rectangle through a dict of rounded coordinates.  `refine_mesh` checks the
+orientation of every child.  The package's generators and refinement must
 reproduce them bit for bit.
 """
 
@@ -11,7 +13,7 @@ import math
 import numpy as np
 
 from robinsym.domains import Domain
-from robinsym.meshing import Mesh, _fix_orientation, _stitch
+from robinsym.meshing import Mesh, _fix_orientation, _frozen_graph, _stitch
 
 
 def _mesh_rect(domain: Domain, h: float) -> Mesh:
@@ -135,3 +137,54 @@ def _mesh_stadium(domain: Domain, h: float) -> Mesh:
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
                 boundary_edges=np.array(bedges, dtype=np.int64), domain=domain,
                 boundary_curve=np.array(bcurve, dtype=np.int64), boundary_t=np.array(bt))
+
+
+def refine_mesh(m: Mesh) -> Mesh:
+    """The uniform 4-split of `meshing.refine_mesh`, with `_fix_orientation`
+    over all 4T children instead of the children of the triangles that own
+    a boundary edge."""
+    V, g = m.num_nodes, m.graph
+    E, T = len(g.edges), len(m.triangles)
+    a, b, c = m.triangles.astype(np.int64, copy=False).T
+    eab, ebc, eca = g.triangle_edges.T
+    ab, bc, ca = V + eab, V + ebc, V + eca
+    tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    nodes = np.concatenate([m.nodes, (m.nodes[g.edges[:, 0]] + m.nodes[g.edges[:, 1]]) / 2.0])
+    be = m.boundary_edges.astype(np.int64)
+    bmid = V + g.boundary_ids
+    tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
+    for curve in np.unique(m.boundary_curve):
+        on = m.boundary_curve == curve
+        nodes[bmid[on]] = m.domain.boundary_point(int(curve), tm[on])
+    bt = np.stack([m.boundary_t[:, 0], tm, tm, m.boundary_t[:, 1]], axis=1).reshape(-1, 2)
+    bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
+    bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)
+
+    # The new edges, int32 as (lo, hi): the halves, then ab-bc, bc-ca and
+    # ca-ab of each parent triangle.  Edge p-q's half at p is 2e + (p > q).
+    pairs = np.empty((2 * E + 3 * T, 2), dtype=np.int32)
+    pairs[:2 * E, 0] = g.edges.ravel()
+    pairs[:2 * E, 1] = np.repeat(np.arange(V, V + E, dtype=np.int32), 2)
+    for j, (p, q) in enumerate([(ab, bc), (bc, ca), (ca, ab)]):
+        pairs[2 * E + j::3] = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    inner = 2 * E + 3 * np.arange(T, dtype=np.int32)
+    te = np.stack([2 * eab + (a > b), inner + 2, 2 * eca + (a > c),
+                   2 * eab + (b > a), 2 * ebc + (b > c), inner,
+                   inner + 1, 2 * ebc + (c > b), 2 * eca + (c > a),
+                   inner, inner + 1, inner + 2], axis=1).reshape(-1, 3)
+    _fix_orientation(nodes, tris, te)
+    # renumber in first-met order
+    first = np.full(len(pairs), te.size, dtype=np.int32)
+    np.minimum.at(first, te.ravel(), np.arange(te.size, dtype=np.int32))
+    met = np.zeros(te.size, dtype=bool)
+    met[first] = True
+    order = te.ravel()[met]
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    p, q = be.T
+    graph = _frozen_graph(pairs[order], rank[te], rank[np.stack(
+        [2 * g.boundary_ids + (p > q), 2 * g.boundary_ids + (q > p)], axis=1).ravel()])
+    child = Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges, domain=m.domain,
+                 boundary_curve=bcurve, boundary_t=bt, parent=m)
+    child._graph = graph
+    return child

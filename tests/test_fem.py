@@ -11,7 +11,7 @@ from scipy.sparse.linalg import eigsh
 import assembly_oracle
 from eigen_oracle import inverse_iteration_eigenpair
 from proof_oracle import field_integral_pow
-from robinsym import fem
+from robinsym import fem, meshing
 
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.fem import (
@@ -35,6 +35,7 @@ from robinsym.fem import (
 from robinsym.levelset import build_mu_segments
 from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.radial import bessel_eigen_oracle
+from robinsym.rearrange import decreasing_rearrangement, lorentz_power_integral
 from robinsym.runner import source_from_name
 
 
@@ -525,6 +526,22 @@ def test_per_edge_assembly_matches_the_coo_oracle(spec):
         m = refine_mesh(m)
 
 
+@pytest.mark.parametrize("spec", _ASSEMBLY_FAMILIES)
+def test_per_edge_load_vector_matches_the_per_triangle_oracle(spec, monkeypatch):
+    # small blocks, so that the triangle terms cross block boundaries
+    monkeypatch.setattr(meshing, "_CHUNK", 997)
+    d = parse_domain_spec(spec)
+    m = generate_mesh(d, 0.1)
+    for _ in range(3):
+        for name in ("const", "radial", "bump"):
+            f = source_from_name(name, d)
+            assert np.array_equal(load_vector(m, f), assembly_oracle.load_vector(m, f))
+        if len(m.triangles) > 2 * 997:
+            break
+        m = refine_mesh(m)
+    assert len(m.triangles) > 2 * 997
+
+
 def _transient_mb(fn):
     """fn() and the peak memory it allocated above what was live before, in
     MB, as tracemalloc sees it (numpy reports its array buffers to it)."""
@@ -540,12 +557,22 @@ def _transient_mb(fn):
 def test_assembly_and_mu_stay_within_their_memory_budget():
     # the 52.4k-node ratio-2 ellipse; element-by-element COO assembly took
     # 30.6 MB and a mu built from one 3T-long piece array 21.5 MB, and
-    # the per-edge and chunked forms must take at most 60% of that
+    # the per-edge and chunked forms must take at most 60% of that.  Whole-
+    # mesh arrays took 10.0 MB for the load vector, 9.2 MB for mu, 6.8 MB for
+    # a fixed-rule Lorentz integral and 3.4 MB for u* on the cosine grid; the
+    # blockwise kernels must stay below the bounds
     d = parse_domain_spec("ellipse a=1.4142135623730951 b=0.70710678118654757")
     m = refine_mesh(generate_mesh(d, 0.05))
     assert m.num_nodes == 52441
     f = source_from_name("bump", d)
     system, assembly_mb = _transient_mb(lambda: assemble_robin_system(m, f, 1.0))
+    _, load_mb = _transient_mb(lambda: load_vector(m, f))
     u = solve_poisson(system)
-    _, mu_mb = _transient_mb(lambda: build_mu_segments(u))
-    assert assembly_mb <= 0.6 * 30.6 and mu_mb <= 0.6 * 21.5, (assembly_mb, mu_mb)
+    dist, mu_mb = _transient_mb(lambda: build_mu_segments(u))
+    _, lorentz_mb = _transient_mb(lambda: lorentz_power_integral(dist, 2, 2))
+    _, ustar_mb = _transient_mb(lambda: decreasing_rearrangement(dist))
+    assert assembly_mb <= 0.6 * 30.6, assembly_mb
+    assert load_mb <= 6.0, load_mb
+    assert mu_mb <= 8.2, mu_mb
+    assert lorentz_mb <= 5.0, lorentz_mb
+    assert ustar_mb <= 2.6, ustar_mb

@@ -17,7 +17,7 @@ from proof_oracle import (
     profile_distribution,
     superlevel_measure_exact,
 )
-from robinsym import levelset
+from robinsym import levelset, meshing
 from robinsym.domains import _asymmetry_search, _asymmetry_seeds, build_domain, \
     fraenkel_asymmetry, parse_domain_spec
 from robinsym.fem import ScalarField, constant_source, solve_robin_poisson
@@ -378,8 +378,9 @@ def _loop_mu_segments(u):
                                   "stadium l=1 r=0.5", HEPTAGON])
 def test_build_mu_segments_matches_the_loop(spec, refinements, monkeypatch):
     if refinements:
-        # small chunks, so that the events cross chunk boundaries
-        monkeypatch.setattr(levelset, "_CHUNK", 997)
+        # small blocks, so that the events and the running sums cross block
+        # boundaries
+        monkeypatch.setattr(meshing, "_CHUNK", 997)
     d = parse_domain_spec(spec)
     m = generate_mesh(d, 0.2)
     for _ in range(refinements):

@@ -182,6 +182,10 @@ def test_refine_matches_loop_reference_bit_exact(spec):
         assert np.array_equal(r.boundary_edges, bedges)
         assert np.array_equal(r.boundary_t, bt)
         assert np.array_equal(r.boundary_curve, np.repeat(mesh.boundary_curve, 2))
+        # checking the orientation near the boundary only misses no child
+        full = mesh_oracle.refine_mesh(mesh)
+        assert np.array_equal(r.triangles, full.triangles)
+        assert all(np.array_equal(a, b) for a, b in zip(r.graph, full.graph))
 
 
 def _stitch_loop_reference(inner, outer, span):
@@ -256,7 +260,11 @@ def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields()
 
 
 @pytest.mark.parametrize("spec", ["disc r=1", "ellipse a=1.5 b=0.6", "rect w=2 h=0.5",
-                                  "stadium l=1 r=0.5"])
+                                  "stadium l=1 r=0.5",
+                                  "polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 "
+                                  "0.5474,-0.9483 1.0583,-0.1542 0.725,0.8098 -0.1133,1.0612",
+                                  "polygon 0,0 2,0 2,1 1,1 1,2 0,2",
+                                  "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2"])
 def test_generated_meshes_have_no_parent(spec):
     m = generate_mesh(parse_domain_spec(spec), 0.2)
     assert m.parent is None

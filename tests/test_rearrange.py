@@ -10,7 +10,7 @@ from proof_oracle import (
     profile_distribution,
     superlevel_measure_exact,
 )
-from robinsym import rearrange
+from robinsym import meshing, rearrange
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.fem import ScalarField, solve_robin_poisson
 from robinsym.levelset import DistributionFunction
@@ -20,6 +20,7 @@ from robinsym.rearrange import (
     DecreasingProfile,
     RearrangeError,
     constant_profile,
+    cosine_grid,
     decreasing_rearrangement,
     distribution_function,
     _batched_segment_integral,
@@ -297,6 +298,43 @@ def test_exact_lorentz_matches_the_adaptive_batch(spec, refinements):
         for p, q in DEFAULT_LORENTZ_PAIRS:
             assert lorentz_power_integral(dist, p, q) == pytest.approx(
                 _adaptive_lorentz(dist, p, q), rel=1e-14, abs=0.0)
+
+
+def _unblocked_edge_values(dist):
+    k = np.arange(dist.num_segments)
+    right = np.minimum.accumulate(dist.eval_in_segment(k, dist.breaks[:-1]))
+    left = dist.eval_in_segment(k, dist.breaks[1:])
+    return right, np.minimum(np.minimum.accumulate(left), right)
+
+
+def _unblocked_fixed_lorentz(dist, p, q):
+    """The fixed Gauss rule over all segments at once, for integer q and q/p."""
+    ratio = q / p
+    keep = dist.breaks[1:] > dist.breaks[:-1]
+    a, b = dist.breaks[:-1][keep], dist.breaks[1:][keep]
+    x, w = _gauss(int(2 * ratio + q - 1) // 2 + 1)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    t = mid[:, None] + half[:, None] * x
+    m = dist.eval_in_segment(np.nonzero(keep)[0][:, None], t)
+    return float(half @ ((t ** (q - 1.0) * m ** ratio) @ w))
+
+
+@pytest.mark.parametrize("spec", ["disc r=1", "ellipse a=1.4142135623730951 b=0.7071067811865476"])
+def test_blockwise_mu_kernels_match_the_unblocked_formulas(spec, monkeypatch):
+    # small blocks, so that the segments cross block boundaries
+    monkeypatch.setattr(meshing, "_CHUNK", 997)
+    for u in _poisson_fields(spec, 1):
+        dist = distribution_function(u)
+        assert dist.num_segments > 997
+        ref = DistributionFunction(dist.breaks, dist.centers, dist.coeffs, dist.total_measure,
+                                   dist.ess_inf)
+        ref.edge_values = _unblocked_edge_values(dist)  # sets the cached property
+        for got, want in zip(dist.edge_values, ref.edge_values):
+            assert np.array_equal(got, want)
+        s = cosine_grid(dist.total_measure, 2048)
+        assert np.array_equal(dist.ustar(s), ref.ustar(s))
+        for p, q in DEFAULT_LORENTZ_PAIRS:
+            assert lorentz_power_integral(dist, p, q) == _unblocked_fixed_lorentz(dist, p, q)
 
 
 def _count_eval_points(monkeypatch):

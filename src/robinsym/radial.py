@@ -7,8 +7,7 @@ data is
     v_m  = |Omega|^(1/2) / (2 beta pi^(1/2)) * mean of f*,
 
 where F(t) = integral_0^t f*.  For a piecewise-linear f* every integral here
-is elementary, so v, v', and the level-set inverse phi are exact; no FEM is
-involved on the disc.
+is elementary, so v and v' are exact; no FEM is involved on the disc.
 """
 
 from __future__ import annotations
@@ -103,48 +102,11 @@ class RadialSolution:
         out = self.v_m + w
         return out if out.ndim else float(out)
 
-    # -- level sets -----------------------------------------------------------
-
-    def phi(self, t):
-        """Measure of {v > t}: inverts the strictly decreasing profile."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t).astype(float)
-        v_breaks = self.v_m + self._w_at_breaks  # v at s-breakpoints, decreasing
-        out = np.empty_like(t)
-        out[t <= self.v_m] = self.measure
-        out[t >= self.v_M] = 0.0
-        mid = (t > self.v_m) & (t < self.v_M)
-        if np.any(mid):
-            tm = t[mid]
-            # segment index along s: v decreasing, so search on -v_breaks
-            j = np.clip(np.searchsorted(-v_breaks, -tm, side="right") - 1, 0,
-                        len(self._s) - 2)
-            lo = self._s[j]
-            hi = self._s[j + 1]
-            x = 0.5 * (lo + hi)
-            for _ in range(80):
-                fx = self.value(x) - tm
-                move = fx > 0  # v too big -> s must grow
-                lo = np.where(move, x, lo)
-                hi = np.where(move, hi, x)
-                g = self.slope_g(x)
-                step = np.where(g > 0, fx / np.maximum(g, 1e-300), 0.0)
-                xn = x + step  # v' = -g, Newton: x - f/v' = x + f/g
-                bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-                xn = np.where(bad, 0.5 * (lo + hi), xn)
-                if np.all(np.abs(xn - x) <= 1e-15 * self.measure):
-                    x = xn
-                    break
-                x = xn
-            out[mid] = x
-        out = np.clip(out, 0.0, self.measure)
-        return float(out[0]) if scalar else out
-
     # -- norms and export -----------------------------------------------------
 
     def lorentz_power_integral(self, p: float, q: float) -> float:
-        """integral t^(q-1) phi^(q/p) dt via the substitution t = v(s).
+        """integral t^(q-1) phi^(q/p) dt, phi(t) = |{v > t}|, via the
+        substitution t = v(s).
 
         With q in {1, 2} and r = q/p an integer, one fixed 32-point Gauss
         rule per f* segment [a, b] integrates v^(q-1) s^r g = v^(q-1) s^(r-1)

@@ -157,10 +157,7 @@ def lorentz_power_integral(dist: DistributionFunction, p: float, q: float) -> fl
         raise RearrangeError("Lorentz exponents need p > 0 and q >= 1")
     breaks = np.asarray(dist.breaks, dtype=float)
     ratio = q / p
-    a, b = breaks[:-1], breaks[1:]
-    keep = b > a
-    a, b = a[keep], b[keep]
-    jmap = np.nonzero(keep)[0]
+    a, b = breaks[:-1], breaks[1:]  # b > a: the breaks come from np.unique
     scale = dist.total_measure ** ratio * max(dist.ess_sup, 1e-300) ** q
 
     if float(q).is_integer() and float(ratio).is_integer():
@@ -169,12 +166,12 @@ def lorentz_power_integral(dist: DistributionFunction, p: float, q: float) -> fl
         v = np.empty(len(a))  # the integrals over the segments, divided by half
         for j in _blocks(len(a)):
             t = (0.5 * (a[j] + b[j]))[:, None] + half[j, None] * x
-            m = dist.eval_in_segment(jmap[j, None], t)
+            m = dist.eval_in_segment(np.arange(j.start, j.stop)[:, None], t)
             v[j] = (t ** (q - 1.0) * m ** ratio) @ w
         total = float(half @ v)
     else:
         def f(i, t):
-            m = dist.eval_in_segment(jmap[i], t)
+            m = dist.eval_in_segment(i, t)
             return t ** (q - 1.0) * m ** ratio
         total = _batched_segment_integral(f, a, b, scale)
     if not math.isfinite(total):

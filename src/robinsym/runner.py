@@ -60,26 +60,13 @@ class ResultRow:
     config_hash: str = ""
 
     def cells(self) -> dict:
-        base = {
-            "job": self.job.index,
-            "status": self.status,
-            "theorem": self.job.theorem,
-            "domain": self.job.domain_spec,
-            "f": self.job.source,
-            "beta": self.job.beta,
-            "k": float("nan") if self.job.k is None else self.job.k,
-            "alpha": float("nan"),
-            "gap": float("nan"),
-            "rhs": float("nan"),
-            "margin": float("nan"),
-            "disc_error": float("nan"),
-            "passed": False,
-        }
-        if self.report is not None:
-            r = self.report
-            base.update(alpha=r.asymmetry, gap=r.lhs_gap, rhs=r.rhs, margin=r.margin,
-                        disc_error=r.disc_error, passed=r.passed)
-        return base
+        """The job's spec, then its report's row (nan, not passed, if it failed)."""
+        out = (self.report.row() if self.report is not None
+               else dict.fromkeys(_COLUMNS, float("nan")) | {"passed": False})
+        return out | {"job": self.job.index, "status": self.status,
+                      "theorem": self.job.theorem, "domain": self.job.domain_spec,
+                      "f": self.job.source, "beta": self.job.beta,
+                      "k": float("nan") if self.job.k is None else self.job.k}
 
     def payload(self) -> dict:
         out = {"job": self.job.index, "status": self.status, "error": self.error,
@@ -88,8 +75,7 @@ class ResultRow:
                         "beta": self.job.beta, "k": self.job.k, "f": self.job.source}}
         if self.report is not None:
             out["report"] = self.report.row()
-            out["extras"] = {k: v for k, v in self.report.extras.items()
-                             if isinstance(v, (int, float, bool, str))}
+            out["extras"] = self.report.extras
         return out
 
 
@@ -171,7 +157,7 @@ def emit_reports(rows: list, outdir: str) -> list:
         written.append(path)
 
     for power, fname in ((2, "plot_gap_vs_alpha2.txt"), (3, "plot_gap_vs_alpha3.txt")):
-        pts = sorted((row.report.asymmetry ** power, row.report.lhs_gap)
+        pts = sorted((row.report.alpha ** power, row.report.gap)
                      for row in rows
                      if row.status == "ok" and row.report.alpha_power == power)
         path = os.path.join(outdir, fname)

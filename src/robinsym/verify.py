@@ -6,16 +6,17 @@ on the domain and the symmetrized solution v on the equal-measure disc.  A
 piece once, and each checker is a short functional of a ladder.  A checker
 computes both sides of one inequality: the gap between the
 symmetrized-problem functional and the actual-solution functional on the
-left, and constant * asymmetry^power on the right.  Discretization error is
-estimated by the gap difference between the first and last rungs,
-|gap(h) - gap(h / 2^refinements)|, and a check passes when
-margin + error >= 0, so mesh error can never produce a false failure.
+left, and constant * asymmetry^power on the right.  `_estimate` alone takes
+the discretization error, the rung difference |gap(h) - gap(h / 2^refinements)|,
+and a check passes when margin + error >= 0, so mesh error can never produce
+a false failure.  The Lorentz extra `mu_le_phi_margin` is the mesh's area
+deficit mu(0) - |Omega| (it samples mu - phi only where phi = |Omega|).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cached_property
 
 import numpy as np
@@ -90,15 +91,15 @@ class TheoremReport:
     """One inequality check: gap, asymmetry, constant, margin, verdict."""
 
     theorem: str
-    domain_spec: str
-    f_label: str
+    domain: str
+    f: str
     beta: float
     k: float | None
     gamma_n: float
     h: float
-    lhs_gap: float
-    asymmetry: float
-    asymmetry_error: float
+    gap: float
+    alpha: float
+    alpha_err: float
     constant: float
     alpha_power: int
     rhs: float
@@ -108,25 +109,12 @@ class TheoremReport:
     extras: dict = dataclass_field(default_factory=dict)
 
     def row(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "domain": self.domain_spec,
-            "f": self.f_label,
-            "beta": self.beta,
-            "k": float("nan") if self.k is None else self.k,
-            "gamma_n": self.gamma_n,
-            "h": self.h,
-            "gap": self.lhs_gap,
-            "alpha": self.asymmetry,
-            "alpha_err": self.asymmetry_error,
-            "constant": self.constant,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "disc_error": self.disc_error,
-            "passed": self.passed,
-        }
-        out.update({k: v for k, v in self.extras.items() if isinstance(v, (int, float, bool))})
-        return out
+        """Every field but alpha_power by name (k None as nan), then the extras."""
+        out = {fd.name: getattr(self, fd.name) for fd in fields(self)
+               if fd.name not in ("alpha_power", "extras")}
+        if self.k is None:
+            out["k"] = float("nan")
+        return out | self.extras
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +205,30 @@ class Ladder:
 
 
 def _mu_le_phi_margin(dist, rs) -> float:
-    """max over t <= v_m of mu(t) - phi(t); should be <= discretization slack."""
+    """The mesh's area deficit mu(0) - |Omega|: max of mu - phi over levels
+    t < v_m, where phi(t) = |Omega|.  It compares no level set of v."""
     ts = np.linspace(0.0, rs.v_m * (1.0 - 1e-9), 64)
-    return float(np.max(dist.mu(ts) - rs.phi(ts)))
+    return float(np.max(dist.mu(ts)) - rs.measure)
 
 
-def _report(theorem, ladder: Ladder, f_label, k, gamma_n, gaps, alpha, constant, power,
-            extras=None):
+def _estimate(values) -> tuple:
+    """(value, error) of a number computed on every rung: the finest rung's
+    value and |first - last|, the one discretization-error rule."""
+    return values[-1], abs(values[0] - values[-1])
+
+
+def _report(theorem, ladder: Ladder, f_label, k, gamma_n, gaps, constant, power, extras=None):
     """Assemble a TheoremReport from the gaps on the ladder's rungs."""
-    gap = gaps[-1]
-    disc = abs(gaps[0] - gaps[-1])
+    alpha = ladder.alpha
+    gap, disc = _estimate(gaps)
     rhs_err = constant * power * max(alpha.value, 1e-30) ** (power - 1) * alpha.error
     err = disc + rhs_err
     rhs = constant * alpha.value ** power
     margin = gap - rhs
     return TheoremReport(
-        theorem=theorem, domain_spec=domain_spec_string(ladder.domain), f_label=f_label,
-        beta=ladder.beta, k=k, gamma_n=gamma_n, h=ladder.h, lhs_gap=gap,
-        asymmetry=alpha.value, asymmetry_error=alpha.error, constant=constant,
+        theorem=theorem, domain=domain_spec_string(ladder.domain), f=f_label,
+        beta=ladder.beta, k=k, gamma_n=gamma_n, h=ladder.h, gap=gap,
+        alpha=alpha.value, alpha_err=alpha.error, constant=constant,
         alpha_power=power, rhs=rhs, margin=margin, disc_error=err,
         passed=bool(margin + err >= 0.0), extras=extras or {})
 
@@ -248,7 +242,6 @@ def _check_lorentz(theorem: str, ladder: Ladder, f: SourceSpec, k: float, gamma_
     """Gap of the Lorentz power integrals of v and u at (p, q) on every rung
     against `constant` (c1 or c2) alpha^2; `u_min_extra` adds u_min <= v_min."""
     check_k(theorem, k, f.kind == "const")
-    alpha = ladder.alpha
     rungs = ladder.rungs(f)
     gaps = [rs.lorentz_power_integral(p, q) - lorentz_power_integral(dist, p, q)
             for _, dist, rs in rungs]
@@ -258,7 +251,7 @@ def _check_lorentz(theorem: str, ladder: Ladder, f: SourceSpec, k: float, gamma_
         extras["u_min_le_v_min"] = bool(u.u_min <= rs.v_m + 1e-6 * rs.v_m)
     d = ladder.domain
     constants = compute_constants(d.measure, _f_l1(d, u.mesh, f), ladder.beta, k, gamma_n)
-    return _report(theorem, ladder, f.label, k, gamma_n, gaps, alpha,
+    return _report(theorem, ladder, f.label, k, gamma_n, gaps,
                    getattr(constants, constant), 2, extras)
 
 
@@ -280,7 +273,6 @@ def check_pointwise(ladder: Ladder, gamma_n: float) -> TheoremReport:
     """Pointwise comparison at n=2, f=1: sup (v - u_sharp) >= C3 alpha^3,
     with v >= u_sharp - tolerance on the whole s-grid."""
     f = constant_source(1.0)
-    alpha = ladder.alpha
     total = ladder.domain.measure
     sgrid = cosine_grid(total, 2048)
     gaps = []
@@ -293,38 +285,33 @@ def check_pointwise(ladder: Ladder, gamma_n: float) -> TheoremReport:
     min_diff = float(np.min(diff))
     constant = compute_constants(total, total, ladder.beta, 1.0, gamma_n).c3
     extras = {"min_pointwise_diff": min_diff,
-              "pointwise_domination": bool(min_diff >= -abs(gaps[0] - gaps[-1]) - 1e-9)}
-    return _report("pointwise", ladder, f.label, None, gamma_n, gaps, alpha, constant, 3,
-                   extras)
+              "pointwise_domination": bool(min_diff >= -_estimate(gaps)[1] - 1e-9)}
+    return _report("pointwise", ladder, f.label, None, gamma_n, gaps, constant, 3, extras)
 
 
 def check_saint_venant(ladder: Ladder, gamma_n: float) -> TheoremReport:
     """Torsion comparison: T(ball) - T(Omega) >= C4 alpha^2 with
     C4 = C1(k=1, f=1)."""
     f = constant_source(1.0)
-    alpha = ladder.alpha
     measure = ladder.domain.measure
     t_ball = ball_torsion(equal_measure_radius(measure), ladder.beta)
     gaps = [t_ball - field_integral(u) for u in ladder.solutions(f)]
     constant = compute_constants(measure, measure, ladder.beta, 1.0, gamma_n).c4
     extras = {"torsion_ball": t_ball, "torsion_domain": t_ball - gaps[-1]}
-    return _report("saint_venant", ladder, f.label, None, gamma_n, gaps, alpha, constant,
-                   2, extras)
+    return _report("saint_venant", ladder, f.label, None, gamma_n, gaps, constant, 2, extras)
 
 
 def check_bossel_daners(ladder: Ladder, gamma_n: float) -> TheoremReport:
     """Principal eigenvalue comparison: lambda(Omega) - lambda(ball) >= C5
     alpha^2; runs with alpha > 0.5 are flagged as outside the proof's
     small-asymmetry regime (reported, not failed)."""
-    alpha = ladder.alpha
     measure = ladder.domain.measure
     lam_ball = bessel_eigen_oracle(equal_measure_radius(measure), ladder.beta)
     gaps = [lam - lam_ball for lam in ladder.eigenvalues]
     constant = compute_constants(measure, measure, ladder.beta, 1.0, gamma_n).c5
     extras = {"lambda_domain": ladder.eigenvalues[-1], "lambda_ball": lam_ball,
-              "in_proof_regime": bool(alpha.value <= 0.5)}
-    return _report("bossel_daners", ladder, "const 1", None, gamma_n, gaps, alpha, constant,
-                   2, extras)
+              "in_proof_regime": bool(ladder.alpha.value <= 0.5)}
+    return _report("bossel_daners", ladder, "const 1", None, gamma_n, gaps, constant, 2, extras)
 
 
 # ---------------------------------------------------------------------------

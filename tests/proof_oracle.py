@@ -1,8 +1,8 @@
 """The identities of the paper's proof, as the tests' oracle for package
 results: the level-set ODE of Lemma 3.3 and its asymmetry-strengthened form
 with the boundary terms it integrates, exact superlevel areas and level-line
-lengths of P1 fields, the distribution function of a decreasing profile,
-and the Cavalieri and Hardy-Littlewood identities.  Not part of the package.
+lengths of P1 fields, the distribution function of a decreasing profile
+and of the disc solution (phi), and the Cavalieri and Hardy-Littlewood identities.  Not part of the package.
 """
 
 from __future__ import annotations
@@ -99,10 +99,46 @@ def dmu(dist: DistributionFunction, t):
     return d if d.ndim else float(d)
 
 
+def phi(rs: RadialSolution, t):
+    """Measure of {v > t}: inverts the strictly decreasing profile."""
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t).astype(float)
+    v_breaks = rs.v_m + rs._w_at_breaks  # v at s-breakpoints, decreasing
+    out = np.empty_like(t)
+    out[t <= rs.v_m] = rs.measure
+    out[t >= rs.v_M] = 0.0
+    mid = (t > rs.v_m) & (t < rs.v_M)
+    if np.any(mid):
+        tm = t[mid]
+        # segment index along s: v decreasing, so search on -v_breaks
+        j = np.clip(np.searchsorted(-v_breaks, -tm, side="right") - 1, 0, len(rs._s) - 2)
+        lo = rs._s[j]
+        hi = rs._s[j + 1]
+        x = 0.5 * (lo + hi)
+        for _ in range(80):
+            fx = rs.value(x) - tm
+            move = fx > 0  # v too big -> s must grow
+            lo = np.where(move, x, lo)
+            hi = np.where(move, hi, x)
+            g = rs.slope_g(x)
+            step = np.where(g > 0, fx / np.maximum(g, 1e-300), 0.0)
+            xn = x + step  # v' = -g, Newton: x - f/v' = x + f/g
+            bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
+            xn = np.where(bad, 0.5 * (lo + hi), xn)
+            if np.all(np.abs(xn - x) <= 1e-15 * rs.measure):
+                x = xn
+                break
+            x = xn
+        out[mid] = x
+    out = np.clip(out, 0.0, rs.measure)
+    return float(out[0]) if scalar else out
+
+
 def dphi(rs: RadialSolution, t):
     """phi'(t) = -1/g(phi(t)) on (v_m, v_M), 0 outside."""
     t = np.asarray(t, dtype=float)
-    g = rs.slope_g(rs.phi(t))
+    g = rs.slope_g(phi(rs, t))
     out = np.where((t > rs.v_m) & (t < rs.v_M) & (g > 0), -1.0 / np.maximum(g, 1e-300), 0.0)
     return out if out.ndim else float(out)
 
@@ -159,7 +195,7 @@ def ode_residuals(source, fstar: DecreasingProfile, beta: float, levels):
     inequality for a P1 field, an equality for a radial solution."""
     ts = np.asarray(levels, dtype=float)
     if isinstance(source, RadialSolution):
-        mu, dm = source.phi(ts), dphi(source, ts)
+        mu, dm = phi(source, ts), dphi(source, ts)
         exterior = np.where(ts < source.v_m,
                             2.0 * math.sqrt(math.pi * source.measure) / source.v_m, 0.0)
     else:

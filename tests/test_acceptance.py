@@ -119,7 +119,7 @@ def test_criterion_05_disc_equality_regression():
         check_bossel_daners(ladder, GAMMA2),
     ]
     alpha = cached_asymmetry(d).value
-    bad = [r.theorem for r in reports if abs(r.lhs_gap) > r.disc_error or not r.passed]
+    bad = [r.theorem for r in reports if abs(r.gap) > r.disc_error or not r.passed]
     ok = not bad and alpha <= 1e-2
     _verdict(5, "disc equality regression", ok,
              f"(alpha = {alpha:.2e} <= 1e-2, all five gaps within Richardson error"
@@ -150,7 +150,7 @@ def test_criterion_06_lorentz_k1_suite():
 def test_criterion_07_lorentz_2k2_suite():
     reports = _family_reports(check_lorentz_2k2)
     worst = min(r.margin for r in reports)
-    ordering = all(r.lhs_gap >= -r.disc_error for r in reports)
+    ordering = all(r.gap >= -r.disc_error for r in reports)
     ok = all(r.margin > 0 and r.passed for r in reports) and ordering
     _verdict(7, "L(2k,2) comparison suite", ok,
              f"({len(reports)} runs; min margin {worst:.3e} > 0; "

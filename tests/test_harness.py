@@ -224,7 +224,7 @@ def test_shared_ladder_matches_fresh_ladders():
             rep = CHECKERS[job.theorem](fresh, source_from_name(job.source, domain), job.k,
                                         cfg.gamma2)
         assert row.status == "ok"
-        assert row.report.lhs_gap == rep.lhs_gap
+        assert row.report.gap == rep.gap
         assert row.report.margin == rep.margin
         assert row.report.disc_error == rep.disc_error
         assert row.report.extras == rep.extras

@@ -109,8 +109,8 @@ def test_disc_equality_cases_all_checkers():
         check_bossel_daners(ladder, GAMMA2),
     ]
     for rep in reports:
-        assert rep.asymmetry <= 1e-2
-        assert abs(rep.lhs_gap) <= rep.disc_error
+        assert rep.alpha <= 1e-2
+        assert abs(rep.gap) <= rep.disc_error
         assert rep.passed
 
 
@@ -121,7 +121,7 @@ def test_ellipse_positive_margins():
     r1 = check_lorentz_k1(ladder, f, 1.0, GAMMA2)
     r2 = check_lorentz_2k2(ladder, f, 0.5, GAMMA2)
     for rep in (r1, r2):
-        assert rep.lhs_gap > 0 and rep.margin > 0 and rep.passed
+        assert rep.gap > 0 and rep.margin > 0 and rep.passed
         assert rep.extras["mu_le_phi_margin"] <= 10.0 * rep.disc_error + 1e-6
 
 
@@ -129,14 +129,14 @@ def test_nonsymmetric_source_pass():
     d = build_domain("rect", w=2.0, h=0.5)
     f = SourceSpec(kind="expr", fn=lambda x, y: 2.0 - np.hypot(x, y), label="radial 2-r")
     rep = check_lorentz_k1(Ladder(d, 1.0, 0.1), f, 1.0, GAMMA2)
-    assert rep.lhs_gap > 0 and rep.passed
+    assert rep.gap > 0 and rep.passed
 
 
 def test_bump_source_pass():
     from robinsym.runner import source_from_name
     d = parse_domain_spec(ELLIPSE_15)
     rep = check_lorentz_2k2(Ladder(d, 1.0, 0.12), source_from_name("bump", d), 0.5, GAMMA2)
-    assert rep.lhs_gap > 0 and rep.passed
+    assert rep.gap > 0 and rep.passed
 
 
 def test_convex_polygon_through_checker():
@@ -145,7 +145,7 @@ def test_convex_polygon_through_checker():
     d = build_domain("polygon", vertices=[(0, 0), (1.4, -0.1), (1.9, 0.8),
                                           (0.9, 1.5), (-0.3, 0.9)])
     rep = check_saint_venant(Ladder(d, 1.0, 0.1), GAMMA2)
-    assert rep.lhs_gap > 0 and rep.margin > 0 and rep.passed
+    assert rep.gap > 0 and rep.margin > 0 and rep.passed
 
 
 def test_nonconvex_polygons_through_every_checker():
@@ -171,7 +171,7 @@ def test_bossel_daners_beta_variation():
     r1 = check_bossel_daners(Ladder(d, 1.0, 0.15), GAMMA2)
     r10 = check_bossel_daners(Ladder(d, 10.0, 0.15), GAMMA2)
     assert r1.passed and r10.passed
-    assert r1.lhs_gap > 0 and r10.lhs_gap > 0
+    assert r1.gap > 0 and r10.gap > 0
     assert r1.constant != r10.constant
     assert r1.extras["in_proof_regime"]
 
@@ -255,7 +255,7 @@ def test_monotone_asymmetry_trend_across_ellipses():
         a = _m.sqrt(ratio)
         d = build_domain("ellipse", a=a, b=1.0 / a)
         reports.append(check_saint_venant(Ladder(d, 1.0, 0.15), GAMMA2))
-    alphas = [r.asymmetry for r in reports]
+    alphas = [r.alpha for r in reports]
     rhss = [r.rhs for r in reports]
     assert all(x < y for x, y in zip(alphas, alphas[1:]))
     assert all(x < y for x, y in zip(rhss, rhss[1:]))
@@ -271,6 +271,28 @@ def test_torsion_equals_l11_functional():
     t_int = field_integral(u)
     l11 = lorentz_power_integral(distribution_function(u), 1.0, 1.0)
     assert l11 == pytest.approx(t_int, rel=1e-8)
+
+
+@pytest.mark.parametrize("spec", ["disc r=1", ELLIPSE_15, "rect w=2 h=1",
+                                  "polygon 0,0 2,0 2,1 1,1 1,2 0,2"])
+def test_lorentz_k1_at_k1_is_saint_venant_rung_by_rung(spec):
+    # with f = 1 and k = 1 the L^(1,1) integrals are int v = T(ball) and
+    # int mu = int u (Cavalieri), so the two theorems share one gap per rung
+    from robinsym.domains import equal_measure_radius
+    from robinsym.fem import field_integral
+    from robinsym.radial import ball_torsion
+    from robinsym.rearrange import lorentz_power_integral
+    ladder = Ladder(parse_domain_spec(spec), 1.0, 0.1)
+    f = constant_source(1.0)
+    t_ball = ball_torsion(equal_measure_radius(ladder.domain.measure), 1.0)
+    tol = 1e-9 * t_ball
+    for u, dist, rs in ladder.rungs(f):
+        lorentz = rs.lorentz_power_integral(1.0, 1.0) - lorentz_power_integral(dist, 1.0, 1.0)
+        assert abs(lorentz - (t_ball - field_integral(u))) <= tol
+    r_l = check_lorentz_k1(ladder, f, 1.0, GAMMA2)
+    r_sv = check_saint_venant(ladder, GAMMA2)
+    assert abs(r_l.gap - r_sv.gap) <= tol
+    assert abs(r_l.disc_error - r_sv.disc_error) <= tol
 
 
 def test_quantitative_ode_variant_on_family():

@@ -17,6 +17,12 @@ The principal eigenpair comes from nested LOBPCG: preconditioned by the LU
 on the coarsest mesh, then on each finer one by one V-cycle per step,
 started from the prolonged eigenvector of the mesh below.
 
+The Krylov solvers work in fixed working sets.  CG is a loop of its own
+that repeats the recurrence of SciPy's `cg` to the bit, LOBPCG keeps its
+three blocks and their A and M images in one (3, 3, n) array updated in
+place, and the V-cycle's Jacobi sweeps update in place; from SciPy's
+sparse linear algebra only the LU (`splu`) is used.
+
 The hierarchy is built once per mesh chain.  Each mesh keeps, per beta, in
 its private store (`Mesh._store`, living as long as the mesh): the Robin
 matrix `assemble_robin_system` returns, the SuperLU factor if the mesh is a
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from .meshing import Mesh, _blocks, _doubled_areas
 
@@ -332,6 +338,19 @@ def _hierarchy(mesh: Mesh, beta: float, A, keep: bool):
     return lu, levels
 
 
+def _residual(A, x, r):
+    """r - A x, through one temporary."""
+    s = A @ x
+    return np.subtract(r, s, out=s)
+
+
+def _jacobi(A, dinv, r, x):
+    """One damped-Jacobi sweep x += dinv * (r - A x), in place."""
+    s = _residual(A, x, r)
+    s *= dinv
+    x += s
+
+
 def _vcycle(levels, lu, r):
     """One symmetric V-cycle for the matrix of levels[-1]: damped Jacobi
     before and after each coarse-grid correction, the root's LU at the
@@ -341,31 +360,45 @@ def _vcycle(levels, lu, r):
     for A, dinv, P in reversed(levels):
         x = dinv * r  # the first sweep, from x = 0
         for _ in range(_JACOBI_SWEEPS - 1):
-            x += dinv * (r - A @ x)
+            _jacobi(A, dinv, r, x)
         stack.append((x, r))
-        r = P.T @ (r - A @ x)
+        r = P.T @ _residual(A, x, r)
     x = lu.solve(r)
     for (A, dinv, P), (x_pre, r) in zip(levels, reversed(stack)):
-        x = x_pre + P @ x
+        x_pre += P @ x
+        x = x_pre
         for _ in range(_JACOBI_SWEEPS):
-            x += dinv * (r - A @ x)
+            _jacobi(A, dinv, r, x)
     return x
 
 
 def _pcg(A, b, precondition):
-    x, info = cg(A, b, rtol=_PCG_TOL, atol=0.0, maxiter=_PCG_MAXITER,
-                 M=LinearOperator(A.shape, matvec=precondition, dtype=float))
-    if info:
-        resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
-        raise SolverError(f"PCG hit its cap of {_PCG_MAXITER} iterations on {A.shape[0]}"
-                          f" nodes at relative residual {resid:.3e}", [resid])
-    return x
-
-
-def _m_normalized(v):
-    """v = (x, A x, M x) scaled to x.M x = 1, or None if x is zero."""
-    norm = math.sqrt(v[0] @ v[2])
-    return v / norm if norm > 0 else None
+    """Preconditioned CG from x = 0 until ||r|| < _PCG_TOL * ||b||: the
+    recurrence, dot products and stopping test of scipy.sparse.linalg.cg,
+    so its iterates are the same to the bit."""
+    x, r = np.zeros_like(b), b.copy()
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0:
+        return x
+    tol = _PCG_TOL * bnorm
+    for it in range(_PCG_MAXITER):
+        if np.linalg.norm(r) < tol:
+            return x
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    resid = float(np.linalg.norm(b - A @ x)) / bnorm
+    raise SolverError(f"PCG hit its cap of {_PCG_MAXITER} iterations on {A.shape[0]}"
+                      f" nodes at relative residual {resid:.3e}", [resid])
 
 
 def _lobpcg(A, M, w, precondition):
@@ -373,30 +406,51 @@ def _lobpcg(A, M, w, precondition):
     (Knyazev, SIAM J. Sci. Comput. 23, 2001).  Each step is a Rayleigh-Ritz
     on span{w, t, p}: t = precondition(r) for the residual r = A w - lambda
     M w, p the previous step, both M-normalized; p is dropped for a step
-    whose Gram matrix is not positive definite.  The A and M images of w
-    and p are carried along as the same combinations.  It stops when ||r||
-    <= _EIGEN_RTOL * lambda * ||M w||.  Returns lambda and the M-normalized
-    eigenvector."""
-    W = _m_normalized(np.stack([w, A @ w, M @ w]))
-    lam, P = float(W[0] @ W[1]), None
+    whose Gram matrix is not positive definite, or after a step that left
+    it zero.  The A and M images of w, t and p are carried along as the
+    same combinations: the three blocks (x, A x, M x) are B[0], B[1] and
+    B[2] of one (3, 3, n) array, allocated once and updated in place, and
+    a step reads the first k of them.  It stops when ||r|| <= _EIGEN_RTOL *
+    lambda * ||M w||.  Returns lambda and the M-normalized eigenvector;
+    raises SolverError if w or a preconditioned residual has M-norm zero."""
+    n = A.shape[0]
+    B = np.empty((3, 3, n))
+
+    def load(j, x):
+        """B[j] = (x, A x, M x) / ||x||_M."""
+        B[j, 0] = x
+        B[j, 1] = A @ x
+        B[j, 2] = M @ x
+        norm = math.sqrt(B[j, 0] @ B[j, 2])
+        if not norm > 0:
+            raise SolverError(f"LOBPCG direction of M-norm {norm:g} on {n} nodes")
+        B[j] /= norm
+
+    load(0, w)
+    lam, k = float(B[0, 0] @ B[0, 1]), 2
     for step in range(_EIGEN_MAXITER + 1):
-        r = W[1] - lam * W[2]
-        resid = float(np.linalg.norm(r)) / (lam * float(np.linalg.norm(W[2])))
+        r = B[0, 1] - lam * B[0, 2]
+        resid = float(np.linalg.norm(r)) / (lam * float(np.linalg.norm(B[0, 2])))
         if resid <= _EIGEN_RTOL:
-            return lam, W[0].copy()
+            return lam, B[0, 0].copy()
         if step == _EIGEN_MAXITER:
             break
-        t = precondition(r)
-        B = np.stack([W, _m_normalized(np.stack([t, A @ t, M @ t]))] + ([] if P is None else [P]))
-        GA, GM = B[:, 0] @ B[:, 1].T, B[:, 0] @ B[:, 2].T
+        load(1, precondition(r))
+        del r  # not needed again, so not alive beside the new w below
+        GA, GM = B[:k, 0] @ B[:k, 1].T, B[:k, 0] @ B[:k, 2].T
         try:
             L = np.linalg.cholesky(GM)
         except np.linalg.LinAlgError:  # p is (nearly) in span{w, t}
-            B, GA, L = B[:2], GA[:2, :2], np.linalg.cholesky(GM[:2, :2])
+            k, GA, L = 2, GA[:2, :2], np.linalg.cholesky(GM[:2, :2])
         Linv = np.linalg.inv(L)
         vals, vecs = np.linalg.eigh(Linv @ GA @ Linv.T)
         y, lam = Linv.T @ vecs[:, 0], float(vals[0])
-        W, P = np.tensordot(y, B, 1), _m_normalized(np.tensordot(y[1:], B[1:], 1))
+        B[0] = np.tensordot(y, B[:k], 1)
+        B[2] = np.tensordot(y[1:], B[1:k], 1)
+        norm = math.sqrt(B[2, 0] @ B[2, 2])
+        k = 3 if norm > 0 else 2
+        if k == 3:
+            B[2] /= norm
     raise SolverError(f"LOBPCG hit its cap of {_EIGEN_MAXITER} steps on {A.shape[0]} nodes"
                       f" at relative residual {resid:.3e}", [resid])
 

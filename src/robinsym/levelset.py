@@ -189,8 +189,9 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
     ess_inf = float(vals.min())
     del vals
     # break indices of each triangle's nodal values, ascending, by a
-    # three-element min/max sorting network
-    inverse = inverse[1:]
+    # three-element min/max sorting network; int32, since there are at most
+    # as many breaks as nodes
+    inverse = inverse[1:].astype(np.int32)
     t0, t1, t2 = u.mesh.triangles.T
     a, b, c = inverse[t0], inverse[t1], inverse[t2]
     del inverse

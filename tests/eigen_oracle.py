@@ -1,11 +1,17 @@
-"""Nested inverse iteration, kept as an independent test oracle.
+"""Reference eigen and Krylov solvers, kept as test oracles; not part of
+the package.
 
-It computes the principal Robin eigenvalue the way the package did before
-LOBPCG replaced it: inverse power iteration down the mesh's parent chain,
-LU solves on the root and V-cycle PCG solves to relative residual 1e-13 on
-each finer mesh, stopping when lambda changes by at most 1e-10 relative.
-It reads no eigenpair from the meshes' stores and keeps none there.  It is
-not part of the package.
+Nested inverse iteration computes the principal Robin eigenvalue the way
+the package did before LOBPCG replaced it: inverse power iteration down the
+mesh's parent chain, LU solves on the root and V-cycle PCG solves to
+relative residual 1e-13 on each finer mesh, stopping when lambda changes by
+at most 1e-10 relative.  It reads no eigenpair from the meshes' stores and
+keeps none there.
+
+`scipy_pcg` is SciPy's `cg`, `lobpcg` the package's LOBPCG as it was when
+every step stacked a fresh Rayleigh-Ritz basis, and `vcycle` the package's
+V-cycle before its sweeps went in place: the package's fixed-working-set
+`fem._pcg`, `fem._lobpcg` and `fem._vcycle` must return the same bits.
 """
 
 import math
@@ -13,14 +19,17 @@ import math
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from robinsym.fem import _hierarchy, _robin_matrix, _root_factor, _vcycle, mass_matrix
+from robinsym.fem import (
+    _EIGEN_MAXITER, _EIGEN_RTOL, _JACOBI_SWEEPS, _hierarchy, _robin_matrix, _root_factor,
+    mass_matrix)
 
 TOL = 1e-10
 MAXITER = 200
 
 
-def _pcg(A, b, x0, precondition):
-    """CG from x0 to relative residual 1e-13, preconditioned."""
+def scipy_pcg(A, b, precondition, x0=None):
+    """SciPy's CG from x0 (zero if None) to relative residual 1e-13,
+    preconditioned."""
     x, info = cg(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=500,
                  M=LinearOperator(A.shape, matvec=precondition, dtype=float))
     assert info == 0, f"PCG did not converge on {A.shape[0]} nodes"
@@ -51,4 +60,54 @@ def inverse_iteration_eigenpair(mesh, beta):
     w = inverse_iteration_eigenpair(mesh.parent, beta)[1]
     lu, levels = _hierarchy(mesh, beta, A, keep=False)
     return _inverse_iteration(
-        A, M, levels[-1][2] @ w, lambda b, x0: _pcg(A, b, x0, lambda r: _vcycle(levels, lu, r)))
+        A, M, levels[-1][2] @ w, lambda b, x0: scipy_pcg(A, b, lambda r: vcycle(levels, lu, r), x0))
+
+
+def vcycle(levels, lu, r):
+    """The package's V-cycle as it was before its Jacobi sweeps went in
+    place: three temporaries per sweep."""
+    stack = []
+    for A, dinv, P in reversed(levels):
+        x = dinv * r
+        for _ in range(_JACOBI_SWEEPS - 1):
+            x += dinv * (r - A @ x)
+        stack.append((x, r))
+        r = P.T @ (r - A @ x)
+    x = lu.solve(r)
+    for (A, dinv, P), (x_pre, r) in zip(levels, reversed(stack)):
+        x = x_pre + P @ x
+        for _ in range(_JACOBI_SWEEPS):
+            x += dinv * (r - A @ x)
+    return x
+
+
+def _m_normalized(v):
+    """v = (x, A x, M x) scaled to x.M x = 1, or None if x is zero."""
+    norm = math.sqrt(v[0] @ v[2])
+    return v / norm if norm > 0 else None
+
+
+def lobpcg(A, M, w, precondition):
+    """One-vector LOBPCG from w, each step stacking the Rayleigh-Ritz basis
+    [w, t, p] (p dropped when None or when the Gram matrix is not positive
+    definite) and the next w and p anew.  Returns lambda and the
+    M-normalized eigenvector."""
+    W = _m_normalized(np.stack([w, A @ w, M @ w]))
+    lam, P = float(W[0] @ W[1]), None
+    for _ in range(_EIGEN_MAXITER + 1):
+        r = W[1] - lam * W[2]
+        resid = float(np.linalg.norm(r)) / (lam * float(np.linalg.norm(W[2])))
+        if resid <= _EIGEN_RTOL:
+            return lam, W[0].copy()
+        t = precondition(r)
+        B = np.stack([W, _m_normalized(np.stack([t, A @ t, M @ t]))] + ([] if P is None else [P]))
+        GA, GM = B[:, 0] @ B[:, 1].T, B[:, 0] @ B[:, 2].T
+        try:
+            L = np.linalg.cholesky(GM)
+        except np.linalg.LinAlgError:
+            B, GA, L = B[:2], GA[:2, :2], np.linalg.cholesky(GM[:2, :2])
+        Linv = np.linalg.inv(L)
+        vals, vecs = np.linalg.eigh(Linv @ GA @ Linv.T)
+        y, lam = Linv.T @ vecs[:, 0], float(vals[0])
+        W, P = np.tensordot(y, B, 1), _m_normalized(np.tensordot(y[1:], B[1:], 1))
+    raise AssertionError(f"LOBPCG cap {_EIGEN_MAXITER} exceeded")

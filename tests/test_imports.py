@@ -5,6 +5,8 @@ scipy.optimize, scipy.special, scipy.spatial and scipy.integrate cost about
 package has numpy replacements for them, and this guard keeps them out:
 both of the modules a command loads and of the package's source, so that
 the cost cannot come back as an import inside a function body either.
+From scipy.sparse.linalg the package takes only `splu`: its CG and LOBPCG
+are its own, with fixed working sets.
 """
 
 import ast
@@ -54,3 +56,39 @@ def test_source_imports_only_scipy_sparse():
 def test_the_guard_rejects_what_it_should():
     assert _allowed("numpy") and _allowed("scipy.sparse") and _allowed("scipy.sparse.linalg")
     assert not any(_allowed(m) for m in ("scipy", "scipy.special", "scipy.sparsetools"))
+
+
+def _sparse_linalg_uses(tree):
+    """(line, name) for each name the module takes from scipy.sparse.linalg:
+    the names of a `from scipy.sparse.linalg import ...`, the whole module
+    for any other import of it, and each `linalg` attribute of a name
+    `sparse` (scipy.sparse imported as a module)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse.linalg":
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse":
+            yield from ((node.lineno, "scipy.sparse.linalg") for alias in node.names
+                        if alias.name == "linalg")
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name.startswith("scipy.sparse.linalg"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and isinstance(node.value, ast.Name) and node.value.id == "sparse"):
+            yield node.lineno, "sparse.linalg"
+
+
+def test_source_takes_only_splu_from_scipy_sparse_linalg():
+    found = [(path.name, line, name) for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in _sparse_linalg_uses(ast.parse(path.read_text()))]
+    assert sorted({name for _, _, name in found}) == ["splu"], found
+
+
+def test_the_sparse_linalg_guard_rejects_what_it_should():
+    code = ("from scipy.sparse.linalg import cg, splu\n"
+            "import scipy.sparse.linalg\n"
+            "from scipy.sparse import csr_matrix, linalg\n"
+            "from scipy import sparse\n"
+            "x = sparse.linalg.LinearOperator\n")
+    assert list(_sparse_linalg_uses(ast.parse(code))) == [
+        (1, "cg"), (1, "splu"), (2, "scipy.sparse.linalg"), (3, "scipy.sparse.linalg"),
+        (5, "sparse.linalg")]

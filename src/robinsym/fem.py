@@ -45,7 +45,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .meshing import Mesh, _blocks, _doubled_areas
+from .meshing import Mesh, _blocks, _corners, _doubled_areas
 
 
 class SolverError(RuntimeError):
@@ -126,12 +126,14 @@ class SparseSystem:
 def _p1_geometry(mesh: Mesh):
     """(b, c, area): the three basis functions' gradients times twice the
     area, (b[i], c[i]) for vertex i, and the triangle areas, gathered one
-    coordinate at a time."""
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    t0, t1, t2 = mesh.triangles.T
-    x0, x1, x2, y0, y1, y2 = x[t0], x[t1], x[t2], y[t0], y[t1], y[t2]
-    b = (y1 - y2, y2 - y0, y0 - y1)
-    c = (x2 - x1, x0 - x2, x1 - x0)
+    coordinate at a time, a block of triangles at a time."""
+    x, y, T = mesh.nodes[:, 0], mesh.nodes[:, 1], len(mesh.triangles)
+    b, c = np.empty((3, T)), np.empty((3, T))
+    for j in _blocks(T):
+        t0, t1, t2 = _corners(mesh.triangles, j)
+        x0, x1, x2, y0, y1, y2 = x[t0], x[t1], x[t2], y[t0], y[t1], y[t2]
+        b[0, j], b[1, j], b[2, j] = y1 - y2, y2 - y0, y0 - y1
+        c[0, j], c[1, j], c[2, j] = x2 - x1, x0 - x2, x1 - x0
     # (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0), as in Mesh.triangle_areas
     return b, c, 0.5 * (c[2] * b[1] - b[2] * c[1])
 
@@ -269,10 +271,13 @@ def solve_poisson(system: SparseSystem) -> ScalarField:
     """One sparse LU solve on a mesh without a parent; on a `refine_mesh`
     output, CG preconditioned by the V-cycle down its parent chain, the
     coarser levels rediscretized with system.beta.  Either way guarantees
-    relative residual <= 1e-10 or raises SolverError.  The coarse levels
+    relative residual <= 1e-10 or raises SolverError; a zero right-hand
+    side gives the zero field, the exact solution.  The coarse levels
     and the root's LU come from the chain's stores; the LU of a root mesh
     is reused only for the matrix `assemble_robin_system` stored there."""
     A, b, mesh = system.matrix, system.rhs, system.mesh
+    if not np.any(b):
+        return ScalarField(mesh=mesh, values=np.zeros_like(b))
     if mesh.parent is None:
         stored = A is _store(mesh, system.beta).get("matrix")
         lu = _root_factor(mesh, system.beta, keep=True) if stored else _factor(A)

@@ -14,13 +14,12 @@ Fraenkel asymmetry (`superlevel_asymmetry`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .domains import _asymmetry_search, _asymmetry_seeds, _polygon_signed_area
 from .fem import ScalarField
-from .meshing import _blocks
+from .meshing import _blocks, _corners, _edge_keys
 
 
 # ---------------------------------------------------------------------------
@@ -31,17 +30,26 @@ from .meshing import _blocks
 class DistributionFunction:
     """Nonincreasing right-continuous t -> mu(t) = |{u > t}|, piecewise
     quadratic: mu(t) = a + b (t - m) + c (t - m)^2 on [breaks[j], breaks[j+1])
-    with m = centers[j] and (a, b, c) = coeffs[j] (`build_mu_segments`)."""
+    with m = center(j) and (a, b, c) = coeffs[j] (`build_mu_segments`).
+
+    Only the breaks and the coefficients are kept: a segment's midpoint is
+    computed from the breaks where it is used, and the edge values that
+    `ustar` searches are computed on each call, since each distribution is
+    inverted once per use."""
 
     breaks: np.ndarray    # K+1 ascending, breaks[0] = 0
-    centers: np.ndarray   # K midpoints
     coeffs: np.ndarray    # (K, 3) local (a, b, c)
     total_measure: float
     ess_inf: float
 
     @property
     def num_segments(self) -> int:
-        return len(self.centers)
+        return len(self.coeffs)
+
+    def center(self, j):
+        """The midpoint of segment j (an index, index array or slice), the m
+        of its local basis."""
+        return 0.5 * (self.breaks[:-1][j] + self.breaks[1:][j])
 
     @property
     def ess_sup(self) -> float:
@@ -52,7 +60,7 @@ class DistributionFunction:
                        self.num_segments - 1)
 
     def eval_in_segment(self, j, t):
-        x = t - self.centers[j]
+        x = t - self.center(j)
         a, b, c = self.coeffs[j, 0], self.coeffs[j, 1], self.coeffs[j, 2]
         return np.clip(a + b * x + c * x * x, 0.0, self.total_measure)
 
@@ -64,10 +72,11 @@ class DistributionFunction:
         out = np.where(t >= self.breaks[-1], 0.0, out)
         return out if out.ndim else float(out)
 
-    @cached_property
+    @property
     def edge_values(self):
         """(right limits at segment starts, left limits at segment ends),
-        made monotone in scan order against rounding wobble."""
+        made monotone in scan order against rounding wobble; computed anew
+        on each access."""
         right, left = np.empty(self.num_segments), np.empty(self.num_segments)
         for j in _blocks(self.num_segments):
             right[j] = self.eval_in_segment(j, self.breaks[j])
@@ -101,8 +110,9 @@ class DistributionFunction:
             a = self.coeffs[js, 0] - s_arr[solve]
             b = self.coeffs[js, 1]
             c = self.coeffs[js, 2]
-            x0 = self.breaks[js] - self.centers[js]
-            x1 = self.breaks[js + 1] - self.centers[js]
+            m = self.center(js)
+            x0 = self.breaks[js] - m
+            x1 = self.breaks[js + 1] - m
             lin = np.abs(c) * np.maximum(np.abs(x0), np.abs(x1)) < 1e-14 * np.maximum(np.abs(b), 1e-300)
             # a linear segment's quadratic root may overflow; it is discarded
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -117,7 +127,7 @@ class DistributionFunction:
             root = np.where(in1, r1, r2)
             x = np.where(lin, xl, root)
             x = np.clip(x, x0, x1)
-            out[solve] = self.centers[js] + x
+            out[solve] = m + x
         out = np.clip(out, 0.0, self.breaks[-1])
         return float(out[0]) if scalar else out
 
@@ -192,9 +202,11 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
     # three-element min/max sorting network; int32, since there are at most
     # as many breaks as nodes
     inverse = inverse[1:].astype(np.int32)
-    t0, t1, t2 = u.mesh.triangles.T
-    a, b, c = inverse[t0], inverse[t1], inverse[t2]
-    del inverse
+    tris = u.mesh.triangles
+    a, b, c = abc = np.empty((3, len(tris)), dtype=np.int32)
+    for j in _blocks(len(tris)):
+        abc[:, j] = inverse[_corners(tris, j)]
+    del inverse, abc
     i1, b = np.minimum(a, b), np.maximum(a, b)
     b, i3 = np.minimum(b, c), np.maximum(b, c)
     i1, i2 = np.minimum(i1, b), np.maximum(i1, b)
@@ -230,8 +242,8 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
         c_sub = run(j, 2, -sub[2, j], add[2, j])
         b_sub = run(j, 1, -sub[1, j], 2.0 * c_sub * dlt, add[1, j])
         run(j, 0, -sub[0, j], b_sub * dlt + c_sub * dlt * dlt, add[0, j])
-    return DistributionFunction(breaks=breaks, centers=centers, coeffs=coeffs,
-                                total_measure=total, ess_inf=ess_inf)
+    return DistributionFunction(breaks=breaks, coeffs=coeffs, total_measure=total,
+                                ess_inf=ess_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +282,7 @@ def _outer_edges(mesh):
     positively oriented triangles that belong to one triangle only."""
     tris = mesh.triangles
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = np.min(edges, axis=1) * mesh.num_nodes + np.max(edges, axis=1)
+    key = _edge_keys(edges[:, 0], edges[:, 1], mesh.num_nodes)
     _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
     return edges[counts[inverse] == 1]
 

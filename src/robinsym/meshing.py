@@ -25,11 +25,13 @@ class MeshError(ValueError):
 
 # The kernels that run once over all triangles or all mu segments of a mesh
 # work this many at a time, so that their transients stop growing with the
-# mesh: the load vector (`fem.load_vector`), the mu event and running sums
-# (`levelset.build_mu_segments`), the edge values behind u* and f*
-# (`levelset.DistributionFunction.edge_values`) and the fixed-rule Lorentz
-# integral (`rearrange.lorentz_power_integral`).  Each block adds in the
-# order the whole array would, so every output is bit-identical at any size.
+# mesh: the triangle areas and P1 gradients (`_doubled_areas`,
+# `fem._p1_geometry`), the load vector (`fem.load_vector`), the mu event and
+# running sums (`levelset.build_mu_segments`), the edge values that every
+# u* and f* computes afresh (`levelset.DistributionFunction.edge_values`)
+# and the fixed-rule Lorentz integral (`rearrange.lorentz_power_integral`).
+# Each block adds in the order the whole array would, so every output is
+# bit-identical at any size.
 # The size was set on build_mu_segments for the 52.4k-node ellipse, blocking
 # the event sums only (tracemalloc above live memory: 2^14 peaked 9.2 MB,
 # 2^16 11.5 MB, one block 14.3 MB).
@@ -65,6 +67,11 @@ def _frozen_graph(edges, triangle_edges, boundary_ids) -> EdgeGraph:
 class Mesh:
     """Nodes, positively oriented triangles, and boundary edges.
 
+    `triangles` and `boundary_edges` are int32, as the edge graph's arrays
+    are: `__post_init__` casts them, a copy only for a mesh built by hand,
+    since the generators and `refine_mesh` build int32.  Products of node
+    numbers, such as the edge keys lo * V + hi, are formed in int64.
+
     boundary_curve / boundary_t bind each boundary edge to the generating
     domain's boundary parametrization so refinement can project midpoints;
     `generate_mesh` and `refine_mesh` always set them.
@@ -95,6 +102,8 @@ class Mesh:
     _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.triangles = self.triangles.astype(np.int32, copy=False)
+        self.boundary_edges = self.boundary_edges.astype(np.int32, copy=False)
         for a in (self.nodes, self.triangles, self.boundary_edges, self.boundary_curve,
                   self.boundary_t):
             if a is not None:
@@ -124,13 +133,23 @@ class Mesh:
         return float(self.boundary_lengths().sum())
 
 
+def _corners(tris, j):
+    """The node numbers of corners 0, 1 and 2 of the triangles in block j, as
+    three contiguous intp arrays: a gather through the strided int32 columns
+    of tris would convert its index to intp on every gather."""
+    return tris[j].T.astype(np.intp)
+
+
 def _doubled_areas(nodes, tris):
     """Twice the signed area of each triangle, gathered one coordinate at a
-    time."""
+    time, a block of triangles at a time."""
     x, y = nodes[:, 0], nodes[:, 1]
-    t0, t1, t2 = tris.T
-    x0, y0 = x[t0], y[t0]
-    return (x[t1] - x0) * (y[t2] - y0) - (y[t1] - y0) * (x[t2] - x0)
+    out = np.empty(len(tris))
+    for j in _blocks(len(tris)):
+        t0, t1, t2 = _corners(tris, j)
+        x0, y0 = x[t0], y[t0]
+        out[j] = (x[t1] - x0) * (y[t2] - y0) - (y[t1] - y0) * (x[t2] - x0)
+    return out
 
 
 def _fix_orientation(nodes, tris, tri_edges=None):
@@ -221,11 +240,11 @@ def _disc_topology(rings):
     """
     counts = 8 * np.arange(rings + 1)
     counts[0] = 1
-    starts = np.concatenate([[0], np.cumsum(counts)])
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
     rho = np.repeat(np.arange(rings + 1) / rings, counts)
     theta = np.concatenate([2.0 * math.pi * np.arange(n) / n for n in counts])
-    closed = [np.array([0])] + [np.append(np.arange(starts[i], starts[i + 1]), starts[i])
-                                for i in range(1, rings + 1)]
+    closed = [starts[:1]] + [np.append(np.arange(starts[i], starts[i + 1], dtype=np.int32),
+                                       starts[i]) for i in range(1, rings + 1)]
     tris = np.concatenate([_stitch(lo, hi, 2.0 * math.pi) for lo, hi in zip(closed, closed[1:])])
     return rho, theta, tris, closed[-1][:-1]
 
@@ -252,7 +271,7 @@ def _grid(x0, y0, sx, sy, nx, ny):
     """The nx-by-ny tensor grid with corner (x0, y0) and steps sx, sy: its
     nodes, the (nx+1, ny+1) array of their numbers (i-major) and the triangles
     (a, b, c), (a, c, d) of each cell a, b, c, d counterclockwise."""
-    idx = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    idx = np.arange((nx + 1) * (ny + 1), dtype=np.int32).reshape(nx + 1, ny + 1)
     xx, yy = np.meshgrid(x0 + np.arange(nx + 1) * sx, y0 + np.arange(ny + 1) * sy,
                          indexing="ij")
     a, b, c, d = (q.ravel() for q in (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]))
@@ -302,7 +321,7 @@ def _mesh_stadium(domain: Domain, h: float) -> Mesh:
         ring = column[[mc]]
         for k in range(1, mc + 1):
             theta = th0 + math.pi * np.arange(1, 4 * k) / (4 * k)
-            new = sum(map(len, nodes)) + np.arange(4 * k - 1)
+            new = sum(map(len, nodes)) + np.arange(4 * k - 1, dtype=np.int32)
             nodes.append(np.stack([x0 + k * sy * np.cos(theta),
                                    cy + k * sy * np.sin(theta)], axis=1))
             outer = np.concatenate([column[[mc - k]], new, column[[mc + k]]])
@@ -322,7 +341,7 @@ def _ear_clip(v):
     by ear clipping (Meisters 1975).  An ear is a convex corner whose
     triangle holds no other remaining vertex, not even on its border; each
     step cuts the ear whose smallest angle is largest."""
-    left = np.arange(len(v))
+    left = np.arange(len(v), dtype=np.int32)
     tris = []
     while len(left) > 3:
         n = len(left)
@@ -351,12 +370,12 @@ def _mesh_polygon(domain: Domain, h: float) -> Mesh:
     other generated mesh, with the graph refinement handed it."""
     v = domain.vertices
     m = len(v)
+    ring = np.arange(m + 1, dtype=np.int32) % m  # the vertices, back to the first
     if _polygon_is_convex(v):
-        nodes = np.vstack([domain.center[None, :], v])
-        ring = np.append(np.arange(1, m + 1), 1)
-        tris = np.stack([np.zeros(m, dtype=np.int64), ring[:-1], ring[1:]], axis=1)
+        nodes, ring = np.vstack([domain.center[None, :], v]), ring + 1
+        tris = np.stack([np.zeros(m, dtype=np.int32), ring[:-1], ring[1:]], axis=1)
     else:
-        nodes, ring, tris = v, np.append(np.arange(m), 0), _ear_clip(v)
+        nodes, tris = v, _ear_clip(v)
     side = np.array([0.0, 1.0])
     mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris), domain=domain,
                 **_bound([(ring[i:i + 2], side) for i in range(m)]))
@@ -407,12 +426,12 @@ def refine_mesh(m: Mesh) -> Mesh:
                         " domain, boundary_curve and boundary_t must be set")
     V, g = m.num_nodes, m.graph
     E, T = len(g.edges), len(m.triangles)
-    a, b, c = m.triangles.astype(np.int64, copy=False).T
+    a, b, c = m.triangles.T
     eab, ebc, eca = g.triangle_edges.T
     ab, bc, ca = V + eab, V + ebc, V + eca
     tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
     nodes = np.concatenate([m.nodes, (m.nodes[g.edges[:, 0]] + m.nodes[g.edges[:, 1]]) / 2.0])
-    be = m.boundary_edges.astype(np.int64)
+    be = m.boundary_edges
     bmid = V + g.boundary_ids
     tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
     for curve in np.unique(m.boundary_curve):

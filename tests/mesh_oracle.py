@@ -36,7 +36,7 @@ def _mesh_rect(domain: Domain, h: float) -> Mesh:
             a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    tris = np.array(tris, dtype=np.int64)
+    tris = np.array(tris, dtype=np.int32)
     bedges, bcurve, bt = [], [], []
     for i in range(nx):  # bottom, curve 0, param = fraction along side
         bedges.append((idx(i, 0), idx(i + 1, 0)))
@@ -55,7 +55,7 @@ def _mesh_rect(domain: Domain, h: float) -> Mesh:
         bcurve.append(3)
         bt.append((j / ny, (j + 1) / ny))
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=np.array(bedges, dtype=np.int64), domain=domain,
+                boundary_edges=np.array(bedges, dtype=np.int32), domain=domain,
                 boundary_curve=np.array(bcurve, dtype=np.int64),
                 boundary_t=np.array(bt))
 
@@ -133,9 +133,9 @@ def _mesh_stadium(domain: Domain, h: float) -> Mesh:
         bcurve.append(3)
         bt.append((math.pi / 2 + math.pi * m / kang, math.pi / 2 + math.pi * (m + 1) / kang))
     nodes = np.array(nodes)
-    tris = np.array(tris, dtype=np.int64)
+    tris = np.array(tris, dtype=np.int32)
     return Mesh(nodes=nodes, triangles=_fix_orientation(nodes, tris),
-                boundary_edges=np.array(bedges, dtype=np.int64), domain=domain,
+                boundary_edges=np.array(bedges, dtype=np.int32), domain=domain,
                 boundary_curve=np.array(bcurve, dtype=np.int64), boundary_t=np.array(bt))
 
 
@@ -145,12 +145,12 @@ def refine_mesh(m: Mesh) -> Mesh:
     a boundary edge."""
     V, g = m.num_nodes, m.graph
     E, T = len(g.edges), len(m.triangles)
-    a, b, c = m.triangles.astype(np.int64, copy=False).T
+    a, b, c = m.triangles.T
     eab, ebc, eca = g.triangle_edges.T
     ab, bc, ca = V + eab, V + ebc, V + eca
     tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
     nodes = np.concatenate([m.nodes, (m.nodes[g.edges[:, 0]] + m.nodes[g.edges[:, 1]]) / 2.0])
-    be = m.boundary_edges.astype(np.int64)
+    be = m.boundary_edges
     bmid = V + g.boundary_ids
     tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
     for curve in np.unique(m.boundary_curve):

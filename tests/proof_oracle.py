@@ -94,7 +94,8 @@ def dmu(dist: DistributionFunction, t):
     """mu'(t) from the segment polynomial: 0 outside (0, ess sup), never positive."""
     t = np.asarray(t, dtype=float)
     j = dist.locate(t)
-    d = dist.coeffs[j, 1] + 2.0 * dist.coeffs[j, 2] * (t - dist.centers[j])
+    m = 0.5 * (dist.breaks[j] + dist.breaks[j + 1])  # segment j's midpoint
+    d = dist.coeffs[j, 1] + 2.0 * dist.coeffs[j, 2] * (t - m)
     d = np.minimum(np.where((t < dist.breaks[0]) | (t >= dist.breaks[-1]), 0.0, d), 0.0)
     return d if d.ndim else float(d)
 
@@ -164,8 +165,8 @@ def profile_distribution(prof: DecreasingProfile) -> DistributionFunction:
         p = np.minimum(np.searchsorted(hi, centers[on], side="right"), len(i) - 1)
         coeffs[on, 0] = s[i[p]] + (centers[on] - hi[p]) * slope[p]
         coeffs[on, 1] = slope[p]
-    return DistributionFunction(breaks=breaks, centers=centers, coeffs=coeffs,
-                                total_measure=total, ess_inf=ymin)
+    return DistributionFunction(breaks=breaks, coeffs=coeffs, total_measure=total,
+                                ess_inf=ymin)
 
 
 # ---------------------------------------------------------------------------

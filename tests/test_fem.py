@@ -165,6 +165,17 @@ def test_exactly_singular_matrix_on_refined_mesh_raises_solver_error():
             solve_poisson(system)
 
 
+@pytest.mark.parametrize("refinements", [0, 1])
+def test_zero_right_hand_side_gives_the_zero_field(refinements):
+    # the exact solution, on both paths: the LU on a root mesh and PCG on a
+    # refined one
+    m = generate_mesh(parse_domain_spec("disc r=1"), 0.2)
+    for _ in range(refinements):
+        m = refine_mesh(m)
+    u = solve_poisson(SparseSystem(fem._robin_matrix(m, 1.0), np.zeros(m.num_nodes), m, 1.0))
+    assert u.mesh is m and np.array_equal(u.values, np.zeros(m.num_nodes))
+
+
 def test_pure_neumann_matrix_on_refined_mesh_fails():
     # the coarse levels are Robin matrices, so the V-cycle is well defined;
     # PCG on the singular finest matrix runs into its cap
@@ -650,6 +661,39 @@ def test_assembly_and_mu_stay_within_their_memory_budget():
     assert mu_mb <= 7.0, mu_mb
     assert lorentz_mb <= 5.0, lorentz_mb
     assert ustar_mb <= 2.6, ustar_mb
+
+
+def _kept_mb(fn):
+    """fn() and the memory it allocated that is still live after it
+    returned, in MB, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[0] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_rung_keeps_compact_state():
+    # the 52.4k-node ratio-2 ellipse rung.  With int64 triangles and
+    # boundary edges its mesh kept 6.51 MB (the root's edge graph, built on
+    # the way, included); a mu that also kept its segment midpoints and,
+    # after one u*, that u*'s edge values kept 2.94 MB
+    d = parse_domain_spec(_ELLIPSE_2)
+    root = generate_mesh(d, 0.05)
+    m, mesh_mb = _kept_mb(lambda: refine_mesh(root))
+    assert m.num_nodes == 52441
+    u = solve_robin_poisson(m, source_from_name("bump", d), 1.0)
+
+    def mu_and_ustar():
+        dist = build_mu_segments(u)
+        decreasing_rearrangement(dist)
+        return dist
+
+    _, mu_mb = _kept_mb(mu_and_ustar)
+    assert mesh_mb <= 5.5, mesh_mb
+    assert mu_mb <= 1.8, mu_mb
 
 
 def test_lobpcg_stays_within_its_memory_budget():

@@ -323,6 +323,16 @@ def test_nonconvex_superlevel_sets_keep_nine_seeds(monkeypatch):
     assert [len(s) for _, _, s in seen] == [9, 9]
 
 
+def test_outer_edge_keys_do_not_wrap_at_int32():
+    # on 100,000 nodes, edges (0, 80000) and (42950, 47296) have keys
+    # lo * V + hi that agree mod 2^32: an int32 key would count each edge
+    # twice and drop both
+    tris = np.array([(0, 80000, 1), (42950, 47296, 2)], dtype=np.int32)
+    m = Mesh(nodes=np.zeros((100_000, 2)), triangles=tris,
+             boundary_edges=np.empty((0, 2), dtype=np.int32))
+    assert len(levelset._outer_edges(m)) == 6
+
+
 def _loop_mu_segments(u):
     """build_mu_segments as a per-segment Python recurrence: the reference
     for the vectorized form, which must match it bit for bit."""
@@ -368,7 +378,7 @@ def _loop_mu_segments(u):
         b += add[j, 1]
         c += add[j, 2]
         coeffs[j] = (a, b, c)
-    return levelset.DistributionFunction(breaks=breaks, centers=centers, coeffs=coeffs,
+    return levelset.DistributionFunction(breaks=breaks, coeffs=coeffs,
                                          total_measure=float(area.sum()),
                                          ess_inf=float(vals.min()))
 
@@ -391,7 +401,7 @@ def test_build_mu_segments_matches_the_loop(spec, refinements, monkeypatch):
     fields.append(ScalarField(m, np.round(rng.uniform(0.0, 1.0, m.num_nodes), 1) + 0.5))
     for u in fields:
         got, ref = levelset.build_mu_segments(u), _loop_mu_segments(u)
-        for name in ("breaks", "centers", "coeffs"):
+        for name in ("breaks", "coeffs"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
         assert (got.total_measure, got.ess_inf) == (ref.total_measure, ref.ess_inf)
         ts = np.linspace(0.0, 1.01 * u.u_max, 203)

@@ -259,15 +259,25 @@ def test_refine_records_its_parent_and_prolongation_interpolates_linear_fields()
     assert np.array_equal(interp[:m.num_nodes], exact[:m.num_nodes])
 
 
-@pytest.mark.parametrize("spec", ["disc r=1", "ellipse a=1.5 b=0.6", "rect w=2 h=0.5",
-                                  "stadium l=1 r=0.5",
-                                  "polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 "
-                                  "0.5474,-0.9483 1.0583,-0.1542 0.725,0.8098 -0.1133,1.0612",
-                                  "polygon 0,0 2,0 2,1 1,1 1,2 0,2",
-                                  "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2"])
+_EVERY_FAMILY = ["disc r=1", "ellipse a=1.5 b=0.6", "rect w=2 h=0.5", "stadium l=1 r=0.5",
+                 "polygon -1.009,0.4251 -0.949,-0.4603 -0.0763,-1.0736 "
+                 "0.5474,-0.9483 1.0583,-0.1542 0.725,0.8098 -0.1133,1.0612",
+                 "polygon 0,0 2,0 2,1 1,1 1,2 0,2",
+                 "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2"]
+
+
+@pytest.mark.parametrize("spec", _EVERY_FAMILY)
 def test_generated_meshes_have_no_parent(spec):
     m = generate_mesh(parse_domain_spec(spec), 0.2)
     assert m.parent is None
+
+
+@pytest.mark.parametrize("spec", _EVERY_FAMILY)
+def test_meshes_keep_int32_connectivity(spec):
+    # as the edge graph's arrays are
+    m = generate_mesh(parse_domain_spec(spec), 0.2)
+    for m in (m, refine_mesh(m)):
+        assert m.triangles.dtype == m.boundary_edges.dtype == np.int32
 
 
 _ELLIPSE_2 = "ellipse a=1.4142135623730951 b=0.70710678118654757"

@@ -8,14 +8,15 @@ edge's entry is the bincount of its one or two triangle terms (the
 cotangent formula; Pinkall and Polthier, Exp. Math. 2, 1993), a node's that
 of its triangles' terms, and one COO without duplicates becomes the CSR.
 
-Both solvers share one multigrid hierarchy, the mesh's `refine_mesh` parent
-chain with the coarsest mesh factored by SuperLU (symmetric mode,
-minimum-degree ordering).  The Robin-Poisson system is solved by that one LU
-on a mesh without a parent, and by CG preconditioned with a V-cycle down the
-chain on a refined one; both meet the same 1e-10 relative-residual contract.
-The principal eigenpair comes from nested LOBPCG: preconditioned by the LU
-on the coarsest mesh, then on each finer one by one V-cycle per step,
-started from the prolonged eigenvector of the mesh below.
+Both solvers share one multigrid hierarchy per mesh, its `refine_mesh`
+parent chain with the chain root factored by SuperLU (symmetric mode,
+minimum-degree ordering); a mesh without a parent is a hierarchy with no
+levels, whose V-cycle is the root's LU.  The Robin-Poisson system is solved
+by that LU alone where there are no levels and by V-cycle-preconditioned CG
+where there are, both to the same 1e-10 relative-residual contract.  The
+principal eigenpair comes from nested LOBPCG, one V-cycle per step, started
+from the ones vector on the root and above it from the prolonged
+eigenvector of the mesh below.
 
 The Krylov solvers work in fixed working sets.  CG is a loop of its own
 that repeats the recurrence of SciPy's `cg` to the bit, LOBPCG keeps its
@@ -257,34 +258,25 @@ def _factor(A):
         raise SolverError(f"singular matrix on {A.shape[0]} nodes: {exc}") from exc
 
 
-def _root_factor(root: Mesh, beta: float, keep: bool, A=None):
-    """The LU of the chain root's Robin matrix, factored once per (root,
-    beta) and kept in root's store.  A is that matrix if the caller has it;
-    otherwise it comes from `_robin(root, beta, keep)`."""
-    store = _store(root, beta)
-    if "lu" not in store:
-        store["lu"] = _factor(_robin(root, beta, keep) if A is None else A)
-    return store["lu"]
-
-
 def solve_poisson(system: SparseSystem) -> ScalarField:
-    """One sparse LU solve on a mesh without a parent; on a `refine_mesh`
-    output, CG preconditioned by the V-cycle down its parent chain, the
-    coarser levels rediscretized with system.beta.  Either way guarantees
-    relative residual <= 1e-10 or raises SolverError; a zero right-hand
-    side gives the zero field, the exact solution.  The coarse levels
-    and the root's LU come from the chain's stores; the LU of a root mesh
-    is reused only for the matrix `assemble_robin_system` stored there."""
+    """The solve through the hierarchy of system.mesh (`_hierarchy`), the
+    coarser levels rediscretized with system.beta: with no levels, one
+    solve by the root's LU; with levels, CG preconditioned by the V-cycle.
+    Either way guarantees relative residual <= 1e-10 or raises SolverError;
+    a zero right-hand side gives the zero field, the exact solution.  On a
+    chain root, a matrix that is not the one `assemble_robin_system` stored
+    there is factored for this solve only."""
     A, b, mesh = system.matrix, system.rhs, system.mesh
     if not np.any(b):
         return ScalarField(mesh=mesh, values=np.zeros_like(b))
-    if mesh.parent is None:
-        stored = A is _store(mesh, system.beta).get("matrix")
-        lu = _root_factor(mesh, system.beta, keep=True) if stored else _factor(A)
-        method, x = "LU", lu.solve(b)
+    if mesh.parent is None and A is not _store(mesh, system.beta).get("matrix"):
+        lu, levels = _factor(A), []
     else:
         lu, levels = _hierarchy(mesh, system.beta, A, keep=True)
+    if levels:
         method, x = "multigrid PCG", _pcg(A, b, lambda r: _vcycle(levels, lu, r))
+    else:
+        method, x = "LU", lu.solve(b)
     resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
     if not resid <= 1e-10:
         raise SolverError(f"{method} solve left relative residual {resid:.3e}", [resid])
@@ -326,21 +318,24 @@ def _chain(mesh: Mesh):
 
 
 def _hierarchy(mesh: Mesh, beta: float, A, keep: bool):
-    """The V-cycle hierarchy of the refined mesh's parent chain, with A on
-    mesh itself: (root LU, levels), levels[j] = (A, omega / diag(A), P) from
-    the root's child up to mesh, as `_vcycle` takes them.  The coarser
-    matrices and the root's LU come from the chain's stores (`keep` as in
-    `_robin`); the weights and prolongations are formed anew."""
+    """The V-cycle hierarchy of mesh's parent chain, with A on mesh itself:
+    (root LU, levels), levels[j] = (A, omega / diag(A), P) from the root's
+    child up to mesh, as `_vcycle` takes them; a chain root has no levels.
+    The coarser matrices come from the chain's stores (`keep` as in
+    `_robin`); the root's matrix, A on a root, is factored once per (root,
+    beta) and kept in its store.  Weights and prolongations are formed anew."""
     chain = list(_chain(mesh))
     matrices = [A] + [_robin(m, beta, keep) for m in chain[1:-1]]
-    lu = _root_factor(chain[-1], beta, keep)
+    root = _store(chain[-1], beta)
+    if "lu" not in root:
+        root["lu"] = _factor(A if mesh.parent is None else _robin(chain[-1], beta, keep))
     levels = []
     for m, A in zip(chain[-2::-1], matrices[::-1]):
         diag = A.diagonal()
         if not np.all(diag > 0):
             raise SolverError(f"nonpositive diagonal entry on {A.shape[0]} nodes")
         levels.append((A, _JACOBI_OMEGA / diag, _prolongation(m)))
-    return lu, levels
+    return root["lu"], levels
 
 
 def _residual(A, x, r):
@@ -462,24 +457,20 @@ def _lobpcg(A, M, w, precondition):
 
 def _nested_eigenpair(mesh: Mesh, beta: float):
     """The raw (lambda, w) of (mesh, beta), kept in mesh's store: nested
-    LOBPCG down mesh's parent chain, preconditioned by the root's LU on the
-    root, from the ones vector, then on each finer mesh by the V-cycle, from
-    the prolonged eigenvector of the mesh below (full-multigrid
-    eigensolver; Brandt, McCormick and Ruge, SIAM J. Sci. Stat. Comput.
-    1983; Knyazev and Neymeyr, ETNA 15, 2003).  Robin matrices it
-    assembles itself are not kept."""
+    LOBPCG down mesh's parent chain, each mesh's preconditioned by its
+    hierarchy's V-cycle (the LU on the root, which has no levels) and
+    started from the ones vector on the root, above it from the prolonged
+    eigenvector of the mesh below (full-multigrid eigensolver; Brandt,
+    McCormick and Ruge, SIAM J. Sci. Stat. Comput. 1983; Knyazev and
+    Neymeyr, ETNA 15, 2003).  Robin matrices it assembles itself are not kept."""
     store = _store(mesh, beta)
     if "eigenpair" in store:
         return store["eigenpair"]
-    if mesh.parent is None:
-        A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
-        lu = _root_factor(mesh, beta, False, A)
-        lam, w = _lobpcg(A, M, np.ones(A.shape[0]), lu.solve)
-    else:
-        w = _nested_eigenpair(mesh.parent, beta)[1]
-        A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
-        lu, levels = _hierarchy(mesh, beta, A, keep=False)
-        lam, w = _lobpcg(A, M, levels[-1][2] @ w, lambda r: _vcycle(levels, lu, r))
+    w = None if mesh.parent is None else _nested_eigenpair(mesh.parent, beta)[1]
+    A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
+    lu, levels = _hierarchy(mesh, beta, A, keep=False)
+    w = levels[-1][2] @ w if levels else np.ones(A.shape[0])
+    lam, w = _lobpcg(A, M, w, lambda r: _vcycle(levels, lu, r))
     w.flags.writeable = False
     store["eigenpair"] = lam, w
     return lam, w

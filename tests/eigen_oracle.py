@@ -20,8 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from robinsym.fem import (
-    _EIGEN_MAXITER, _EIGEN_RTOL, _JACOBI_SWEEPS, _hierarchy, _robin_matrix, _root_factor,
-    mass_matrix)
+    _EIGEN_MAXITER, _EIGEN_RTOL, _JACOBI_SWEEPS, _hierarchy, _robin_matrix, mass_matrix)
 
 TOL = 1e-10
 MAXITER = 200
@@ -54,11 +53,10 @@ def _inverse_iteration(A, M, w, solve):
 def inverse_iteration_eigenpair(mesh, beta):
     """(lambda, w) of (mesh, beta) by nested inverse iteration."""
     A, M = _robin_matrix(mesh, beta), mass_matrix(mesh)
-    if mesh.parent is None:
-        lu = _root_factor(mesh, beta, False, A)
-        return _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
-    w = inverse_iteration_eigenpair(mesh.parent, beta)[1]
+    w = None if mesh.parent is None else inverse_iteration_eigenpair(mesh.parent, beta)[1]
     lu, levels = _hierarchy(mesh, beta, A, keep=False)
+    if not levels:
+        return _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
     return _inverse_iteration(
         A, M, levels[-1][2] @ w, lambda b, x0: scipy_pcg(A, b, lambda r: vcycle(levels, lu, r), x0))
 

@@ -361,24 +361,34 @@ _L_SHAPE = "polygon 0,0 2,0 2,1 1,1 1,2 0,2"
 def _krylov_ladder(spec, h, refinements, beta):
     """Per rung of the ladder: (mesh, A, M, w0, precondition, oracle), w0
     the ones vector on the root and the prolonged eigenvector of the rung
-    below above it; precondition and oracle are the root's LU on the root,
-    and above it the package's and the oracle's V-cycle."""
+    below above it; precondition and oracle are the package's and the
+    oracle's V-cycle of the rung's hierarchy, the root's LU on the root."""
     m = generate_mesh(parse_domain_spec(spec), h)
     w = None
     for rung in range(refinements + 1):
         if rung:
             m = refine_mesh(m)
         A, M = fem._robin_matrix(m, beta), mass_matrix(m)
-        if m.parent is None:
-            lu = fem._root_factor(m, beta, False, A)
-            w0, precondition, oracle = np.ones(m.num_nodes), lu.solve, lu.solve
-        else:
-            lu, levels = fem._hierarchy(m, beta, A, keep=False)
-            w0 = levels[-1][2] @ w
-            precondition = functools.partial(fem._vcycle, levels, lu)
-            oracle = functools.partial(eigen_oracle.vcycle, levels, lu)
+        lu, levels = fem._hierarchy(m, beta, A, keep=False)
+        w0 = levels[-1][2] @ w if levels else np.ones(m.num_nodes)
+        precondition = functools.partial(fem._vcycle, levels, lu)
+        oracle = functools.partial(eigen_oracle.vcycle, levels, lu)
         yield m, A, M, w0, precondition, oracle
         w = fem._lobpcg(A, M, w0, precondition)[1]
+
+
+def test_a_chain_root_is_a_hierarchy_with_no_levels(monkeypatch):
+    m = generate_mesh(parse_domain_spec(_L_SHAPE), 0.2)
+    A = fem._robin_matrix(m, 1.0)
+    factors = _count(monkeypatch, "_factor")
+    lu, levels = fem._hierarchy(m, 1.0, A, keep=False)
+    assert levels == [] and lu is m._store[1.0]["lu"]
+    again, levels = fem._hierarchy(m, 1.0, A, keep=False)
+    assert again is lu and levels == [] and len(factors) == 1
+    r = load_vector(m, source_from_name("bump", m.domain))
+    x = lu.solve(r)
+    assert np.array_equal(fem._vcycle([], lu, r), x)
+    assert np.array_equal(eigen_oracle.vcycle([], lu, r), x)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.3])

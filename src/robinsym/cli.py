@@ -7,8 +7,7 @@ import sys
 
 import numpy as np
 
-from .config import KNOWN_SOURCES, ConfigError, check_config, default_config_text, \
-    parse_config
+from .config import KNOWN_SOURCES, ConfigError, default_config_text, parse_config
 from .domains import GeometryError, fraenkel_asymmetry, parse_domain_spec
 from .fem import SolverError, SourceError, boundary_integral, field_integral, \
     solve_robin_poisson
@@ -89,11 +88,6 @@ def cmd_verify(args) -> int:
     cfg = parse_config(text)
     if args.out:
         cfg.outdir = args.out
-    if args.h is not None:
-        cfg.h = args.h
-    if args.gamma2 is not None:
-        cfg.gamma2 = args.gamma2
-    check_config(cfg)
     rows = run_experiments(cfg)
     files = emit_reports(rows, cfg.outdir)
     ok = all_passed(rows)
@@ -135,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=65)
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("verify", help="run the full inequality suite from a config")
+    # no abbreviations: `verify --h` would be read as `--help`
+    p = sub.add_parser("verify", help="run the full inequality suite from a config",
+                       allow_abbrev=False)
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--h", type=float)
-    p.add_argument("--gamma2", type=float)
     p.set_defaults(fn=cmd_verify)
     return ap
 

@@ -29,12 +29,11 @@ class RunConfig:
     ks: list
     sources: list
     theorems: list
-    h: float = 0.1
-    refinements: int = 1
-    gamma2: float = math.nan
-    gamma_provenance: str = ""
-    outdir: str = "reports"
-    raw_text: str = ""
+    h: float
+    refinements: int
+    gamma2: float
+    outdir: str
+    raw_text: str
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
@@ -47,7 +46,7 @@ def _split_list(value: str, sep: str):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; unknown keys, duplicate keys, non-numeric values
     and a missing gamma provenance raise with the offending line; values are
-    checked by `check_config`."""
+    checked by `_check_values`."""
     section = None
     lines: dict = {}
     values: dict = {}
@@ -101,15 +100,14 @@ def parse_config(text: str) -> RunConfig:
         h=number("h", get("run", "h", "0.1")),
         refinements=number("refinements", get("run", "refinements", "1"), int),
         gamma2=number("gamma2", get("gamma", "gamma2"), section="gamma"),
-        gamma_provenance=get("gamma", "provenance"),
         outdir=get("output", "dir", "reports"),
         raw_text=text,
     )
-    check_config(cfg)
+    _check_values(cfg)
     return cfg
 
 
-def check_config(cfg: RunConfig) -> None:
+def _check_values(cfg: RunConfig) -> None:
     """Raise ConfigError unless every run value is admissible: no empty
     list, known theorems and sources, positive finite h, gamma2, betas and
     k, at least one refinement, and k inside the range of each Lorentz

@@ -29,12 +29,14 @@ its private store (`Mesh._store`, living as long as the mesh): the Robin
 matrix `assemble_robin_system` returns, the SuperLU factor if the mesh is a
 chain root, and the raw principal eigenpair.  So every source on a ladder
 solves against the same coarse matrices and root factor, and each rung's
-eigenpair continues from the stored one of the rung below.  Nothing else is
-kept there: mass matrices, prolongations and Jacobi weights are cheap to
-form again, and keeping them, or a Robin matrix that only the eigensolver
-assembled, raised peak memory without saving time.  The edge graph that
-assembly and prolongation read belongs to the mesh itself, not to the
-store, since it does not depend on beta.
+eigenpair continues from the stored one of the rung below.
+`assemble_robin_system` is the only writer of a Robin matrix: one that a
+solver needs on a mesh the system was never assembled on is assembled for
+that call.  Nothing else is kept there: mass matrices, prolongations and
+Jacobi weights are cheap to form again, and keeping them, or a Robin
+matrix that only the eigensolver assembled, raised peak memory without
+saving time.  The edge graph that assembly and prolongation read belongs
+to the mesh itself, not to the store, since it does not depend on beta.
 """
 
 from __future__ import annotations
@@ -224,27 +226,26 @@ def _store(mesh: Mesh, beta: float) -> dict:
     return mesh._store.setdefault(beta, {})
 
 
-def _robin(mesh: Mesh, beta: float, keep: bool) -> sparse.csr_matrix:
-    """The Robin matrix of (mesh, beta) from mesh's store; one not stored
-    yet is assembled, and kept there, read-only, if `keep`."""
-    store = _store(mesh, beta)
-    A = store.get("matrix")
-    if A is None:
-        A = _robin_matrix(mesh, beta)
-        if keep:
-            for a in (A.data, A.indices, A.indptr):
-                a.flags.writeable = False
-            store["matrix"] = A
-    return A
+def _robin(mesh: Mesh, beta: float) -> sparse.csr_matrix:
+    """The Robin matrix of (mesh, beta): the one `assemble_robin_system`
+    stored, or else one assembled for this call."""
+    A = _store(mesh, beta).get("matrix")
+    return _robin_matrix(mesh, beta) if A is None else A
 
 
 def assemble_robin_system(mesh: Mesh, f: SourceSpec, beta: float) -> SparseSystem:
     """The Robin-Poisson system on mesh.  Its matrix is assembled once per
-    (mesh, beta) and shared by every system and solver on that mesh."""
+    (mesh, beta), stored read-only, and shared by every system and solver
+    on that mesh."""
     _check_beta(beta)
-    A = _robin(mesh, beta, keep=True)
+    store = _store(mesh, beta)
+    if "matrix" not in store:
+        A = _robin_matrix(mesh, beta)
+        for a in (A.data, A.indices, A.indptr):
+            a.flags.writeable = False
+        store["matrix"] = A
     rhs = load_vector(mesh, f)
-    return SparseSystem(matrix=A, rhs=rhs, mesh=mesh, beta=beta)
+    return SparseSystem(matrix=store["matrix"], rhs=rhs, mesh=mesh, beta=beta)
 
 
 def _factor(A):
@@ -272,7 +273,7 @@ def solve_poisson(system: SparseSystem) -> ScalarField:
     if mesh.parent is None and A is not _store(mesh, system.beta).get("matrix"):
         lu, levels = _factor(A), []
     else:
-        lu, levels = _hierarchy(mesh, system.beta, A, keep=True)
+        lu, levels = _hierarchy(mesh, system.beta, A)
     if levels:
         method, x = "multigrid PCG", _pcg(A, b, lambda r: _vcycle(levels, lu, r))
     else:
@@ -317,18 +318,18 @@ def _chain(mesh: Mesh):
         mesh = mesh.parent
 
 
-def _hierarchy(mesh: Mesh, beta: float, A, keep: bool):
+def _hierarchy(mesh: Mesh, beta: float, A):
     """The V-cycle hierarchy of mesh's parent chain, with A on mesh itself:
     (root LU, levels), levels[j] = (A, omega / diag(A), P) from the root's
     child up to mesh, as `_vcycle` takes them; a chain root has no levels.
-    The coarser matrices come from the chain's stores (`keep` as in
-    `_robin`); the root's matrix, A on a root, is factored once per (root,
-    beta) and kept in its store.  Weights and prolongations are formed anew."""
+    The coarser matrices come from `_robin`; the root's matrix, A on a
+    root, is factored once per (root, beta) and kept in its store.  Weights
+    and prolongations are formed anew."""
     chain = list(_chain(mesh))
-    matrices = [A] + [_robin(m, beta, keep) for m in chain[1:-1]]
+    matrices = [A] + [_robin(m, beta) for m in chain[1:-1]]
     root = _store(chain[-1], beta)
     if "lu" not in root:
-        root["lu"] = _factor(A if mesh.parent is None else _robin(chain[-1], beta, keep))
+        root["lu"] = _factor(A if mesh.parent is None else _robin(chain[-1], beta))
     levels = []
     for m, A in zip(chain[-2::-1], matrices[::-1]):
         diag = A.diagonal()
@@ -462,13 +463,13 @@ def _nested_eigenpair(mesh: Mesh, beta: float):
     started from the ones vector on the root, above it from the prolonged
     eigenvector of the mesh below (full-multigrid eigensolver; Brandt,
     McCormick and Ruge, SIAM J. Sci. Stat. Comput. 1983; Knyazev and
-    Neymeyr, ETNA 15, 2003).  Robin matrices it assembles itself are not kept."""
+    Neymeyr, ETNA 15, 2003)."""
     store = _store(mesh, beta)
     if "eigenpair" in store:
         return store["eigenpair"]
     w = None if mesh.parent is None else _nested_eigenpair(mesh.parent, beta)[1]
-    A, M = _robin(mesh, beta, keep=False), mass_matrix(mesh)
-    lu, levels = _hierarchy(mesh, beta, A, keep=False)
+    A, M = _robin(mesh, beta), mass_matrix(mesh)
+    lu, levels = _hierarchy(mesh, beta, A)
     w = levels[-1][2] @ w if levels else np.ones(A.shape[0])
     lam, w = _lobpcg(A, M, w, lambda r: _vcycle(levels, lu, r))
     w.flags.writeable = False

@@ -4,9 +4,13 @@ distribution-function class.
 The superlevel measure mu(t) = |{u > t}| of a P1 field is piecewise
 quadratic in the level t with breakpoints at nodal values; it is a
 `DistributionFunction`, which also inverts mu (`ustar`).  The segment
-coefficients are kept in a basis centered at each segment's midpoint: every
-contribution is then bounded by the triangle area, so near-duplicate nodal
-values (ubiquitous on symmetric meshes) cannot blow up the expansion.  The
+coefficients are kept in a basis centered at each segment's midpoint, where
+a triangle's contribution to mu is bounded by its area.  Its coefficients
+are not: two nodal values a rounding apart (common on symmetric meshes)
+give a huge quadratic coefficient, which enters the running sums at its
+first break and leaves at its last, and the cancellation leaves about eps
+times it behind in every later segment.  On the 25.9k-node disc (h = 0.1,
+refined twice) mu is off the exact superlevel area by up to 5.1e-9.  The
 superlevel sets themselves get an oriented boundary and, through it, their
 Fraenkel asymmetry (`superlevel_asymmetry`).
 """

@@ -72,9 +72,9 @@ class Mesh:
     since the generators and `refine_mesh` build int32.  Products of node
     numbers, such as the edge keys lo * V + hi, are formed in int64.
 
-    boundary_curve / boundary_t bind each boundary edge to the generating
-    domain's boundary parametrization so refinement can project midpoints;
-    `generate_mesh` and `refine_mesh` always set them.
+    Every mesh is bound to its domain: boundary_curve / boundary_t bind
+    each boundary edge to the domain's boundary parametrization, so that
+    refinement can project midpoints.
     No target size is kept: h only sets a generator's resolution.
 
     `graph` is the mesh's `EdgeGraph`: `refine_mesh` hands its output the
@@ -83,18 +83,17 @@ class Mesh:
     again.
 
     The arrays are made read-only on construction, because `fem` keeps
-    solver data computed from them in the mesh's private store: per beta,
-    the Robin matrix, the SuperLU factor if the mesh is the root of its
-    parent chain, and the principal eigenpair.  The store lives as long as
-    the mesh; `dataclasses.replace` gives a mesh with an empty one.
+    solver data computed from them in the mesh's private store, which
+    lives as long as the mesh; `dataclasses.replace` gives a mesh with an
+    empty one.
     """
 
-    nodes: np.ndarray          # (N, 2)
-    triangles: np.ndarray      # (T, 3)
+    nodes: np.ndarray           # (N, 2)
+    triangles: np.ndarray       # (T, 3)
     boundary_edges: np.ndarray  # (B, 2)
-    domain: Domain | None = None
-    boundary_curve: np.ndarray | None = None  # (B,) int
-    boundary_t: np.ndarray | None = None      # (B, 2) params of edge endpoints
+    domain: Domain
+    boundary_curve: np.ndarray  # (B,) int
+    boundary_t: np.ndarray      # (B, 2) params of edge endpoints
     # refine_mesh output only: the mesh it split; node parent.num_nodes + e
     # is the midpoint of the parent's edge e
     parent: Mesh | None = field(default=None, repr=False, compare=False)
@@ -106,8 +105,7 @@ class Mesh:
         self.boundary_edges = self.boundary_edges.astype(np.int32, copy=False)
         for a in (self.nodes, self.triangles, self.boundary_edges, self.boundary_curve,
                   self.boundary_t):
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
 
     @property
     def graph(self) -> EdgeGraph:
@@ -207,8 +205,9 @@ def validate_mesh(m: Mesh):
         raise MeshError("edge shared by more than two triangles")
     # a node index outside [0, V) could alias another edge's key
     inside = len(be) == 0 or (be.min() >= 0 and be.max() < V)
+    # sorted, not unique: a boundary edge listed twice does not match
     if not (inside and np.array_equal(keys[counts == 1],
-                                      np.unique(_edge_keys(be[:, 0], be[:, 1], V)))):
+                                      np.sort(_edge_keys(be[:, 0], be[:, 1], V)))):
         raise MeshError("boundary edge list does not match single-owner edges")
 
 
@@ -421,9 +420,6 @@ def refine_mesh(m: Mesh) -> Mesh:
     adds the inner edges 2E + 3t + j, and one `np.minimum.at` over the new
     triangles' edges renumbers them in first-met order.
     """
-    if m.domain is None or m.boundary_curve is None or m.boundary_t is None:
-        raise MeshError("refine_mesh needs a mesh bound to its domain:"
-                        " domain, boundary_curve and boundary_t must be set")
     V, g = m.num_nodes, m.graph
     E, T = len(g.edges), len(m.triangles)
     a, b, c = m.triangles.T

@@ -111,16 +111,20 @@ def decreasing_rearrangement(dist: DistributionFunction, num: int = 2048) -> Dec
 # quadrature over distribution segments
 
 
-def _batched_segment_integral(eval_fn, a, b, tol_scale, rel_tol=1e-12, max_rounds=14):
+# the adaptive batch bisects an offending segment at most this many times
+_MAX_ROUNDS = 14
+
+
+def _batched_segment_integral(eval_fn, a, b, tol_scale, rel_tol=1e-12):
     """Sum of integrals over segments [a_i, b_i] of a piecewise-smooth
     integrand; eval_fn(i, t) is vectorized over matching index/point arrays.
     All segments are integrated in one Gauss 16/32 batch, and only
-    offenders are bisected."""
+    offenders are bisected, up to _MAX_ROUNDS times."""
     xg1, wg1 = _gauss(16)
     xg2, wg2 = _gauss(32)
     idx = np.arange(len(a))
     total = 0.0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if len(a) == 0:
             break
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

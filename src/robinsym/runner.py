@@ -56,8 +56,8 @@ class ResultRow:
     job: Job
     status: str                      # ok | failed
     report: TheoremReport | None
+    config_hash: str
     error: str = ""
-    config_hash: str = ""
 
     def cells(self) -> dict:
         """The job's spec, then its report's row (nan, not passed, if it failed)."""

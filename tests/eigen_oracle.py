@@ -54,7 +54,7 @@ def inverse_iteration_eigenpair(mesh, beta):
     """(lambda, w) of (mesh, beta) by nested inverse iteration."""
     A, M = _robin_matrix(mesh, beta), mass_matrix(mesh)
     w = None if mesh.parent is None else inverse_iteration_eigenpair(mesh.parent, beta)[1]
-    lu, levels = _hierarchy(mesh, beta, A, keep=False)
+    lu, levels = _hierarchy(mesh, beta, A)
     if not levels:
         return _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
     return _inverse_iteration(

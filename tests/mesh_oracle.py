@@ -12,8 +12,23 @@ import math
 
 import numpy as np
 
-from robinsym.domains import Domain
+from robinsym.domains import Domain, parse_domain_spec
 from robinsym.meshing import Mesh, _fix_orientation, _frozen_graph, _stitch
+
+
+def hand_mesh(nodes, triangles, boundary_edges, domain="polygon 0,0 1,0 0,1") -> Mesh:
+    """A mesh built node by node, bound to `domain` (a Domain or a spec) with
+    boundary edge k on curve k, parameters 0 to 1: the binding of an
+    unrefined polygon mesh whose boundary edges are the polygon's sides in
+    order.  Any other boundary list, such as the deliberately wrong ones of
+    the validation tests, gets the same binding; only refinement reads it."""
+    if isinstance(domain, str):
+        domain = parse_domain_spec(domain)
+    boundary_edges = np.asarray(boundary_edges)
+    count = len(boundary_edges)
+    return Mesh(nodes=np.asarray(nodes, dtype=float), triangles=np.asarray(triangles),
+                boundary_edges=boundary_edges, domain=domain,
+                boundary_curve=np.arange(count), boundary_t=np.tile([0.0, 1.0], (count, 1)))
 
 
 def _mesh_rect(domain: Domain, h: float) -> Mesh:

@@ -369,7 +369,7 @@ def _krylov_ladder(spec, h, refinements, beta):
         if rung:
             m = refine_mesh(m)
         A, M = fem._robin_matrix(m, beta), mass_matrix(m)
-        lu, levels = fem._hierarchy(m, beta, A, keep=False)
+        lu, levels = fem._hierarchy(m, beta, A)
         w0 = levels[-1][2] @ w if levels else np.ones(m.num_nodes)
         precondition = functools.partial(fem._vcycle, levels, lu)
         oracle = functools.partial(eigen_oracle.vcycle, levels, lu)
@@ -381,9 +381,9 @@ def test_a_chain_root_is_a_hierarchy_with_no_levels(monkeypatch):
     m = generate_mesh(parse_domain_spec(_L_SHAPE), 0.2)
     A = fem._robin_matrix(m, 1.0)
     factors = _count(monkeypatch, "_factor")
-    lu, levels = fem._hierarchy(m, 1.0, A, keep=False)
+    lu, levels = fem._hierarchy(m, 1.0, A)
     assert levels == [] and lu is m._store[1.0]["lu"]
-    again, levels = fem._hierarchy(m, 1.0, A, keep=False)
+    again, levels = fem._hierarchy(m, 1.0, A)
     assert again is lu and levels == [] and len(factors) == 1
     r = load_vector(m, source_from_name("bump", m.domain))
     x = lu.solve(r)
@@ -521,7 +521,9 @@ def test_store_is_kept_per_beta_and_shared_by_systems():
     w1.values[:] = 0.0
     assert principal_robin_eigenpair(m, 1.0)[1].u_min > 0.0
     assert sorted(m.parent._store) == [1.0, 3.0]
-    assert set(m.parent._store[1.0]) == {"matrix", "lu", "eigenpair"}
+    # only assemble_robin_system stores a Robin matrix, and the parent was
+    # never handed to it
+    assert set(m.parent._store[1.0]) == {"lu", "eigenpair"}
     assert set(m._store[1.0]) == {"matrix", "eigenpair"}
 
 
@@ -713,7 +715,7 @@ def test_lobpcg_stays_within_its_memory_budget():
     m = refine_mesh(generate_mesh(parse_domain_spec(_ELLIPSE_2), 0.05))
     assert m.num_nodes == 52441
     A, M = fem._robin_matrix(m, 1.0), mass_matrix(m)
-    lu, levels = fem._hierarchy(m, 1.0, A, keep=False)
+    lu, levels = fem._hierarchy(m, 1.0, A)
     w0 = levels[-1][2] @ fem._nested_eigenpair(m.parent, 1.0)[1]
     _, lobpcg_mb = _transient_mb(
         lambda: fem._lobpcg(A, M, w0, functools.partial(fem._vcycle, levels, lu)))

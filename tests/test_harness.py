@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 import os
-import re
 
 import pytest
 
+import robinsym
 from robinsym.cli import main as cli_main
 from robinsym.config import KNOWN_THEOREMS, ConfigError, default_config_text, parse_config
 from robinsym.domains import parse_domain_spec
@@ -110,21 +111,29 @@ def test_empty_list_rejected_by_name(key):
         parse_config("\n".join(lines))
 
 
-@pytest.mark.parametrize("flag,value", [("--h", "-0.1"), ("--h", "0"),
-                                        ("--gamma2", "-1"), ("--gamma2", "0")])
-def test_cli_verify_overrides_are_validated(tmp_path, monkeypatch, capsys, flag, value):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(MINIMAL)
-
-    def no_jobs(cfg):
-        raise AssertionError("a job ran with an invalid override")
-
-    monkeypatch.setattr("robinsym.cli.run_experiments", no_jobs)
-    assert cli_main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep"),
-                     flag, value]) == 2
-    assert re.fullmatch(f"robinsym verify: {flag[2:]} must be positive.*\n",
-                        capsys.readouterr().err)
+@pytest.mark.parametrize("flag", ["--h", "--gamma2"])
+def test_cli_verify_takes_run_values_from_the_config_only(tmp_path, capsys, flag):
+    # an override after parsing would leave config_hash naming another run
+    with pytest.raises(SystemExit) as info:
+        cli_main(["verify", "--out", str(tmp_path / "rep"), flag, "0.2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def test_config_hash_names_the_config_text_the_cli_read(tmp_path):
+    hashes = []
+    for h in ("0.15", "0.2"):
+        text = MINIMAL.replace("h = 0.15", f"h = {h}")
+        cfg_path = tmp_path / f"run_{h}.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / f"rep_{h}"
+        assert cli_main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()[:16]
+        jobs = sorted(out.glob("job_*.json"))
+        assert jobs and all(json.loads(p.read_text())["config_hash"] == digest for p in jobs)
+        hashes.append(digest)
+    assert hashes[0] != hashes[1]
 
 
 def test_job_enumeration_deterministic():
@@ -283,6 +292,29 @@ def test_cross_process_determinism(tmp_path):
         a = (tmp_path / "p1" / name).read_bytes()
         b = (tmp_path / "p2" / name).read_bytes()
         assert a == b, name
+
+
+# sha256 over the sorted (file name, bytes) pairs of the default `robinsym
+# verify` reports with OPENBLAS_NUM_THREADS=1 (Python 3.11.7, numpy 2.4.6,
+# scipy 1.17.1); the BLAS thread count moves some report digits
+DEFAULT_REPORT_DIGEST = "a7044b45527120a67563231017a7c57700edbd8ba527b6b54703a4d7f5c38507"
+
+
+def test_default_reports_keep_their_digest(tmp_path):
+    import subprocess
+    import sys
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(robinsym.__file__)))
+    res = subprocess.run([sys.executable, "-m", "robinsym.cli", "verify", "--out",
+                          str(tmp_path)], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(tmp_path)):
+        digest.update(name.encode() + b"\0" + (tmp_path / name).read_bytes() + b"\0")
+    assert digest.hexdigest() == DEFAULT_REPORT_DIGEST, (
+        "the default reports are no longer byte-identical; if that is intended, set "
+        f"DEFAULT_REPORT_DIGEST to {digest.hexdigest()} and state in CHANGES.md why "
+        "the reports moved")
 
 
 @pytest.mark.parametrize("argv, message", [

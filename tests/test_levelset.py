@@ -22,11 +22,12 @@ from robinsym.domains import _asymmetry_search, _asymmetry_seeds, build_domain, 
     fraenkel_asymmetry, parse_domain_spec
 from robinsym.fem import ScalarField, constant_source, solve_robin_poisson
 from robinsym.levelset import _convex_hull, superlevel_asymmetry, superlevel_boundary
-from robinsym.meshing import Mesh, generate_mesh, refine_mesh
+from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.radial import symmetrized_constant_source
 from robinsym.rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
     distribution_function
 from robinsym.runner import source_from_name
+from mesh_oracle import hand_mesh
 from search_oracle import nelder_mead_asymmetry
 
 
@@ -34,8 +35,7 @@ def single_triangle(values):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     bedges = np.array([[0, 1], [1, 2], [2, 0]])
-    m = Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
-    return ScalarField(m, np.asarray(values, dtype=float))
+    return ScalarField(hand_mesh(nodes, tris, bedges), np.asarray(values, dtype=float))
 
 
 def test_triangle_superlevel_quarter():
@@ -81,8 +81,7 @@ def test_exterior_integral_examples():
     assert exterior_boundary_integral_inv_u(u, 0.7) == 0.0
     # single edge, length 1, endpoint values (1, 2):  integral = ln 2
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    m1 = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]),
-              boundary_edges=np.array([[0, 1]]))
+    m1 = hand_mesh(nodes, [[0, 1, 2]], [[0, 1]])
     u1 = ScalarField(m1, np.array([1.0, 2.0, 1.0]))
     assert exterior_boundary_integral_inv_u(u1, 0.0) == pytest.approx(math.log(2.0), rel=1e-12)
     # clipped at t = 1.5: u > 1.5 on the upper half of the edge
@@ -328,8 +327,7 @@ def test_outer_edge_keys_do_not_wrap_at_int32():
     # lo * V + hi that agree mod 2^32: an int32 key would count each edge
     # twice and drop both
     tris = np.array([(0, 80000, 1), (42950, 47296, 2)], dtype=np.int32)
-    m = Mesh(nodes=np.zeros((100_000, 2)), triangles=tris,
-             boundary_edges=np.empty((0, 2), dtype=np.int32))
+    m = hand_mesh(np.zeros((100_000, 2)), tris, np.empty((0, 2), dtype=np.int32))
     assert len(levelset._outer_edges(m)) == 6
 
 

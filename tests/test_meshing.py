@@ -328,13 +328,13 @@ def test_fix_orientation_turns_the_edge_rows_with_the_triangles():
     assert np.array_equal(tris, m.triangles) and np.array_equal(te, m.graph.triangle_edges)
 
 
-def test_refining_an_unbound_mesh_names_the_missing_binding():
-    m = Mesh(nodes=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
-             triangles=np.array([(0, 1, 2)]), boundary_edges=np.array([(0, 1), (1, 2), (2, 0)]))
+def test_every_mesh_is_bound_to_its_domain():
+    nodes, tris, bedges = _unit_square_pair()
+    with pytest.raises(TypeError, match="domain"):
+        Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
+    m = refine_mesh(mesh_oracle.hand_mesh(nodes, tris, bedges, _UNIT_SQUARE))
     validate_mesh(m)
-    assert np.array_equal(m.graph.boundary_ids, [0, 1, 2])
-    with pytest.raises(MeshError, match="bound to its domain"):
-        refine_mesh(m)
+    assert m.area() == 1.0 and m.boundary_length() == 4.0
 
 
 def _min_angle_deg(m):
@@ -392,6 +392,10 @@ def test_stadium_graded_caps(spec, h):
 # ---------------------------------------------------------------------------
 # validate_mesh: one mesh per violation
 
+# the unit square, its sides in the order of _unit_square_pair's boundary edges
+_UNIT_SQUARE = "polygon 0,0 1,0 1,1 0,1"
+
+
 def _unit_square_pair():
     """Two positively oriented triangles on the unit square, sharing 1-2."""
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
@@ -400,22 +404,26 @@ def _unit_square_pair():
     return nodes, tris, bedges
 
 
+def _square_mesh(nodes, tris, bedges):
+    return mesh_oracle.hand_mesh(nodes, tris, bedges, _UNIT_SQUARE)
+
+
 def test_validate_accepts_the_unit_square_pair():
     nodes, tris, bedges = _unit_square_pair()
-    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges))
-    # the boundary list is compared as a set of undirected edges
-    validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges[::-1, ::-1]))
+    validate_mesh(_square_mesh(nodes, tris, bedges))
+    # the boundary edges are compared undirected and in any order
+    validate_mesh(_square_mesh(nodes, tris, bedges[::-1, ::-1]))
 
 
 def test_validate_rejects_a_nonpositive_area():
     nodes, tris, bedges = _unit_square_pair()
     flipped = np.array([(0, 2, 1), (1, 3, 2)])
     with pytest.raises(MeshError, match="nonpositive triangle area"):
-        validate_mesh(Mesh(nodes=nodes, triangles=flipped, boundary_edges=bedges))
+        validate_mesh(_square_mesh(nodes, flipped, bedges))
     flat = np.vstack([nodes, [(0.5, 0.5)]])
     degenerate = np.array([(0, 1, 2), (1, 3, 2), (1, 4, 2)])
     with pytest.raises(MeshError, match="nonpositive triangle area"):
-        validate_mesh(Mesh(nodes=flat, triangles=degenerate, boundary_edges=bedges))
+        validate_mesh(_square_mesh(flat, degenerate, bedges))
 
 
 def test_validate_rejects_an_edge_of_three_triangles():
@@ -423,18 +431,19 @@ def test_validate_rejects_an_edge_of_three_triangles():
     nodes = np.vstack([nodes, [(2.0, 2.0)]])
     tris = np.vstack([tris, [(1, 4, 2)]])  # a third triangle on edge 1-2
     with pytest.raises(MeshError, match="more than two triangles"):
-        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges))
+        validate_mesh(_square_mesh(nodes, tris, bedges))
 
 
 @pytest.mark.parametrize("bedges", [
     [(0, 1), (1, 3), (3, 2)],                   # one boundary edge missing
     [(0, 1), (1, 3), (3, 2), (2, 0), (1, 2)],   # an interior edge listed
     [(0, 1), (1, 3), (3, 2), (0, 3)],           # a non-edge in place of 2-0
-    [(0, 1), (1, 3), (3, 2), (-1, 6)]])         # a bad pair with the key of 2-0
+    [(0, 1), (1, 3), (3, 2), (-1, 6)],          # a bad pair with the key of 2-0
+    [(0, 1), (1, 3), (3, 2), (2, 0), (1, 0)]])  # 0-1 listed twice: perimeter 5
 def test_validate_rejects_a_boundary_list_that_does_not_match(bedges):
     nodes, tris, _ = _unit_square_pair()
     with pytest.raises(MeshError, match="boundary edge list"):
-        validate_mesh(Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array(bedges)))
+        validate_mesh(_square_mesh(nodes, tris, bedges))
 
 
 @pytest.mark.parametrize("bedges", [[(0, 1), (1, 3), (3, 2), (0, 3)],
@@ -442,15 +451,15 @@ def test_validate_rejects_a_boundary_list_that_does_not_match(bedges):
 def test_edge_graph_rejects_a_boundary_edge_that_is_no_triangle_edge(bedges):
     nodes, tris, _ = _unit_square_pair()
     with pytest.raises(MeshError, match="not a triangle edge"):
-        Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array(bedges)).graph
+        _square_mesh(nodes, tris, bedges).graph
 
 
 def test_validate_rejects_a_bad_boundary_on_a_generated_mesh():
     m = generate_mesh(parse_domain_spec("ellipse a=1.5 b=0.6"), 0.2)
     with pytest.raises(MeshError, match="boundary edge list"):
-        validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
-                           boundary_edges=m.boundary_edges[1:]))
+        validate_mesh(mesh_oracle.hand_mesh(m.nodes, m.triangles, m.boundary_edges[1:],
+                                            m.domain))
     interior = np.setdiff1d(np.arange(m.num_nodes), np.unique(m.boundary_edges))[:2]
     with pytest.raises(MeshError, match="boundary edge list"):
-        validate_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
-                           boundary_edges=np.vstack([m.boundary_edges[1:], interior])))
+        validate_mesh(mesh_oracle.hand_mesh(
+            m.nodes, m.triangles, np.vstack([m.boundary_edges[1:], interior]), m.domain))

@@ -54,7 +54,7 @@ COMMANDS = [
     ["oracle", "--kind", "eigen"],
     ["oracle", "--kind", "profile", "--samples", "9"],
     ["verify", "--config", "run.cfg", "--out", "reports"],
-    ["verify", "--h", "0.5", "--out", "default"],
+    ["verify", "--out", "default"],
 ]
 
 

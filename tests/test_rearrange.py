@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mesh_oracle import hand_mesh
 from proof_oracle import (
     cavalieri_pnorm_power,
     field_integral_pow,
@@ -31,11 +32,10 @@ from robinsym.runner import source_from_name
 
 
 def two_triangle_square():
-    from robinsym.meshing import Mesh
     nodes = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     bedges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    return Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
+    return hand_mesh(nodes, tris, bedges, "polygon -0.5,-0.5 0.5,-0.5 0.5,0.5 -0.5,0.5")
 
 
 def random_field(mesh, seed, lo=0.0, hi=1.0):

@@ -40,7 +40,6 @@ from .verify import (
     Ladder,
     TheoremReport,
     check_bossel_daners,
-    check_isoperimetric,
     check_lorentz_2k2,
     check_lorentz_k1,
     check_pointwise,

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 
 from .config import KNOWN_SOURCES, ConfigError, default_config_text, parse_config
-from .domains import GeometryError, fraenkel_asymmetry, parse_domain_spec
+from .domains import GeometryError, fraenkel_asymmetry, isoperimetric_deficit, \
+    parse_domain_spec
 from .fem import SolverError, SourceError, boundary_integral, field_integral, \
     solve_robin_poisson
 from .meshing import MeshError, export_mesh_text, generate_mesh, refine_mesh
@@ -23,9 +24,9 @@ _ERRORS = (ConfigError, GeometryError, MeshError, SourceError, SolverError, Radi
 
 
 def _load_mesh(args):
-    mesh = generate_mesh(parse_domain_spec(args.domain), args.h)
     if args.refine < 0:
         raise MeshError(f"--refine must be >= 0, got {args.refine}")
+    mesh = generate_mesh(parse_domain_spec(args.domain), args.h)
     for _ in range(args.refine):
         mesh = refine_mesh(mesh)
     return mesh
@@ -62,8 +63,12 @@ def cmd_solve(args) -> int:
 def cmd_asymmetry(args) -> int:
     d = parse_domain_spec(args.domain)
     a = fraenkel_asymmetry(d)
+    deficit = isoperimetric_deficit(d)
+    # the smallest gamma of the quantitative isoperimetric inequality on d
+    gamma_star = a.value ** 2 / deficit if deficit > 0 else 0.0
     print(f"asymmetry={a.value:.10g} center=({a.center[0]:.10g}, {a.center[1]:.10g}) "
-          f"radius={a.radius:.10g} error={a.error:.3g} evaluations={a.evaluations}")
+          f"radius={a.radius:.10g} error={a.error:.3g} evaluations={a.evaluations} "
+          f"deficit={deficit:.10g} gamma_star={gamma_star:.10g}")
     return 0
 
 
@@ -102,14 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Robin-Poisson symmetrization laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mesh", help="generate, refine and export a mesh")
+    # no abbreviations: where a command has no --h, `--h` would be read as
+    # `--help`, and `oracle --b` as `--beta`
+    p = sub.add_parser("mesh", help="generate, refine and export a mesh", allow_abbrev=False)
     p.add_argument("--domain", required=True, help="domain spec, e.g. 'disc r=1'")
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--refine", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mesh)
 
-    p = sub.add_parser("solve", help="one Robin-Poisson solve with field export")
+    p = sub.add_parser("solve", help="one Robin-Poisson solve with field export",
+                       allow_abbrev=False)
     p.add_argument("--domain", required=True)
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--refine", type=int, default=0)
@@ -118,18 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("asymmetry", help="Fraenkel asymmetry of one domain")
+    p = sub.add_parser("asymmetry", help="Fraenkel asymmetry and gamma_star of one domain",
+                       allow_abbrev=False)
     p.add_argument("--domain", required=True)
     p.set_defaults(fn=cmd_asymmetry)
 
-    p = sub.add_parser("oracle", help="disc closed forms and the Bessel eigenvalue")
+    p = sub.add_parser("oracle", help="disc closed forms and the Bessel eigenvalue",
+                       allow_abbrev=False)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--kind", choices=("torsion", "eigen", "profile"), default="torsion")
     p.add_argument("--samples", type=int, default=65)
     p.set_defaults(fn=cmd_oracle)
 
-    # no abbreviations: `verify --h` would be read as `--help`
     p = sub.add_parser("verify", help="run the full inequality suite from a config",
                        allow_abbrev=False)
     p.add_argument("--config")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domains import _asymmetry_search, _asymmetry_seeds, _polygon_signed_area
 from .fem import ScalarField
-from .meshing import _blocks, _corners, _edge_keys
+from .meshing import _blocks, _corners
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +254,13 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
 # superlevel sets: oriented boundary and asymmetry
 
 
-def _sorted_triangle_values(u: ScalarField):
-    tv = u.values[u.mesh.triangles]
-    order = np.argsort(tv, axis=1, kind="stable")
-    tv_sorted = np.take_along_axis(tv, order, axis=1)
-    return tv_sorted, order
-
-
 def _level_segments(u: ScalarField, t: float):
     """(cut, a, b, top) per triangle: whether the level t cuts it (v1 < t <
     v3 for its sorted nodal values), the ends a and b of its level segment,
     on the edges p1-p2 or p2-p3 and p1-p3, and its top node p3."""
-    tv, order = _sorted_triangle_values(u)
+    tv = u.values[u.mesh.triangles]
+    order = np.argsort(tv, axis=1, kind="stable")
+    tv = np.take_along_axis(tv, order, axis=1)
     pts = u.mesh.nodes[u.mesh.triangles]
     pts = np.take_along_axis(pts, order[:, :, None], axis=1)
     v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
@@ -281,23 +276,14 @@ def _level_segments(u: ScalarField, t: float):
     return lower | upper, a, b, p3
 
 
-def _outer_edges(mesh):
-    """Boundary edges directed with the mesh on their left: the edges of the
-    positively oriented triangles that belong to one triangle only."""
-    tris = mesh.triangles
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = _edge_keys(edges[:, 0], edges[:, 1], mesh.num_nodes)
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    return edges[counts[inverse] == 1]
-
-
 def superlevel_boundary(u: ScalarField, t: float) -> np.ndarray:
     """Oriented boundary of U_t = {interpolant > t} as an (S, 2, 2) array of
     segment start and end points, with U_t on the left of every segment.
 
     Two kinds of segment bound U_t: the level segment of every triangle the
     level cuts, turned so that the triangle's top node lies on its left, and
-    the part of every mesh boundary edge where u > t.
+    the part where u > t of every edge in the mesh's `boundary_edges`, which
+    run counterclockwise, with the mesh on their left.
     """
     cut, a, b, top = _level_segments(u, t)
     a, b, top = a[cut], b[cut], top[cut]
@@ -305,7 +291,7 @@ def superlevel_boundary(u: ScalarField, t: float) -> np.ndarray:
             - (b[:, 1] - a[:, 1]) * (top[:, 0] - a[:, 0])) < 0.0
     level = np.stack([np.where(turn[:, None], b, a), np.where(turn[:, None], a, b)], axis=1)
 
-    edges = _outer_edges(u.mesh)
+    edges = u.mesh.boundary_edges
     p, q = u.mesh.nodes[edges[:, 0]], u.mesh.nodes[edges[:, 1]]
     up, uq = u.values[edges[:, 0]], u.values[edges[:, 1]]
     keep = (up > t) | (uq > t)

@@ -65,7 +65,8 @@ def _frozen_graph(edges, triangle_edges, boundary_ids) -> EdgeGraph:
 
 @dataclass
 class Mesh:
-    """Nodes, positively oriented triangles, and boundary edges.
+    """Nodes, positively oriented triangles, and boundary edges, each
+    directed with the mesh on its left: counterclockwise around the domain.
 
     `triangles` and `boundary_edges` are int32, as the edge graph's arrays
     are: `__post_init__` casts them, a copy only for a mesh built by hand,

@@ -22,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import Domain, cached_asymmetry, domain_spec_string, equal_measure_radius, \
-    isoperimetric_deficit
+from .domains import Domain, cached_asymmetry, domain_spec_string, equal_measure_radius
 from .fem import ScalarField, SourceSpec, constant_source, field_integral, \
     nodal_source_field, principal_robin_eigenpair, solve_robin_poisson
 from .levelset import superlevel_asymmetry
@@ -309,39 +308,7 @@ def check_bossel_daners(ladder: Ladder, gamma_n: float) -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# supporting geometric checks
-
-
-@dataclass
-class IsoperimetricReport:
-    domain_spec: str
-    perimeter: float
-    measure: float
-    asymmetry: float
-    deficit: float
-    gamma_n: float
-    gamma_star: float
-    classical_pass: bool
-    quantitative_pass: bool
-
-
-def check_isoperimetric(domain: Domain, gamma_n: float) -> IsoperimetricReport:
-    """Classical and quantitative isoperimetric inequality for one domain.
-
-    gamma_star = alpha^2 / deficit is the smallest constant for which the
-    quantitative inequality holds on this domain; the supplied gamma_n
-    passes iff gamma_n >= gamma_star.
-    """
-    alpha = cached_asymmetry(domain)
-    deficit = isoperimetric_deficit(domain)
-    gamma_star = alpha.value ** 2 / deficit if deficit > 0 else 0.0
-    base = 2.0 * math.sqrt(math.pi * domain.measure)
-    quant = domain.perimeter >= base * (1.0 + alpha.value ** 2 / gamma_n) * (1.0 - 1e-12)
-    return IsoperimetricReport(
-        domain_spec=domain_spec_string(domain), perimeter=domain.perimeter,
-        measure=domain.measure, asymmetry=alpha.value, deficit=deficit,
-        gamma_n=gamma_n, gamma_star=gamma_star,
-        classical_pass=bool(deficit >= -1e-12), quantitative_pass=bool(quant))
+# asymmetry propagation
 
 
 @dataclass
@@ -351,7 +318,6 @@ class PropagationReport:
     alpha_subset: float | None
     removed_fraction: float
     hypothesis_met: bool
-    applicable: bool
     passed: bool | None
 
 
@@ -363,22 +329,20 @@ def check_propagation(domain: Domain, u: ScalarField, t: float) -> PropagationRe
     """Asymmetry propagation to the superlevel set U_t = {u > t} of a field
     on a mesh of the domain: if |Omega \\ U_t| / |Omega| <= alpha(Omega)/4
     then alpha(U_t) >= alpha(Omega)/2, with the removed fraction measured on
-    the mesh, 1 - mu(t) / |mesh|.  When the hypothesis fails the report says
-    'not applicable' and asserts nothing."""
+    the mesh, 1 - mu(t) / |mesh|.  When the hypothesis fails the report
+    asserts nothing: alpha_subset and passed are None."""
     alpha = cached_asymmetry(domain)
     removed = 1.0 - float(distribution_function(u).mu(t)) / u.mesh.area()
     hypothesis = removed <= alpha.value / 4.0 + 1e-12
-    if not hypothesis:
-        return PropagationReport(domain_spec=domain_spec_string(domain),
-                                 alpha_domain=alpha.value, alpha_subset=None,
-                                 removed_fraction=removed, hypothesis_met=False,
-                                 applicable=False, passed=None)
-    a_sub = superlevel_asymmetry(u, t)
-    ok = a_sub.value >= alpha.value / 2.0 - a_sub.error - _PROPAGATION_TOL
+    a_sub, passed = None, None
+    if hypothesis:
+        sub = superlevel_asymmetry(u, t)
+        a_sub = sub.value
+        passed = bool(a_sub >= alpha.value / 2.0 - sub.error - _PROPAGATION_TOL)
     return PropagationReport(domain_spec=domain_spec_string(domain),
-                             alpha_domain=alpha.value, alpha_subset=a_sub.value,
-                             removed_fraction=removed, hypothesis_met=True,
-                             applicable=True, passed=bool(ok))
+                             alpha_domain=alpha.value, alpha_subset=a_sub,
+                             removed_fraction=removed, hypothesis_met=hypothesis,
+                             passed=passed)
 
 
 CHECKERS = {

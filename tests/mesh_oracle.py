@@ -5,7 +5,8 @@
 cell and one node at a time, the stadium joining its caps to the central
 rectangle through a dict of rounded coordinates.  `refine_mesh` checks the
 orientation of every child.  The package's generators and refinement must
-reproduce them bit for bit.
+reproduce them bit for bit.  `one_owner_edges` reads a mesh's directed
+boundary off its triangles alone.
 """
 
 import math
@@ -29,6 +30,18 @@ def hand_mesh(nodes, triangles, boundary_edges, domain="polygon 0,0 1,0 0,1") ->
     return Mesh(nodes=np.asarray(nodes, dtype=float), triangles=np.asarray(triangles),
                 boundary_edges=boundary_edges, domain=domain,
                 boundary_curve=np.arange(count), boundary_t=np.tile([0.0, 1.0], (count, 1)))
+
+
+def one_owner_edges(mesh: Mesh) -> np.ndarray:
+    """The edges of the positively oriented triangles that belong to one
+    triangle only, directed as their triangle runs: the boundary edges, with
+    the mesh on their left."""
+    tris = mesh.triangles
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    lo, hi = np.sort(edges, axis=1).astype(np.int64).T
+    _, inverse, counts = np.unique(lo * mesh.num_nodes + hi, return_inverse=True,
+                                   return_counts=True)
+    return edges[counts[inverse] == 1]
 
 
 def _mesh_rect(domain: Domain, h: float) -> Mesh:

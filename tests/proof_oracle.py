@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from robinsym.fem import ScalarField
-from robinsym.levelset import DistributionFunction, _level_segments, \
-    _sorted_triangle_values, build_mu_segments, superlevel_asymmetry
+from robinsym.levelset import DistributionFunction, _level_segments, build_mu_segments, \
+    superlevel_asymmetry
 from robinsym.radial import RadialSolution
 from robinsym.rearrange import DecreasingProfile, _gauss, distribution_function, \
     lorentz_power_integral
@@ -24,8 +24,7 @@ from robinsym.rearrange import DecreasingProfile, _gauss, distribution_function,
 
 def superlevel_measure_exact(u: ScalarField, t: float) -> float:
     """Exact area of {interpolant > t}: each triangle is clipped by its level line."""
-    tv, _ = _sorted_triangle_values(u)
-    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
+    v1, v2, v3 = np.sort(u.values[u.mesh.triangles], axis=1).T
     area = u.mesh.triangle_areas()
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = area * (1.0 - (t - v1) ** 2 / np.maximum((v2 - v1) * (v3 - v1), 1e-300))

@@ -255,7 +255,7 @@ def test_criterion_10_property_suites():
         for frac in (1 / 16.0, 1 / 8.0, 3 / 16.0, 0.21, 0.24):
             t = dist.ustar(u.mesh.area() * (1.0 - alpha * frac))
             rep = check_propagation(d, u, t)
-            prop_ok &= rep.applicable and bool(rep.passed)
+            prop_ok &= rep.hypothesis_met and bool(rep.passed)
             count += 1
     details.append(f"propagation {prop_ok} ({count} pairs)")
 

@@ -199,6 +199,19 @@ def test_cli_oracle_and_asymmetry(capsys):
     assert "asymmetry=0.18" in out
 
 
+@pytest.mark.parametrize("spec, gamma_star", [
+    ("rect w=2 h=1", "1.352234862"),
+    ("ellipse a=1.2247448713915892 b=0.81649658092772615", "2.130415839"),  # the default's
+    ("disc r=1", "0"),
+])
+def test_cli_asymmetry_prints_gamma_star(capsys, spec, gamma_star):
+    # gamma_star = alpha^2 / deficit, the smallest gamma2 for which the
+    # quantitative isoperimetric inequality holds on the domain; 0 at no deficit
+    assert cli_main(["asymmetry", "--domain", spec]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("asymmetry=") and out.endswith(f" gamma_star={gamma_star}\n")
+
+
 def test_cli_mesh_and_solve_roundtrip(tmp_path, capsys):
     mesh_path = tmp_path / "m.txt"
     assert cli_main(["mesh", "--domain", "disc r=1", "--h", "0.2",
@@ -353,11 +366,15 @@ def test_default_reports_keep_their_digest(tmp_path):
      "robinsym mesh: polygon is self-intersecting or touches itself"),
     (["mesh", "--domain", "polygon 0,0 2,0 2,2 1,1 1,1.5 1,1 0,2"],
      "robinsym mesh: polygon is self-intersecting or touches itself"),
+    (["asymmetry", "--domain", "disc r=1", "--h", "0.1"],
+     "robinsym: error: unrecognized arguments: --h 0.1"),
+    (["oracle", "--kind", "eigen", "--b", "2"], "robinsym: error: unrecognized arguments: --b 2"),
 ], ids=["unknown-source", "unknown-shape", "mesh-size", "missing-config", "negative-radius",
         "negative-source", "retired-key", "unwritable-output", "one-sample-profile",
         "negative-sample-profile", "zero-beta", "nan-beta", "nan-radius", "infinite-beta",
         "nan-profile-beta", "negative-mesh-refine", "negative-solve-refine",
-        "vertex-on-edge-polygon", "zero-width-spike-polygon"])
+        "vertex-on-edge-polygon", "zero-width-spike-polygon", "abbreviated-help",
+        "abbreviated-beta"])
 def test_cli_errors_end_in_one_line_and_exit_code_2(tmp_path, monkeypatch, capsys, argv,
                                                     message):
     # an uncaught error would propagate here; argparse reports a bad choice

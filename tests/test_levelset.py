@@ -165,13 +165,10 @@ def _torsion(spec, h=0.1):
 
 
 def _l_shape_field():
-    # the L-shape 0,0 2,0 2,1 1,1 1,2 0,2: a square mesh without its upper
-    # right quarter; its boundary_edges still list the square's, which the
-    # superlevel boundary must not read
-    m = generate_mesh(build_domain("rect", w=2.0, h=2.0, cx=1.0, cy=1.0), 0.1)
-    c = m.nodes[m.triangles].mean(axis=1)
-    keep = ~((c[:, 0] > 1.0) & (c[:, 1] > 1.0))
-    return ScalarField(replace(m, triangles=m.triangles[keep]), np.ones(m.num_nodes))
+    # 1 on a mesh of the L-shape, so that every superlevel set below 1 is
+    # the whole L
+    m = generate_mesh(parse_domain_spec("polygon 0,0 2,0 2,1 1,1 1,2 0,2"), 0.1)
+    return ScalarField(m, np.ones(m.num_nodes))
 
 
 def _signed_area(segments):
@@ -320,15 +317,6 @@ def test_nonconvex_superlevel_sets_keep_nine_seeds(monkeypatch):
     m = generate_mesh(build_domain("rect", w=2.0, h=0.5), 0.1)
     superlevel_asymmetry(ScalarField(m, np.abs(m.nodes[:, 0])), 0.5)  # two components
     assert [len(s) for _, _, s in seen] == [9, 9]
-
-
-def test_outer_edge_keys_do_not_wrap_at_int32():
-    # on 100,000 nodes, edges (0, 80000) and (42950, 47296) have keys
-    # lo * V + hi that agree mod 2^32: an int32 key would count each edge
-    # twice and drop both
-    tris = np.array([(0, 80000, 1), (42950, 47296, 2)], dtype=np.int32)
-    m = hand_mesh(np.zeros((100_000, 2)), tris, np.empty((0, 2), dtype=np.int32))
-    assert len(levelset._outer_edges(m)) == 6
 
 
 def _loop_mu_segments(u):

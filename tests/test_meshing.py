@@ -280,6 +280,25 @@ def test_meshes_keep_int32_connectivity(spec):
         assert m.triangles.dtype == m.boundary_edges.dtype == np.int32
 
 
+@pytest.mark.parametrize("spec", _EVERY_FAMILY)
+def test_boundary_edges_run_with_the_mesh_on_their_left(spec):
+    # the superlevel boundary reads them so; the order may differ
+    m = generate_mesh(parse_domain_spec(spec), 0.2)
+    for m in (m, refine_mesh(m)):
+        expected = mesh_oracle.one_owner_edges(m)
+        assert len(m.boundary_edges) == len(expected)
+        assert np.array_equal(np.unique(m.boundary_edges, axis=0),
+                              np.unique(expected, axis=0))
+
+
+def test_edge_graph_keys_do_not_wrap_at_int32():
+    # on 100,000 nodes, edges (0, 80000) and (42950, 47296) have keys
+    # lo * V + hi that agree mod 2^32: int32 keys would merge them, 5 edges
+    tris = np.array([(0, 80000, 1), (42950, 47296, 2)], dtype=np.int32)
+    m = mesh_oracle.hand_mesh(np.zeros((100_000, 2)), tris, np.empty((0, 2), dtype=np.int32))
+    assert len(m.graph.edges) == 6
+
+
 _ELLIPSE_2 = "ellipse a=1.4142135623730951 b=0.70710678118654757"
 
 

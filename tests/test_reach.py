@@ -19,14 +19,10 @@ import robinsym
 PACKAGE = Path(robinsym.__file__).resolve().parent
 
 ALLOWED = {
-    "verify.check_isoperimetric": "gamma_star, for the ROADMAP job-report item",
-    "domains.isoperimetric_deficit": "reached through check_isoperimetric",
     "verify.check_propagation": "for the ROADMAP propagation item",
     "levelset.superlevel_asymmetry": "reached through check_propagation",
     "levelset.superlevel_boundary": "reached through check_propagation",
     "levelset._level_segments": "reached through check_propagation",
-    "levelset._outer_edges": "reached through check_propagation",
-    "levelset._sorted_triangle_values": "reached through check_propagation",
     "levelset._convex_hull": "reached through check_propagation",
     "fem.SolverError.__init__": "raised only when a solve fails",
     "radial.ball_closed_forms.u": "the disc profile; the CLI prints only the torsion",

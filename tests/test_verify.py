@@ -13,7 +13,6 @@ from robinsym.verify import (
     KRangeError,
     Ladder,
     check_bossel_daners,
-    check_isoperimetric,
     check_lorentz_2k2,
     check_lorentz_k1,
     check_pointwise,
@@ -200,20 +199,6 @@ def test_ladder_solves_once_per_rung_and_eigensolves_on_demand(monkeypatch):
     assert [id(mesh) for mesh in solves] == rungs
 
 
-def test_isoperimetric_reports():
-    disc = check_isoperimetric(build_domain("disc", r=1.0), GAMMA2)
-    assert disc.classical_pass and disc.quantitative_pass
-    assert abs(disc.deficit) < 1e-12
-    square = check_isoperimetric(build_domain("rect", w=1.0, h=1.0), GAMMA2)
-    assert square.classical_pass
-    assert square.deficit > 0 and np.isfinite(square.gamma_star)
-    # gamma at least gamma_star passes, smaller gamma fails
-    assert check_isoperimetric(build_domain("rect", w=1.0, h=1.0),
-                               square.gamma_star * 1.01).quantitative_pass
-    assert not check_isoperimetric(build_domain("rect", w=1.0, h=1.0),
-                                   square.gamma_star * 0.5).quantitative_pass
-
-
 def _torsion_level(d, removed, h=0.1):
     """The torsion function u on a mesh of d and the level t at which the
     superlevel set {u > t} leaves out `removed` of the mesh area."""
@@ -227,7 +212,7 @@ def _torsion_level(d, removed, h=0.1):
 def test_propagation_full_subset():
     d = build_domain("rect", w=2.0, h=0.5)
     rep = check_propagation(d, *_torsion_level(d, 0.0))
-    assert rep.applicable and rep.passed
+    assert rep.hypothesis_met and rep.passed
     assert rep.alpha_subset == pytest.approx(rep.alpha_domain, abs=2e-2)
 
 
@@ -236,14 +221,14 @@ def test_propagation_boundary_layer():
     from robinsym.domains import cached_asymmetry
     alpha = cached_asymmetry(d).value
     rep = check_propagation(d, *_torsion_level(d, alpha / 8.0))
-    assert rep.hypothesis_met and rep.applicable
+    assert rep.hypothesis_met
     assert rep.passed
 
 
 def test_propagation_violated_hypothesis():
     d = parse_domain_spec("ellipse a=1.4142135623730951 b=0.7071067811865476")
     rep = check_propagation(d, *_torsion_level(d, 0.5))
-    assert not rep.applicable and rep.passed is None
+    assert not rep.hypothesis_met and rep.alpha_subset is None and rep.passed is None
 
 
 def test_monotone_asymmetry_trend_across_ellipses():

@@ -109,12 +109,18 @@ def parse_config(text: str) -> RunConfig:
 
 def _check_values(cfg: RunConfig) -> None:
     """Raise ConfigError unless every run value is admissible: no empty
-    list, known theorems and sources, positive finite h, gamma2, betas and
-    k, at least one refinement, and k inside the range of each Lorentz
-    theorem (`verify.check_k`, as the checkers apply it)."""
+    list and no value listed twice, known theorems and sources, positive
+    finite h, gamma2, betas and k, at least one refinement, and k inside the
+    range of each Lorentz theorem (`verify.check_k`, as the checkers apply
+    it)."""
     for key in ("domains", "betas", "ks", "sources", "theorems"):
-        if not getattr(cfg, key):
+        vals = getattr(cfg, key)
+        if not vals:
             raise ConfigError(f"[run] {key} must list at least one value")
+        twice = next((v for i, v in enumerate(vals) if v in vals[:i]), None)
+        if twice is not None:
+            raise ConfigError(f"[run] {key} lists {twice!r} twice; each value "
+                              "runs its jobs once")
 
     for th in cfg.theorems:
         if th not in KNOWN_THEOREMS:

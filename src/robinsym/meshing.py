@@ -29,7 +29,11 @@ class MeshError(ValueError):
 # `fem._p1_geometry`), the load vector (`fem.load_vector`), the mu event and
 # running sums (`levelset.build_mu_segments`), the edge values that every
 # u* and f* computes afresh (`levelset.DistributionFunction.edge_values`)
-# and the fixed-rule Lorentz integral (`rearrange.lorentz_power_integral`).
+# and the integral of a P1 field (`fem.field_integral`).  A kernel over
+# segments x Gauss points passes its point count as `width`, so that a block
+# holds at most this many points: the fixed and adaptive Lorentz rules on the
+# mu side (`rearrange.lorentz_power_integral`, `_batched_segment_integral`)
+# and on the disc side (`radial.RadialSolution.lorentz_power_integral`).
 # Each block adds in the order the whole array would, so every output is
 # bit-identical at any size.
 # The size was set on build_mu_segments for the 52.4k-node ellipse, blocking
@@ -38,9 +42,11 @@ class MeshError(ValueError):
 _CHUNK = 1 << 14
 
 
-def _blocks(n: int):
-    """range(n) as consecutive slices of _CHUNK."""
-    return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+def _blocks(n: int, width: int = 1):
+    """range(n) as consecutive slices of _CHUNK // width rows (at least one),
+    for a kernel that works on `width` values per row."""
+    step = max(_CHUNK // width, 1)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 class EdgeGraph(NamedTuple):

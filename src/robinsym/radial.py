@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .meshing import _blocks
 from .rearrange import DecreasingProfile, _batched_segment_integral, _gauss, constant_profile, \
     cosine_grid
 
@@ -116,7 +117,8 @@ class RadialSolution:
         analytic inside the Bernstein ellipse rho = 3, and the rule converges
         to about 3^-64 (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  Both need
         the polynomial degree r + 2q - 1 below 64.  Other exponents and
-        grids go through the adaptive batch."""
+        grids go through the adaptive batch.  Both rules run one block of
+        segments at a time, so their working set does not grow with f*."""
         if p <= 0 or q <= 0:
             raise RadialError("Lorentz exponents must be positive")
         plateau = self.measure ** (q / p) * self.v_m ** q / q
@@ -143,18 +145,23 @@ class RadialSolution:
 
     def _fixed_rule_integral(self, q: float, r: int) -> float:
         """integral of v^(q-1) s^(r-1) F(s)/c over [0, measure], one
-        32-point Gauss rule per f* segment."""
+        32-point Gauss rule per f* segment, evaluated one block of segments
+        at a time (`_blocks` of width 32)."""
         x, w = _gauss(_FIXED_POINTS)
         a, b = self._s[:-1], self._s[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid[:, None] + half[:, None] * x
-        y = t ** (r - 1) * (self._q0[:, None] + t * (self._q1[:, None] + t * self._q2[:, None]))
         if q == 2.0:
             # on segment j, v(s) = v(b_j) + A_j(b_j) - A_j(s), A_j = `_antiderivative`
-            j = np.arange(len(a))
-            shift = self.v_m + self._w_at_breaks[1:] + self._antiderivative(b, j)
-            y *= shift[:, None] - self._antiderivative(t, j[:, None])
-        return float(half @ (y @ w)) / self._cn
+            shift = self.v_m + self._w_at_breaks[1:] + self._antiderivative(b, np.arange(len(a)))
+        v = np.empty(len(a))  # the rule on each segment, divided by half
+        for j in _blocks(len(a), _FIXED_POINTS):
+            t = mid[j, None] + half[j, None] * x
+            y = t ** (r - 1) * (self._q0[j, None] + t * (self._q1[j, None]
+                                                          + t * self._q2[j, None]))
+            if q == 2.0:
+                y *= shift[j, None] - self._antiderivative(t, np.arange(j.start, j.stop)[:, None])
+            v[j] = y @ w
+        return float(half @ v) / self._cn
 
     def profile(self, num: int = 2048) -> DecreasingProfile:
         """v sampled at num >= 2 points of the cosine grid."""

@@ -119,21 +119,28 @@ def _batched_segment_integral(eval_fn, a, b, tol_scale, rel_tol=1e-12):
     """Sum of integrals over segments [a_i, b_i] of a piecewise-smooth
     integrand; eval_fn(i, t) is vectorized over matching index/point arrays.
     All segments are integrated in one Gauss 16/32 batch, and only
-    offenders are bisected, up to _MAX_ROUNDS times."""
+    offenders are bisected, up to _MAX_ROUNDS times.  Each rule is
+    evaluated one block of segments at a time into a full-length vector of
+    per-segment integrals, so the tolerance test and the sums run over all
+    segments as one pass would."""
     xg1, wg1 = _gauss(16)
     xg2, wg2 = _gauss(32)
     idx = np.arange(len(a))
     total = 0.0
+
+    def rule(x, w, mid, half, idx):
+        out = np.empty(len(mid))
+        for j in _blocks(len(mid), len(x)):
+            t = mid[j, None] + half[j, None] * x
+            out[j] = half[j] * (eval_fn(np.broadcast_to(idx[j, None], t.shape), t) @ w)
+        return out
+
     for _ in range(_MAX_ROUNDS):
         if len(a) == 0:
             break
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t1 = mid[:, None] + half[:, None] * xg1[None, :]
-        t2 = mid[:, None] + half[:, None] * xg2[None, :]
-        j1 = np.broadcast_to(idx[:, None], t1.shape)
-        j2 = np.broadcast_to(idx[:, None], t2.shape)
-        i1 = half * (eval_fn(j1, t1) @ wg1)
-        i2 = half * (eval_fn(j2, t2) @ wg2)
+        i1 = rule(xg1, wg1, mid, half, idx)
+        i2 = rule(xg2, wg2, mid, half, idx)
         err = np.abs(i2 - i1)
         good = err <= rel_tol * np.maximum(tol_scale, np.abs(i2)) + 1e-300
         total += float(i2[good].sum())
@@ -142,10 +149,7 @@ def _batched_segment_integral(eval_fn, a, b, tol_scale, rel_tol=1e-12):
         b = np.concatenate([mid[bad], b[bad]])
         idx = np.concatenate([idx[bad], idx[bad]])
     if len(a):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t2 = mid[:, None] + half[:, None] * xg2[None, :]
-        j2 = np.broadcast_to(idx[:, None], t2.shape)
-        total += float((half * (eval_fn(j2, t2) @ wg2)).sum())
+        total += float(rule(xg2, wg2, 0.5 * (a + b), 0.5 * (b - a), idx).sum())
     return total
 
 
@@ -156,7 +160,7 @@ def lorentz_power_integral(dist: DistributionFunction, p: float, q: float) -> fl
     When q and q/p are positive integers the integrand is a polynomial of
     degree 2 q/p + q - 1 on every segment of mu, and one fixed Gauss rule per
     segment integrates it exactly; other exponents go through the adaptive
-    batch."""
+    batch.  Both rules run one block of segments at a time."""
     if not (p > 0 and q >= 1):
         raise RearrangeError("Lorentz exponents need p > 0 and q >= 1")
     breaks = np.asarray(dist.breaks, dtype=float)
@@ -168,7 +172,7 @@ def lorentz_power_integral(dist: DistributionFunction, p: float, q: float) -> fl
         x, w = _gauss(int(2 * ratio + q - 1) // 2 + 1)
         half = 0.5 * (b - a)
         v = np.empty(len(a))  # the integrals over the segments, divided by half
-        for j in _blocks(len(a)):
+        for j in _blocks(len(a), len(x)):
             t = (0.5 * (a[j] + b[j]))[:, None] + half[j, None] * x
             m = dist.eval_in_segment(np.arange(j.start, j.stop)[:, None], t)
             v[j] = (t ** (q - 1.0) * m ** ratio) @ w

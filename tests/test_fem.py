@@ -36,9 +36,10 @@ from robinsym.fem import (
 )
 from robinsym.levelset import build_mu_segments
 from robinsym.meshing import generate_mesh, refine_mesh
-from robinsym.radial import bessel_eigen_oracle
+from robinsym.radial import bessel_eigen_oracle, symmetrized_solution
 from robinsym.rearrange import decreasing_rearrangement, lorentz_power_integral
 from robinsym.runner import source_from_name
+from robinsym.verify import _fstar_for
 
 
 def disc_exact(r, beta=1.0, R=1.0):
@@ -100,14 +101,20 @@ def test_large_beta_dirichlet_proxy():
     assert np.max(np.abs(u.values[bnd])) <= 1e-5
 
 
-def test_integrals_on_disc():
+def test_integrals_on_disc(monkeypatch):
+    # small blocks, so that the triangle means cross block boundaries
+    monkeypatch.setattr(meshing, "_CHUNK", 997)
     d = build_domain("disc", r=1.0)
     m = generate_mesh(d, 0.05)
+    assert len(m.triangles) > 2 * 997
     one = ScalarField(m, np.ones(m.num_nodes))
     assert field_integral(one) == pytest.approx(math.pi, abs=3e-4)
     assert boundary_integral(one) == pytest.approx(2 * math.pi, abs=6e-4)
     u = solve_robin_poisson(m, constant_source(1.0), 1.0)
     assert field_integral(u) == pytest.approx(5 * math.pi / 8, rel=5e-3)
+    # the blockwise sum equals the one over all triangles at once
+    assert field_integral(u) == float(np.sum(m.triangle_areas()
+                                             * u.values[m.triangles].mean(axis=1)))
 
 
 def test_compatibility_identity():
@@ -673,6 +680,22 @@ def test_assembly_and_mu_stay_within_their_memory_budget():
     assert mu_mb <= 7.0, mu_mb
     assert lorentz_mb <= 5.0, lorentz_mb
     assert ustar_mb <= 2.6, ustar_mb
+
+
+def test_symmetrized_lorentz_stays_within_its_memory_budget():
+    # the 2,048-point bump f* of the 52.4k-node ratio-2 ellipse.  The disc-
+    # side rules over all 2,047 segments at once took 3.85 MB for the fixed
+    # rule at (2, 2) and 6.65 MB for the adaptive batch at (0.75, 1); one
+    # block of segments at a time must stay below the bounds
+    d = parse_domain_spec(_ELLIPSE_2)
+    m = refine_mesh(generate_mesh(d, 0.05))
+    assert m.num_nodes == 52441
+    rs = symmetrized_solution(d.measure, 2, 1.0, _fstar_for(d, m, source_from_name("bump", d)))
+    assert len(rs.fstar.s) == 2048
+    _, fixed_mb = _transient_mb(lambda: rs.lorentz_power_integral(2, 2))
+    _, adaptive_mb = _transient_mb(lambda: rs.lorentz_power_integral(0.75, 1))
+    assert fixed_mb <= 1.5, fixed_mb
+    assert adaptive_mb <= 2.5, adaptive_mb
 
 
 def _kept_mb(fn):

@@ -111,6 +111,19 @@ def test_empty_list_rejected_by_name(key):
         parse_config("\n".join(lines))
 
 
+@pytest.mark.parametrize("old, new, twice", [
+    ("domains = disc r=1", "domains = disc r=1; disc r=1", "'disc r=1'"),
+    ("betas = 1", "betas = 1, 2, 1.0", "1.0"),
+    ("ks = 1", "ks = 1, 1", "1.0"),
+    ("sources = const", "sources = const; const", "'const'"),
+    ("theorems = saint_venant", "theorems = saint_venant, saint_venant", "'saint_venant'")])
+def test_a_value_listed_twice_is_rejected_by_key_and_value(old, new, twice):
+    # each listed value multiplies the jobs, so a repeat would run them twice
+    key = old.split(" =")[0]
+    with pytest.raises(ConfigError, match=f"\\[run\\] {key} lists {twice} twice"):
+        parse_config(MINIMAL.replace(old, new))
+
+
 @pytest.mark.parametrize("flag", ["--h", "--gamma2"])
 def test_cli_verify_takes_run_values_from_the_config_only(tmp_path, capsys, flag):
     # an override after parsing would leave config_hash naming another run

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from proof_oracle import dphi, phi
-from robinsym import radial
+from quadrature_oracle import radial_fixed_rule, segment_batch
+from robinsym import meshing, radial
 from robinsym.domains import parse_domain_spec
 from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.radial import (
@@ -158,11 +159,11 @@ def _rearranged_solutions(spec, refinements):
             for name in ("radial", "bump")]
 
 
-def _adaptive_lorentz(rs, p, q):
+def _adaptive_lorentz(rs, p, q, batch=_batched_segment_integral):
     """The adaptive Gauss 16/32 batch of value() and slope_g() on every f*
     segment: the reference for the fixed rule."""
     ratio = q / p
-    acc = _batched_segment_integral(
+    acc = batch(
         lambda _, s: rs.value(s) ** (q - 1.0) * s ** ratio * rs.slope_g(s),
         rs.fstar.s[:-1], rs.fstar.s[1:], rs.measure ** ratio * rs.v_M ** q, 1e-13)
     return rs.measure ** ratio * rs.v_m ** q / q + acc
@@ -199,6 +200,27 @@ def test_other_exponents_and_dimensions_use_the_adaptive_batch(monkeypatch):
         batches.clear()
         assert sol.lorentz_power_integral(p, q) == _adaptive_lorentz(sol, p, q)
         assert len(batches) == 1
+
+
+@pytest.mark.parametrize("p, q", LORENTZ_PAIRS)
+def test_blockwise_fixed_rule_matches_the_unblocked_formula(monkeypatch, p, q):
+    # small blocks, so that the f* segments cross block boundaries
+    monkeypatch.setattr(meshing, "_CHUNK", 997)
+    batches = _count_batches(monkeypatch)
+    for rs in _rearranged_solutions(SHAPES[0], 1):
+        assert len(rs.fstar.s) - 1 > 2 * 997 // radial._FIXED_POINTS
+        plateau = rs.measure ** (q / p) * rs.v_m ** q / q
+        assert rs.lorentz_power_integral(p, q) == plateau + radial_fixed_rule(rs, q, int(q / p))
+    assert not batches
+
+
+def test_blockwise_adaptive_batch_matches_the_unblocked_formula(monkeypatch):
+    monkeypatch.setattr(meshing, "_CHUNK", 997)
+    batches = _count_batches(monkeypatch)
+    for rs in _rearranged_solutions(SHAPES[0], 1):
+        assert rs.lorentz_power_integral(0.75, 1.0) == _adaptive_lorentz(rs, 0.75, 1.0,
+                                                                         segment_batch)
+    assert len(batches) == 2
 
 
 def test_log_segments_wider_than_4a_use_the_adaptive_batch(monkeypatch):

@@ -11,6 +11,7 @@ from proof_oracle import (
     profile_distribution,
     superlevel_measure_exact,
 )
+from quadrature_oracle import segment_batch
 from robinsym import meshing, rearrange
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.fem import ScalarField, solve_robin_poisson
@@ -281,10 +282,10 @@ def _poisson_fields(spec, refinements):
     return [solve_robin_poisson(m, source_from_name(name, d), 1.0) for name in ("const", "bump")]
 
 
-def _adaptive_lorentz(dist, p, q):
+def _adaptive_lorentz(dist, p, q, batch=_batched_segment_integral):
     """The adaptive Gauss 16/32 batch on every segment, for q >= 1."""
     ratio = q / p
-    return _batched_segment_integral(
+    return batch(
         lambda i, t: t ** (q - 1.0) * dist.eval_in_segment(i, t) ** ratio,
         dist.breaks[:-1], dist.breaks[1:], dist.total_measure ** ratio * dist.ess_sup ** q)
 
@@ -340,6 +341,8 @@ def test_blockwise_mu_kernels_match_the_unblocked_formulas(spec, monkeypatch):
         assert np.array_equal(dist.ustar(s), ref.ustar(s))
         for p, q in DEFAULT_LORENTZ_PAIRS:
             assert lorentz_power_integral(dist, p, q) == _unblocked_fixed_lorentz(dist, p, q)
+        assert lorentz_power_integral(dist, 0.75, 1.0) == _adaptive_lorentz(
+            dist, 0.75, 1.0, segment_batch)
 
 
 def _count_eval_points(monkeypatch):

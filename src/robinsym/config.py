@@ -6,6 +6,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from .domains import GeometryError, parse_domain_spec
 from .verify import CHECKERS, K_RANGES, KRangeError, check_k
 
 KNOWN_THEOREMS = tuple(CHECKERS)
@@ -107,17 +108,28 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _parsed(spec: str):
+    """The Domain of spec, or spec itself where it does not parse: the runner
+    reports such a spec as failed jobs."""
+    try:
+        return parse_domain_spec(spec)
+    except GeometryError:
+        return spec
+
+
 def _check_values(cfg: RunConfig) -> None:
     """Raise ConfigError unless every run value is admissible: no empty
-    list and no value listed twice, known theorems and sources, positive
-    finite h, gamma2, betas and k, at least one refinement, and k inside the
-    range of each Lorentz theorem (`verify.check_k`, as the checkers apply
-    it)."""
+    list and no value listed twice (domains compared as parsed, so one
+    domain spelled two ways counts twice), known theorems and sources,
+    positive finite h, gamma2, betas and k, at least one refinement, and k
+    inside the range of each Lorentz theorem (`verify.check_k`, as the
+    checkers apply it)."""
     for key in ("domains", "betas", "ks", "sources", "theorems"):
         vals = getattr(cfg, key)
         if not vals:
             raise ConfigError(f"[run] {key} must list at least one value")
-        twice = next((v for i, v in enumerate(vals) if v in vals[:i]), None)
+        same = [_parsed(v) for v in vals] if key == "domains" else vals
+        twice = next((v for i, v in enumerate(vals) if same[i] in same[:i]), None)
         if twice is not None:
             raise ConfigError(f"[run] {key} lists {twice!r} twice; each value "
                               "runs its jobs once")

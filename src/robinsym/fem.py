@@ -12,17 +12,26 @@ Both solvers share one multigrid hierarchy per mesh, its `refine_mesh`
 parent chain with the chain root factored by SuperLU (symmetric mode,
 minimum-degree ordering); a mesh without a parent is a hierarchy with no
 levels, whose V-cycle is the root's LU.  The Robin-Poisson system is solved
-by that LU alone where there are no levels and by V-cycle-preconditioned CG
-where there are, both to the same 1e-10 relative-residual contract.  The
-principal eigenpair comes from nested LOBPCG, one V-cycle per step, started
-from the ones vector on the root and above it from the prolonged
-eigenvector of the mesh below.
+by CG preconditioned by the V-cycle on every mesh, the root included, to a
+relative residual of at most 1e-10.  The principal eigenpair comes from
+nested LOBPCG, one V-cycle per step, started from the ones vector on the
+root and above it from the prolonged eigenvector of the mesh below.
+
+The V-cycle runs in single precision: its level matrices (float32 entries
+sharing the float64 matrix's index arrays), Jacobi weights and
+prolongations, and the root's LU, which is factored and kept in float32.
+A preconditioner needs only a few correct digits, so the residual is
+rounded to float32 on the way in and the correction widened on the way out,
+while the Krylov recurrences, every dot product and the residual checks
+stay in float64 (Carson and Higham, SIAM J. Sci. Comput. 40, 2018).  CG
+stops at 1e-13 or at the rounding floor of its true residual, whichever
+comes first.
 
 The Krylov solvers work in fixed working sets.  CG is a loop of its own
-that repeats the recurrence of SciPy's `cg` to the bit, LOBPCG keeps its
-three blocks and their A and M images in one (3, 3, n) array updated in
-place, and the V-cycle's Jacobi sweeps update in place; from SciPy's
-sparse linear algebra only the LU (`splu`) is used.
+with the recurrence of SciPy's `cg`, LOBPCG keeps its three blocks and
+their A and M images in one (3, 3, n) array updated in place, and the
+V-cycle's Jacobi sweeps update in place; from SciPy's sparse linear
+algebra only the LU (`splu`) is used.
 
 The hierarchy is built once per mesh chain.  Each mesh keeps, per beta, in
 its private store (`Mesh._store`, living as long as the mesh): the Robin
@@ -41,6 +50,7 @@ to the mesh itself, not to the store, since it does not depend on beta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,11 +63,14 @@ from .meshing import Mesh, _blocks, _corners, _doubled_areas
 
 class SolverError(RuntimeError):
     """Linear or eigen solver failed: singular matrix, residual above its
-    tolerance, or iteration cap exceeded."""
+    tolerance, or iteration cap exceeded.  `residual` is the relative
+    residual the solver stopped at: 1.0, that of x = 0, where a linear solve
+    failed before its first iterate, and None for a LOBPCG start vector of
+    M-norm zero, which has no residual."""
 
-    def __init__(self, message, residual_history=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.residual_history = residual_history or []
+        self.residual = residual
 
 
 class SourceError(ValueError):
@@ -248,25 +261,33 @@ def assemble_robin_system(mesh: Mesh, f: SourceSpec, beta: float) -> SparseSyste
     return SparseSystem(matrix=store["matrix"], rhs=rhs, mesh=mesh, beta=beta)
 
 
+def _single(A) -> sparse.csr_matrix:
+    """A with its entries rounded to float32, sharing A's index arrays."""
+    return sparse.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
+
+
 def _factor(A):
-    """SuperLU factor of the SPD matrix A.  SuperLU runs in symmetric mode: a
-    minimum-degree ordering of A + A^T and no pivoting keep the fill at
-    Cholesky shape."""
+    """SuperLU factor of the SPD matrix A, in float32: it solves float32
+    right-hand sides only.  SuperLU runs in symmetric mode: a minimum-degree
+    ordering of A + A^T and no pivoting keep the fill at Cholesky shape."""
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return splu(_single(A).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise SolverError(f"singular matrix on {A.shape[0]} nodes: {exc}") from exc
+        raise SolverError(f"singular matrix on {A.shape[0]} nodes: {exc}", 1.0) from exc
 
 
 def solve_poisson(system: SparseSystem) -> ScalarField:
-    """The solve through the hierarchy of system.mesh (`_hierarchy`), the
-    coarser levels rediscretized with system.beta: with no levels, one
-    solve by the root's LU; with levels, CG preconditioned by the V-cycle.
-    Either way guarantees relative residual <= 1e-10 or raises SolverError;
-    a zero right-hand side gives the zero field, the exact solution.  On a
-    chain root, a matrix that is not the one `assemble_robin_system` stored
-    there is factored for this solve only."""
+    """CG preconditioned by the V-cycle of system.mesh's hierarchy
+    (`_hierarchy`), the coarser levels rediscretized with system.beta; on a
+    chain root the V-cycle is the root's LU.  Guarantees relative residual
+    <= 1e-10 or raises SolverError; a zero right-hand side gives the zero
+    field, the exact solution.  A solve above the bound gets one step of
+    iterative refinement: PCG on the residual evaluated afresh sheds the
+    rounding the recurrence accumulated, which at small beta, where x is a
+    large constant plus a small variation, can exceed the bound.  On a chain
+    root, a matrix that is not the one `assemble_robin_system` stored there
+    is factored for this solve only."""
     A, b, mesh = system.matrix, system.rhs, system.mesh
     if not np.any(b):
         return ScalarField(mesh=mesh, values=np.zeros_like(b))
@@ -274,13 +295,17 @@ def solve_poisson(system: SparseSystem) -> ScalarField:
         lu, levels = _factor(A), []
     else:
         lu, levels = _hierarchy(mesh, system.beta, A)
-    if levels:
-        method, x = "multigrid PCG", _pcg(A, b, lambda r: _vcycle(levels, lu, r))
-    else:
-        method, x = "LU", lu.solve(b)
-    resid = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
+    precondition = functools.partial(_vcycle, levels, lu)
+    bnorm = float(np.linalg.norm(b))
+    x = _pcg(A, b, precondition)
+    r = b - A @ x
+    if not np.linalg.norm(r) <= 1e-10 * bnorm:
+        x += _pcg(A, r, precondition)
+        r = b - A @ x
+    resid = float(np.linalg.norm(r)) / bnorm
     if not resid <= 1e-10:
-        raise SolverError(f"{method} solve left relative residual {resid:.3e}", [resid])
+        raise SolverError(f"PCG solve and one refinement step left relative residual"
+                          f" {resid:.3e}", resid)
     return ScalarField(mesh=system.mesh, values=x)
 
 
@@ -290,10 +315,12 @@ def solve_robin_poisson(mesh: Mesh, f: SourceSpec, beta: float) -> ScalarField:
 
 # LOBPCG stops at relative eigen-residual _EIGEN_RTOL and fails after
 # _EIGEN_MAXITER steps; a Poisson PCG solve stops at relative residual
-# _PCG_TOL and fails after _PCG_MAXITER iterations
+# _PCG_TOL or below _PCG_FLOOR times its rounding floor (`_pcg`), and fails
+# after _PCG_MAXITER iterations
 _EIGEN_RTOL = 1e-7
 _EIGEN_MAXITER = 200
 _PCG_TOL = 1e-13
+_PCG_FLOOR = 0.5
 _PCG_MAXITER = 500
 # the V-cycle smoother: damped Jacobi, this weight, this many sweeps on each side
 _JACOBI_OMEGA = 0.6
@@ -301,13 +328,14 @@ _JACOBI_SWEEPS = 2
 
 
 def _prolongation(mesh: Mesh) -> sparse.csr_matrix:
-    """P1 interpolation from mesh.parent to mesh: an old node keeps its value,
-    a new node takes the mean of its parent edge's two endpoints."""
+    """P1 interpolation from mesh.parent to mesh, in float32 (its entries 1
+    and 1/2 are exact): an old node keeps its value, a new node takes the
+    mean of its parent edge's two endpoints."""
     edges = mesh.parent.graph.edges
     V, n_new = mesh.parent.num_nodes, len(edges)
     indptr = np.concatenate([np.arange(V + 1), V + 2 * np.arange(1, n_new + 1)])
     indices = np.concatenate([np.arange(V), edges.ravel()])
-    data = np.concatenate([np.ones(V), np.full(2 * n_new, 0.5)])
+    data = np.concatenate([np.ones(V, np.float32), np.full(2 * n_new, 0.5, np.float32)])
     return sparse.csr_matrix((data, indices, indptr), shape=(mesh.num_nodes, V))
 
 
@@ -320,11 +348,11 @@ def _chain(mesh: Mesh):
 
 def _hierarchy(mesh: Mesh, beta: float, A):
     """The V-cycle hierarchy of mesh's parent chain, with A on mesh itself:
-    (root LU, levels), levels[j] = (A, omega / diag(A), P) from the root's
-    child up to mesh, as `_vcycle` takes them; a chain root has no levels.
-    The coarser matrices come from `_robin`; the root's matrix, A on a
-    root, is factored once per (root, beta) and kept in its store.  Weights
-    and prolongations are formed anew."""
+    (root LU, levels), levels[j] = (A, omega / diag(A), P) in float32 from
+    the root's child up to mesh, as `_vcycle` takes them; a chain root has
+    no levels.  The coarser matrices come from `_robin`; the root's matrix,
+    A on a root, is factored once per (root, beta) and kept in its store.
+    The float32 matrices, weights and prolongations are formed anew."""
     chain = list(_chain(mesh))
     matrices = [A] + [_robin(m, beta) for m in chain[1:-1]]
     root = _store(chain[-1], beta)
@@ -334,8 +362,9 @@ def _hierarchy(mesh: Mesh, beta: float, A):
     for m, A in zip(chain[-2::-1], matrices[::-1]):
         diag = A.diagonal()
         if not np.all(diag > 0):
-            raise SolverError(f"nonpositive diagonal entry on {A.shape[0]} nodes")
-        levels.append((A, _JACOBI_OMEGA / diag, _prolongation(m)))
+            raise SolverError(f"nonpositive diagonal entry on {A.shape[0]} nodes", 1.0)
+        levels.append((_single(A), (_JACOBI_OMEGA / diag).astype(np.float32),
+                       _prolongation(m)))
     return root["lu"], levels
 
 
@@ -356,7 +385,10 @@ def _vcycle(levels, lu, r):
     """One symmetric V-cycle for the matrix of levels[-1]: damped Jacobi
     before and after each coarse-grid correction, the root's LU at the
     bottom.  levels[j] = (A, omega / diag(A), P), P prolonging from level
-    j - 1; the root itself is not in the list."""
+    j - 1; the root itself is not in the list.  The cycle runs in float32:
+    r is rounded once on the way in, the correction widened once on the way
+    out."""
+    r = r.astype(np.float32)
     stack = []
     for A, dinv, P in reversed(levels):
         x = dinv * r  # the first sweep, from x = 0
@@ -370,13 +402,24 @@ def _vcycle(levels, lu, r):
         x = x_pre
         for _ in range(_JACOBI_SWEEPS):
             _jacobi(A, dinv, r, x)
-    return x
+    return x.astype(float)
+
+
+def _abs_norm(A, x):
+    """||(|A| |x|)|| for the CSR matrix A, a block of rows at a time."""
+    x = np.abs(x)
+    return math.sqrt(sum(float(np.sum((abs(A[j]) @ x) ** 2)) for j in _blocks(A.shape[0])))
 
 
 def _pcg(A, b, precondition):
-    """Preconditioned CG from x = 0 until ||r|| < _PCG_TOL * ||b||: the
-    recurrence, dot products and stopping test of scipy.sparse.linalg.cg,
-    so its iterates are the same to the bit."""
+    """Preconditioned CG from x = 0, with the recurrence and dot products of
+    scipy.sparse.linalg.cg: run for as many iterations, both give the same
+    bits.  It stops once ||r|| < _PCG_TOL * ||b||, or once ||r|| is below
+    _PCG_FLOOR times the rounding floor eps ||(|A| |x|)||, where the true
+    residual b - A x stagnates however far the recurrence goes on
+    (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997).  The floor is taken
+    once, at the first iterate x = alpha p, which the V-cycle already puts
+    close to the solution."""
     x, r = np.zeros_like(b), b.copy()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0:
@@ -394,12 +437,14 @@ def _pcg(A, b, precondition):
             p = z.copy()
         q = A @ p
         alpha = rho / np.dot(p, q)
+        if not it:
+            tol = max(tol, _PCG_FLOOR * np.finfo(float).eps * abs(alpha) * _abs_norm(A, p))
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
     resid = float(np.linalg.norm(b - A @ x)) / bnorm
     raise SolverError(f"PCG hit its cap of {_PCG_MAXITER} iterations on {A.shape[0]}"
-                      f" nodes at relative residual {resid:.3e}", [resid])
+                      f" nodes at relative residual {resid:.3e}", resid)
 
 
 def _lobpcg(A, M, w, precondition):
@@ -417,14 +462,14 @@ def _lobpcg(A, M, w, precondition):
     n = A.shape[0]
     B = np.empty((3, 3, n))
 
-    def load(j, x):
-        """B[j] = (x, A x, M x) / ||x||_M."""
+    def load(j, x, resid=None):
+        """B[j] = (x, A x, M x) / ||x||_M; resid is the step's residual."""
         B[j, 0] = x
         B[j, 1] = A @ x
         B[j, 2] = M @ x
         norm = math.sqrt(B[j, 0] @ B[j, 2])
         if not norm > 0:
-            raise SolverError(f"LOBPCG direction of M-norm {norm:g} on {n} nodes")
+            raise SolverError(f"LOBPCG direction of M-norm {norm:g} on {n} nodes", resid)
         B[j] /= norm
 
     load(0, w)
@@ -436,7 +481,7 @@ def _lobpcg(A, M, w, precondition):
             return lam, B[0, 0].copy()
         if step == _EIGEN_MAXITER:
             break
-        load(1, precondition(r))
+        load(1, precondition(r), resid)
         del r  # not needed again, so not alive beside the new w below
         GA, GM = B[:k, 0] @ B[:k, 1].T, B[:k, 0] @ B[:k, 2].T
         try:
@@ -453,7 +498,7 @@ def _lobpcg(A, M, w, precondition):
         if k == 3:
             B[2] /= norm
     raise SolverError(f"LOBPCG hit its cap of {_EIGEN_MAXITER} steps on {A.shape[0]} nodes"
-                      f" at relative residual {resid:.3e}", [resid])
+                      f" at relative residual {resid:.3e}", resid)
 
 
 def _nested_eigenpair(mesh: Mesh, beta: float):

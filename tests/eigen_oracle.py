@@ -3,21 +3,22 @@ the package.
 
 Nested inverse iteration computes the principal Robin eigenvalue the way
 the package did before LOBPCG replaced it: inverse power iteration down the
-mesh's parent chain, LU solves on the root and V-cycle PCG solves to
-relative residual 1e-13 on each finer mesh, stopping when lambda changes by
-at most 1e-10 relative.  It reads no eigenpair from the meshes' stores and
-keeps none there.
+mesh's parent chain, solves by a float64 LU of its own (`factor`) on the
+root and V-cycle PCG solves to relative residual 1e-13 on each finer mesh,
+stopping when lambda changes by at most 1e-10 relative.  It reads no
+eigenpair from the meshes' stores and keeps none there.
 
 `scipy_pcg` is SciPy's `cg`, `lobpcg` the package's LOBPCG as it was when
 every step stacked a fresh Rayleigh-Ritz basis, and `vcycle` the package's
-V-cycle before its sweeps went in place: the package's fixed-working-set
-`fem._pcg`, `fem._lobpcg` and `fem._vcycle` must return the same bits.
+float32 V-cycle before its sweeps went in place: the package's
+fixed-working-set `fem._pcg`, `fem._lobpcg` and `fem._vcycle` must return
+the same bits.
 """
 
 import math
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from robinsym.fem import (
     _EIGEN_MAXITER, _EIGEN_RTOL, _JACOBI_SWEEPS, _hierarchy, _robin_matrix, mass_matrix)
@@ -26,12 +27,19 @@ TOL = 1e-10
 MAXITER = 200
 
 
-def scipy_pcg(A, b, precondition, x0=None):
-    """SciPy's CG from x0 (zero if None) to relative residual 1e-13,
-    preconditioned."""
-    x, info = cg(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=500,
+def factor(A):
+    """Float64 SuperLU factor of the SPD matrix A, in symmetric mode."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+def scipy_pcg(A, b, precondition, x0=None, maxiter=None):
+    """SciPy's CG from x0 (zero if None), preconditioned: to relative
+    residual 1e-13, or for exactly maxiter iterations unless it gets there
+    first."""
+    x, info = cg(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=maxiter or 500,
                  M=LinearOperator(A.shape, matvec=precondition, dtype=float))
-    assert info == 0, f"PCG did not converge on {A.shape[0]} nodes"
+    assert info == 0 or info == maxiter, f"PCG did not converge on {A.shape[0]} nodes"
     return x
 
 
@@ -54,16 +62,19 @@ def inverse_iteration_eigenpair(mesh, beta):
     """(lambda, w) of (mesh, beta) by nested inverse iteration."""
     A, M = _robin_matrix(mesh, beta), mass_matrix(mesh)
     w = None if mesh.parent is None else inverse_iteration_eigenpair(mesh.parent, beta)[1]
-    lu, levels = _hierarchy(mesh, beta, A)
-    if not levels:
+    if mesh.parent is None:
+        lu = factor(A)
         return _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
+    lu, levels = _hierarchy(mesh, beta, A)
     return _inverse_iteration(
         A, M, levels[-1][2] @ w, lambda b, x0: scipy_pcg(A, b, lambda r: vcycle(levels, lu, r), x0))
 
 
 def vcycle(levels, lu, r):
     """The package's V-cycle as it was before its Jacobi sweeps went in
-    place: three temporaries per sweep."""
+    place: three temporaries per sweep, in float32 between the rounding of
+    r and the widening of the result."""
+    r = r.astype(np.float32)
     stack = []
     for A, dinv, P in reversed(levels):
         x = dinv * r
@@ -76,7 +87,7 @@ def vcycle(levels, lu, r):
         x = x_pre + P @ x
         for _ in range(_JACOBI_SWEEPS):
             x += dinv * (r - A @ x)
-    return x
+    return x.astype(float)
 
 
 def _m_normalized(v):

@@ -113,6 +113,7 @@ def test_empty_list_rejected_by_name(key):
 
 @pytest.mark.parametrize("old, new, twice", [
     ("domains = disc r=1", "domains = disc r=1; disc r=1", "'disc r=1'"),
+    ("domains = disc r=1", "domains = disc r=1; disc r=1.0", "'disc r=1.0'"),
     ("betas = 1", "betas = 1, 2, 1.0", "1.0"),
     ("ks = 1", "ks = 1, 1", "1.0"),
     ("sources = const", "sources = const; const", "'const'"),
@@ -323,7 +324,7 @@ def test_cross_process_determinism(tmp_path):
 # sha256 over the sorted (file name, bytes) pairs of the default `robinsym
 # verify` reports with OPENBLAS_NUM_THREADS=1 (Python 3.11.7, numpy 2.4.6,
 # scipy 1.17.1); the BLAS thread count moves some report digits
-DEFAULT_REPORT_DIGEST = "a7044b45527120a67563231017a7c57700edbd8ba527b6b54703a4d7f5c38507"
+DEFAULT_REPORT_DIGEST = "f64bb2d17238060099b4f33d629edbe9d97aba1120bd39cf3294f049f21e415a"
 
 
 def test_default_reports_keep_their_digest(tmp_path):

@@ -43,7 +43,6 @@ from .verify import (
     check_lorentz_2k2,
     check_lorentz_k1,
     check_pointwise,
-    check_propagation,
     check_saint_venant,
     compute_constants,
 )

@@ -79,7 +79,11 @@ def cmd_oracle(args) -> int:
     elif args.kind == "eigen":
         print(f"lambda={bessel_eigen_oracle(args.R, args.beta):.15g}")
     else:
-        rs = symmetrized_constant_source(np.pi * args.R ** 2, args.beta)
+        try:
+            measure = np.pi * args.R ** 2
+        except OverflowError:
+            measure = np.inf  # the profile rejects it
+        rs = symmetrized_constant_source(measure, args.beta)
         sys.stdout.write(rs.export_text(num=args.samples))
     return 0
 

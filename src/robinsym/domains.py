@@ -6,8 +6,8 @@ The Fraenkel asymmetry comes from an exact boundary integral for the area of
 the intersection with a ball and its exact gradient in the center
 (`_ball_overlap`), minimized over the center by a quasi-Newton search
 (`_asymmetry_search`).  Both take oriented segments and arcs, not a Domain,
-so the superlevel sets of a P1 field (`levelset.superlevel_asymmetry`) go
-through the same search as the shapes.
+so the tests' oracle for the superlevel sets of a P1 field
+(`tests/proof_oracle.py`) searches them as the shapes are searched.
 """
 
 from __future__ import annotations
@@ -196,6 +196,19 @@ def _ellipse_perimeter(a: float, b: float) -> float:
             return TWO_PI * total / a
 
 
+# Beyond sizes of about 1e-77 to 1e76 the asymmetry's overlap integrand, a product of four
+# lengths (cross * r^2, qb * qb in `_ball_overlap`), leaves the normal doubles and reads 2,
+# wrong or nan.  Shapes are held seven decades inside.
+_MIN_LENGTH, _MAX_LENGTH = 1e-70, 1e70
+
+
+def _check_size(name: str, lengths, coordinates) -> None:
+    """GeometryError unless each length and |coordinate| fits the window above."""
+    if min(lengths) < _MIN_LENGTH or max(map(abs, [*lengths, *coordinates])) > _MAX_LENGTH:
+        raise GeometryError(f"{name} must lie in [{_MIN_LENGTH:g}, {_MAX_LENGTH:g}] and its "
+                            f"coordinates within +-{_MAX_LENGTH:g}")
+
+
 def build_domain(kind: str, **kw) -> Domain:
     """Build a validated Domain from shape parameters.
 
@@ -219,27 +232,20 @@ def build_domain(kind: str, **kw) -> Domain:
         kw = {name: _finite(f"{kind} parameter {name!r}", kw.get(name, 0.0))
               for name in names + offsets}
         cx, cy = kw["cx"], kw["cy"]
+        _check_size(f"{kind} {', '.join(names)}", [kw[n] for n in names], [cx, cy])
     if kind == "disc":
         r = kw["r"]
-        if r <= 0:
-            raise GeometryError("disc radius must be positive")
         dom = Domain("disc", (r, cx, cy), math.pi * r * r, TWO_PI * r)
     elif kind == "ellipse":
         a, b = kw["a"], kw["b"]
-        if a <= 0 or b <= 0:
-            raise GeometryError("ellipse semi-axes must be positive")
         if a < b:
             a, b = b, a
         dom = Domain("ellipse", (a, b, cx, cy), math.pi * a * b, _ellipse_perimeter(a, b))
     elif kind == "rect":
         w, h = kw["w"], kw["h"]
-        if w <= 0 or h <= 0:
-            raise GeometryError("rectangle sides must be positive")
         dom = Domain("rect", (w, h, cx, cy), w * h, 2.0 * (w + h))
     elif kind == "stadium":
         l, r = kw["l"], kw["r"]
-        if l <= 0 or r <= 0:
-            raise GeometryError("stadium parameters must be positive")
         dom = Domain("stadium", (l, r, cx, cy), 2.0 * r * l + math.pi * r * r,
                      2.0 * l + TWO_PI * r)
     else:
@@ -249,6 +255,7 @@ def build_domain(kind: str, **kw) -> Domain:
             raise GeometryError("polygon needs at least 3 vertices")
         if np.any(np.all(np.roll(v, -1, axis=0) == v, axis=1)):
             raise GeometryError("polygon has a zero-length edge (a repeated vertex)")
+        _check_size("polygon edges", np.hypot(*(np.roll(v, -1, axis=0) - v).T), v.ravel())
         if not _polygon_is_simple(v):
             raise GeometryError("polygon is self-intersecting or touches itself")
         area = _polygon_signed_area(v)

@@ -1,18 +1,15 @@
-"""Exact level-set geometry of piecewise-linear fields, and the one
+"""The superlevel measure mu(t) = |{u > t}| of a P1 field, and the one
 distribution-function class.
 
-The superlevel measure mu(t) = |{u > t}| of a P1 field is piecewise
-quadratic in the level t with breakpoints at nodal values; it is a
-`DistributionFunction`, which also inverts mu (`ustar`).  The segment
+mu is piecewise quadratic in the level t with breakpoints at nodal values;
+it is a `DistributionFunction`, which also inverts mu (`ustar`).  The segment
 coefficients are kept in a basis centered at each segment's midpoint, where
 a triangle's contribution to mu is bounded by its area.  Its coefficients
 are not: two nodal values a rounding apart (common on symmetric meshes)
 give a huge quadratic coefficient, which enters the running sums at its
 first break and leaves at its last, and the cancellation leaves about eps
 times it behind in every later segment.  On the 25.9k-node disc (h = 0.1,
-refined twice) mu is off the exact superlevel area by up to 5.1e-9.  The
-superlevel sets themselves get an oriented boundary and, through it, their
-Fraenkel asymmetry (`superlevel_asymmetry`).
+refined twice) mu is off the exact superlevel area by up to 5.1e-9.
 """
 
 from __future__ import annotations
@@ -21,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import _asymmetry_search, _asymmetry_seeds, _polygon_signed_area
 from .fem import ScalarField
 from .meshing import _blocks, _corners
-
-
-# ---------------------------------------------------------------------------
-# piecewise-quadratic superlevel measure
 
 
 @dataclass
@@ -248,102 +240,3 @@ def build_mu_segments(u: ScalarField) -> DistributionFunction:
         run(j, 0, -sub[0, j], b_sub * dlt + c_sub * dlt * dlt, add[0, j])
     return DistributionFunction(breaks=breaks, coeffs=coeffs, total_measure=total,
                                 ess_inf=ess_inf)
-
-
-# ---------------------------------------------------------------------------
-# superlevel sets: oriented boundary and asymmetry
-
-
-def _level_segments(u: ScalarField, t: float):
-    """(cut, a, b, top) per triangle: whether the level t cuts it (v1 < t <
-    v3 for its sorted nodal values), the ends a and b of its level segment,
-    on the edges p1-p2 or p2-p3 and p1-p3, and its top node p3."""
-    tv = u.values[u.mesh.triangles]
-    order = np.argsort(tv, axis=1, kind="stable")
-    tv = np.take_along_axis(tv, order, axis=1)
-    pts = u.mesh.nodes[u.mesh.triangles]
-    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
-    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
-    p1, p2, p3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    lower = (t > v1) & (t < v2)
-    upper = (t >= v2) & (t < v3)
-    w12 = (t - v1) / np.where(v2 > v1, v2 - v1, 1.0)
-    w13 = (t - v1) / np.where(v3 > v1, v3 - v1, 1.0)
-    w23 = (t - v2) / np.where(v3 > v2, v3 - v2, 1.0)
-    a = np.where(lower[:, None], p1 + w12[:, None] * (p2 - p1),
-                 p2 + w23[:, None] * (p3 - p2))
-    b = p1 + w13[:, None] * (p3 - p1)
-    return lower | upper, a, b, p3
-
-
-def superlevel_boundary(u: ScalarField, t: float) -> np.ndarray:
-    """Oriented boundary of U_t = {interpolant > t} as an (S, 2, 2) array of
-    segment start and end points, with U_t on the left of every segment.
-
-    Two kinds of segment bound U_t: the level segment of every triangle the
-    level cuts, turned so that the triangle's top node lies on its left, and
-    the part where u > t of every edge in the mesh's `boundary_edges`, which
-    run counterclockwise, with the mesh on their left.
-    """
-    cut, a, b, top = _level_segments(u, t)
-    a, b, top = a[cut], b[cut], top[cut]
-    turn = ((b[:, 0] - a[:, 0]) * (top[:, 1] - a[:, 1])
-            - (b[:, 1] - a[:, 1]) * (top[:, 0] - a[:, 0])) < 0.0
-    level = np.stack([np.where(turn[:, None], b, a), np.where(turn[:, None], a, b)], axis=1)
-
-    edges = u.mesh.boundary_edges
-    p, q = u.mesh.nodes[edges[:, 0]], u.mesh.nodes[edges[:, 1]]
-    up, uq = u.values[edges[:, 0]], u.values[edges[:, 1]]
-    keep = (up > t) | (uq > t)
-    p, q, up, uq = p[keep], q[keep], up[keep], uq[keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = p + ((up - t) / (up - uq))[:, None] * (q - p)
-    outer = np.stack([np.where((up > t)[:, None], p, crossing),
-                      np.where((uq > t)[:, None], q, crossing)], axis=1)
-    return np.concatenate([level, outer])
-
-
-def _convex_hull(points) -> np.ndarray:
-    """Vertices of the convex hull of (N, 2) points, counterclockwise, by
-    Andrew's monotone chain (Inf. Process. Lett. 9, 1979); duplicate points
-    and points inside a hull edge are dropped."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0).tolist()  # sorted by x, then y
-    if len(pts) < 3:
-        return np.array(pts).reshape(-1, 2)
-    hull = []
-    for seq in (pts, pts[::-1]):  # the lower chain, then the upper one
-        chain = []
-        for x, y in seq:
-            while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
-                                       - (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])) <= 0.0:
-                chain.pop()
-            chain.append((x, y))
-        hull += chain[:-1]  # its last point starts the other chain
-    return np.array(hull)
-
-
-def superlevel_asymmetry(u: ScalarField, t: float):
-    """Fraenkel asymmetry of U_t = {interpolant > t}, or None when U_t is empty.
-
-    The boundary of U_t (`superlevel_boundary`) goes through the same
-    boundary-integral quasi-Newton search as a domain.  A convex U_t (the
-    hull of its boundary points, `_convex_hull`, has its area to 1e-12
-    relative) is searched from its centroid alone, as `fraenkel_asymmetry`
-    searches a convex domain; any other U_t from its centroid and 8 offsets
-    in its bounding box.
-    """
-    segments = superlevel_boundary(u, t)
-    # area and centroid by the shoelace formulas, about a nearby origin
-    origin = segments[0, 0] if len(segments) else 0.0
-    a, b = segments[:, 0] - origin, segments[:, 1] - origin
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    area = 0.5 * float(cross.sum())
-    if not area > 0.0:
-        return None
-    centroid = origin + ((a + b) * cross[:, None]).sum(axis=0) / (6.0 * area)
-    points = segments.reshape(-1, 2)
-    seeds = [centroid]
-    if _polygon_signed_area(_convex_hull(points - origin)) > area * (1.0 + 1e-12):
-        lo, hi = points.min(axis=0), points.max(axis=0)
-        seeds = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
-    return _asymmetry_search(segments, [], area, seeds)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import _MAX_LENGTH, _MIN_LENGTH
 from .meshing import _blocks
 from .rearrange import DecreasingProfile, _batched_segment_integral, _gauss, constant_profile, \
     cosine_grid
@@ -193,8 +194,9 @@ def symmetrized_constant_source(measure: float, beta: float) -> RadialSolution:
 def ball_closed_forms(R: float, beta: float):
     """(radial profile u(r), torsion) for f = 1 on the disc of radius R:
     u(r) = (R^2 - r^2)/4 + R/(2 beta), T = pi R^4/8 + pi R^3/(2 beta)."""
-    if not _positive_finite(R, beta):
-        raise RadialError("R and beta must be positive and finite")
+    if not (_positive_finite(beta) and _MIN_LENGTH <= R <= _MAX_LENGTH):  # keeps R^4 finite
+        raise RadialError(f"R and beta must be positive and finite, R in "
+                          f"[{_MIN_LENGTH:g}, {_MAX_LENGTH:g}]")
 
     def u(r):
         return (R * R - np.asarray(r, dtype=float) ** 2) / 4.0 + R / (2.0 * beta)
@@ -234,8 +236,9 @@ def bessel_eigen_oracle(R: float, beta: float) -> float:
     The bracket is bisected down to adjacent floating-point numbers, with
     J0 and J1 from their power series (`_bessel_j0_j1`).
     """
-    if not _positive_finite(R, beta):
-        raise RadialError("R and beta must be positive and finite")
+    if not (_positive_finite(beta) and _MIN_LENGTH <= R <= _MAX_LENGTH):  # keeps (j01/R)^2 finite
+        raise RadialError(f"R and beta must be positive and finite, R in "
+                          f"[{_MIN_LENGTH:g}, {_MAX_LENGTH:g}]")
     hi = (_J0_FIRST_ZERO / R) ** 2
 
     def fn(lam):

@@ -23,9 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .domains import Domain, cached_asymmetry, domain_spec_string, equal_measure_radius
-from .fem import ScalarField, SourceSpec, constant_source, field_integral, \
+from .fem import SourceSpec, constant_source, field_integral, \
     nodal_source_field, principal_robin_eigenpair, solve_robin_poisson
-from .levelset import superlevel_asymmetry
 from .meshing import generate_mesh, refine_mesh
 from .radial import ball_torsion, bessel_eigen_oracle, symmetrized_solution
 from .rearrange import DecreasingProfile, constant_profile, cosine_grid, \
@@ -305,44 +304,6 @@ def check_bossel_daners(ladder: Ladder, gamma_n: float) -> TheoremReport:
     extras = {"lambda_domain": ladder.eigenvalues[-1], "lambda_ball": lam_ball,
               "in_proof_regime": bool(ladder.alpha.value <= 0.5)}
     return _report("bossel_daners", ladder, "const 1", None, gamma_n, gaps, constant, 2, extras)
-
-
-# ---------------------------------------------------------------------------
-# asymmetry propagation
-
-
-@dataclass
-class PropagationReport:
-    domain_spec: str
-    alpha_domain: float
-    alpha_subset: float | None
-    removed_fraction: float
-    hypothesis_met: bool
-    passed: bool | None
-
-
-# slack of the propagation check beyond the search's own error estimate
-_PROPAGATION_TOL = 5e-3
-
-
-def check_propagation(domain: Domain, u: ScalarField, t: float) -> PropagationReport:
-    """Asymmetry propagation to the superlevel set U_t = {u > t} of a field
-    on a mesh of the domain: if |Omega \\ U_t| / |Omega| <= alpha(Omega)/4
-    then alpha(U_t) >= alpha(Omega)/2, with the removed fraction measured on
-    the mesh, 1 - mu(t) / |mesh|.  When the hypothesis fails the report
-    asserts nothing: alpha_subset and passed are None."""
-    alpha = cached_asymmetry(domain)
-    removed = 1.0 - float(distribution_function(u).mu(t)) / u.mesh.area()
-    hypothesis = removed <= alpha.value / 4.0 + 1e-12
-    a_sub, passed = None, None
-    if hypothesis:
-        sub = superlevel_asymmetry(u, t)
-        a_sub = sub.value
-        passed = bool(a_sub >= alpha.value / 2.0 - sub.error - _PROPAGATION_TOL)
-    return PropagationReport(domain_spec=domain_spec_string(domain),
-                             alpha_domain=alpha.value, alpha_subset=a_sub,
-                             removed_fraction=removed, hypothesis_met=hypothesis,
-                             passed=passed)
 
 
 CHECKERS = {

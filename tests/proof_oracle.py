@@ -1,19 +1,24 @@
 """The identities of the paper's proof, as the tests' oracle for package
 results: the level-set ODE of Lemma 3.3 and its asymmetry-strengthened form
 with the boundary terms it integrates, exact superlevel areas and level-line
-lengths of P1 fields, the distribution function of a decreasing profile
-and of the disc solution (phi), and the Cavalieri and Hardy-Littlewood identities.  Not part of the package.
+lengths of P1 fields, the asymmetry of their superlevel sets and its
+propagation, the distribution function of a decreasing profile and of the
+disc solution (phi), and the Cavalieri and Hardy-Littlewood identities.
+Not part of the package, which checks the five inequalities, not the proof.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
+from robinsym.domains import AsymmetryResult, _asymmetry_search, _asymmetry_seeds, \
+    _polygon_centroid, cached_asymmetry
 from robinsym.fem import ScalarField
-from robinsym.levelset import DistributionFunction, _level_segments, build_mu_segments, \
-    superlevel_asymmetry
+from robinsym.levelset import DistributionFunction, build_mu_segments
 from robinsym.radial import RadialSolution
 from robinsym.rearrange import DecreasingProfile, _gauss, distribution_function, \
     lorentz_power_integral
@@ -31,6 +36,82 @@ def superlevel_measure_exact(u: ScalarField, t: float) -> float:
         top = area * (v3 - t) ** 2 / np.maximum((v3 - v2) * (v3 - v1), 1e-300)
     out = np.where(t < v1, area, np.where(t < v2, mid, np.where(t < v3, top, 0.0)))
     return float(np.maximum(out, 0.0).sum())
+
+
+def _level_segments(u: ScalarField, t: float):
+    """(cut, a, b, top) per triangle: whether the level t cuts it (v1 < t <
+    v3 for its sorted nodal values), the ends a and b of its level segment,
+    on the edges p1-p2 or p2-p3 and p1-p3, and its top node p3."""
+    tv = u.values[u.mesh.triangles]
+    order = np.argsort(tv, axis=1, kind="stable")
+    tv = np.take_along_axis(tv, order, axis=1)
+    pts = u.mesh.nodes[u.mesh.triangles]
+    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
+    p1, p2, p3 = pts[:, 0], pts[:, 1], pts[:, 2]
+    lower = (t > v1) & (t < v2)
+    upper = (t >= v2) & (t < v3)
+    w12 = (t - v1) / np.where(v2 > v1, v2 - v1, 1.0)
+    w13 = (t - v1) / np.where(v3 > v1, v3 - v1, 1.0)
+    w23 = (t - v2) / np.where(v3 > v2, v3 - v2, 1.0)
+    a = np.where(lower[:, None], p1 + w12[:, None] * (p2 - p1),
+                 p2 + w23[:, None] * (p3 - p2))
+    b = p1 + w13[:, None] * (p3 - p1)
+    return lower | upper, a, b, p3
+
+
+def superlevel_boundary(u: ScalarField, t: float) -> np.ndarray:
+    """Oriented boundary of U_t = {interpolant > t} as an (S, 2, 2) array of
+    segment start and end points, with U_t on the left of every segment.
+
+    Two kinds of segment bound U_t: the level segment of every triangle the
+    level cuts, turned so that the triangle's top node lies on its left, and
+    the part where u > t of every edge in the mesh's `boundary_edges`, which
+    run counterclockwise, with the mesh on their left.
+    """
+    cut, a, b, top = _level_segments(u, t)
+    a, b, top = a[cut], b[cut], top[cut]
+    turn = ((b[:, 0] - a[:, 0]) * (top[:, 1] - a[:, 1])
+            - (b[:, 1] - a[:, 1]) * (top[:, 0] - a[:, 0])) < 0.0
+    level = np.stack([np.where(turn[:, None], b, a), np.where(turn[:, None], a, b)], axis=1)
+
+    edges = u.mesh.boundary_edges
+    p, q = u.mesh.nodes[edges[:, 0]], u.mesh.nodes[edges[:, 1]]
+    up, uq = u.values[edges[:, 0]], u.values[edges[:, 1]]
+    keep = (up > t) | (uq > t)
+    p, q, up, uq = p[keep], q[keep], up[keep], uq[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = p + ((up - t) / (up - uq))[:, None] * (q - p)
+    outer = np.stack([np.where((up > t)[:, None], p, crossing),
+                      np.where((uq > t)[:, None], q, crossing)], axis=1)
+    return np.concatenate([level, outer])
+
+
+def superlevel_asymmetry(u: ScalarField, t: float) -> AsymmetryResult | None:
+    """Fraenkel asymmetry of U_t = {interpolant > t}, or None when U_t is empty.
+
+    The boundary of U_t (`superlevel_boundary`) goes through the package's
+    boundary-integral quasi-Newton search, as a domain does.  A convex U_t
+    (the convex hull of its boundary points has its area to 1e-12
+    relative) is searched from its centroid alone, as `fraenkel_asymmetry`
+    searches a convex domain; any other U_t from its centroid and 8 offsets
+    in its bounding box.
+    """
+    segments = superlevel_boundary(u, t)
+    # area and centroid by the shoelace formulas, about a nearby origin
+    origin = segments[0, 0] if len(segments) else 0.0
+    a, b = segments[:, 0] - origin, segments[:, 1] - origin
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    area = 0.5 * float(cross.sum())
+    if not area > 0.0:
+        return None
+    centroid = origin + ((a + b) * cross[:, None]).sum(axis=0) / (6.0 * area)
+    points = segments.reshape(-1, 2)
+    seeds = [centroid]
+    if ConvexHull(points - origin).volume > area * (1.0 + 1e-12):
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        seeds = _asymmetry_seeds((lo[0], hi[0], lo[1], hi[1]), centroid)
+    return _asymmetry_search(segments, [], area, seeds)
 
 
 def interior_level_perimeter(u: ScalarField, t: float) -> float:
@@ -225,6 +306,43 @@ def quantitative_ode_margins(u: ScalarField, fstar: DecreasingProfile, beta: flo
             rhs = (-dmu(dist, t) + ext / beta) * float(fstar.cumulative(mu))
             out.append((t, a.value, rhs - 4.0 * math.pi * mu * (1.0 + a.value ** 2 / gamma_n)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# asymmetry propagation
+
+
+@dataclass
+class PropagationReport:
+    alpha_domain: float
+    alpha_subset_bound: float | None
+    hypothesis_met: bool
+    passed: bool | None
+
+
+def check_propagation(u: ScalarField, t: float) -> PropagationReport:
+    """Asymmetry propagation to the superlevel set U_t = {u > t} of a field
+    on a mesh of a domain: if |Omega \\ U_t| / |Omega| <= alpha(Omega)/4,
+    the removed fraction measured on the mesh as 1 - mu(t) / |mesh|, then
+    alpha(U_t) >= alpha(Omega)/2.  When the hypothesis fails the report
+    asserts nothing: alpha_subset_bound and passed are None.
+
+    U_t lies in the convex hull H of its boundary points, so with |B_r| =
+    |U_t|, alpha(U_t) >= 2 (1 - max_x |H cap B_r(x)| / |U_t|).  That map of x
+    is log-concave (Prekopa-Leindler), so one search from H's centroid finds
+    the bound, and it must reach alpha(Omega)/2 within both searches' errors.
+    """
+    alpha = cached_asymmetry(u.mesh.domain)
+    removed = 1.0 - float(distribution_function(u).mu(t)) / u.mesh.area()
+    if removed > alpha.value / 4.0 + 1e-12:
+        return PropagationReport(alpha.value, None, False, None)
+    points = superlevel_boundary(u, t).reshape(-1, 2)
+    hull = points[ConvexHull(points).vertices]  # counterclockwise
+    edges = np.stack([hull, np.roll(hull, -1, axis=0)], axis=1)
+    bound = _asymmetry_search(edges, [], superlevel_measure_exact(u, t),
+                              [_polygon_centroid(hull)])
+    margin = bound.value - alpha.value / 2.0 + bound.error + alpha.error / 2.0
+    return PropagationReport(alpha.value, bound.value, True, bool(margin >= 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,10 @@ def test_nonpositive_parameters_rejected():
     ("polygon 0,0 1,0 1,x", "coordinate of polygon vertex 3 must be a finite number, got 'x'"),
     ("disc r=nan", "disc parameter 'r' must be a finite number, got 'nan'"),
     ("disc r=inf", "disc parameter 'r' must be a finite number, got 'inf'"),
+    ("rect w=2 h=0", r"rect w, h must lie in \[1e-70, 1e\+70\]"),
+    ("disc r=1e-200", r"disc r must lie in \[1e-70, 1e\+70\]"),
+    ("disc r=1 cx=1e75", r"disc r must lie .* and its coordinates within \+-1e\+70"),
+    ("polygon 0,0 1,0 1,1e-75 0,1", r"polygon edges must lie in \[1e-70, 1e\+70\]"),
 ])
 def test_domain_spec_names_the_bad_parameter(spec, match):
     with pytest.raises(GeometryError, match=match):
@@ -296,12 +300,22 @@ def test_asymmetry_translation_invariance():
 
 
 def test_asymmetry_scale_invariance():
-    vals = {}
-    for lam in (0.5, 1.0, 2.0):
-        d = build_domain("rect", w=2.0 * lam, h=0.5 * lam)
-        vals[lam] = fraenkel_asymmetry(d).value
-    assert vals[0.5] == pytest.approx(vals[1.0], abs=2e-5)
-    assert vals[2.0] == pytest.approx(vals[1.0], abs=2e-5)
+    # a shape is rejected for its size or keeps its unit-size asymmetry
+    shapes = (lambda s: build_domain("ellipse", a=2.0 ** 0.5 * s, b=s / 2.0 ** 0.5),
+              lambda s: build_domain("rect", w=2.0 * s, h=s),
+              lambda s: build_domain("polygon", vertices=[(0.0, 0.0), (s, 0.0), (0.0, s)]),
+              lambda s: build_domain("disc", r=s))
+    accepted = set()
+    for shape in shapes:
+        unit = fraenkel_asymmetry(shape(1.0)).value
+        for lam in [0.5, 2.0] + [10.0 ** k for k in range(-320, 301, 10)]:
+            try:
+                a = fraenkel_asymmetry(shape(lam))
+            except GeometryError:
+                continue
+            assert abs(a.value - unit) <= 1e-12 and a.error <= 1e-12, (lam, a)
+            accepted.add(lam)
+    assert accepted >= {0.5, 2.0} | {10.0 ** k for k in range(-60, 61, 10)}
 
 
 def test_asymmetry_range_invariant():

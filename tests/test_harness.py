@@ -372,6 +372,12 @@ def test_default_reports_keep_their_digest(tmp_path):
      "robinsym oracle: R and beta must be positive and finite"),
     (["oracle", "--kind", "profile", "--beta", "nan"],
      "robinsym oracle: need finite measure > 0, finite beta > 0"),
+    (["oracle", "--kind", "eigen", "--R", "1e-300"],
+     "robinsym oracle: R and beta must be positive and finite, R in [1e-70, 1e+70]"),
+    (["oracle", "--kind", "torsion", "--R", "1e200"],
+     "robinsym oracle: R and beta must be positive and finite, R in [1e-70, 1e+70]"),
+    (["oracle", "--kind", "profile", "--R", "1e200"],
+     "robinsym oracle: profile s and values must be finite"),
     (["mesh", "--domain", "disc r=1", "--h", "0.5", "--refine", "-2"],
      "robinsym mesh: --refine must be >= 0, got -2"),
     (["solve", "--domain", "disc r=1", "--h", "0.5", "--refine", "-1"],
@@ -386,7 +392,8 @@ def test_default_reports_keep_their_digest(tmp_path):
 ], ids=["unknown-source", "unknown-shape", "mesh-size", "missing-config", "negative-radius",
         "negative-source", "retired-key", "unwritable-output", "one-sample-profile",
         "negative-sample-profile", "zero-beta", "nan-beta", "nan-radius", "infinite-beta",
-        "nan-profile-beta", "negative-mesh-refine", "negative-solve-refine",
+        "nan-profile-beta", "overflowing-eigen", "overflowing-torsion",
+        "overflowing-profile", "negative-mesh-refine", "negative-solve-refine",
         "vertex-on-edge-polygon", "zero-width-spike-polygon", "abbreviated-help",
         "abbreviated-beta"])
 def test_cli_errors_end_in_one_line_and_exit_code_2(tmp_path, monkeypatch, capsys, argv,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from proof_oracle import (
+    check_propagation,
     dmu,
     exterior_boundary_integral_inv_u,
     exterior_time_integral,
@@ -15,13 +16,15 @@ from proof_oracle import (
     ode_residuals,
     perimeter_decomposition,
     profile_distribution,
+    superlevel_asymmetry,
+    superlevel_boundary,
     superlevel_measure_exact,
 )
+import proof_oracle
 from robinsym import levelset, meshing
-from robinsym.domains import _asymmetry_search, _asymmetry_seeds, build_domain, \
+from robinsym.domains import _SEARCH_FLOOR, _asymmetry_search, _asymmetry_seeds, build_domain, \
     fraenkel_asymmetry, parse_domain_spec
 from robinsym.fem import ScalarField, constant_source, solve_robin_poisson
-from robinsym.levelset import _convex_hull, superlevel_asymmetry, superlevel_boundary
 from robinsym.meshing import generate_mesh, refine_mesh
 from robinsym.radial import symmetrized_constant_source
 from robinsym.rearrange import DecreasingProfile, constant_profile, decreasing_rearrangement, \
@@ -244,7 +247,7 @@ def _recording_search(monkeypatch):
         seeds_seen.append((segments, area, seeds))
         return _asymmetry_search(segments, arcs, area, seeds) if len(seeds) == 1 else None
 
-    monkeypatch.setattr(levelset, "_asymmetry_search", search)
+    monkeypatch.setattr(proof_oracle, "_asymmetry_search", search)
     return seeds_seen
 
 
@@ -287,28 +290,13 @@ def test_superlevel_search_is_no_worse_than_nelder_mead(monkeypatch):
         assert new.evaluations < evaluations
 
 
-def test_monotone_chain_hull_matches_qhull():
-    from scipy.spatial import ConvexHull
-    rng = np.random.default_rng(16)
-    sets = [rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, size=2)
-            for n in (3, 4, 10, 100, 1000)]
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    sets.append(np.concatenate([square, square, square[:2]]))  # duplicate points
-    edge = np.arange(11.0)  # exact coordinates, so the runs are exactly collinear
-    sets.append(np.concatenate([np.column_stack([edge, 0.0 * edge]),  # collinear runs
-                                np.column_stack([10.0 - edge, edge]),
-                                np.column_stack([0.0 * edge, edge]), [[2.0, 2.0]]]))
-    sets.append(rng.integers(0, 4, size=(60, 2)).astype(float))  # both, on a lattice
-    for pts in sets:
-        hull = _convex_hull(pts)
-        x, y = hull[:, 0], hull[:, 1]
-        area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        assert area == pytest.approx(ConvexHull(pts).volume, rel=1e-14)
-        assert len(hull) == len(ConvexHull(pts).vertices)
-        d1, d2 = np.roll(hull, -1, axis=0) - hull, np.roll(hull, -2, axis=0) - hull
-        turns = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        assert np.all(turns > 0.0)  # counterclockwise, no repeated or collinear vertex
-    assert _convex_hull(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])).shape == (2, 2)
+def test_hull_bound_is_a_lower_bound_for_the_superlevel_asymmetry():
+    # on a convex U_t the propagation check's bound and the search are one
+    # value summed over different segments, equal up to the rounding floor
+    for u, t in _criterion_10_levels():
+        search = superlevel_asymmetry(u, t)
+        bound = check_propagation(u, t).alpha_subset_bound
+        assert bound <= search.value + search.error + _SEARCH_FLOOR
 
 
 def test_nonconvex_superlevel_sets_keep_nine_seeds(monkeypatch):

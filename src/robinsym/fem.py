@@ -8,44 +8,59 @@ edge's entry is the bincount of its one or two triangle terms (the
 cotangent formula; Pinkall and Polthier, Exp. Math. 2, 1993), a node's that
 of its triangles' terms, and one COO without duplicates becomes the CSR.
 
-Both solvers share one multigrid hierarchy per mesh, its `refine_mesh`
-parent chain with the chain root factored by SuperLU (symmetric mode,
-minimum-degree ordering); a mesh without a parent is a hierarchy with no
-levels, whose V-cycle is the root's LU.  The Robin-Poisson system is solved
-by CG preconditioned by the V-cycle on every mesh, the root included, to a
-relative residual of at most 1e-10.  The principal eigenpair comes from
-nested LOBPCG, one V-cycle per step, started from the ones vector on the
-root and above it from the prolonged eigenvector of the mesh below.
+Both solvers share one multigrid hierarchy per mesh: its `refine_mesh`
+parent chain and, under the chain root, coarse levels of the root's own
+domain (`_coarse`).  These are the domain meshed afresh at sizes halving
+from just under the generator's limit, diameter/4, up to the last mesh
+with at most 0.6 of the root's nodes (a polygon's are its first mesh
+refined, as its generator makes them); each transfer is P1 interpolation
+of the coarser mesh at the finer level's nodes (`meshing.locate`), and the
+coarse matrices are the Galerkin products P^T A P down from the root's
+Robin matrix (non-nested coarse spaces with inherited operators converge
+as nested ones do; Bramble, Pasciak and Xu, Math. Comp. 56, 1991).  Every
+V-cycle ends in one dense solve on its coarsest level: the last coarse
+mesh with at most _DENSE nodes, or the root itself if it is that small.
+Where no mesh is that small (a polygon is never meshed coarser than its
+vertices), smoothed-aggregation levels continue below the coarsest mesh
+until one is.  The coarsest matrix is checked by a float64 Cholesky
+factor, so that a singular one raises SolverError naming its node count,
+and its inverse is applied in float32.  The Robin-Poisson system is
+solved by CG preconditioned by the V-cycle on every mesh, the root
+included, to a relative residual of at most 1e-10.  The principal
+eigenpair comes from nested LOBPCG, one V-cycle per step, started from
+the ones vector on the root and above it from the prolonged eigenvector
+of the mesh below.
 
 The V-cycle runs in single precision: its level matrices (float32 entries
-sharing the float64 matrix's index arrays), Jacobi weights and
-prolongations, and the root's LU, which is factored and kept in float32.
-A preconditioner needs only a few correct digits, so the residual is
-rounded to float32 on the way in and the correction widened on the way out,
-while the Krylov recurrences, every dot product and the residual checks
-stay in float64 (Carson and Higham, SIAM J. Sci. Comput. 40, 2018).  CG
-stops at 1e-13 or at the rounding floor of its true residual, whichever
-comes first.
+sharing the float64 matrix's index arrays), Jacobi weights, prolongations
+and restrictions, and the coarsest inverse.  A preconditioner needs only a
+few correct digits, so the residual is rounded to float32 on the way in
+and the correction widened on the way out, while the Krylov recurrences,
+every dot product and the residual checks stay in float64 (Carson and
+Higham, SIAM J. Sci. Comput. 40, 2018).  CG stops at 1e-13 or at the
+rounding floor of its true residual, whichever comes first.
 
 The Krylov solvers work in fixed working sets.  CG is a loop of its own
 with the recurrence of SciPy's `cg`, LOBPCG keeps its three blocks and
 their A and M images in one (3, 3, n) array updated in place, and the
-V-cycle's Jacobi sweeps update in place; from SciPy's sparse linear
-algebra only the LU (`splu`) is used.
+V-cycle's Jacobi sweeps update in place.  Nothing comes from SciPy's
+sparse linear algebra, so `scipy.sparse.linalg` is never loaded.
 
 The hierarchy is built once per mesh chain.  Each mesh keeps, per beta, in
 its private store (`Mesh._store`, living as long as the mesh): the Robin
-matrix `assemble_robin_system` returns, the SuperLU factor if the mesh is a
-chain root, and the raw principal eigenpair.  So every source on a ladder
-solves against the same coarse matrices and root factor, and each rung's
-eigenpair continues from the stored one of the rung below.
+matrix `assemble_robin_system` returns, the coarse levels and coarsest
+inverse if the mesh is a chain root, and the raw principal eigenpair.  So
+every source on a ladder solves against the same coarse levels, and each
+rung's eigenpair continues from the stored one of the rung below.  A root
+matrix that is not the stored one gets coarse levels for that solve only.
 `assemble_robin_system` is the only writer of a Robin matrix: one that a
 solver needs on a mesh the system was never assembled on is assembled for
 that call.  Nothing else is kept there: mass matrices, prolongations and
-Jacobi weights are cheap to form again, and keeping them, or a Robin
-matrix that only the eigensolver assembled, raised peak memory without
-saving time.  The edge graph that assembly and prolongation read belongs
-to the mesh itself, not to the store, since it does not depend on beta.
+Jacobi weights of the refinement levels are cheap to form again, and
+keeping them, or a Robin matrix that only the eigensolver assembled,
+raised peak memory without saving time.  The edge graph that assembly and
+prolongation read belongs to the mesh itself, not to the store, since it
+does not depend on beta.
 """
 
 from __future__ import annotations
@@ -56,9 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
-from .meshing import Mesh, _blocks, _corners, _doubled_areas
+from .meshing import Mesh, _blocks, _corners, _doubled_areas, _generate, locate, refine_mesh
 
 
 class SolverError(RuntimeError):
@@ -266,36 +280,25 @@ def _single(A) -> sparse.csr_matrix:
     return sparse.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
 
 
-def _factor(A):
-    """SuperLU factor of the SPD matrix A, in float32: it solves float32
-    right-hand sides only.  SuperLU runs in symmetric mode: a minimum-degree
-    ordering of A + A^T and no pivoting keep the fill at Cholesky shape."""
-    try:
-        return splu(_single(A).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"singular matrix on {A.shape[0]} nodes: {exc}", 1.0) from exc
-
-
 def solve_poisson(system: SparseSystem) -> ScalarField:
     """CG preconditioned by the V-cycle of system.mesh's hierarchy
-    (`_hierarchy`), the coarser levels rediscretized with system.beta; on a
-    chain root the V-cycle is the root's LU.  Guarantees relative residual
+    (`_hierarchy`), the coarser refinement levels rediscretized with
+    system.beta, down the root's coarse levels.  Guarantees relative residual
     <= 1e-10 or raises SolverError; a zero right-hand side gives the zero
     field, the exact solution.  A solve above the bound gets one step of
     iterative refinement: PCG on the residual evaluated afresh sheds the
     rounding the recurrence accumulated, which at small beta, where x is a
     large constant plus a small variation, can exceed the bound.  On a chain
     root, a matrix that is not the one `assemble_robin_system` stored there
-    is factored for this solve only."""
+    gets coarse levels for this solve only."""
     A, b, mesh = system.matrix, system.rhs, system.mesh
     if not np.any(b):
         return ScalarField(mesh=mesh, values=np.zeros_like(b))
     if mesh.parent is None and A is not _store(mesh, system.beta).get("matrix"):
-        lu, levels = _factor(A), []
+        inverse, levels = _coarse(mesh, A)
     else:
-        lu, levels = _hierarchy(mesh, system.beta, A)
-    precondition = functools.partial(_vcycle, levels, lu)
+        inverse, levels = _hierarchy(mesh, system.beta, A)
+    precondition = functools.partial(_vcycle, levels, inverse)
     bnorm = float(np.linalg.norm(b))
     x = _pcg(A, b, precondition)
     r = b - A @ x
@@ -325,6 +328,19 @@ _PCG_MAXITER = 500
 # the V-cycle smoother: damped Jacobi, this weight, this many sweeps on each side
 _JACOBI_OMEGA = 0.6
 _JACOBI_SWEEPS = 2
+# the V-cycle ends in a dense solve on its coarsest level, of at most this
+# many nodes (`_coarse`): inverting 169 or 225 nodes took 1.8 or 2.5 ms,
+# less than one more level and its share of every cycle, 289 nodes 5.6 ms
+_DENSE = 250
+# a chain root's coarse meshes have at most _COARSE_CUT times its nodes,
+# and halving the size multiplies a mesh's nodes by at least _GROWTH
+# (`_coarse_meshes`); at a cut of 1/2 the 13,041-node stadium root went
+# down to 1,891 nodes and its 51.7k-node child took 14 V-cycles, at 0.6 it
+# keeps its 6,903-node mesh and the child takes 12
+_COARSE_CUT = 0.6
+_GROWTH = 2.5
+# `_aggregation` links two nodes where |a_ij| > this times sqrt(a_ii a_jj)
+_STRONG = 0.08
 
 
 def _prolongation(mesh: Mesh) -> sparse.csr_matrix:
@@ -346,26 +362,151 @@ def _chain(mesh: Mesh):
         mesh = mesh.parent
 
 
+def _coarse_meshes(root: Mesh):
+    """root's domain meshed at sizes halving from just under the
+    generator's limit, diameter/4, coarsest first, as long as a mesh has at
+    most _COARSE_CUT times root's nodes.  A mesh at half the size has at
+    least _GROWTH times the nodes, so the search stops before generating
+    one that would be cut.  A polygon's generator refines its first mesh
+    until no edge is longer than the size, so its meshes at the halved
+    sizes are the first one refined once, twice, and so on."""
+    limit, meshes = _COARSE_CUT * root.num_nodes, []
+    h = math.nextafter(root.domain.diameter() / 4.0, 0.0)
+    m = _generate(root.domain, h)
+    while m.num_nodes <= limit:
+        meshes.append(m)
+        if _GROWTH * m.num_nodes > limit:
+            break
+        h /= 2.0
+        m = refine_mesh(m) if root.domain.kind == "polygon" else _generate(root.domain, h)
+    return meshes
+
+
+def _transfer(coarse: Mesh, fine: Mesh) -> sparse.csr_matrix:
+    """P1 interpolation from coarse to fine's nodes (`meshing.locate`)."""
+    tri, weights = locate(coarse, fine.nodes)
+    n = fine.num_nodes
+    return sparse.csr_matrix((weights.ravel(), coarse.triangles[tri].ravel(),
+                              3 * np.arange(n + 1)), shape=(n, coarse.num_nodes))
+
+
+def _diagonal(A) -> np.ndarray:
+    """A's diagonal; SolverError unless every entry is positive."""
+    diag = A.diagonal()
+    if not np.all(diag > 0):
+        raise SolverError(f"nonpositive diagonal entry on {A.shape[0]} nodes", 1.0)
+    return diag
+
+
+def _level(A, P, R):
+    """The V-cycle level of A, P prolonging into it and R = P^T restricting
+    from it, in CSR: (A, omega / diag(A), P, R) in float32."""
+    diag = _diagonal(A)
+    return (_single(A), (_JACOBI_OMEGA / diag).astype(np.float32),
+            P.astype(np.float32, copy=False), R.astype(np.float32, copy=False))
+
+
+def _aggregation(A) -> sparse.csr_matrix:
+    """The smoothed-aggregation prolongation of A (Vanek, Mandel and
+    Brezina, Computing 56, 1996) on its strong links, |a_ij| > _STRONG
+    sqrt(a_ii a_jj).  The aggregates are the nodes of a maximal independent
+    set of the strong links, picked by a fixed pseudo-random priority, each
+    with the neighbours that join it (the first in the set among their
+    neighbours).  The piecewise constant P is smoothed by one Jacobi step
+    of F, A's diagonal and strong links: (I - 4/3 D^-1 F / rho) P, rho >=
+    the spectral radius of D^-1 F by Gershgorin.  Smoothed with all of A,
+    a node of many weak links (a polygon fan's centre) spread over every
+    aggregate, and a 200-gon's 256-node level had 40,342 entries."""
+    n, diag = A.shape[0], _diagonal(A)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    strong = (A.data ** 2 > _STRONG ** 2 * diag[rows] * diag[A.indices]) & (A.indices != rows)
+    r, c = rows[strong], A.indices[strong]
+    priority = np.arange(n, dtype=np.uint64) * np.uint64(2654435761) % np.uint64(2 ** 32)
+    state = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 in the set, -1 out
+    while not state.all():
+        undecided = state == 0
+        beaten = np.zeros(n, dtype=bool)
+        beaten[r[undecided[r] & undecided[c] & (priority[c] > priority[r])]] = True
+        chosen = undecided & ~beaten
+        state[chosen] = 1
+        out = np.zeros(n, dtype=bool)
+        out[c[chosen[r]]] = True
+        state[out & (state == 0)] = -1
+    aggregate = np.cumsum(state == 1) - 1
+    joins = (state[r] == -1) & (state[c] == 1)
+    members, first = np.unique(r[joins], return_index=True)
+    aggregate[members] = aggregate[c[joins][first]]
+    T = sparse.csr_matrix((np.ones(n), aggregate, np.arange(n + 1)),
+                          shape=(n, int(aggregate.max()) + 1))
+    F = A.copy()
+    F.data[~strong & (A.indices != rows)] = 0.0
+    rho = float(np.max(abs(F) @ np.ones(n) / diag))
+    return (T - sparse.diags(4.0 / (3.0 * rho) / diag) @ (F @ T)).tocsr()
+
+
+def _inverse(A) -> np.ndarray:
+    """The inverse of the SPD matrix A, dense and in float32: L^-T L^-1 for
+    its float64 Cholesky factor L, L^-1 rounded to float32 and the product
+    formed in float32.  A counts as singular where the factor fails or a
+    pivot falls to float32's epsilon times its diagonal entry: below that,
+    a float32 inverse keeps nothing of A."""
+    A = A.toarray()
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular matrix on {len(A)} nodes: {exc}", 1.0) from exc
+    pivot = float(np.min(np.diagonal(L) ** 2 / np.diagonal(A)))
+    if not pivot > np.finfo(np.float32).eps:
+        raise SolverError(f"singular matrix on {len(A)} nodes: Cholesky pivot {pivot:.1e}"
+                          f" of its diagonal entry", 1.0)
+    Linv = np.linalg.inv(L).astype(np.float32)
+    return Linv.T @ Linv
+
+
+def _coarse(root: Mesh, A):
+    """The bottom of the V-cycle under the chain root with matrix A:
+    (inverse, levels), levels[j] = `_level` tuples from the level above the
+    coarsest up to the root, and the coarsest matrix's `_inverse`, as
+    `_vcycle` takes them.  The levels are root and `_coarse_meshes(root)`,
+    from the last of them with at most _DENSE nodes, or the first if none
+    is that small; their matrices are the Galerkin P^T A P down from A
+    (Bramble, Pasciak and Xu, Math. Comp. 56, 1991).  Where the coarsest
+    mesh has more than _DENSE nodes (a polygon of many vertices is never
+    meshed coarser than its vertices), `_aggregation` levels continue
+    below it until one has at most _DENSE."""
+    meshes = _coarse_meshes(root) + [root] if root.num_nodes > _DENSE else [root]
+    while len(meshes) > 1 and meshes[1].num_nodes <= _DENSE:
+        del meshes[0]
+    transfers = [_transfer(coarse, fine) for coarse, fine in zip(meshes[-2::-1], meshes[:0:-1])]
+    levels = []
+    while transfers or A.shape[0] > _DENSE:
+        P = transfers.pop(0) if transfers else _aggregation(A)
+        if P.shape[1] == A.shape[0]:
+            raise SolverError(f"no strong link to aggregate on {A.shape[0]} nodes", 1.0)
+        R = P.T.tocsr()
+        levels.append(_level(A, P, R))
+        A = R @ (A @ P)
+    return _inverse(A), levels[::-1]
+
+
 def _hierarchy(mesh: Mesh, beta: float, A):
     """The V-cycle hierarchy of mesh's parent chain, with A on mesh itself:
-    (root LU, levels), levels[j] = (A, omega / diag(A), P) in float32 from
-    the root's child up to mesh, as `_vcycle` takes them; a chain root has
-    no levels.  The coarser matrices come from `_robin`; the root's matrix,
-    A on a root, is factored once per (root, beta) and kept in its store.
-    The float32 matrices, weights and prolongations are formed anew."""
+    (coarsest inverse, levels), levels[j] = `_level` tuples from the level
+    above the coarsest up to mesh, as `_vcycle` takes them.  The root's
+    part, `_coarse` of its matrix (A on a root), is built once per (root,
+    beta) and kept in its store; above it the matrices come from `_robin`,
+    and their float32 levels are formed anew."""
     chain = list(_chain(mesh))
     matrices = [A] + [_robin(m, beta) for m in chain[1:-1]]
     root = _store(chain[-1], beta)
-    if "lu" not in root:
-        root["lu"] = _factor(A if mesh.parent is None else _robin(chain[-1], beta))
-    levels = []
+    if "coarse" not in root:
+        root["coarse"] = _coarse(chain[-1], A if mesh.parent is None else _robin(chain[-1], beta))
+    inverse, levels = root["coarse"]
+    above = []
     for m, A in zip(chain[-2::-1], matrices[::-1]):
-        diag = A.diagonal()
-        if not np.all(diag > 0):
-            raise SolverError(f"nonpositive diagonal entry on {A.shape[0]} nodes", 1.0)
-        levels.append((_single(A), (_JACOBI_OMEGA / diag).astype(np.float32),
-                       _prolongation(m)))
-    return root["lu"], levels
+        P = _prolongation(m)
+        above.append(_level(A, P, P.T.tocsr()))
+    return inverse, levels + above
 
 
 def _residual(A, x, r):
@@ -381,23 +522,23 @@ def _jacobi(A, dinv, r, x):
     x += s
 
 
-def _vcycle(levels, lu, r):
+def _vcycle(levels, inverse, r):
     """One symmetric V-cycle for the matrix of levels[-1]: damped Jacobi
-    before and after each coarse-grid correction, the root's LU at the
-    bottom.  levels[j] = (A, omega / diag(A), P), P prolonging from level
-    j - 1; the root itself is not in the list.  The cycle runs in float32:
-    r is rounded once on the way in, the correction widened once on the way
-    out."""
+    before and after each coarse-grid correction, the dense inverse of the
+    coarsest level at the bottom.  levels[j] = (A, omega / diag(A), P, P^T),
+    P prolonging from level j - 1; the coarsest level itself is not in the
+    list.  The cycle runs in float32: r is rounded once on the way in, the
+    correction widened once on the way out."""
     r = r.astype(np.float32)
     stack = []
-    for A, dinv, P in reversed(levels):
+    for A, dinv, _, R in reversed(levels):
         x = dinv * r  # the first sweep, from x = 0
         for _ in range(_JACOBI_SWEEPS - 1):
             _jacobi(A, dinv, r, x)
         stack.append((x, r))
-        r = P.T @ _residual(A, x, r)
-    x = lu.solve(r)
-    for (A, dinv, P), (x_pre, r) in zip(levels, reversed(stack)):
+        r = R @ _residual(A, x, r)
+    x = inverse @ r
+    for (A, dinv, P, _), (x_pre, r) in zip(levels, reversed(stack)):
         x_pre += P @ x
         x = x_pre
         for _ in range(_JACOBI_SWEEPS):
@@ -504,7 +645,7 @@ def _lobpcg(A, M, w, precondition):
 def _nested_eigenpair(mesh: Mesh, beta: float):
     """The raw (lambda, w) of (mesh, beta), kept in mesh's store: nested
     LOBPCG down mesh's parent chain, each mesh's preconditioned by its
-    hierarchy's V-cycle (the LU on the root, which has no levels) and
+    hierarchy's V-cycle (on the root, its coarse levels') and
     started from the ones vector on the root, above it from the prolonged
     eigenvector of the mesh below (full-multigrid eigensolver; Brandt,
     McCormick and Ruge, SIAM J. Sci. Stat. Comput. 1983; Knyazev and
@@ -514,9 +655,9 @@ def _nested_eigenpair(mesh: Mesh, beta: float):
         return store["eigenpair"]
     w = None if mesh.parent is None else _nested_eigenpair(mesh.parent, beta)[1]
     A, M = _robin(mesh, beta), mass_matrix(mesh)
-    lu, levels = _hierarchy(mesh, beta, A)
-    w = levels[-1][2] @ w if levels else np.ones(A.shape[0])
-    lam, w = _lobpcg(A, M, w, lambda r: _vcycle(levels, lu, r))
+    inverse, levels = _hierarchy(mesh, beta, A)
+    w = np.ones(A.shape[0]) if w is None else levels[-1][2] @ w
+    lam, w = _lobpcg(A, M, w, lambda r: _vcycle(levels, inverse, r))
     w.flags.writeable = False
     store["eigenpair"] = lam, w
     return lam, w

@@ -5,7 +5,8 @@ for rectangles and the stadium's central rectangle, whose graded half-ring
 caps join its end columns by node index; for polygons a centroid fan if
 convex and ear clipping otherwise, refined down to h.  Every mesh is bound
 to its domain: boundary nodes lie on the exact boundary, and refinement
-projects new boundary midpoints back onto it.
+projects new boundary midpoints back onto it.  `locate` finds points in a
+mesh, for the solvers' transfers between meshes that are not nested.
 """
 
 from __future__ import annotations
@@ -397,20 +398,87 @@ def _mesh_polygon(domain: Domain, h: float) -> Mesh:
     return mesh
 
 
+def _generate(domain: Domain, h: float) -> Mesh:
+    """The family generator's mesh of domain at size h, unchecked."""
+    if domain.kind in ("disc", "ellipse"):
+        return _mesh_disc_like(domain, h)
+    if domain.kind == "rect":
+        return _mesh_rect(domain, h)
+    if domain.kind == "stadium":
+        return _mesh_stadium(domain, h)
+    return _mesh_polygon(domain, h)
+
+
 def generate_mesh(domain: Domain, h: float) -> Mesh:
     """Structured mesh with target size h (must satisfy 0 < h < diameter/4)."""
     if not 0.0 < h < domain.diameter() / 4.0:
         raise MeshError("target size must be in (0, diameter/4)")
-    if domain.kind in ("disc", "ellipse"):
-        mesh = _mesh_disc_like(domain, h)
-    elif domain.kind == "rect":
-        mesh = _mesh_rect(domain, h)
-    elif domain.kind == "stadium":
-        mesh = _mesh_stadium(domain, h)
-    else:
-        mesh = _mesh_polygon(domain, h)
+    mesh = _generate(domain, h)
     validate_mesh(mesh)
     return mesh
+
+
+def locate(mesh: Mesh, points):
+    """(triangle, barycentric coordinates) of each point in mesh: the
+    triangle that holds the point or, for a point outside every triangle
+    (as across a curved boundary), the candidate whose smallest coordinate
+    is largest, the first one on ties.
+
+    Candidates come from buckets: a uniform grid over the mesh's bounding
+    box with about two cells per triangle, but at most 256 cells a side,
+    so that a cell number is a 16-bit key and sorts by radix.  Each
+    triangle is listed in every cell its bounding box meets, a triangle
+    with a boundary node in every cell within one cell of its box too, so
+    that a point just outside the mesh finds it.  A point takes the
+    triangles of the cell it falls in (clamped to the grid) or, if that
+    cell has none, the triangles with a boundary node: a triangle holding
+    the point would be listed in its cell."""
+    points = np.asarray(points, dtype=float)
+    c0, c1, c2 = mesh.nodes[mesh.triangles.T]
+    T = len(c0)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    size = max(math.sqrt(float(np.prod(hi - lo)) / (2 * T)), float(np.max(hi - lo)) / 256)
+    shape = np.clip(np.ceil((hi - lo) / size), 1, 256).astype(np.intp)
+
+    def cell(xy):
+        return np.clip(((xy - lo) / size).astype(np.intp), 0, shape - 1)
+
+    on_boundary = np.zeros(mesh.num_nodes, dtype=bool)
+    on_boundary[mesh.boundary_edges] = True
+    outer = on_boundary[mesh.triangles].any(axis=1)
+    pad = np.where(outer, size, 0.0)[:, None]
+    first = cell(np.minimum(np.minimum(c0, c1), c2) - pad)
+    span = cell(np.maximum(np.maximum(c0, c1), c2) + pad) - first + 1
+    count = span[:, 0] * span[:, 1]
+    owner = np.repeat(np.arange(T), count)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    row, col = np.divmod(k, np.repeat(span[:, 1], count))
+    bucket = np.repeat(first @ (shape[1], 1), count) + row * shape[1] + col
+    order = np.argsort(bucket.astype(np.uint16), kind="stable")
+    table = np.concatenate([owner[order], np.flatnonzero(outer)])
+    start = np.zeros(shape[0] * shape[1] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(bucket, minlength=len(start) - 1), out=start[1:])
+    c = cell(points) @ (shape[1], 1)
+    base, n = start[c], start[c + 1] - start[c]
+    base[n == 0], n[n == 0] = len(owner), len(table) - len(owner)
+    point = np.repeat(np.arange(len(points)), n)
+    offset = np.cumsum(n) - n
+    tri = table[np.arange(len(point)) - np.repeat(offset - base, n)]
+    # l1 and l2 are linear in p - corner 0: l1 = (dx e2y - dy e2x) / d, l2 =
+    # (dy e1x - dx e1y) / d for the edges e1, e2 from corner 0
+    e1, e2 = (c1 - c0).T, (c2 - c0).T
+    d = e1[0] * e2[1] - e1[1] * e2[0]
+    dx = points[:, 0][point] - c0[:, 0][tri]
+    dy = points[:, 1][point] - c0[:, 1][tri]
+    bary = np.empty((3, len(point)))
+    bary[1] = dx * (e2[1] / d)[tri] - dy * (e2[0] / d)[tri]
+    bary[2] = dy * (e1[0] / d)[tri] - dx * (e1[1] / d)[tri]
+    np.subtract(1.0, bary[1], out=bary[0])
+    bary[0] -= bary[2]
+    score = bary.min(axis=0)
+    best = np.flatnonzero(score == np.maximum.reduceat(score, offset)[point])
+    best = best[np.concatenate([[True], point[best[1:]] != point[best[:-1]]])]
+    return tri[best], bary[:, best].T
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ eigenpair from the meshes' stores and keeps none there.
 
 `scipy_pcg` is SciPy's `cg`, `lobpcg` the package's LOBPCG as it was when
 every step stacked a fresh Rayleigh-Ritz basis, and `vcycle` the package's
-float32 V-cycle before its sweeps went in place: the package's
+float32 V-cycle before its sweeps went in place and before each level kept
+its restriction P^T in CSR: it restricts by `P.T @`.  Its bottom is the
+package's, the coarsest level's dense float32 inverse.  The package's
 fixed-working-set `fem._pcg`, `fem._lobpcg` and `fem._vcycle` must return
 the same bits.
 """
@@ -65,25 +67,25 @@ def inverse_iteration_eigenpair(mesh, beta):
     if mesh.parent is None:
         lu = factor(A)
         return _inverse_iteration(A, M, np.ones(A.shape[0]), lambda b, x0: lu.solve(b))
-    lu, levels = _hierarchy(mesh, beta, A)
-    return _inverse_iteration(
-        A, M, levels[-1][2] @ w, lambda b, x0: scipy_pcg(A, b, lambda r: vcycle(levels, lu, r), x0))
+    inverse, levels = _hierarchy(mesh, beta, A)
+    return _inverse_iteration(A, M, levels[-1][2] @ w, lambda b, x0: scipy_pcg(
+        A, b, lambda r: vcycle(levels, inverse, r), x0))
 
 
-def vcycle(levels, lu, r):
+def vcycle(levels, inverse, r):
     """The package's V-cycle as it was before its Jacobi sweeps went in
     place: three temporaries per sweep, in float32 between the rounding of
-    r and the widening of the result."""
+    r and the widening of the result, and restriction by P.T."""
     r = r.astype(np.float32)
     stack = []
-    for A, dinv, P in reversed(levels):
+    for A, dinv, P, _ in reversed(levels):
         x = dinv * r
         for _ in range(_JACOBI_SWEEPS - 1):
             x += dinv * (r - A @ x)
         stack.append((x, r))
         r = P.T @ (r - A @ x)
-    x = lu.solve(r)
-    for (A, dinv, P), (x_pre, r) in zip(levels, reversed(stack)):
+    x = inverse @ r
+    for (A, dinv, P, _), (x_pre, r) in zip(levels, reversed(stack)):
         x = x_pre + P @ x
         for _ in range(_JACOBI_SWEEPS):
             x += dinv * (r - A @ x)

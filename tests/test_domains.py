@@ -133,10 +133,53 @@ def test_nonpositive_parameters_rejected():
     ("disc r=1e-200", r"disc r must lie in \[1e-70, 1e\+70\]"),
     ("disc r=1 cx=1e75", r"disc r must lie .* and its coordinates within \+-1e\+70"),
     ("polygon 0,0 1,0 1,1e-75 0,1", r"polygon edges must lie in \[1e-70, 1e\+70\]"),
+    ("rect w=2 h=1 cx=1e17", r"rect w, h: a centre coordinate of 1e\+17 is more than 2\^26 times "
+                             r"the smallest extent 1, too far out for the doubles there to resolve "
+                             r"the shape"),
+    ("disc r=1e-9 cy=1", r"disc r: a centre coordinate of 1 is more than 2\^26 times"),
+    ("polygon 1e8,0 100000001,0 1e8,1", r"polygon: a centre coordinate of 1e\+08 is more"),
 ])
 def test_domain_spec_names_the_bad_parameter(spec, match):
     with pytest.raises(GeometryError, match=match):
         parse_domain_spec(spec)
+
+
+@pytest.mark.parametrize("spec, offset", [
+    ("rect w=2 h=1 cx={c}", 2.0 ** 26), ("ellipse a=2 b=1 cx={c} cy={c}", 2.0 ** 26),
+    ("polygon {c},0 {c1},0 {c},1", 2.0 ** 26 - 0.5)])
+def test_shapes_far_from_the_origin_keep_their_asymmetry_up_to_the_cut(spec, offset):
+    # with its centre at 2^26 times its smallest extent from the origin the
+    # shape is accepted and keeps its asymmetry; one double further it is
+    # rejected, long before its points round together (the rectangle's at
+    # 1e16)
+    unit = fraenkel_asymmetry(parse_domain_spec(spec.format(c=0.0, c1=1.0)))
+    far = fraenkel_asymmetry(parse_domain_spec(spec.format(c=repr(offset), c1=repr(offset + 1))))
+    assert abs(far.value - unit.value) <= 1e-9 and far.error <= 1e-12
+    beyond = math.nextafter(offset, math.inf)
+    with pytest.raises(GeometryError, match="too far out"):
+        parse_domain_spec(spec.format(c=repr(beyond), c1=repr(beyond + 1)))
+
+
+@pytest.mark.parametrize("spec, area", [
+    ("polygon 0,0 1,0 1,1e-8 0,1", 0.5),
+    ("polygon 1e7,1e7 10000001,1e7 10000001,10000001 1e7,10000001 1e7,10000000.99", 1.0)])
+def test_a_short_polygon_edge_is_no_offset(spec, area):
+    # a polygon's offset is its bounding box's centre against the box's
+    # extents, not its coordinates against its shortest edge: the edges of
+    # 1e-8 and 0.01 are more than 2^26 times smaller than the coordinates 1
+    # and 1e7
+    assert parse_domain_spec(spec).measure == pytest.approx(area, rel=1e-7)
+
+
+def test_a_polygon_far_from_the_origin_keeps_its_area_and_centroid():
+    # the shoelace sums start from vertex 0: summed from the origin, this
+    # heptagon's centroid at 1e6 was 8 off and its fan mesh had 57,793
+    # nodes where 953 were due
+    v = np.array([(-1.009, 0.4251), (-0.949, -0.4603), (-0.0763, -1.0736), (0.5474, -0.9483),
+                  (1.0583, -0.1542), (0.725, 0.8098), (-0.1133, 1.0612)])
+    near, far = (build_domain("polygon", vertices=v + shift) for shift in (0.0, 1e6))
+    assert far.measure == pytest.approx(near.measure, rel=1e-9)
+    assert np.allclose(far.center - 1e6, near.center, rtol=0.0, atol=1e-9)
 
 
 def test_spec_roundtrip():

@@ -237,10 +237,10 @@ def _true_residual(system, u):
     return float(np.linalg.norm(b - A @ u.values) / np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("spec,h,cap", [(_ELLIPSE_2, 0.05, 19), ("stadium l=1 r=0.5", 0.025, 11)])
+@pytest.mark.parametrize("spec,h,cap", [(_ELLIPSE_2, 0.05, 21), ("stadium l=1 r=0.5", 0.025, 12)])
 def test_multigrid_poisson_iterations_on_the_ladder_meshes(spec, h, cap, monkeypatch):
-    # PCG stops at the rounding floor: the recurrence ran on to 1e-13 for 23
-    # and 13 V-cycles while the true residual stood still
+    # PCG stops at the rounding floor: the recurrence runs on to 1e-13 for
+    # more V-cycles while the true residual stands still
     system = _refined_system(spec, h, 1, "bump")
     assert system.mesh.num_nodes == {0.05: 52441, 0.025: 51681}[h]
     calls = _count_vcycles(monkeypatch)
@@ -252,12 +252,51 @@ def test_multigrid_poisson_iterations_on_the_ladder_meshes(spec, h, cap, monkeyp
     assert len(calls) > cap
 
 
-def test_root_mesh_solves_by_pcg_on_its_lu(monkeypatch):
-    # one solve path: on a chain root the V-cycle is the float32 LU alone
+def test_root_mesh_solves_by_pcg_on_its_coarse_levels(monkeypatch):
+    # one solve path: on a chain root the V-cycle runs down the root's coarse
+    # levels, the root's own level on top, to the dense coarsest inverse
     system = _refined_system("stadium l=1 r=0.5", 0.1, 0, "const")
-    levels = _count(monkeypatch, "_vcycle", lambda levels, lu, r: levels == [])
+    n = system.mesh.num_nodes
+    cycles = _count(monkeypatch, "_vcycle",
+                    lambda levels, inverse, r: levels[-1][0].shape[0] == n > len(inverse))
     assert _true_residual(system, solve_poisson(system)) <= 1e-10
-    assert 0 < len(levels) <= 4
+    assert 0 < len(cycles) <= 20
+
+
+_SLIVER = ("polygon 0.6767,0.0608 0.2689,0.8022 0.2137,1.4323 -0.7003,0.8134 -0.7334,0.4098 "
+           "-0.7690,-0.0630 -1.0042,-1.0488 -0.1428,-0.9336 0.3953,-1.4266 0.4048,-0.9313")
+
+
+def test_sliver_polygon_solves_within_the_residual_contract():
+    # ear clipping leaves angles from 0.18 to 179.62 degrees, and the root's
+    # coarse levels are its refinement ancestors; the rounding floor of this
+    # system is 4.0e-10, and its PCG solve once ended at 2.4e-10
+    system = _refined_system(_SLIVER, 0.15, 2, "const")
+    assert system.mesh.num_nodes == 16705
+    assert _true_residual(system, solve_poisson(system)) <= 1e-10
+
+
+def test_ratio_two_ellipse_ladder_converges_within_its_guard(monkeypatch):
+    # deterministic counts on the 13,225-node root and its 52,441-node
+    # child: PCG V-cycles on both, LOBPCG steps on the child
+    d = parse_domain_spec(_ELLIPSE_2)
+    root = generate_mesh(d, 0.05)
+    m = refine_mesh(root)
+    assert (root.num_nodes, m.num_nodes) == (13225, 52441)
+    calls = _count_vcycles(monkeypatch)
+    f = source_from_name("bump", d)
+    cycles = []
+    for mesh in (root, m):
+        system = assemble_robin_system(mesh, f, 1.0)
+        calls.clear()
+        assert _true_residual(system, solve_poisson(system)) <= 1e-10
+        cycles.append(len(calls))
+    assert cycles[0] <= 25 and cycles[1] <= 21, cycles
+    fem._nested_eigenpair(root, 1.0)
+    steps = _count(monkeypatch, "_lobpcg")
+    calls.clear()
+    principal_robin_eigenpair(m, 1.0)
+    assert len(steps) == 1 and len(calls) <= 12, len(calls)
 
 
 def test_small_beta_solve_takes_one_refinement_step(monkeypatch):
@@ -392,33 +431,105 @@ def _krylov_ladder(spec, h, refinements, beta):
     """Per rung of the ladder: (mesh, A, M, w0, precondition, oracle), w0
     the ones vector on the root and the prolonged eigenvector of the rung
     below above it; precondition and oracle are the package's and the
-    oracle's V-cycle of the rung's hierarchy, the root's LU on the root."""
+    oracle's V-cycle of the rung's hierarchy."""
     m = generate_mesh(parse_domain_spec(spec), h)
     w = None
     for rung in range(refinements + 1):
         if rung:
             m = refine_mesh(m)
         A, M = fem._robin_matrix(m, beta), mass_matrix(m)
-        lu, levels = fem._hierarchy(m, beta, A)
-        w0 = levels[-1][2] @ w if levels else np.ones(m.num_nodes)
-        precondition = functools.partial(fem._vcycle, levels, lu)
-        oracle = functools.partial(eigen_oracle.vcycle, levels, lu)
+        inverse, levels = fem._hierarchy(m, beta, A)
+        w0 = levels[-1][2] @ w if rung else np.ones(m.num_nodes)
+        precondition = functools.partial(fem._vcycle, levels, inverse)
+        oracle = functools.partial(eigen_oracle.vcycle, levels, inverse)
         yield m, A, M, w0, precondition, oracle
         w = fem._lobpcg(A, M, w0, precondition)[1]
 
 
-def test_a_chain_root_is_a_hierarchy_with_no_levels(monkeypatch):
-    m = generate_mesh(parse_domain_spec(_L_SHAPE), 0.2)
+def test_a_chain_root_builds_its_coarse_levels_once(monkeypatch):
+    m = generate_mesh(parse_domain_spec(_L_SHAPE), 0.1)
     A = fem._robin_matrix(m, 1.0)
-    factors = _count(monkeypatch, "_factor")
-    lu, levels = fem._hierarchy(m, 1.0, A)
-    assert levels == [] and lu is m._store[1.0]["lu"]
-    again, levels = fem._hierarchy(m, 1.0, A)
-    assert again is lu and levels == [] and len(factors) == 1
-    r = load_vector(m, source_from_name("bump", m.domain))
-    x = lu.solve(r.astype(np.float32)).astype(float)
-    assert np.array_equal(fem._vcycle([], lu, r), x)
-    assert np.array_equal(eigen_oracle.vcycle([], lu, r), x)
+    built = _count(monkeypatch, "_coarse")
+    inverse, levels = fem._hierarchy(m, 1.0, A)
+    stored_inverse, stored_levels = m._store[1.0]["coarse"]
+    assert stored_inverse is inverse and stored_levels == levels
+    assert [level[0].shape[0] for level in levels] == [561, m.num_nodes]
+    assert inverse.shape == (153, 153) and inverse.dtype == np.float32
+    again, levels_again = fem._hierarchy(m, 1.0, A)
+    assert again is inverse and levels_again == levels and len(built) == 1
+    # the V-cycle's bottom is the dense float32 inverse of the coarsest level
+    r = load_vector(m, source_from_name("bump", m.domain)).astype(np.float32)
+    coarsest = inverse @ r[:153]
+    assert np.array_equal(fem._vcycle([], inverse, r[:153]), coarsest.astype(float))
+    assert np.array_equal(fem._vcycle(levels, inverse, r), eigen_oracle.vcycle(levels, inverse, r))
+
+
+@pytest.mark.parametrize("spec, h, coarsest, levels", [
+    ("disc r=1", 0.1, 169, [625, 1681]),
+    ("disc r=1", 0.05, 169, [625, 2209, 6561]),
+    (_ELLIPSE_2, 0.05, 81, [289, 961, 3481, 13225]),
+    ("stadium l=1 r=0.5", 0.025, 153, [561, 1891, 6903, 13041]),
+    (_L_SHAPE, 0.1, 153, [561, 2145]),
+    ("rect w=1 h=1", 0.25, 25, [])])
+def test_coarse_levels_halve_from_the_generator_limit(spec, h, coarsest, levels, monkeypatch):
+    # the domain meshed at diameter/4 (just under), /8, ...: levels up to
+    # the last mesh with at most 0.6 of the root's nodes (the stadium's
+    # 6,903 of 13,041), from the last with at most 250 nodes, which is
+    # solved densely; the 4-by-4 square is itself dense.  No mesh is
+    # generated only to be cut, and a polygon is generated once and refined
+    made = []
+    generate = fem._generate
+    monkeypatch.setattr(fem, "_generate", lambda d, h: made.append(generate(d, h)) or made[-1])
+    m = generate_mesh(parse_domain_spec(spec), h)
+    inverse, below = fem._coarse(m, fem._robin_matrix(m, 1.0))
+    assert inverse.shape == (coarsest, coarsest)
+    assert [level[0].shape[0] for level in below] == levels
+    assert all(mesh.num_nodes <= 0.6 * m.num_nodes for mesh in made)
+    assert len(made) <= 1 if spec == _L_SHAPE else len(made) >= len(levels)
+    for (A, dinv, P, R), coarser in zip(below, [coarsest] + levels):
+        assert P.shape == (A.shape[0], coarser) and np.array_equal(R.toarray(), P.T.toarray())
+        assert A.dtype == dinv.dtype == P.dtype == np.float32
+
+
+def _regular_polygon(n):
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return build_domain("polygon", vertices=np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
+def test_aggregation_bounds_the_dense_level_under_a_polygon_of_many_vertices(monkeypatch):
+    # a 200-gon's fan, refined once at h just under diameter/4, is its own
+    # coarsest mesh: aggregation levels take it down to at most 250 nodes
+    # and stay sparse (smoothed with the fan centre's weak links, the
+    # 256-node level had 40,342 entries), and the solve meets the contract
+    d = _regular_polygon(200)
+    m = generate_mesh(d, math.nextafter(d.diameter() / 4.0, 0.0))
+    assert m.num_nodes == 601
+    system = assemble_robin_system(m, constant_source(), 1.0)
+    inverse, below = fem._coarse(m, system.matrix)
+    sizes = [level[0].shape[0] for level in below]
+    assert len(inverse) <= 250 < sizes[0] and sizes[-1] == m.num_nodes
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    assert all(level[0].nnz <= 10 * level[0].shape[0] for level in below)
+    calls = _count_vcycles(monkeypatch)
+    assert _true_residual(system, solve_poisson(system)) <= 1e-10
+    assert len(calls) <= 20
+
+
+def test_aggregation_rejects_a_matrix_with_no_links():
+    # a diagonal matrix has nothing to aggregate: SolverError, not a dense
+    # solve on every node
+    d = _regular_polygon(200)
+    m = generate_mesh(d, math.nextafter(d.diameter() / 4.0, 0.0))
+    with pytest.raises(SolverError, match="no strong link to aggregate on 601 nodes"):
+        fem._coarse(m, sparse.identity(m.num_nodes, format="csr"))
+
+
+def test_dense_coarsest_rejects_a_matrix_singular_in_float32():
+    # at beta = 1e-9 the last Cholesky pivot of the 25-node square is 4e-9
+    # of its diagonal entry, below float32's epsilon
+    m = generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25)
+    with pytest.raises(SolverError, match="singular matrix on 25 nodes: Cholesky pivot 4.0e-09"):
+        solve_robin_poisson(m, constant_source(), 1e-9)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.3])
@@ -492,7 +603,7 @@ def test_ladder_builds_its_hierarchy_once(monkeypatch):
     d = parse_domain_spec(_ELLIPSE_2)
     ladder = Ladder(d, 1.0, 0.2, refinements=2)
     root = ladder.meshes[0]
-    factors = _count(monkeypatch, "_factor")
+    built = _count(monkeypatch, "_coarse")
     robins = _count(monkeypatch, "_robin_matrix")
     root_iterations = _count(monkeypatch, "_lobpcg",
                              lambda A, *rest: A.shape[0] == root.num_nodes)
@@ -500,9 +611,9 @@ def test_ladder_builds_its_hierarchy_once(monkeypatch):
         ladder.solutions(source_from_name(name, d))
     lams = ladder.eigenvalues
     # the parent recomputes every coarser level per call: 12, 24 and 3
-    assert (len(factors), len(robins), len(root_iterations)) == (1, 3, 1)
+    assert (len(built), len(robins), len(root_iterations)) == (1, 3, 1)
     assert [principal_robin_eigenpair(m, 1.0)[0] for m in ladder.meshes] == lams
-    assert (len(factors), len(robins), len(root_iterations)) == (1, 3, 1)
+    assert (len(built), len(robins), len(root_iterations)) == (1, 3, 1)
 
 
 def _chain_results(meshes, d):
@@ -555,7 +666,7 @@ def test_store_is_kept_per_beta_and_shared_by_systems():
     assert sorted(m.parent._store) == [1.0, 3.0]
     # only assemble_robin_system stores a Robin matrix, and the parent was
     # never handed to it
-    assert set(m.parent._store[1.0]) == {"lu", "eigenpair"}
+    assert set(m.parent._store[1.0]) == {"coarse", "eigenpair"}
     assert set(m._store[1.0]) == {"matrix", "eigenpair"}
 
 
@@ -563,19 +674,25 @@ def test_eigenpair_keeps_no_robin_matrix_of_its_own():
     m = refine_mesh(generate_mesh(build_domain("disc", r=1.0), 0.2))
     principal_robin_eigenpair(m, 1.0)
     assert set(m._store[1.0]) == {"eigenpair"}
-    assert set(m.parent._store[1.0]) == {"lu", "eigenpair"}
+    assert set(m.parent._store[1.0]) == {"coarse", "eigenpair"}
 
 
-def test_root_solve_factors_a_matrix_that_is_not_the_stored_one(monkeypatch):
-    m = generate_mesh(build_domain("rect", w=1.0, h=1.0), 0.25)
+@pytest.mark.parametrize("h, levels", [(0.25, 0), (0.05, 1)])
+def test_root_solve_builds_levels_for_a_matrix_that_is_not_the_stored_one(h, levels,
+                                                                         monkeypatch):
+    # h = 0.25: a 25-node root, itself the dense coarsest; h = 0.05: a
+    # 441-node root over an 81-node dense level
+    m = generate_mesh(build_domain("rect", w=1.0, h=1.0), h)
+    assert len(fem._coarse(m, fem._robin_matrix(m, 1.0))[1]) == levels
     system = assemble_robin_system(m, constant_source(), 1.0)
     u = solve_poisson(system)
-    factors = _count(monkeypatch, "_factor")
+    stored = m._store[1.0]["coarse"]
+    built = _count(monkeypatch, "_coarse")
     assert np.array_equal(solve_poisson(system).values, u.values)
-    assert len(factors) == 0
+    assert len(built) == 0
     copy = SparseSystem(system.matrix.copy(), system.rhs, m, 1.0)
     assert np.array_equal(solve_poisson(copy).values, u.values)
-    assert len(factors) == 1
+    assert len(built) == 1 and m._store[1.0]["coarse"] is stored
 
 
 def test_hand_built_systems_fail_on_a_warm_store():
@@ -763,8 +880,8 @@ def test_lobpcg_stays_within_its_memory_budget():
     m = refine_mesh(generate_mesh(parse_domain_spec(_ELLIPSE_2), 0.05))
     assert m.num_nodes == 52441
     A, M = fem._robin_matrix(m, 1.0), mass_matrix(m)
-    lu, levels = fem._hierarchy(m, 1.0, A)
+    inverse, levels = fem._hierarchy(m, 1.0, A)
     w0 = levels[-1][2] @ fem._nested_eigenpair(m.parent, 1.0)[1]
     _, lobpcg_mb = _transient_mb(
-        lambda: fem._lobpcg(A, M, w0, functools.partial(fem._vcycle, levels, lu)))
+        lambda: fem._lobpcg(A, M, w0, functools.partial(fem._vcycle, levels, inverse)))
     assert lobpcg_mb <= 7.5, lobpcg_mb

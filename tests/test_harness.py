@@ -167,6 +167,15 @@ def test_disc_run_all_pass_and_isolation(tmp_path):
     assert not all_passed(rows)
 
 
+def test_default_config_at_small_beta_completes_every_job():
+    # at beta = 0.01 six of the 14 jobs once failed at relative residual
+    # 1.35e-10: u is a large constant plus a small variation there
+    cfg = parse_config(default_config_text().replace("betas = 1", "betas = 0.01"))
+    rows = run_experiments(cfg)
+    assert len(rows) == 14
+    assert [row.error for row in rows if row.status != "ok"] == []
+
+
 def test_emit_reports_structure_and_determinism(tmp_path):
     cfg = parse_config(MINIMAL)
     rows = run_experiments(cfg)
@@ -324,7 +333,7 @@ def test_cross_process_determinism(tmp_path):
 # sha256 over the sorted (file name, bytes) pairs of the default `robinsym
 # verify` reports with OPENBLAS_NUM_THREADS=1 (Python 3.11.7, numpy 2.4.6,
 # scipy 1.17.1); the BLAS thread count moves some report digits
-DEFAULT_REPORT_DIGEST = "f64bb2d17238060099b4f33d629edbe9d97aba1120bd39cf3294f049f21e415a"
+DEFAULT_REPORT_DIGEST = "9a5b6f2ceeabfbd8abde549625295c90fd007683d7c55de2132565d1737f93e0"
 
 
 def test_default_reports_keep_their_digest(tmp_path):
@@ -358,6 +367,9 @@ def test_default_reports_keep_their_digest(tmp_path):
     (["verify", "--config", "retired.cfg"], "robinsym verify: line 2: unknown key 'seed' in [run]"),
     (["solve", "--domain", "disc r=1", "--h", "0.3", "--out", "nodir/u.txt"],
      "robinsym solve: [Errno 2] No such file or directory: 'nodir/u.txt'"),
+    (["asymmetry", "--domain", "rect w=2 h=1 cx=1e17"],
+     "robinsym asymmetry: rect w, h: a centre coordinate of 1e+17 is more than 2^26 times the"
+     " smallest extent 1, too far out for the doubles there to resolve the shape"),
     (["oracle", "--kind", "profile", "--samples", "1"],
      "robinsym oracle: a profile needs at least 2 samples, got 1"),
     (["oracle", "--kind", "profile", "--samples", "-3"],
@@ -390,7 +402,8 @@ def test_default_reports_keep_their_digest(tmp_path):
      "robinsym: error: unrecognized arguments: --h 0.1"),
     (["oracle", "--kind", "eigen", "--b", "2"], "robinsym: error: unrecognized arguments: --b 2"),
 ], ids=["unknown-source", "unknown-shape", "mesh-size", "missing-config", "negative-radius",
-        "negative-source", "retired-key", "unwritable-output", "one-sample-profile",
+        "negative-source", "retired-key", "unwritable-output", "far-offset-shape",
+        "one-sample-profile",
         "negative-sample-profile", "zero-beta", "nan-beta", "nan-radius", "infinite-beta",
         "nan-profile-beta", "overflowing-eigen", "overflowing-torsion",
         "overflowing-profile", "negative-mesh-refine", "negative-solve-refine",

@@ -7,7 +7,7 @@ import pytest
 
 import mesh_oracle
 from robinsym import meshing
-from robinsym.domains import build_domain, parse_domain_spec
+from robinsym.domains import _orient, build_domain, parse_domain_spec
 from robinsym.meshing import (
     Mesh,
     MeshError,
@@ -482,3 +482,61 @@ def test_validate_rejects_a_bad_boundary_on_a_generated_mesh():
     with pytest.raises(MeshError, match="boundary edge list"):
         validate_mesh(mesh_oracle.hand_mesh(
             m.nodes, m.triangles, np.vstack([m.boundary_edges[1:], interior]), m.domain))
+
+
+# ---------------------------------------------------------------------------
+# locate: the solvers' point location between meshes that are not nested
+
+
+def _all_scores(mesh, points):
+    """The smallest barycentric coordinate of every point in every triangle."""
+    c = mesh.nodes[mesh.triangles]
+    d = _orient(c[:, 0], c[:, 1], c[:, 2])
+    p = points[:, None, :]
+    return np.min([_orient(p, c[None, :, (i + 1) % 3], c[None, :, (i + 2) % 3]) / d
+                   for i in range(3)], axis=0)
+
+
+@pytest.mark.parametrize("spec, coarse_h, fine_h", [
+    ("disc r=1", 0.5, 0.1), ("ellipse a=1.4142135623730951 b=0.70710678118654757", 0.3, 0.1),
+    ("stadium l=1 r=0.5", 0.2, 0.07), ("polygon 0,0 2,0 2,1 1,1 1,2 0,2", 0.5, 0.15)])
+def test_locate_picks_the_best_triangle_of_all(spec, coarse_h, fine_h):
+    # every point of the finer mesh, the boundary nodes outside the coarse
+    # mesh's chords included, gets the triangle whose smallest barycentric
+    # coordinate is largest over all triangles, and weights that
+    # reproduce the point (P1 interpolation is exact for linear functions)
+    d = parse_domain_spec(spec)
+    coarse, points = generate_mesh(d, coarse_h), generate_mesh(d, fine_h).nodes
+    tri, bary = meshing.locate(coarse, points)
+    scores = _all_scores(coarse, points)
+    assert np.allclose(bary.min(axis=1), scores.max(axis=1), rtol=0.0, atol=1e-14)
+    corners = coarse.nodes[coarse.triangles[tri]]
+    assert np.allclose(np.einsum("ij,ijk->ik", bary, corners), points, rtol=0.0, atol=1e-14)
+    assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+def test_locate_reproduces_refinement_on_nested_meshes():
+    # a refined mesh's nodes are its parent's nodes and edge midpoints, so
+    # the located weights are those of the refinement's prolongation
+    parent = generate_mesh(parse_domain_spec("polygon 0,0 2,0 2,1 1,1 1,2 0,2"), 0.5)
+    child = refine_mesh(parent)
+    tri, bary = meshing.locate(parent, child.nodes)
+    weights = np.zeros((child.num_nodes, parent.num_nodes))
+    np.add.at(weights, (np.arange(child.num_nodes)[:, None], parent.triangles[tri]), bary)
+    expected = np.zeros_like(weights)
+    expected[np.arange(parent.num_nodes), np.arange(parent.num_nodes)] = 1.0
+    mid = parent.num_nodes + np.arange(len(parent.graph.edges))
+    expected[mid[:, None], parent.graph.edges] = 0.5
+    assert np.allclose(weights, expected, rtol=0.0, atol=1e-15)
+
+
+def test_locate_takes_a_boundary_triangle_for_a_point_far_outside():
+    # a point in a cell no triangle meets is outside every triangle
+    m = generate_mesh(build_domain("disc", r=1.0), 0.2)
+    points = np.array([[0.99, 0.99], [-5.0, 3.0], [0.0, 0.0]])
+    tri, bary = meshing.locate(m, points)
+    boundary = np.unique(m.boundary_edges)
+    assert np.isin(m.triangles[tri[:2]], boundary).any(axis=1).all()
+    corners = m.nodes[m.triangles[tri]]
+    assert np.allclose(np.einsum("ij,ijk->ik", bary, corners), points, rtol=0.0, atol=1e-12)
+    assert bary[2].min() >= 0.0

@@ -9,6 +9,7 @@ belongs in tests/ (`proof_oracle.py`, `raster_oracle.py`).
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,11 @@ gamma2 = 16.0
 provenance = reachability guard
 """
 
+# a regular 100-gon at h = 0.7 is its own coarsest mesh, of 301 nodes: its
+# solve aggregates below it
+_HUNDRED_GON = "polygon " + " ".join(
+    f"{math.cos(math.pi * k / 50):.6f},{math.sin(math.pi * k / 50):.6f}" for k in range(100))
+
 COMMANDS = [
     ["mesh", "--domain", "polygon 0,0 1,0 1.2,0.8 0,1", "--h", "0.3", "--out", "p.txt"],
     ["mesh", "--domain", "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2", "--h", "0.5",
@@ -41,6 +47,7 @@ COMMANDS = [
     ["asymmetry", "--domain", "polygon 0,0 2,0 2,1 1,1 1,2 0,2"],
     ["solve", "--domain", "stadium l=1 r=0.5", "--h", "0.3", "--refine", "1", "--f", "bump",
      "--out", "u.txt"],
+    ["solve", "--domain", _HUNDRED_GON, "--h", "0.7"],
     ["oracle", "--kind", "torsion"],
     ["oracle", "--kind", "eigen"],
     ["oracle", "--kind", "profile", "--samples", "9"],

@@ -2,12 +2,12 @@
 
 Shapes are parametric (disc, ellipse, rectangle, stadium) or simple polygons;
 each boundary is a chain of segments and elliptic arcs (`boundary_pieces`).
-The Fraenkel asymmetry comes from an exact boundary integral for the area of
-the intersection with a ball and its exact gradient in the center
-(`_ball_overlap`), minimized over the center by a quasi-Newton search
-(`_asymmetry_search`).  Both take oriented segments and arcs, not a Domain,
-so the tests' oracle for the superlevel sets of a P1 field
-(`tests/proof_oracle.py`) searches them as the shapes are searched.
+The Fraenkel asymmetry comes from the area of the intersection with a ball,
+a boundary integral taken in closed form piece by piece, and its exact
+gradient in the center (`_ball_overlap`), minimized over the center by a
+quasi-Newton search (`_asymmetry_search`).  Both take oriented segments and
+arcs, not a Domain, so the tests' oracle for the superlevel sets of a P1
+field (`tests/proof_oracle.py`) searches them as the shapes are searched.
 """
 
 from __future__ import annotations
@@ -169,15 +169,14 @@ class Domain:
         v = self.vertices
         return [("segment", v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
-    def boundary_point(self, curve_id: int, t):
-        """Point on boundary curve `curve_id` at parameter t."""
-        t = np.asarray(t, dtype=float)
-        kind, *piece = self.boundary_pieces()[curve_id]
-        if kind == "segment":
-            a, b = piece
-            return a + np.multiply.outer(t, b - a)
-        (cx, cy), (A, B), _ = piece
-        return np.stack([cx + A * np.cos(t), cy + B * np.sin(t)], axis=-1)
+
+def piece_point(piece, t):
+    """The point of a `Domain.boundary_pieces` piece at parameter t."""
+    if piece[0] == "segment":
+        _, a, b = piece
+        return a + np.multiply.outer(t, b - a)
+    _, (cx, cy), (A, B), _ = piece
+    return np.stack([cx + A * np.cos(t), cy + B * np.sin(t)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +198,19 @@ def _ellipse_perimeter(a: float, b: float) -> float:
             return TWO_PI * total / a
 
 
-# Beyond sizes of about 1e-77 to 1e76 the asymmetry's overlap integrand, a product of four
-# lengths (cross * r^2, qb * qb in `_ball_overlap`), leaves the normal doubles and reads 2,
-# wrong or nan.  Shapes are held seven decades inside.
+# Sizes are held decades inside where the doubles give out: below about 1e-165 a shape's
+# measure underflows and its asymmetry divides by zero, above about 1e155 an ellipse's reads
+# nan, and the products of three lengths in `_polygon_centroid` overflow near 1e103.
 _MIN_LENGTH, _MAX_LENGTH = 1e-70, 1e70
 # A centre more than 2^26 times the shape's smallest extent from the origin leaves fewer than
 # 2^26 doubles across that extent: `rect w=2 h=1 cx=1e17` rounded its corners together and
 # read asymmetry 2 with error 0 (0.5159 at cx = 0).  Below the cut, meshes and searches
 # resolve the shape to 1.5e-8 of that extent or finer.
 _MAX_OFFSET = 2.0 ** 26
+# An ellipse's equal-measure ball crosses it within (b/a)^(1/2) of s = +-pi/2, where doubles
+# are 2^-52 apart, so below b/a = 2^-52 fewer than 2^26 of them resolve the crossings: past
+# that, b/a = 1e-24 read the asymmetry 7e-10 off, and 1e-32 read 0 for 2.
+_MIN_AXIS_RATIO = 2.0 ** -52
 
 
 def _check_size(name: str, lengths, coordinates) -> None:
@@ -259,6 +262,9 @@ def build_domain(kind: str, **kw) -> Domain:
         a, b = kw["a"], kw["b"]
         if a < b:
             a, b = b, a
+        if b < _MIN_AXIS_RATIO * a:
+            raise GeometryError(f"ellipse a, b: the axis ratio {b / a:g} is below 2^-52, too "
+                                f"thin for the doubles to resolve where a ball crosses it")
         dom = Domain("ellipse", (a, b, cx, cy), math.pi * a * b, _ellipse_perimeter(a, b))
     elif kind == "rect":
         w, h = kw["w"], kw["h"]
@@ -350,40 +356,19 @@ def _asymmetry_seeds(bbox, center):
     return [np.array([center[0] + dx, center[1] + dy]) for dx, dy in offs]
 
 
-_GAUSS = np.polynomial.legendre.leggauss(16)
-ARC_SAMPLES = 33
-
-
-def _gauss_rule(lo, hi, halve=False):
-    """Gauss-Legendre nodes and weights on the panels [lo, hi] (last axis);
-    with halve, on both halves of every panel."""
-    if halve:
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid], axis=-1), np.concatenate([mid, hi], axis=-1)
-    xi, w = _GAUSS
-    half = 0.5 * (hi - lo)[..., None]
-    return lo[..., None] + half * (xi + 1.0), half * w
-
-
-def _arc_panel_ends(g, dg, s0, s1):
-    """Panel ends on [s0, s1]: every 8th of ARC_SAMPLES samples, plus the roots
-    of g, found as sign changes between samples and refined by Newton
-    safeguarded with the bracket.
-
-    The fixed ends keep panels at a quarter of a full arc: one 16-point panel
-    over a whole ellipse integrates a distant ball to only about 1e-7.
-    """
-    s = np.linspace(s0, s1, ARC_SAMPLES)
-    inside = g(s) < 0.0
-    k = np.nonzero(inside[:-1] != inside[1:])[0]
-    lo, hi, lo_inside = s[k], s[k + 1], inside[k]
+def _bracketed_roots(fdf, s):
+    """The roots of f between the samples s where its sign changes, refined by
+    Newton safeguarded with the bracket; fdf(t) returns (f, df/dt)."""
+    negative = fdf(s)[0] < 0.0
+    k = np.nonzero(negative[:-1] != negative[1:])[0]
+    lo, hi, lo_negative = s[k], s[k + 1], negative[k]
     t = 0.5 * (lo + hi)
     for _ in range(64):
-        gt = g(t)
-        below = (gt < 0.0) == lo_inside
+        ft, dft = fdf(t)
+        below = (ft < 0.0) == lo_negative
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - gt / dg(t)
+            step = t - ft / dft
         # a converged step lands on the bracket end just moved to t: a strict
         # test would throw it away for the midpoint
         step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
@@ -391,7 +376,19 @@ def _arc_panel_ends(g, dg, s0, s1):
         t = step
         if done:
             break
-    return np.sort(np.concatenate([s[::8], t]))
+    return t
+
+
+def _arc_panel_ends(g, s0, s1):
+    """Panel ends on [s0, s1]: every 8th of 33 samples, and the roots of g(s)[0]
+    between the samples and the roots of g(s)[1], which split two roots
+    closer than the samples.  The fixed ends cut an ellipse into quarters,
+    whose caps, at most (2^(1/2) - 1) min(A, B) thick, are thinner than its
+    equal-measure radius (AB)^(1/2) (a stadium's caps into eighths): a panel
+    outside that ball sweeps less than pi about its centre."""
+    s = np.linspace(s0, s1, 33)
+    samples = np.sort(np.concatenate([s, _bracketed_roots(lambda t: g(t)[1:], s)]))
+    return np.sort(np.concatenate([s[::8], _bracketed_roots(lambda t: g(t)[:2], samples)]))
 
 
 def _oriented_boundary(domain: Domain):
@@ -402,7 +399,7 @@ def _oriented_boundary(domain: Domain):
     return segments, [p[1:] for p in pieces if p[0] == "arc"]
 
 
-def _ball_overlap(segments, arcs, x, r, halve=False):
+def _ball_overlap(segments, arcs, x, r):
     """(|U cap B_r(x)|, its gradient in x) for the set U bounded by oriented
     `segments` and `arcs`, U on the left.
 
@@ -410,13 +407,16 @@ def _ball_overlap(segments, arcs, x, r, halve=False):
     divergence theorem for F(q) = min(|q - x|, r)^2 (q - x) / (2 |q - x|^2),
     whose divergence is the indicator of B_r(x); it holds for any center and
     any boundary traversed with U on its left, in any order of its pieces.
-    The integrand is smooth except where |p - x| = r, so the Gauss panels of
-    every piece are split there.  Segments must have positive length.
+    Cut where they cross the circle, the pieces integrate in closed form:
+    inside the ball to 1/2 (p - x) x dp, outside to r^2 / 2 times the angle
+    swept about x.  A segment is taken in its line's coordinates, where it
+    crosses the circle at s = +-(r^2 - d^2)^(1/2), d the signed distance of
+    x from the line, however much shorter than the segment the ball is.
+    Segments must have positive length.
 
     The gradient is minus the integral of the outward normal of U over the
     boundary inside the ball, that is the sum of the chords of the boundary
-    pieces clipped to the ball, turned by +90 degrees.  It is exact, and it
-    reuses the crossings that split the panels.
+    pieces clipped to the ball, turned by +90 degrees.
     """
     x = np.asarray(x, dtype=float)
     r2 = r * r
@@ -425,46 +425,43 @@ def _ball_overlap(segments, arcs, x, r, halve=False):
     if len(segments):
         a = segments[:, 0] - x
         e = segments[:, 1] - segments[:, 0]
-        qa = np.einsum("ij,ij->i", e, e)
-        qb = np.einsum("ij,ij->i", a, e)
-        qc = np.einsum("ij,ij->i", a, a) - r2
-        root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
-        # panels [0, t-], [t-, t+], [t+, 1] end at the crossings clipped to
-        # the segment, so a segment that crosses fewer times has empty ones
-        cut = np.clip((-qb[:, None] + root[:, None] * [-1.0, 1.0]) / qa[:, None], 0.0, 1.0)
-        ends = np.column_stack([np.zeros(len(a)), cut, np.ones(len(a))])
-        t, w = _gauss_rule(ends[:, :-1], ends[:, 1:], halve)
-        px = a[:, 0, None, None] + t * e[:, 0, None, None]
-        py = a[:, 1, None, None] + t * e[:, 1, None, None]
-        cross = (a[:, 0] * e[:, 1] - a[:, 1] * e[:, 0])[:, None, None]
-        total += np.sum(w * cross * r2 / np.maximum(px * px + py * py, r2))
-        chords += (cut[:, 1] - cut[:, 0]) @ e
+        length = np.hypot(e[:, 0], e[:, 1])
+        d = (a[:, 0] * e[:, 1] - a[:, 1] * e[:, 0]) / length
+        s0 = np.einsum("ij,ij->i", a, e) / length
+        s1 = s0 + length
+        half_chord = np.sqrt(np.maximum((r - d) * (r + d), 0.0))
+        lo, hi = np.clip(-half_chord, s0, s1), np.clip(half_chord, s0, s1)
+        # the angle about x of the points s0, lo, hi, s1, continuous along the line
+        angle = np.arctan2(np.sign(d) * np.stack([s0, lo, hi, s1]), np.abs(d))
+        total += d @ (hi - lo) + r2 * np.sum(angle[1] - angle[0] + angle[3] - angle[2])
+        chords += ((hi - lo) / length) @ e
     for (cx, cy), (A, B), (s0, s1) in arcs:
         ox, oy = cx - x[0], cy - x[1]
 
-        def g(s):
-            return (ox + A * np.cos(s)) ** 2 + (oy + B * np.sin(s)) ** 2 - r2
-
-        def dg(s):
+        def g(s):  # |p(s) - x|^2 - r^2 and its first two derivatives
             c, sn = np.cos(s), np.sin(s)
-            return 2.0 * ((oy + B * sn) * B * c - (ox + A * c) * A * sn)
+            px, py = ox + A * c, oy + B * sn
+            return (px ** 2 + py ** 2 - r2, 2.0 * (py * B * c - px * A * sn),
+                    2.0 * ((A * sn) ** 2 + (B * c) ** 2 - px * A * c - py * B * sn))
 
-        ends = _arc_panel_ends(g, dg, s0, s1)
-        s, w = _gauss_rule(ends[:-1], ends[1:], halve)
-        c, sn = np.cos(s), np.sin(s)
+        ends = _arc_panel_ends(g, s0, s1)
+        inside = g(0.5 * (ends[:-1] + ends[1:]))[0] < 0.0
+        c, sn = np.cos(ends), np.sin(ends)
+        dc, ds = np.diff(c), np.diff(sn)
         px, py = ox + A * c, oy + B * sn
-        total += np.sum(w * (px * B * c + py * A * sn) * r2 / np.maximum(px * px + py * py, r2))
-        inside = g(0.5 * (ends[:-1] + ends[1:])) < 0.0
-        lo, hi = ends[:-1][inside], ends[1:][inside]
-        chords += [A * np.sum(np.cos(hi) - np.cos(lo)), B * np.sum(np.sin(hi) - np.sin(lo))]
+        sweep = np.arctan2(px[:-1] * py[1:] - py[:-1] * px[1:],
+                           px[:-1] * px[1:] + py[:-1] * py[1:])
+        total += np.sum(np.where(inside, A * B * np.diff(ends) + ox * B * ds - oy * A * dc,
+                                 r2 * sweep))
+        chords += [A * np.sum(dc[inside]), B * np.sum(ds[inside])]
     return 0.5 * total, np.array([-chords[1], chords[0]])
 
 
 # quasi-Newton search: value tolerance on the predicted decrease, the floor
 # of f, Armijo constant, and caps on the iterations and on the halvings of
-# one step.  The asymmetry is >= 0 and its computed value carries rounding
-# of a few tens of ulps (6.7e-16 at the centre of a disc, where the
-# gradient is rounding noise), so a value at the floor is a minimum.
+# one step.  The asymmetry is >= 0 and its computed value carries a few ulps
+# of rounding (at its centre `disc r=1` reads exactly 0, `disc r=0.3 cx=2
+# cy=1` 4.4e-16), so a value at the floor is a minimum.
 _SEARCH_FTOL = 1e-15
 _SEARCH_FLOOR = 1e-14
 _ARMIJO = 1e-4
@@ -481,7 +478,7 @@ def _quasi_newton(fg, x, scale):
     step is longer than scale.  The search stops when the decrease predicted
     by the quadratic model, g.H.g / 2, falls below _SEARCH_FTOL, when f is
     at most _SEARCH_FLOOR (f >= 0 here), or when no step along the search
-    direction decreases f.
+    direction decreases f.  Returns x, f and the decrease g.H.g / 2 there.
     """
     f, g = fg(x)
     H = scale * scale * np.eye(2)
@@ -509,46 +506,45 @@ def _quasi_newton(fg, x, scale):
             v = np.eye(2) - np.outer(s, y) / sy
             H = v @ H @ v.T + np.outer(s, s) / sy
         x, f, g = x + s, fn, gn
-    return x, f
+    return x, f, 0.5 * float(g @ H @ g)
 
 
 def _asymmetry_search(segments, arcs, area, seeds) -> AsymmetryResult:
     """min_x |U Delta B_r(x)| / |U| over centers, |B_r| = |U| = area, for the
     set U bounded by `segments` and `arcs` (see `_ball_overlap`).
 
-    The objective is exact up to quadrature: |U Delta B| = 2 (|U| - |U cap
+    The objective is exact up to rounding: |U Delta B| = 2 (|U| - |U cap
     B|), and its gradient is exact.  One quasi-Newton run (`_quasi_newton`,
     steps up to r) starts from each seed and the best end point wins.
-    `error` is the change of the value when every panel is halved, and
-    `evaluations` counts the overlap integrals taken, each of which gives
-    the value and the gradient together.
+    `error` is the decrease its quadratic model still predicts there, at
+    most the value since the asymmetry is >= 0.  `evaluations` counts the
+    overlap integrals, each of which gives the value and the gradient.
     """
     # an empty segment (a level line through a node) bounds nothing
     segments = segments[np.any(segments[:, 0] != segments[:, 1], axis=1)]
     r = equal_measure_radius(area)
     evaluations = 0
 
-    def objective(x, halve=False):
+    def objective(x):
         nonlocal evaluations
         evaluations += 1
-        overlap, gradient = _ball_overlap(segments, arcs, x, r, halve)
+        overlap, gradient = _ball_overlap(segments, arcs, x, r)
         return 2.0 * (1.0 - overlap / area), (-2.0 / area) * gradient
 
     ends = []
     for s in seeds:
-        x, f = _quasi_newton(objective, np.asarray(s, dtype=float), r)
-        ends.append((float(f), float(x[0]), float(x[1])))
-    value, cx, cy = min(ends)
-    fine = float(objective((cx, cy), halve=True)[0])
-    return AsymmetryResult(value=max(fine, 0.0), center=(cx, cy), radius=r,
-                           error=abs(value - fine), evaluations=evaluations)
+        x, f, decrease = _quasi_newton(objective, np.asarray(s, dtype=float), r)
+        ends.append((float(f), float(x[0]), float(x[1]), decrease))
+    value, cx, cy, decrease = min(ends)
+    value = max(value, 0.0)
+    return AsymmetryResult(value, (cx, cy), r, min(decrease, value), evaluations)
 
 
 def fraenkel_asymmetry(domain: Domain) -> AsymmetryResult:
     """min_x |Omega Delta B_r(x)| / |B_r| over centers, |B_r| = |Omega|.
 
     The overlap |Omega cap B| is a boundary integral (`_ball_overlap`) taken
-    with 16-point Gauss-Legendre panels split where the boundary crosses the
+    in closed form on the boundary's pieces, cut where they cross the
     circle.  For a convex domain the square root of the overlap is concave
     in the center on its support (Brunn-Minkowski), so one quasi-Newton run
     from the centroid finds the global minimum; a nonconvex polygon is

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import Domain, _orient, _polygon_is_convex
+from .domains import Domain, _orient, _polygon_is_convex, piece_point
 
 
 class MeshError(ValueError):
@@ -505,9 +505,11 @@ def refine_mesh(m: Mesh) -> Mesh:
     be = m.boundary_edges
     bmid = V + g.boundary_ids
     tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
-    for curve in np.unique(m.boundary_curve):
-        on = m.boundary_curve == curve
-        nodes[bmid[on]] = m.domain.boundary_point(int(curve), tm[on])
+    # the pieces once, the edges split by curve in one sort: linear in a polygon's size
+    pieces, order = m.domain.boundary_pieces(), np.argsort(m.boundary_curve, kind="stable")
+    curves, starts = np.unique(m.boundary_curve[order], return_index=True)
+    for curve, on in zip(curves, np.split(order, starts[1:])):
+        nodes[bmid[on]] = piece_point(pieces[curve], tm[on])
     bt = np.stack([m.boundary_t[:, 0], tm, tm, m.boundary_t[:, 1]], axis=1).reshape(-1, 2)
     bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
     bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from robinsym.domains import Domain, parse_domain_spec
+from robinsym.domains import Domain, parse_domain_spec, piece_point
 from robinsym.meshing import Mesh, _fix_orientation, _frozen_graph, _stitch
 
 
@@ -183,7 +183,7 @@ def refine_mesh(m: Mesh) -> Mesh:
     tm = 0.5 * (m.boundary_t[:, 0] + m.boundary_t[:, 1])
     for curve in np.unique(m.boundary_curve):
         on = m.boundary_curve == curve
-        nodes[bmid[on]] = m.domain.boundary_point(int(curve), tm[on])
+        nodes[bmid[on]] = piece_point(m.domain.boundary_pieces()[curve], tm[on])
     bt = np.stack([m.boundary_t[:, 0], tm, tm, m.boundary_t[:, 1]], axis=1).reshape(-1, 2)
     bcurve = np.repeat(m.boundary_curve.astype(np.int64), 2)
     bedges = np.stack([be[:, 0], bmid, bmid, be[:, 1]], axis=1).reshape(-1, 2)

@@ -13,18 +13,18 @@ from robinsym.domains import _ball_overlap, equal_measure_radius
 
 
 def nelder_mead_asymmetry(segments, arcs, area, seeds):
-    """(value at the best end point with every panel halved, evaluations)."""
+    """(value at the best end point, evaluations)."""
     segments = segments[np.any(segments[:, 0] != segments[:, 1], axis=1)]
     r = equal_measure_radius(area)
     evaluations = 0
 
-    def objective(x, halve=False):
+    def objective(x):
         nonlocal evaluations
         evaluations += 1
-        return 2.0 * (1.0 - _ball_overlap(segments, arcs, x, r, halve)[0] / area)
+        return 2.0 * (1.0 - _ball_overlap(segments, arcs, x, r)[0] / area)
 
     ends = [minimize(objective, s, method="Nelder-Mead",
                      options=dict(xatol=1e-9, fatol=1e-13, maxiter=400, maxfev=600))
             for s in seeds]
     best = min(ends, key=lambda res: res.fun)
-    return max(objective(best.x, halve=True), 0.0), evaluations
+    return max(best.fun, 0.0), evaluations

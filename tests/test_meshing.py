@@ -7,7 +7,7 @@ import pytest
 
 import mesh_oracle
 from robinsym import meshing
-from robinsym.domains import _orient, build_domain, parse_domain_spec
+from robinsym.domains import Domain, _orient, build_domain, parse_domain_spec, piece_point
 from robinsym.meshing import (
     Mesh,
     MeshError,
@@ -163,7 +163,7 @@ def _refine_loop_reference(m):
         i = mid(a, b)
         ta, tb = m.boundary_t[k]
         tm = 0.5 * (ta + tb)
-        nodes[i] = tuple(m.domain.boundary_point(int(m.boundary_curve[k]), tm))
+        nodes[i] = tuple(piece_point(m.domain.boundary_pieces()[m.boundary_curve[k]], tm))
         bt.extend([(ta, tm), (tm, tb)])
         bedges.extend([(a, i), (i, b)])
     return np.array(nodes), np.array(tris), np.array(bedges), np.array(bt)
@@ -186,6 +186,18 @@ def test_refine_matches_loop_reference_bit_exact(spec):
         full = mesh_oracle.refine_mesh(mesh)
         assert np.array_equal(r.triangles, full.triangles)
         assert all(np.array_equal(a, b) for a, b in zip(r.graph, full.graph))
+
+
+def test_refine_takes_the_boundary_pieces_once(monkeypatch):
+    # a regular 60-gon has 60 boundary curves; the pieces are taken once,
+    # not once per curve, so refinement stays linear in the vertex count
+    m = generate_mesh(parse_domain_spec("polygon " + " ".join(
+        f"{math.cos(math.pi * k / 30):.6f},{math.sin(math.pi * k / 30):.6f}" for k in range(60))), 0.3)
+    calls = []
+    pieces = Domain.boundary_pieces
+    monkeypatch.setattr(Domain, "boundary_pieces", lambda self: calls.append(self) or pieces(self))
+    refine_mesh(m)
+    assert len(np.unique(m.boundary_curve)) == 60 and len(calls) == 1
 
 
 def _stitch_loop_reference(inner, outer, span):

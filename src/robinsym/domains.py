@@ -356,41 +356,6 @@ def _asymmetry_seeds(bbox, center):
     return [np.array([center[0] + dx, center[1] + dy]) for dx, dy in offs]
 
 
-def _bracketed_roots(fdf, s):
-    """The roots of f between the samples s where its sign changes, refined by
-    Newton safeguarded with the bracket; fdf(t) returns (f, df/dt)."""
-    negative = fdf(s)[0] < 0.0
-    k = np.nonzero(negative[:-1] != negative[1:])[0]
-    lo, hi, lo_negative = s[k], s[k + 1], negative[k]
-    t = 0.5 * (lo + hi)
-    for _ in range(64):
-        ft, dft = fdf(t)
-        below = (ft < 0.0) == lo_negative
-        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - ft / dft
-        # a converged step lands on the bracket end just moved to t: a strict
-        # test would throw it away for the midpoint
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        done = np.all(np.abs(step - t) <= 1e-15 * (1.0 + np.abs(t)))
-        t = step
-        if done:
-            break
-    return t
-
-
-def _arc_panel_ends(g, s0, s1):
-    """Panel ends on [s0, s1]: every 8th of 33 samples, and the roots of g(s)[0]
-    between the samples and the roots of g(s)[1], which split two roots
-    closer than the samples.  The fixed ends cut an ellipse into quarters,
-    whose caps, at most (2^(1/2) - 1) min(A, B) thick, are thinner than its
-    equal-measure radius (AB)^(1/2) (a stadium's caps into eighths): a panel
-    outside that ball sweeps less than pi about its centre."""
-    s = np.linspace(s0, s1, 33)
-    samples = np.sort(np.concatenate([s, _bracketed_roots(lambda t: g(t)[1:], s)]))
-    return np.sort(np.concatenate([s[::8], _bracketed_roots(lambda t: g(t)[:2], samples)]))
-
-
 def _oriented_boundary(domain: Domain):
     """(segments, arcs) of the counterclockwise boundary: the segments as an
     (S, 2, 2) array of start and end points, the arcs as in `boundary_pieces`."""
@@ -413,6 +378,18 @@ def _ball_overlap(segments, arcs, x, r):
     crosses the circle at s = +-(r^2 - d^2)^(1/2), d the signed distance of
     x from the line, however much shorter than the segment the ball is.
     Segments must have positive length.
+
+    An arc p(s) = c + (A cos s, B sin s) crosses the circle where g(s) =
+    |p(s) - x|^2 - r^2 vanishes.  With z = e^(is) and o = c - x, z^2 g is the
+    quartic q z^4 + (o_1 A - i o_2 B) z^3 + (|o|^2 - r^2 + (A^2 + B^2) / 2) z^2
+    + (o_1 A + i o_2 B) z + q, q = (A^2 - B^2) / 4, so its four roots hold
+    every crossing.  Their angles, as they come and after two Newton steps
+    on g, cut the arc into panels beside its fixed quarter ends, and each
+    panel is inside or outside as g is at its midpoint: an end that is no
+    crossing only splits a panel.  The quarter ends keep each outside panel
+    under a sweep of pi about x: a quarter of an ellipse bounds a cap at most
+    (2^(1/2) - 1) min(A, B) thick, thinner than the equal-measure radius
+    (AB)^(1/2) (a stadium's caps are cut into eighths).
 
     The gradient is minus the integral of the outward normal of U over the
     boundary inside the ball, that is the sum of the chords of the boundary
@@ -438,13 +415,22 @@ def _ball_overlap(segments, arcs, x, r):
     for (cx, cy), (A, B), (s0, s1) in arcs:
         ox, oy = cx - x[0], cy - x[1]
 
-        def g(s):  # |p(s) - x|^2 - r^2 and its first two derivatives
+        def g(s):  # |p(s) - x|^2 - r^2 and its derivative
             c, sn = np.cos(s), np.sin(s)
             px, py = ox + A * c, oy + B * sn
-            return (px ** 2 + py ** 2 - r2, 2.0 * (py * B * c - px * A * sn),
-                    2.0 * ((A * sn) ** 2 + (B * c) ** 2 - px * A * c - py * B * sn))
+            return px ** 2 + py ** 2 - r2, 2.0 * (py * B * c - px * A * sn)
 
-        ends = _arc_panel_ends(g, s0, s1)
+        q = 0.25 * (A - B) * (A + B)
+        raw = np.angle(np.roots([q, ox * A - 1j * oy * B,
+                                 ox * ox + oy * oy - r2 + 0.5 * (A * A + B * B),
+                                 ox * A + 1j * oy * B, q]))
+        newton = raw
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(2):
+                newton = newton - np.divide(*g(newton))
+            # a nan (where g is flat) fails s < s1
+            s = s0 + np.mod(np.concatenate([raw, newton]) - s0, TWO_PI)
+        ends = np.sort(np.concatenate([np.linspace(s0, s1, 5), s[s < s1]]))
         inside = g(0.5 * (ends[:-1] + ends[1:]))[0] < 0.0
         c, sn = np.cos(ends), np.sin(ends)
         dc, ds = np.diff(c), np.diff(sn)
@@ -460,8 +446,9 @@ def _ball_overlap(segments, arcs, x, r):
 # quasi-Newton search: value tolerance on the predicted decrease, the floor
 # of f, Armijo constant, and caps on the iterations and on the halvings of
 # one step.  The asymmetry is >= 0 and its computed value carries a few ulps
-# of rounding (at its centre `disc r=1` reads exactly 0, `disc r=0.3 cx=2
-# cy=1` 4.4e-16), so a value at the floor is a minimum.
+# of rounding (at their centres `disc r=1.3 cy=0.2` and `disc r=0.3 cx=2
+# cy=1` read 0, with a gradient of rounding noise), so a value at the floor
+# is a minimum.
 _SEARCH_FTOL = 1e-15
 _SEARCH_FLOOR = 1e-14
 _ARMIJO = 1e-4

@@ -108,12 +108,12 @@ class TheoremReport:
     extras: dict = dataclass_field(default_factory=dict)
 
     def row(self) -> dict:
-        """Every field but alpha_power by name (k None as nan), then the extras."""
+        """Every field but alpha_power and the extras by name (k None as nan)."""
         out = {fd.name: getattr(self, fd.name) for fd in fields(self)
                if fd.name not in ("alpha_power", "extras")}
         if self.k is None:
             out["k"] = float("nan")
-        return out | self.extras
+        return out
 
 
 # ---------------------------------------------------------------------------

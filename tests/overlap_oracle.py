@@ -10,6 +10,15 @@ c(X) = (r^2 - (X - x_1)^2)^(1/2) integrated in closed form and Y dX by
 SciPy's quad.  The cuts are sign changes on a grid of 2^16 steps of the
 piece's parameter, refined by brentq, so a tangency can go unseen; the
 centres the tests draw avoid them.  Not part of the package.
+
+Two crossings inside one grid step go unseen as well, and that sets its
+limit on a thin ellipse, where they crowd: at b/a = 1e-9 (a = 10^4.5) and
+centre (7911.98, 0.7945) it reads 1.2247e-4 for an overlap of 7.4370e-5
+(`_ball_overlap` agrees with a 40-digit slice integral cut at the crossings
+to 5e-13).  It matches `_ball_overlap` to 1e-13 pi r^2 down to b/a = 1e-6,
+so no test uses it on a thinner ellipse; within r beyond a thin ellipse's
+tip its quad warns of roundoff, so the tests' centres there lie inside
+the tip.
 """
 
 import math

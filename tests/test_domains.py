@@ -517,21 +517,39 @@ def test_thin_shapes_match_their_references_or_are_rejected():
 THIN_SHAPES = ("rect w=1000 h=0.001", "ellipse a=1000 b=0.001", "stadium l=1000 r=0.001",
                "polygon -0.5,-5e-9 0.5,-5e-9 0,5e-9")
 
+# centres where the equal-measure circle crosses an ellipse twice close together (2.5e-4
+# apart in the arc's parameter on the a=2 ellipse), or a thin ellipse near its tip
+CLOSE_CROSSINGS = {"ellipse a=2 b=0.5": [(-1.34043498, -0.67024136)],
+                   ASYMMETRY_SHAPES[-1]: [(0.31616519, 0.258147)],
+                   "ellipse a=1000 b=0.001": [(997.6209290257059, 0.052014331288833926)]}
+
 
 @pytest.mark.parametrize("spec", ASYMMETRY_SHAPES + THIN_SHAPES + (
     "disc r=1.3 cx=0.2 cy=-0.4", "polygon 0,0 2,0 2,1 1,1 1,2 0,2",
-    "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2"))
+    "polygon 0,0 3,0 3,2 2,2 2,1 1,1 1,2 0,2", "ellipse a=2 b=0.5"))
 def test_ball_overlap_matches_the_slice_oracle(spec):
     # seeded centres in the bounding box grown by r: inside, near and outside
-    # the shape, along all of a long one; and one far outside
+    # the shape, along all of a long one; one far outside; on a long ellipse,
+    # more within a few r of each tip; and the close crossings above
     d = parse_domain_spec(spec)
     r = equal_measure_radius(d.measure)
     x0, x1, y0, y1 = d.bounding_box()
     rng = np.random.default_rng(sum(map(ord, spec)))
     centres = list(rng.uniform([x0 - r, y0 - r], [x1 + r, y1 + r], size=(12, 2)))
-    for x in centres + [np.array([x1 + 2.0 * r, y0])]:
+    if d.kind == "ellipse" and x1 - x0 > 100.0 * r:
+        # within 3r inside each tip: beyond one, the oracle's quad warns of roundoff
+        for tip, inward in ((x0, 1.0), (x1, -1.0)):
+            step = rng.uniform([0.0, -r], [3.0 * r, r], size=(6, 2))
+            centres += list(np.array([tip, 0.0]) + step * [inward, 1.0])
+    centres += [np.array([x1 + 2.0 * r, y0])]
+    centres += [np.array(x) for x in CLOSE_CROSSINGS.get(spec, [])]
+    for x in centres:
         overlap, _ = _ball_overlap(*_oriented_boundary(d), x, r)
         assert abs(overlap - slice_overlap(d, x, r)) <= 1e-13 * math.pi * r * r, x
+    if spec == "ellipse a=2 b=0.5":
+        # a 40-digit slice integral cut at the four crossings (r = 1 exactly)
+        overlap, _ = _ball_overlap(*_oriented_boundary(d), CLOSE_CROSSINGS[spec][0], r)
+        assert abs(overlap - 0.89628075289490002) <= 1e-15
 
 
 def test_asymmetry_disc_and_translated_disc_vanish():
@@ -562,7 +580,7 @@ def test_asymmetry_evaluation_budget():
         assert 0 < res.evaluations <= 10 * seeds
 
 
-@pytest.mark.parametrize("spec", ["disc r=1", "disc r=0.3 cx=2 cy=1"])
+@pytest.mark.parametrize("spec", ["disc r=1.3 cy=0.2", "disc r=0.3 cx=2 cy=1"])
 def test_disc_search_stops_at_the_rounding_floor(spec, monkeypatch):
     # at the exact centre the value is rounding noise about 0 and so is the
     # gradient; without the floor every step fails all its halvings
